@@ -152,7 +152,7 @@ def _record(name: str, ok: bool, witness: Optional[Dict[str, object]] = None) ->
 def _json_safe(value: object) -> object:
     """Coerce a witness value into something ``json.dumps`` accepts.
 
-    Exact scalars (``mpq``, quadratic-extension coefficients, ``Fraction``)
+    Exact scalars (quadratic-extension coefficients, ``Fraction``)
     become their canonical string form; complex numbers become ``[re, im]``
     pairs.  Anything unrecognized falls back to ``str``.
     """

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import kernels
 from .exact import Rational, rat
@@ -259,21 +262,17 @@ S2 = ((0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1))
 J4 = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 
 
-def mat4_mul(a, b, p: Optional[int] = None):
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            v = sum(a[i][k] * b[k][j] for k in range(4))
-            row.append(v % p if p else v)
-        out.append(tuple(row))
-    return tuple(out)
+def _flat(rows) -> tuple:
+    return tuple(chain.from_iterable(rows))
+
+
+_J4_FLAT = _flat(J4)
 
 
 def _is_symplectic_mod(rows, p: int) -> bool:
-    gt = tuple(tuple(rows[k][i] for k in range(4)) for i in range(4))
-    lhs = mat4_mul(mat4_mul(gt, J4), rows, p)
-    return lhs == tuple(tuple(v % p for v in row) for row in J4)
+    gt = _flat(zip(*rows))
+    lhs = kernels.mat_mul_mod(kernels.mat_mul_mod(gt, _J4_FLAT, p), _flat(rows), p)
+    return lhs == tuple(v % p for v in _J4_FLAT)
 
 
 @dataclass(frozen=True)
@@ -291,7 +290,7 @@ class FqSp4:
 
     @property
     def flat(self) -> tuple:
-        return tuple(v for row in self.entries for v in row)
+        return _flat(self.entries)
 
 
 def _torus(a1: int, a2: int, p: int):
@@ -366,15 +365,15 @@ def bruhat_reps(p: int, families=range(1, 9)) -> list[FqSp4]:
     units = range(1, p)
     reps = []
     for family in families:
-        word = _WORDS[family]
+        word = [_flat(s) for s in _WORDS[family]]
         for a1 in units:
             for a2 in units:
-                t = _torus(a1, a2, p)
+                t = _flat(_torus(a1, a2, p))
                 for u in _family_unipotents(family, p):
-                    g = mat4_mul(t, u, p)
+                    g = kernels.mat_mul_mod(t, _flat(u), p)
                     for s in word:
-                        g = mat4_mul(g, s, p)
-                    reps.append(FqSp4(g, p))
+                        g = kernels.mat_mul_mod(g, s, p)
+                    reps.append(FqSp4((g[0:4], g[4:8], g[8:12], g[12:16]), p))
     return reps
 
 
@@ -401,19 +400,28 @@ def count_polynomial_identity(max_degree: int = 8) -> bool:
     return lhs == rhs
 
 
-def ksharp_mod_p_member(flat: Sequence[int], p: int) -> bool:
+# flat indices of the positions (1,2), (3,1), (3,2), (4,1), (4,2), (4,3)
+_KSHARP_ZEROS = [1, 8, 9, 12, 13, 14]
+
+
+def ksharp_mod_p_member(flat, p: int):
     """Membership in the mod-p reduction of the level subgroup.
 
     The reduction consists of symplectic matrices vanishing at the six
     positions (1,2), (3,1), (3,2), (4,1), (4,2), (4,3) with corner diagonal
-    entries 1 and equal nonzero middle diagonal entries.
+    entries 1 and equal nonzero middle diagonal entries.  Takes one flat
+    matrix (returns a bool) or an (n, 16) batch (returns a boolean mask).
     """
-    if any(flat[4 * i + j] % p for (i, j) in ((0, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))):
-        return False
-    if flat[0] % p != 1 or flat[15] % p != 1:
-        return False
-    mu = flat[5] % p
-    return mu != 0 and flat[10] % p == mu
+    m = np.asarray(flat) % p
+    mu = m[..., 5]
+    member = (
+        ~m[..., _KSHARP_ZEROS].any(axis=-1)
+        & (m[..., 0] == 1)
+        & (m[..., 15] == 1)
+        & (mu != 0)
+        & (m[..., 10] == mu)
+    )
+    return member if member.ndim else bool(member)
 
 
 @dataclass(frozen=True)
@@ -437,6 +445,20 @@ class CosetAuditReport:
         )
 
 
+def _sp4_generators(p: int) -> list:
+    """Flat generators of Sp4(F_p) for p in {2, 3}."""
+    gens = [
+        _flat(S1),
+        _flat(S2),
+        (1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 1),
+        (1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    ]
+    if p > 2:
+        g = 2  # generates F_3^x; enough for the primes handled here
+        gens += [_flat(_torus(g, 1, p)), _flat(_torus(1, g, p))]
+    return gens
+
+
 def coset_audit(p: int) -> CosetAuditReport:
     """Exhaustive disjointness-and-covering audit of the representatives.
 
@@ -447,18 +469,8 @@ def coset_audit(p: int) -> CosetAuditReport:
     """
     if p not in (2, 3):
         raise ValueError("audit is kept to p in {2, 3}; see bruhat_reps")
-    gens = [
-        tuple(v % p for row in S1 for v in row),
-        tuple(v % p for row in S2 for v in row),
-        (1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, p - 1, 0, 0, 0, 1),
-        (1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
-    ]
-    if p > 2:
-        g = 2  # generates F_3^x; enough for the primes handled here
-        for t in (_torus(g, 1, p), _torus(1, g, p)):
-            gens.append(tuple(v for row in t for v in row))
-    group = kernels.group_closure(gens, p, max_size=sp4_order(p))
-    subgroup = sorted(m for m in group if ksharp_mod_p_member(m, p))
+    group = kernels.group_closure(_sp4_generators(p), p, max_size=sp4_order(p))
+    subgroup = group[ksharp_mod_p_member(group, p)]
     try:
         kernels.group_closure(subgroup, p, max_size=len(subgroup))
         closed = True

@@ -11,19 +11,14 @@ clever is needed.
 
 No floating point enters this module.  The scalar arithmetic runs on
 Python integers alone.  Rational values elsewhere in the package (and the
-.a, .b parts of a scalar) use gmpy2's mpq when it is installed, and the
-stdlib fractions.Fraction otherwise; both give the same exact values.
+.a, .b parts of a scalar) are the stdlib fractions.Fraction.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rational
 from math import gcd
 from typing import Iterable, Sequence, Union
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # gmpy2 is optional: install the "gmpy2" extra
-    from fractions import Fraction as Rational
 
 RationalLike = Union[int, str, "Rational"]
 
@@ -45,7 +40,7 @@ def _int_pair(x) -> tuple:
         return x, 1
     if not isinstance(x, Rational):
         x = rat(x)
-    return int(x.numerator), int(x.denominator)
+    return x.numerator, x.denominator
 
 
 class QuadCoeff:

@@ -1,28 +1,100 @@
-"""Backend selection for the mod-p matrix kernels.
+"""Mod-p arithmetic on 4x4 matrices: the hot loops of the coset audit.
 
-Prefers the compiled extension; falls back to the pure-Python
-implementation when the extension was not built.  Set LOCALZETA_PURE=1
-to force the fallback (used by the benchmark to compare both).
+A single matrix is a flat row-major 16-tuple of ints.  A batch is an
+(n, 16) uint8 array of entries in [0, p), multiplied with batched
+``np.matmul`` on int16 views.  Each matrix of a batch also has one int64
+code, sum(entry_i * p**(15 - i)); the code is big-endian, so code order is
+the lexicographic order of the tuples, and deduplication is ``np.unique``
+and ``np.isin`` on codes.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Sequence
 
-if os.environ.get("LOCALZETA_PURE"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
+import numpy as np
 
-BACKEND = _impl.BACKEND
-IDENTITY = _impl.IDENTITY
-mat_mul_mod = _impl.mat_mul_mod
-group_closure = _impl.group_closure
-mark_products = _impl.mark_products
+IDENTITY = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+
+# Codes run up to p**16 - 1, which fits int64 for p <= 15; int16 product
+# sums are at most 4 (p - 1)**2, far inside that range.
+_MAX_P = 15
 
 
 def backend_name() -> str:
-    return BACKEND
+    return "numpy"
+
+
+def mat_mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """Product of two flat 4x4 matrices mod p, as a tuple of ints."""
+    out = []
+    for i in (0, 4, 8, 12):
+        a0, a1, a2, a3 = a[i], a[i + 1], a[i + 2], a[i + 3]
+        for j in (0, 1, 2, 3):
+            out.append((a0 * b[j] + a1 * b[4 + j] + a2 * b[8 + j] + a3 * b[12 + j]) % p)
+    return tuple(out)
+
+
+def _batch(mats, p: int) -> np.ndarray:
+    """An (n, 16) uint8 batch of the matrices reduced mod p."""
+    if not 2 <= p <= _MAX_P:
+        raise ValueError(f"mod-p kernels need 2 <= p <= {_MAX_P}, got p = {p}")
+    return (np.asarray(mats, dtype=np.int64).reshape(-1, 16) % p).astype(np.uint8)
+
+
+def _codes(batch: np.ndarray, p: int) -> np.ndarray:
+    codes = np.zeros(len(batch), dtype=np.int64)
+    for column in batch.T:  # Horner, one column at a time: no (n, 16) int64 copy
+        codes = codes * p + column
+    return codes
+
+
+def _products(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """All products l * r mod p, left-major, as an (len(left) * len(right), 16) batch."""
+    a = left.astype(np.int16).reshape(-1, 1, 4, 4)
+    b = right.astype(np.int16).reshape(1, -1, 4, 4)
+    return (np.matmul(a, b) % p).astype(np.uint8).reshape(-1, 16)
+
+
+def group_closure(gens, p: int, max_size: int) -> np.ndarray:
+    """Closure of the generators under multiplication mod p.
+
+    Breadth-first: repeatedly multiplies the frontier by every generator.
+    Since the generated set is finite (a subgroup of GL4(F_p)) and every
+    generator is invertible, closure under products equals the subgroup.
+    Returns the group as a code-sorted (n, 16) uint8 batch.  Raises
+    RuntimeError if the closure exceeds max_size.
+    """
+    gens = _batch(gens, p)
+    group = _batch(IDENTITY, p)
+    group_codes = _codes(group, p)
+    frontier = group
+    while len(frontier):
+        prods = _products(frontier, gens, p)
+        codes, first = np.unique(_codes(prods, p), return_index=True)
+        fresh = ~np.isin(codes, group_codes)
+        frontier = prods[first[fresh]]
+        group = np.concatenate([group, frontier])
+        group_codes = np.concatenate([group_codes, codes[fresh]])
+        if len(group) > max_size:
+            raise RuntimeError(f"group closure exceeded {max_size} elements")
+    return group[np.argsort(group_codes)]
+
+
+def mark_products(reps, subgroup, p: int) -> tuple[int, tuple[int, ...] | None]:
+    """Mark every product rep*k; detect the first product reached twice.
+
+    Returns (number of distinct products, first duplicated product or
+    None); the duplicate is the earliest product, rep-major, whose value
+    occurred before.  If the reps lie in pairwise distinct left cosets of
+    the subgroup, no product repeats and the count is
+    len(reps)*len(subgroup).
+    """
+    prods = _products(_batch(reps, p), _batch(subgroup, p), p)
+    codes = _codes(prods, p)
+    first = np.unique(codes, return_index=True)[1]
+    if len(first) == len(codes):
+        return len(first), None
+    repeated = np.ones(len(codes), dtype=bool)
+    repeated[first] = False
+    return len(first), tuple(prods[np.argmax(repeated)].tolist())

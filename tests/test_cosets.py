@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from localzeta.exact import rat
+from localzeta.kernels import IDENTITY, group_closure, mark_products, mat_mul_mod
 from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
 from localzeta.cosets import (
     BesselDatum,
@@ -14,12 +15,14 @@ from localzeta.cosets import (
     EtaleNum,
     FqSp4,
     IDENTITY_NAMES,
+    _sp4_generators,
     bruhat_reps,
     coset_audit,
     count_polynomial_identity,
     ediag,
     eta_matrix,
     expected_rep_count,
+    ksharp_mod_p_member,
     matrix_identity_trial,
     sp4_order,
     support_classify,
@@ -157,11 +160,81 @@ class TestCosetAudit:
         assert report.passed
 
     def test_identity_is_a_member(self):
-        from localzeta.cosets import ksharp_mod_p_member
-        from localzeta.kernels import IDENTITY
-
         assert ksharp_mod_p_member(IDENTITY, 2)
         assert ksharp_mod_p_member(IDENTITY, 3)
+
+
+def _audit_group(p):
+    return group_closure(_sp4_generators(p), p, max_size=sp4_order(p))
+
+
+def _audit_subgroup(p):
+    group = _audit_group(p)
+    return group[ksharp_mod_p_member(group, p)]
+
+
+class TestKernels:
+    def test_duplicate_witness_is_first_repeat(self):
+        reps = [r.flat for r in bruhat_reps(2)]
+        reps.insert(5, reps[3])
+        group = [tuple(m) for m in _audit_group(2).tolist()]
+        subgroup = sorted(m for m in group if ksharp_mod_p_member(m, 2))
+        distinct, duplicate = mark_products(reps, subgroup, 2)
+        assert distinct == 720
+        assert duplicate == (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)
+        assert all(type(v) is int for v in duplicate)
+
+    def test_closure_past_max_size_raises(self):
+        sub = _audit_subgroup(3)
+        with pytest.raises(RuntimeError):
+            group_closure(sub[:-1], 3, max_size=len(sub) - 1)
+
+    def test_batch_membership_agrees_with_single(self):
+        group = _audit_group(2)
+        mask = ksharp_mod_p_member(group, 2)
+        assert mask.tolist() == [ksharp_mod_p_member(tuple(m), 2) for m in group.tolist()]
+        assert mask.sum() == 16
+
+    def test_membership_rejects_each_failed_condition(self):
+        # a nonzero off-block entry, a corner entry != 1, unequal middle entries
+        for index, value in ((14, 1), (0, 2), (15, 2), (10, 2)):
+            m = list(IDENTITY)
+            m[index] = value
+            assert not ksharp_mod_p_member(m, 3)
+        zero_mu = list(IDENTITY)
+        zero_mu[5] = zero_mu[10] = 0
+        assert ksharp_mod_p_member([IDENTITY, zero_mu], 3).tolist() == [True, False]
+
+    def test_large_p_rejected(self):
+        with pytest.raises(ValueError):
+            group_closure([IDENTITY], 17, max_size=1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_matches_loop_reference(self, p):
+        # superdiagonal elementary matrices: the unitriangular group (order
+        # p^6), or for p = 13 a Heisenberg subgroup (order p^3)
+        rng = random.Random(p)
+        gens = []
+        for i in range(3 if p < 13 else 2):
+            g = list(IDENTITY)
+            g[5 * i + 1] = rng.randrange(1, p)
+            gens.append(tuple(g))
+        group, frontier = {IDENTITY}, [IDENTITY]
+        while frontier:
+            frontier = list({mat_mul_mod(f, g, p) for f in frontier for g in gens} - group)
+            group.update(frontier)
+        closure = group_closure(gens, p, max_size=len(group))
+        assert [tuple(m) for m in closure.tolist()] == sorted(group)
+
+        elements = sorted(group)
+        reps = [rng.choice(elements) for _ in range(20)]
+        subgroup = elements[:: max(1, len(elements) // 30)]
+        seen, duplicate = set(), None
+        for prod in (mat_mul_mod(r, k, p) for r in reps for k in subgroup):
+            if prod in seen and duplicate is None:
+                duplicate = prod
+            seen.add(prod)
+        assert mark_products(reps, subgroup, p) == (len(seen), duplicate)
 
 
 class _QueueRng:
