@@ -5,7 +5,11 @@ The closed form is a ratio of Gamma values with powers of D and 4*pi in
 front; the quadrature path integrates the printed (lambda, u) double
 integral with no analytic shortcuts (in particular the u-integral, whose
 closed value is elementary, is still done numerically so the comparison
-is a genuine two-route check).
+is a genuine two-route check).  The lambda-rule is scaled with u, so the
+Whittaker arguments 4 pi sqrt(D) u lambda_i at its nodes do not depend
+on u: W is tabulated once per panel level and reused at every u-node.
+That is reuse of numeric values, checked on every reuse, not an
+analytic shortcut.
 
 Whittaker evaluation is written here from scratch: a tanh-sinh quadrature
 of the confluent-U integral representation where it converges, and an
@@ -32,6 +36,23 @@ class GammaPoleError(ValueError):
 
 class DomainError(ValueError):
     """Parameters outside the region where an evaluation route converges."""
+
+
+class QuadratureError(DomainError):
+    """A refinement ladder ran out of levels before two levels agreed.
+
+    Carries the outer node ``u``, the finest panel count reached and the
+    last two totals, so a failed check can name where it stopped.
+    """
+
+    def __init__(self, u: float, panels: int, last_two: Tuple[complex, complex]):
+        super().__init__(
+            f"lambda-integral at u = {u!r} did not converge by {panels} panels: "
+            f"last two totals {last_two[0]!r}, {last_two[1]!r}"
+        )
+        self.u = u
+        self.panels = panels
+        self.last_two = last_two
 
 
 def gamma_fn(z: complex) -> complex:
@@ -401,39 +422,79 @@ def z_inf_closed_ds(l, l1, q_c, D, s, a_plus) -> complex:
     return front * num * _reciprocal_gamma(3 * s + (l + 1 - q) / 2)
 
 
-def _lambda_integral(sc: ArchScenario, u: float) -> complex:
+#: Panel counts of the composite Gauss-Legendre lambda-rule, coarse to fine.
+_PANEL_LEVELS = (16, 32, 64, 128)
+
+
+class _LambdaRule:
+    """The lambda-rule of one scenario, with W tabulated per panel level.
+
+    With lam_max = reach / (2 * scale) and scale = 2 pi sqrt(D) u, the
+    Whittaker arguments 2 * scale * lam_i are the same for every u up to
+    rounding, so a level's W values are computed at the first u-node that
+    reaches it and reused afterwards.  Each table keeps its arguments; a
+    reuse whose arguments differ by more than 1e-12 relative raises
+    RuntimeError instead of returning W at the wrong points.
+    """
+
+    def __init__(self, sc: ArchScenario):
+        s = complex(sc.s)
+        q = complex(sc.q_c)
+        self.kappa = sc.l / 2
+        self.mu = sc.ir / 2
+        self.power = 3 * s - 1.5 + sc.l - q / 2  # exponent of lambda (before 1/lambda)
+        self.root_d = math.sqrt(sc.D)
+        # The integrand decays like e^(-2 * scale * lam) with polynomial growth
+        # of combined degree Re(power) + l/2 (the W factor grows like z^(l/2)
+        # under its exponential).  Integrate far past the peak.
+        self.reach = max(self.power.real + sc.l / 2, 1.0) + 60.0
+        self.nodes, self.weights = np.polynomial.legendre.leggauss(24)
+        self.tables = {}  # panels -> (arguments, W values)
+
+    def whittaker(self, panels: int, args: np.ndarray) -> np.ndarray:
+        """W at ``args``, from the table of this panel level."""
+        if panels not in self.tables:
+            self.tables[panels] = (args, _whittaker_w_array(self.kappa, self.mu, args))
+        stored, w_vals = self.tables[panels]
+        drift = float(np.max(np.abs(args - stored) / stored))
+        if not drift <= 1e-12:
+            raise RuntimeError(
+                f"W table at {panels} panels was built for other arguments "
+                f"(relative drift {drift:.3g}); the lambda-rule no longer "
+                "scales with u"
+            )
+        return w_vals
+
+
+def _lambda_integral(rule: _LambdaRule, u: float) -> complex:
     """int_0^inf lambda^(3s-3/2+l-q/2) W_{l/2,ir/2}(4 pi lam sqrt(D) u)
     e^(-2 pi lam sqrt(D) u) dlam/lam, by composite Gauss-Legendre with
-    panel doubling."""
-    s = complex(sc.s)
-    q = complex(sc.q_c)
-    power = 3 * s - 1.5 + sc.l - q / 2  # exponent of lambda (before 1/lambda)
-    scale = 2 * math.pi * math.sqrt(sc.D) * u
-    # The integrand decays like e^(-2 * scale * lam) with polynomial growth
-    # of combined degree Re(power) + l/2 (the W factor grows like z^(l/2)
-    # under its exponential).  Integrate far past the peak.
-    lam_max = (max(power.real + sc.l / 2, 1.0) + 60.0) / (2 * scale)
-    kappa = sc.l / 2
-    mu = sc.ir / 2
-    nodes0, weights0 = np.polynomial.legendre.leggauss(24)
+    panel doubling until two levels agree to 1e-9 relative.
+
+    Raises QuadratureError when the finest level still disagrees with
+    the one before it.
+    """
+    scale = 2 * math.pi * rule.root_d * u
+    lam_max = rule.reach / (2 * scale)
     previous = None
-    for panels in (16, 32, 64, 128):
+    for panels in _PANEL_LEVELS:
         edges = np.linspace(0.0, lam_max, panels + 1)
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
-        lam = (mid[:, None] + half[:, None] * nodes0[None, :]).ravel()
-        weights = (half[:, None] * weights0[None, :]).ravel()
-        w_vals = _whittaker_w_array(kappa, mu, 2 * scale * lam)
+        lam = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
+        weights = (half[:, None] * rule.weights[None, :]).ravel()
+        w_vals = rule.whittaker(panels, 2 * scale * lam)
         integrand = (
-            np.exp((power - 1) * np.log(lam) - scale * lam) * w_vals
+            np.exp((rule.power - 1) * np.log(lam) - scale * lam) * w_vals
         )
         total = complex(np.dot(weights, integrand))
         if previous is not None and abs(total - previous) <= 1e-9 * (
             abs(total) + 1e-300
         ):
             return total
+        last_two = (previous, total)
         previous = total
-    return previous
+    raise QuadratureError(u, _PANEL_LEVELS[-1], last_two)
 
 
 def z_inf_quadrature(sc: ArchScenario) -> complex:
@@ -445,15 +506,23 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
             dlam/lam du
 
     The u-integral is done numerically even though its closed value is
-    elementary, so this route shares no algebra with z_inf_closed.
+    elementary, so this route shares no algebra with z_inf_closed.  The
+    inner lambda-rule is rebuilt at every u-node, but its Whittaker
+    arguments 4 pi sqrt(D) u lambda_i do not depend on u, so W is
+    evaluated once per panel level (see _LambdaRule); this reuses numeric
+    values and is not an analytic shortcut.
+
+    Raises QuadratureError when the lambda-integral at some u-node does
+    not converge.
     """
     _require_convergence(sc)
     s = complex(sc.s)
     q = complex(sc.q_c)
     u_power = -3 * s - 1.5 + q / 2
+    rule = _LambdaRule(sc)
 
     def outer(u: float) -> complex:
-        return complex(np.exp(u_power * math.log(u))) * _lambda_integral(sc, u)
+        return complex(np.exp(u_power * math.log(u))) * _lambda_integral(rule, u)
 
     value, _ = scipy.integrate.quad(
         outer, 1.0, np.inf, complex_func=True, epsabs=1e-13, epsrel=1e-9, limit=200

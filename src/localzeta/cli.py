@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .arch import (
     ArchScenario,
+    QuadratureError,
     WhittakerQuery,
     gamma_fn,
     mellin_whittaker,
@@ -536,7 +537,12 @@ def _run_arch(config: RunConfig) -> List[Record]:
     records = []
     for tag, sc in pairs:
         closed = z_inf_closed(sc)
-        numeric = z_inf_quadrature(sc)
+        try:
+            numeric = z_inf_quadrature(sc)
+        except QuadratureError as exc:
+            witness = {"u": exc.u, "panels": exc.panels, "last_two": exc.last_two}
+            records.append(_record(f"arch/zinf/{tag}", False, witness))
+            continue
         err = abs(numeric - closed)
         ok = err <= config.tolerance * (abs(closed) if closed else 1.0)
         witness = None

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from localzeta import arch
 from localzeta.arch import (
     ArchScenario,
     DomainError,
     GammaPoleError,
+    QuadratureError,
     WhittakerQuery,
     c1_coefficient,
     gamma_fn,
@@ -240,6 +242,82 @@ class TestZInfQuadrature:
         sc = ArchScenario(l=2, q_c=0.0, r=1.0, D=4, s=-1.0, a_plus=1.0)
         with pytest.raises(DomainError, match="6s"):
             z_inf_quadrature(sc)
+
+    def test_whittaker_evaluated_once_per_panel_level(self, monkeypatch):
+        calls = []
+
+        def counted(kappa, mu, xs):
+            calls.append(len(xs))
+            return _whittaker_w_array(kappa, mu, xs)
+
+        monkeypatch.setattr(arch, "_whittaker_w_array", counted)
+        z_inf_quadrature(ArchScenario.principal_series(12, 0.25j, -0.25j, 3, 1, 1))
+        assert 1 <= len(calls) <= len(arch._PANEL_LEVELS)
+
+
+def _noise_w(kappa, mu, xs):
+    """Stand-in for W that alternates in sign from node to node."""
+    return np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
+
+
+def _fresh_lambda_integral(sc, u):
+    """The lambda-integral at one u with W evaluated afresh at every level."""
+    s, q = complex(sc.s), complex(sc.q_c)
+    power = 3 * s - 1.5 + sc.l - q / 2
+    scale = 2 * math.pi * math.sqrt(sc.D) * u
+    lam_max = (max(power.real + sc.l / 2, 1.0) + 60.0) / (2 * scale)
+    nodes0, weights0 = np.polynomial.legendre.leggauss(24)
+    previous = None
+    for panels in (16, 32, 64, 128):
+        edges = np.linspace(0.0, lam_max, panels + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        lam = (mid[:, None] + half[:, None] * nodes0[None, :]).ravel()
+        weights = (half[:, None] * weights0[None, :]).ravel()
+        w_vals = _whittaker_w_array(sc.l / 2, sc.ir / 2, 2 * scale * lam)
+        total = complex(
+            np.dot(weights, np.exp((power - 1) * np.log(lam) - scale * lam) * w_vals)
+        )
+        if previous is not None and abs(total - previous) <= 1e-9 * abs(total):
+            return total
+        previous = total
+    raise AssertionError("reference lambda-integral did not converge")
+
+
+class TestLambdaRule:
+    SCENARIOS = [
+        ArchScenario.discrete_series(12, 12, 0, 4, 1.5, 1),
+        ArchScenario.principal_series(12, 0.25j, -0.25j, 3, 1, 1),
+    ]
+
+    @pytest.mark.parametrize("sc", SCENARIOS, ids=["ds", "ps"])
+    def test_tabulated_matches_fresh_evaluation(self, sc):
+        rule = arch._LambdaRule(sc)
+        arch._lambda_integral(rule, 1.3)  # fills the tables
+        tables = dict(rule.tables)
+        got = arch._lambda_integral(rule, 2.7)
+        assert all(rule.tables[k] is tables[k] for k in tables)  # reused, not rebuilt
+        want = _fresh_lambda_integral(sc, 2.7)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_guard_rejects_perturbed_table(self):
+        rule = arch._LambdaRule(self.SCENARIOS[1])
+        arch._lambda_integral(rule, 1.3)
+        args, w_vals = rule.tables[16]
+        rule.tables[16] = (args * (1 + 1e-9), w_vals)
+        with pytest.raises(RuntimeError, match="16 panels"):
+            arch._lambda_integral(rule, 2.7)
+
+    def test_non_convergence_raises_with_last_level(self, monkeypatch):
+        monkeypatch.setattr(arch, "_whittaker_w_array", _noise_w)
+        with pytest.raises(QuadratureError) as info:
+            z_inf_quadrature(self.SCENARIOS[0])
+        err = info.value
+        assert isinstance(err, DomainError)
+        assert err.u >= 1.0
+        assert err.panels == 128
+        first, second = err.last_two
+        assert abs(first - second) > 1e-9 * abs(second)
 
 
 class TestC1Coefficient:

@@ -5,8 +5,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from localzeta import arch
 from localzeta.cli import InputError, RunConfig, main, run
 
 
@@ -211,6 +213,24 @@ class TestVerifyArch:
         witness = failing[0]["witness"]
         assert set(witness) == {"closed", "quadrature", "abs_error"}
         assert witness["abs_error"] > 0
+
+    def test_non_converged_lambda_integral_fails_with_witness(self, write_doc, monkeypatch):
+        def noise(kappa, mu, xs):
+            return np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
+
+        monkeypatch.setattr(arch, "_whittaker_w_array", noise)
+        path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
+        code, out = run_capture(
+            RunConfig(command="verify-arch", input_path=path, output_format="machine")
+        )
+        assert code == 1
+        record = {r["name"]: r for r in records_of(out)}["arch/zinf/input-000"]
+        assert record["status"] == "fail"
+        witness = record["witness"]
+        assert set(witness) == {"u", "panels", "last_two"}
+        assert witness["u"] >= 1.0
+        assert witness["panels"] == 128
+        assert len(witness["last_two"]) == 2
 
     def test_scenario_needs_a_spectral_datum(self, write_doc):
         path = write_doc({"arch_scenarios": [{"l": 12, "D": 4, "s": 1.5}]})
