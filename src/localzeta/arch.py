@@ -11,6 +11,13 @@ on u: W is tabulated once per panel level and reused at every u-node.
 That is reuse of numeric values, checked on every reuse, not an
 analytic shortcut.
 
+The Mellin identity is checked by a batched, globally adaptive
+Gauss-Kronrod rule (the 10/21-point pair), not QUADPACK: each refinement
+round evaluates W once, on every new node, and the rule reports its own
+|Kronrod - Gauss| error estimate.  A segment that reaches its interval
+cap above tolerance raises MellinQuadratureError instead of returning an
+unconverged value.
+
 Whittaker evaluation is written here from scratch: a tanh-sinh quadrature
 of the confluent-U integral representation where it converges, and an
 upward recurrence in the first index from two safely-convergent seeds
@@ -21,7 +28,6 @@ oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -41,8 +47,10 @@ class DomainError(ValueError):
 class QuadratureError(DomainError):
     """A refinement ladder ran out of levels before two levels agreed.
 
-    Carries the outer node ``u``, the finest panel count reached and the
-    last two totals, so a failed check can name where it stopped.
+    Raised as is by the lambda-integral, carrying the outer node ``u``, the
+    finest panel count reached and the last two totals, so a failed check
+    can name where it stopped.  MellinQuadratureError carries its own
+    witness.
     """
 
     def __init__(self, u: float, panels: int, last_two: Tuple[complex, complex]):
@@ -145,14 +153,10 @@ def _confluent_u_pair(
     return result[0] * _reciprocal_gamma(a), result[1] * _reciprocal_gamma(a + 1)
 
 
-def _confluent_u(a: complex, b: complex, xs: np.ndarray) -> np.ndarray:
-    return _confluent_u_pair(a, b, xs)[0]
-
-
 def _whittaker_w_integral(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarray:
     """W via W = e^(-x/2) x^(mu+1/2) U(mu-kappa+1/2, 1+2mu, x)."""
     a = mu - kappa + 0.5
-    u = _confluent_u(a, 1 + 2 * mu, xs)
+    u = _confluent_u_pair(a, 1 + 2 * mu, xs)[0]
     return np.exp(-xs / 2 + (mu + 0.5) * np.log(xs)) * u
 
 
@@ -247,6 +251,179 @@ def whittaker_w(wq: WhittakerQuery) -> complex:
 # ---------------------------------------------------------------------------
 
 
+# The 10-point Gauss / 21-point Kronrod pair on [-1, 1], as in QUADPACK's
+# qk21: Kronrod abscissae from the end point inwards (the last is the
+# centre; every second one, from the second, is a Gauss abscissa) and
+# their Kronrod and Gauss weights.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# All 21 abscissae in ascending order; the Gauss ones sit at the odd indices.
+_KRONROD_NODES = np.array(tuple(-x for x in _XGK) + _XGK[-2::-1])
+_KRONROD_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
+_GAUSS_WEIGHTS = np.array(_WG + _WG[::-1])
+
+#: Most integrand arguments passed in one call: the 128-panel lambda-table
+#: (128 panels x 24 nodes) that z_inf_quadrature already holds, so the
+#: Mellin route never builds a larger confluent-U node grid.
+_EVAL_CHUNK = 3072
+
+
+class MellinQuadratureError(QuadratureError):
+    """A Mellin segment reached its interval cap above tolerance.
+
+    Carries the segment (its x-range), the intervals reached, the error
+    estimate and the tolerance it missed, so a failed check can say where
+    and by how much the quadrature stopped short.
+    """
+
+    def __init__(
+        self, segment: Tuple[float, float], intervals: int, abserr: float, tolerance: float
+    ):
+        # QuadratureError.__init__ builds the lambda-route message and fields
+        DomainError.__init__(
+            self,
+            f"Mellin integral on x in [{segment[0]:g}, {segment[1]:g}] did not "
+            f"converge by {intervals} intervals: error estimate {abserr:.3g} > "
+            f"tolerance {tolerance:.3g}",
+        )
+        self.segment = segment
+        self.intervals = intervals
+        self.abserr = abserr
+        self.tolerance = tolerance
+
+
+@dataclass(frozen=True)
+class _Quadrature:
+    """One adaptive Gauss-Kronrod integral: its value, the error estimate
+    (the sum of |Kronrod - Gauss| over the final intervals), the tolerance
+    it was held to, and the intervals and integrand values it used."""
+
+    value: complex
+    abserr: float
+    tolerance: float
+    intervals: int
+    evaluations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.abserr <= self.tolerance
+
+
+def _g10k21(f, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and |Kronrod - Gauss| on each interval [lo_i, hi_i],
+    from one pass of f over all their nodes."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = (centre[:, None] + half[:, None] * _KRONROD_NODES[None, :]).ravel()
+    fx = np.concatenate([f(x[i : i + _EVAL_CHUNK]) for i in range(0, x.size, _EVAL_CHUNK)])
+    fx = fx.reshape(lo.size, _KRONROD_NODES.size)
+    kronrod = half * (fx @ _KRONROD_WEIGHTS)
+    gauss = half * (fx[:, 1::2] @ _GAUSS_WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss)
+
+
+def _gauss_kronrod(
+    f, a: float, b: float, epsabs: float, epsrel: float, limit: int
+) -> _Quadrature:
+    """Globally adaptive G10K21 quadrature of a vectorised f on [a, b].
+
+    Each round bisects the intervals with the largest error estimates
+    until the others fit under half the tolerance max(epsabs, epsrel *
+    |value|), then evaluates f on all the new nodes together.  Stops once
+    the summed estimate meets the tolerance or ``limit`` intervals are in
+    use; the caller reads ``converged``.
+    """
+    lo = np.array([a], dtype=float)
+    hi = np.array([b], dtype=float)
+    est, err = _g10k21(f, lo, hi)
+    evaluations = _KRONROD_NODES.size
+    while True:
+        value = complex(est.sum())
+        abserr = float(err.sum())
+        tolerance = max(epsabs, epsrel * abs(value))
+        if abserr <= tolerance or lo.size >= limit:
+            return _Quadrature(value, abserr, tolerance, lo.size, evaluations)
+        order = np.argsort(err)
+        # the largest estimates, down to where the rest fit under half the
+        # tolerance ("not <=" also takes nan), and no more than the cap allows
+        split = order[~(np.cumsum(err[order]) <= 0.5 * tolerance)]
+        split = split[max(0, split.size - (limit - lo.size)) :]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_est, new_err = _g10k21(f, new_lo, new_hi)
+        evaluations += new_lo.size * _KRONROD_NODES.size
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        est = np.concatenate([est[keep], new_est])
+        err = np.concatenate([err[keep], new_err])
+
+
+def _mellin_segments(
+    kappa: complex, mu: complex, sigma: complex
+) -> Tuple[_Quadrature, _Quadrature]:
+    """The Mellin integral of e^(-x/2) W_{kappa,mu}(x) on x in [0, 1] (in
+    y, with x = y^2 to soften the endpoint power) and on [1, 120].
+
+    Raises DomainError when the integral diverges at 0, before any W is
+    evaluated, and MellinQuadratureError when a segment reaches 200
+    intervals above its tolerance.
+    """
+    if sigma.real <= abs(mu.real) - 0.5:
+        raise DomainError(
+            "Mellin integral diverges: need Re(sigma) > |Re(mu)| - 1/2"
+        )
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        w = _whittaker_w_array(kappa, mu, x)
+        return np.exp(-x / 2) * np.exp((sigma - 1) * np.log(x)) * w
+
+    segments = []
+    # y = sqrt(x) runs over the same [0, 1] as x on the head
+    for lo, hi, f in (
+        (0.0, 1.0, lambda y: 2 * y * integrand(y * y)),
+        (1.0, 120.0, integrand),
+    ):
+        seg = _gauss_kronrod(f, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200)
+        if not seg.converged:
+            raise MellinQuadratureError((lo, hi), seg.intervals, seg.abserr, seg.tolerance)
+        segments.append(seg)
+    return segments[0], segments[1]
+
+
 def mellin_whittaker(
     kappa: complex, mu: complex, sigma: complex
 ) -> Tuple[complex, complex]:
@@ -255,41 +432,20 @@ def mellin_whittaker(
     int_0^inf e^(-x/2) x^(sigma-1) W_{kappa,mu}(x) dx
         = Gamma(sigma+mu+1/2) Gamma(sigma-mu+1/2) / Gamma(sigma-kappa+1).
 
-    Returns (numeric, closed).  The numeric value is adaptive quadrature
-    of the left side; the closed value is the Gamma product.  Convergence
-    at 0 requires Re(sigma) > |Re(mu)| - 1/2.
+    Returns (numeric, closed).  The numeric value is a batched, globally
+    adaptive Gauss-Kronrod (G10K21) quadrature of the left side on [0, 1]
+    (with x = y^2) and [1, 120], each segment held to max(1e-12, 1e-11 *
+    |value|) by its own |Kronrod - Gauss| error estimate; each refinement
+    round evaluates W once, on all of its new nodes.  The closed value is
+    the Gamma product.  Convergence at 0 requires Re(sigma) > |Re(mu)| -
+    1/2 (DomainError otherwise); a segment that reaches 200 intervals
+    above its tolerance raises MellinQuadratureError.
     """
     kappa = complex(kappa)
     mu = complex(mu)
     sigma = complex(sigma)
-    if sigma.real <= abs(mu.real) - 0.5:
-        raise DomainError(
-            "Mellin integral diverges: need Re(sigma) > |Re(mu)| - 1/2"
-        )
-
-    def integrand(x: float) -> complex:
-        if x <= 0 or x > 400.0:
-            return 0.0
-        w = complex(_whittaker_w_array(kappa, mu, np.array([x]))[0])
-        return math.exp(-x / 2) * complex(np.exp((sigma - 1) * np.log(x))) * w
-
-    # substitute x = y^2 on [0,1] to soften the endpoint power
-    def integrand_sq(y: float) -> complex:
-        if y <= 0:
-            return 0.0
-        return 2 * y * integrand(y * y)
-
-    with warnings.catch_warnings():
-        # cancellation-to-zero integrands trip quadpack's roundoff heuristic;
-        # accuracy is established against the closed form, not the estimate
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        head, _ = scipy.integrate.quad(
-            integrand_sq, 0.0, 1.0, complex_func=True, epsabs=1e-12, epsrel=1e-11, limit=200
-        )
-        tail, _ = scipy.integrate.quad(
-            integrand, 1.0, 120.0, complex_func=True, epsabs=1e-12, epsrel=1e-11, limit=200
-        )
-    numeric = head + tail
+    head, tail = _mellin_segments(kappa, mu, sigma)
+    numeric = head.value + tail.value
     closed = (
         gamma_fn(sigma + mu + 0.5)
         * gamma_fn(sigma - mu + 0.5)

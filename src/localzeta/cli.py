@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .arch import (
     ArchScenario,
+    MellinQuadratureError,
     QuadratureError,
     WhittakerQuery,
     gamma_fn,
@@ -570,14 +571,25 @@ def _run_arch(config: RunConfig) -> List[Record]:
     ]
     mellin_points.append((6, 5.5, 6))
     for kappa, mu, sigma in mellin_points:
-        numeric, closed = mellin_whittaker(kappa, mu, sigma)
+        name = f"arch/mellin/k{kappa}-mu{mu}-s{sigma}"
+        try:
+            numeric, closed = mellin_whittaker(kappa, mu, sigma)
+        except MellinQuadratureError as exc:
+            witness = {
+                "segment": exc.segment,
+                "intervals": exc.intervals,
+                "abserr": exc.abserr,
+                "tolerance": exc.tolerance,
+            }
+            records.append(_record(name, False, witness))
+            continue
         if closed == 0:
             scale = abs(gamma_fn(sigma + mu + 0.5) * gamma_fn(sigma - mu + 0.5))
             ok = abs(numeric) <= 1e-8 * scale
         else:
             ok = abs(numeric - closed) <= 1e-8 * abs(closed)
         witness = None if ok else {"quadrature": numeric, "closed": closed}
-        records.append(_record(f"arch/mellin/k{kappa}-mu{mu}-s{sigma}", ok, witness))
+        records.append(_record(name, ok, witness))
     return records
 
 

@@ -15,6 +15,7 @@ from localzeta.arch import (
     ArchScenario,
     DomainError,
     GammaPoleError,
+    MellinQuadratureError,
     QuadratureError,
     WhittakerQuery,
     c1_coefficient,
@@ -117,6 +118,14 @@ class TestWhittakerW:
             whittaker_w(WhittakerQuery(kappa=6.0, mu=5.4, x=0.01))
 
 
+MELLIN_GRID = [
+    (kappa, mu, sigma)
+    for kappa in (0, -0.5, 0.5, 1, 6)
+    for mu in (0, 0.5j)
+    for sigma in (1, 2, 5)
+] + [(6, 5.5, 6)]
+
+
 class TestMellinWhittaker:
     def test_example_value(self):
         numeric, closed = mellin_whittaker(0.0, 0.0, 0.5)
@@ -152,6 +161,66 @@ class TestMellinWhittaker:
     def test_divergent_sigma_rejected(self):
         with pytest.raises(DomainError):
             mellin_whittaker(0.0, 5.5, 5.0)
+
+    def test_whittaker_evaluated_once_per_round(self, monkeypatch):
+        calls = []
+
+        def counted(kappa, mu, xs):
+            calls.append(len(xs))
+            return _whittaker_w_array(kappa, mu, xs)
+
+        monkeypatch.setattr(arch, "_whittaker_w_array", counted)
+        mellin_whittaker(6, 0.5j, 5)
+        # one call per refinement round and segment, not one per x
+        assert 1 <= len(calls) <= 40
+        assert max(calls) <= arch._EVAL_CHUNK
+
+    @pytest.mark.parametrize("point", MELLIN_GRID, ids=str)
+    def test_converges_within_reported_error(self, point):
+        kappa, mu, sigma = (complex(v) for v in point)
+        head, tail = arch._mellin_segments(kappa, mu, sigma)
+        assert head.converged and tail.converged
+        closed = (
+            gamma_fn(sigma + mu + 0.5)
+            * gamma_fn(sigma - mu + 0.5)
+            * scipy.special.rgamma(sigma - kappa + 1)
+        )
+        assert abs(head.value + tail.value - closed) <= head.abserr + tail.abserr
+
+    def test_non_convergence_raises_with_segment(self, monkeypatch):
+        monkeypatch.setattr(arch, "_whittaker_w_array", _noise_w)
+        with pytest.raises(MellinQuadratureError) as info:
+            mellin_whittaker(0.0, 0.0, 1.0)
+        err = info.value
+        assert isinstance(err, QuadratureError)
+        assert err.segment == (0.0, 1.0)
+        assert err.intervals == 200
+        assert err.abserr > err.tolerance
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("k", range(32))
+    def test_constants_integrate_monomials_exactly(self, k):
+        # Kronrod is exact to degree 31, Gauss to degree 19, so |K - G|
+        # vanishes up to 19 and not beyond
+        q = arch._gauss_kronrod(lambda x: x**k, 0.0, 1.0, 0.0, 0.0, limit=1)
+        assert (q.intervals, q.evaluations) == (1, 21)
+        assert abs(q.value - 1 / (k + 1)) <= 1e-14
+        if k <= 19:
+            assert q.abserr <= 1e-14
+        else:
+            assert q.abserr > 1e-13
+
+    def test_bisects_to_tolerance(self):
+        q = arch._gauss_kronrod(np.sqrt, 0.0, 1.0, 1e-12, 1e-11, limit=200)
+        assert q.converged and q.intervals > 1
+        assert q.evaluations == 21 * (2 * q.intervals - 1)
+        assert abs(q.value - 2 / 3) <= q.abserr <= q.tolerance
+
+    def test_interval_cap_reports_non_convergence(self):
+        q = arch._gauss_kronrod(np.sqrt, 0.0, 1.0, 1e-15, 0.0, limit=5)
+        assert q.intervals == 5
+        assert not q.converged
 
 
 class TestArchScenario:

@@ -232,6 +232,26 @@ class TestVerifyArch:
         assert witness["panels"] == 128
         assert len(witness["last_two"]) == 2
 
+    def test_non_converged_mellin_integral_fails_with_witness(self, write_doc, monkeypatch):
+        def noise(kappa, mu, xs):
+            return np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
+
+        monkeypatch.setattr(arch, "_whittaker_w_array", noise)
+        path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
+        code, out = run_capture(
+            RunConfig(command="verify-arch", input_path=path, output_format="machine")
+        )
+        assert code == 1
+        mellin = [r for r in records_of(out) if r["name"].startswith("arch/mellin/")]
+        assert len(mellin) == 31
+        for record in mellin:
+            assert record["status"] == "fail"
+            witness = record["witness"]
+            assert set(witness) == {"segment", "intervals", "abserr", "tolerance"}
+            assert witness["segment"] == [0.0, 1.0]
+            assert witness["intervals"] == 200
+            assert witness["abserr"] > witness["tolerance"]
+
     def test_scenario_needs_a_spectral_datum(self, write_doc):
         path = write_doc({"arch_scenarios": [{"l": 12, "D": 4, "s": 1.5}]})
         with pytest.raises(InputError, match="s1"):
