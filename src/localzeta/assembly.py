@@ -17,10 +17,10 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .arch import _reciprocal_gamma, c1_coefficient, gamma_fn
+from .exact import Rational, rat
 from .zeta import UNRAMIFIED_FACTOR_NOTE
 
 __all__ = [
@@ -92,11 +92,11 @@ def _squarefree_factors(n: int) -> Tuple[int, ...]:
     return tuple(factors)
 
 
-def v_N(n: int) -> Fraction:
+def v_N(n: int) -> Rational:
     """The level volume V_N = prod_{p | N} 1/((p^2 - 1)(p^4 - 1)), exactly."""
-    value = Fraction(1)
+    value = rat(1)
     for p in _squarefree_factors(n):
-        value *= Fraction(1, (p * p - 1) * (p**4 - 1))
+        value *= rat(1, (p * p - 1) * (p**4 - 1))
     return value
 
 
@@ -314,19 +314,19 @@ def kappa_N(gi: GlobalInput, s):
 
     p(p-1)/((p+1)(p^4-1)) * (1 - symbol/p) * (1 - p^(-6s-1))^(-1).
 
-    Exact (a Fraction) when s is rational with 6s+1 an integer; complex
+    Exact (a Rational) when s is rational with 6s+1 an integer; complex
     otherwise.  N = 1 gives the empty product 1.
     """
     if isinstance(s, numbers.Rational):
-        k = 6 * Fraction(s.numerator, s.denominator) + 1
+        k = 6 * rat(s.numerator, s.denominator) + 1
         if k.denominator == 1:
-            value = Fraction(1)
+            value = rat(1)
             for p in gi.level_primes:
                 sym = gi.local_table[p].symbol
-                factor = Fraction(p * (p - 1), (p + 1) * (p**4 - 1)) * (
-                    1 - Fraction(sym, p)
+                factor = rat(p * (p - 1), (p + 1) * (p**4 - 1)) * (
+                    1 - rat(sym, p)
                 )
-                value *= factor / (1 - Fraction(p) ** (-int(k)))
+                value *= factor / (1 - rat(p) ** (-int(k)))
             return value
     s = complex(s)
     value = complex(1)

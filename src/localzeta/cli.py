@@ -7,12 +7,16 @@ sorted by name, so two invocations with the same command, seed, and input
 produce byte-identical output.
 
 Exit status is 0 when every check passes, 1 when at least one check fails
-(the failing records carry a witness), and 2 for malformed input — bad
+(the failing records carry a witness), 2 for malformed input — bad
 flags, unreadable files, JSON syntax errors (reported with line and column),
-or schema violations (reported with the JSON path of the offending value).
+or schema violations (reported with the JSON path of the offending value) —
+and 141 (128 + SIGPIPE) when the reader closes stdout early, as in
+``localzeta verify-local | head -1``.
 
-Randomized batteries draw from SplitMix64 streams keyed by ``--seed``;
-see the README for the exact generator definition.  Rational values in
+Randomized batteries draw from SplitMix64 streams keyed by ``--seed``
+(see the README for the exact generator definition), except the
+matrix-identity trials of ``verify-cosets``, which still draw from
+``random.Random(f"{seed}:{identity}")``.  Rational values in
 input files are written as integers or ``"num/den"`` strings (floats are
 rejected: the local checks are exact).  Complex values are written as a
 number, a ``"num/den"`` string, or a two-element ``[re, im]`` array.
@@ -23,11 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .arch import (
@@ -61,7 +65,7 @@ from .cosets import (
     volume_V1,
     volume_V2,
 )
-from .exact import rat
+from .exact import Rational, rat
 from .localfield import (
     LocalQuadData,
     SplittingSymbol,
@@ -82,6 +86,10 @@ COMMANDS = (
     "global",
     "consistency",
 )
+
+# Exit status when stdout's reader closes early: 128 + SIGPIPE, as a shell
+# reports a process killed by that signal.
+EXIT_BROKEN_PIPE = 141
 
 _SYMBOL_NAMES = {
     SplittingSymbol.INERT: "inert",
@@ -154,7 +162,7 @@ def _record(name: str, ok: bool, witness: Optional[Dict[str, object]] = None) ->
 def _json_safe(value: object) -> object:
     """Coerce a witness value into something ``json.dumps`` accepts.
 
-    Exact scalars (quadratic-extension coefficients, ``Fraction``)
+    Exact scalars (quadratic-extension coefficients, ``Rational``)
     become their canonical string form; complex numbers become ``[re, im]``
     pairs.  Anything unrecognized falls back to ``str``.
     """
@@ -164,7 +172,7 @@ def _json_safe(value: object) -> object:
         return value
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, Fraction):
+    if isinstance(value, Rational):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
@@ -245,7 +253,7 @@ def _parse_complex(value: object, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, str):
-        return complex(Fraction(str(_parse_rational(value, where))))
+        return complex(_parse_rational(value, where))
     if isinstance(value, list):
         if len(value) != 2:
             raise InputError(f"{where}: a complex array must be [re, im]")
@@ -813,10 +821,10 @@ def _run_consistency(config: RunConfig) -> List[Record]:
     for p, symbol in ((2, SplittingSymbol.INERT), (3, SplittingSymbol.RAMIFIED), (5, SplittingSymbol.SPLIT)):
         gi = _level_prime_input(p, symbol)
         pre = prefactor(_quad_data(p, symbol))
-        expected_base = Fraction(int(pre.numerator), int(pre.denominator))
-        for s in (Fraction(1, 2), Fraction(1, 3), Fraction(1)):
+        expected_base = rat(int(pre.numerator), int(pre.denominator))
+        for s in (rat(1, 2), rat(1, 3), rat(1)):
             k = 6 * s + 1
-            expected = expected_base / (1 - Fraction(p) ** (-int(k)))
+            expected = expected_base / (1 - rat(p) ** (-int(k)))
             got = kappa_N(gi, s)
             ok = got == expected
             witness = None if ok else {"kappa_N": str(got), "expected": str(expected)}
@@ -824,7 +832,7 @@ def _run_consistency(config: RunConfig) -> List[Record]:
             tag = f"s{s.numerator}-{s.denominator}"
             records.append(_record(f"consistency/level-factor/p{p}-{cls}/{tag}", ok, witness))
 
-    ok = v_N(2) == Fraction(1, 45)
+    ok = v_N(2) == rat(1, 45)
     records.append(
         _record("consistency/v-level/2", ok, None if ok else {"v_N": str(v_N(2))})
     )
@@ -944,10 +952,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             p=ns.p,
             p_max=ns.p_max,
         )
-        return run(config)
+        status = run(config)
+        sys.stdout.flush()
+        return status
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the flush at
+        # interpreter exit does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

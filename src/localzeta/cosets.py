@@ -18,118 +18,36 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .exact import Rational, rat
+from .exact import QuadCoeff, Rational, rat
 from .localfield import LocalQuadData
 
 
 # --------------------------------------------------------------------------
-# exact arithmetic in the quadratic etale algebra Q[X]/(X^2 - d)
+# 4x4 matrices over the quadratic etale algebra Q[X]/(X^2 - d), d a nonzero
+# integer.  The scalars are exact.QuadCoeff with q = d; when d is a square
+# the algebra splits, and inverting a zero divisor raises ZeroDivisionError,
+# which the identity trials treat as a degenerate draw.
 
-
-class EtaleNum:
-    """x + y*sqrt(d) with rational x, y; d may or may not be a square.
-
-    When d is a square the algebra has zero divisors; inverting one raises
-    ZeroDivisionError, which identity trials treat as a degenerate draw.
-    """
-
-    __slots__ = ("x", "y", "d")
-
-    def __init__(self, x, y, d):
-        object.__setattr__(self, "x", rat(x))
-        object.__setattr__(self, "y", rat(y))
-        object.__setattr__(self, "d", rat(d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EtaleNum is immutable")
-
-    def _coerce(self, other) -> "EtaleNum":
-        if isinstance(other, EtaleNum):
-            if other.d != self.d:
-                raise ValueError("mixed etale algebras")
-            return other
-        return EtaleNum(other, 0, self.d)
-
-    def conjugate(self) -> "EtaleNum":
-        return EtaleNum(self.x, -self.y, self.d)
-
-    @property
-    def norm(self) -> Rational:
-        return self.x * self.x - self.y * self.y * self.d
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return EtaleNum(self.x + o.x, self.y + o.y, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return EtaleNum(self.x - o.x, self.y - o.y, self.d)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return EtaleNum(
-            self.x * o.x + self.y * o.y * self.d,
-            self.x * o.y + self.y * o.x,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "EtaleNum":
-        n = self.norm
-        if not n:
-            raise ZeroDivisionError("zero divisor in the etale algebra")
-        return EtaleNum(self.x / n, -self.y / n, self.d)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __neg__(self):
-        return EtaleNum(-self.x, -self.y, self.d)
-
-    def __eq__(self, other):
-        if isinstance(other, EtaleNum):
-            return self.d == other.d and self.x == other.x and self.y == other.y
-        if isinstance(other, (int, Rational)):
-            return self.y == 0 and self.x == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.d))
-
-    def __bool__(self):
-        return bool(self.x) or bool(self.y)
-
-    def __repr__(self):
-        return f"EtaleNum({self.x} + {self.y}*sqrt({self.d}))"
+EtaleNum = QuadCoeff  # the scalar type's name in this module's interface
 
 
 class EtaleMatrix:
-    """A 4x4 matrix over a fixed quadratic etale algebra."""
+    """A 4x4 matrix over a fixed quadratic etale algebra Q[X]/(X^2 - d)."""
 
     __slots__ = ("rows", "d")
 
-    def __init__(self, rows: Sequence[Sequence], d):
-        d = rat(d)
+    def __init__(self, rows: Sequence[Sequence], d: int):
         coerced = []
         for row in rows:
             if len(row) != 4:
                 raise ValueError("rows must have length 4")
             coerced.append(
                 tuple(
-                    e if isinstance(e, EtaleNum) else EtaleNum(e, 0, d) for e in row
+                    e if isinstance(e, QuadCoeff) else QuadCoeff(e, 0, d) for e in row
                 )
             )
             for e in coerced[-1]:
-                if e.d != d:
+                if e.q != d:
                     raise ValueError("mixed etale algebras")
         if len(coerced) != 4:
             raise ValueError("need 4 rows")
@@ -152,8 +70,8 @@ class EtaleMatrix:
         for i in range(4):
             row = []
             for j in range(4):
-                acc = EtaleNum(0, 0, self.d)
-                for k in range(4):
+                acc = self.rows[i][0] * other.rows[0][j]
+                for k in range(1, 4):
                     acc = acc + self.rows[i][k] * other.rows[k][j]
                 row.append(acc)
             out.append(row)
@@ -225,21 +143,21 @@ class BesselDatum:
         )
 
     @property
-    def xi0(self) -> EtaleNum:
-        return EtaleNum(rat(-self.b, 2), rat(1, 2), self.d)
+    def xi0(self) -> QuadCoeff:
+        return QuadCoeff(rat(-self.b, 2), rat(1, 2), self.d)
 
     @property
-    def alpha(self) -> EtaleNum:
-        return EtaleNum(rat(self.b, 2 * self.c), rat(1, 2 * self.c), self.d)
+    def alpha(self) -> QuadCoeff:
+        return QuadCoeff(rat(self.b, 2 * self.c), rat(1, 2 * self.c), self.d)
 
     @property
     def eta(self) -> EtaleMatrix:
         return eta_matrix(self.alpha, rat(1))
 
 
-def eta_matrix(alpha: EtaleNum, scale) -> EtaleMatrix:
+def eta_matrix(alpha: QuadCoeff, scale) -> EtaleMatrix:
     """The eta unipotent with alpha scaled by a uniformizer-power marker."""
-    d = alpha.d
+    d = alpha.q
     a = alpha * scale
     abar = alpha.conjugate() * scale
     return EtaleMatrix(
@@ -510,14 +428,21 @@ def _draw_rational(rng: random.Random, nonzero=False) -> Rational:
 
 
 def _draw_datum(rng: random.Random):
-    """Random (a, b, c, alpha) with c invertible and d nonzero."""
+    """Random (a, b, c, d, alpha) with c invertible and d a nonzero integer.
+
+    The rational discriminant n/m = b^2 - 4ac is carried over to the
+    integer algebra by Q[X]/(X^2 - n/m) = Q[X]/(X^2 - nm),
+    sqrt(n/m) -> sqrt(nm)/m, so alpha = b/(2c) + sqrt(nm)/(2cm).
+    """
     a = _draw_rational(rng)
     b = _draw_rational(rng)
     c = _draw_rational(rng, nonzero=True)
-    d = b * b - 4 * a * c
-    if not d:
+    disc = b * b - 4 * a * c
+    if not disc:
         raise DegenerateDraw("square discriminant datum degenerated to d = 0")
-    alpha = EtaleNum(b / (2 * c), 1 / (2 * c), d)
+    n, m = disc.numerator, disc.denominator
+    d = n * m
+    alpha = QuadCoeff(b / (2 * c), 1 / (2 * c * m), d)
     return a, b, c, d, alpha
 
 

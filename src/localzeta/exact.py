@@ -1,10 +1,14 @@
 """Exact arithmetic substrate for all formal identities.
 
-Scalars live in the quadratic field Q(sqrt(q)) for a prime q, stored as
-integer triples (A, B, D) = (A + B*sqrt(q))/D with D > 0 and
-gcd(A, B, D) = 1.  Because q is prime, sqrt(q) is irrational, so that
-normal form is unique, and nonzero elements are invertible (A^2 - B^2*q = 0
-with integer A, B forces A = B = 0).  On top of the scalars sit dense
+Scalars live in the quadratic algebra Q[X]/(X^2 - q) for a nonzero
+integer q, written a + b*sqrt(q) and stored as integer triples
+(A, B, D) = (A + B*sqrt(q))/D with D > 0 and gcd(A, B, D) = 1.  That
+normal form is unique for every such q, because it is just the rational
+pair (a, b).  The algebra is the field Q(sqrt(q)) exactly when q is not a
+square; otherwise it has zero divisors, and inverting one raises
+ZeroDivisionError.  The local identities use a prime q; the etale matrix
+identities in cosets use the discriminant of a datum.  On top of the
+scalars sit dense
 univariate polynomials, rational functions, and truncated power series in
 one formal variable; degrees in this problem never exceed 8, so nothing
 clever is needed.
@@ -44,15 +48,17 @@ def _int_pair(x) -> tuple:
 
 
 class QuadCoeff:
-    """An element a + b*sqrt(q) of Q(sqrt(q)), q prime.
+    """An element a + b*sqrt(q) of Q[X]/(X^2 - q), q a nonzero integer.
 
     The value is held as the reduced integer triple (A, B, D) meaning
     (A + B*sqrt(q))/D, with D > 0 and gcd(A, B, D) = 1, so equality is
     equality of triples.  The rational parts a = A/D and b = B/D are
-    available as properties.
+    available as properties.  When q is a square the algebra has zero
+    divisors (nonzero elements of norm 0), and inverse() raises
+    ZeroDivisionError on them as it does on zero.
 
     Arithmetic mixes freely with ints and rationals (coerced into the
-    rational part).  Elements attached to different primes q never mix;
+    rational part).  Elements attached to different q never mix;
     attempting to combine them raises ValueError rather than guessing.
     """
 
@@ -93,6 +99,12 @@ class QuadCoeff:
     @classmethod
     def sqrt_q(cls, q: int) -> "QuadCoeff":
         return _quad(0, 1, 1, q)
+
+    @property
+    def norm(self) -> Rational:
+        """a^2 - b^2*q, zero exactly when the element is not invertible."""
+        A, B, D, q = self._v
+        return Rational(A * A - B * B * q, D * D)
 
     @property
     def is_rational(self) -> bool:
@@ -153,7 +165,7 @@ class QuadCoeff:
         A, B, D, q = self._v
         norm = A * A - B * B * q
         if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt(q))")
+            raise ZeroDivisionError("inverse of a zero divisor in Q[X]/(X^2 - q)")
         if norm < 0:
             return _reduced(-D * A, D * B, -norm, q)
         return _reduced(D * A, -D * B, norm, q)

@@ -426,6 +426,17 @@ class TestEntryPoints:
         assert names == sorted(names)
         assert "cosets/p2/audit" in names
 
+    def test_closed_stdout_exits_141_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "localzeta.cli", "verify-local", "--order", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=300)
+        assert err == b""
+        assert proc.returncode == 141
+
     def test_table_format_has_summary_line(self, capsys):
         assert main(["verify-volumes"]) == 0
         out = capsys.readouterr().out

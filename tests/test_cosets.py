@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from localzeta import cosets
 from localzeta.exact import rat
 from localzeta.kernels import IDENTITY, group_closure, mark_products, mat_mul_mod
 from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
@@ -275,6 +276,43 @@ class TestMatrixIdentities:
     def test_unknown_identity_rejected(self):
         with pytest.raises(ValueError):
             verify_matrix_identity("iii")
+
+    def test_broken_torus_fails_every_identity(self, monkeypatch):
+        ediag_ok = cosets.ediag
+
+        def ediag_doubled(t1, t2, t3, t4, d):
+            return ediag_ok(t1, t2, t3, 2 * t4, d)
+
+        monkeypatch.setattr(cosets, "ediag", ediag_doubled)
+        for which in IDENTITY_NAMES:
+            assert not verify_matrix_identity(which, trials=5, seed=7), which
+
+    def test_eta_without_conjugate_fails_ii_and_vi(self, monkeypatch):
+        def eta_unconjugated(alpha, scale):
+            a = alpha * scale
+            return EtaleMatrix(
+                [[1, 0, 0, 0], [a, 1, 0, 0], [0, 0, 1, -a], [0, 0, 0, 1]], alpha.q
+            )
+
+        monkeypatch.setattr(cosets, "eta_matrix", eta_unconjugated)
+        assert not verify_matrix_identity("ii", trials=5, seed=7)
+        assert not verify_matrix_identity("vi", trials=5, seed=7)
+        # identity i holds for any alpha, and the equivalences never use eta
+        for which in ("i", "m0-equiv", "mpos-equiv"):
+            assert verify_matrix_identity(which, trials=5, seed=7), which
+
+    def test_drawn_alpha_solves_its_quadratic_over_integer_d(self):
+        rng = random.Random(20260816)
+        drawn = 0
+        while drawn < 300:
+            try:
+                a, b, c, d, alpha = cosets._draw_datum(rng)
+            except DegenerateDraw:
+                continue
+            assert type(d) is int and d != 0
+            assert alpha.q == d
+            assert c * alpha * alpha - b * alpha + a == 0
+            drawn += 1
 
 
 class TestSupportClassify:

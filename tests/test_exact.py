@@ -109,6 +109,29 @@ class TestQuadCoeff:
         with pytest.raises(AttributeError):
             x.q = 5
 
+    @given(
+        x=primes.flatmap(quads),
+        q=st.sampled_from([-7, -4, -1, 4, 6, 9]),
+    )
+    def test_norm_over_any_nonzero_integer_q(self, x, q):
+        # q need not be prime: a square q splits the algebra, a negative one
+        # does not, and the norm is the rational a^2 - b^2*q either way.
+        y = QuadCoeff(x.a, x.b, q)
+        assert y.norm == y.a * y.a - y.b * y.b * q
+        assert y * y.conjugate() == y.norm
+        if y.norm:
+            assert y * y.inverse() == 1
+
+    def test_zero_divisor_has_norm_zero_and_no_inverse(self):
+        # (3 + sqrt(9)) * (3 - sqrt(9)) = 0 although neither factor is zero
+        x = QuadCoeff(3, 1, 9)
+        assert x and x.norm == 0
+        assert x * x.conjugate() == 0
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        with pytest.raises(ZeroDivisionError):
+            1 / x
+
 
 class TestPoly:
     def test_trailing_zeros_stripped(self):
