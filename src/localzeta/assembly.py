@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from .arch import _reciprocal_gamma, c1_coefficient, gamma_fn
@@ -173,6 +173,8 @@ class GlobalInput:
     l1: Optional[int] = None
     petersson_phi: Optional[float] = None
     petersson_psi: Optional[float] = None
+    #: The prime factors of N, computed once by __post_init__.
+    level_primes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.l < 2 or self.l % 2:
@@ -184,6 +186,7 @@ class GlobalInput:
         if self.D <= 0 or self.D % 4 not in (0, 3):
             raise ValueError("D must be a positive integer = 0 or 3 mod 4")
         level = _squarefree_factors(self.N)  # also rejects square factors
+        object.__setattr__(self, "level_primes", level)
         object.__setattr__(self, "lambda_classvals", tuple(self.lambda_classvals))
         object.__setattr__(self, "fourier_classvals", tuple(self.fourier_classvals))
         if not self.lambda_classvals:
@@ -239,10 +242,6 @@ class GlobalInput:
     def h(self) -> int:
         """Number of ideal classes carried by the input."""
         return len(self.lambda_classvals)
-
-    @property
-    def level_primes(self) -> Tuple[int, ...]:
-        return _squarefree_factors(self.N)
 
     @property
     def splitting_table(self) -> Dict[int, int]:

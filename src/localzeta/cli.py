@@ -36,7 +36,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .arch import (
     ArchScenario,
-    MellinQuadratureError,
     QuadratureError,
     WhittakerQuery,
     gamma_fn,
@@ -549,8 +548,7 @@ def _run_arch(config: RunConfig) -> List[Record]:
         try:
             numeric = z_inf_quadrature(sc)
         except QuadratureError as exc:
-            witness = {"u": exc.u, "panels": exc.panels, "last_two": exc.last_two}
-            records.append(_record(f"arch/zinf/{tag}", False, witness))
+            records.append(_record(f"arch/zinf/{tag}", False, exc.witness))
             continue
         err = abs(numeric - closed)
         ok = err <= config.tolerance * (abs(closed) if closed else 1.0)
@@ -582,14 +580,8 @@ def _run_arch(config: RunConfig) -> List[Record]:
         name = f"arch/mellin/k{kappa}-mu{mu}-s{sigma}"
         try:
             numeric, closed = mellin_whittaker(kappa, mu, sigma)
-        except MellinQuadratureError as exc:
-            witness = {
-                "segment": exc.segment,
-                "intervals": exc.intervals,
-                "abserr": exc.abserr,
-                "tolerance": exc.tolerance,
-            }
-            records.append(_record(name, False, witness))
+        except QuadratureError as exc:
+            records.append(_record(name, False, exc.witness))
             continue
         if closed == 0:
             scale = abs(gamma_fn(sigma + mu + 0.5) * gamma_fn(sigma - mu + 0.5))

@@ -323,6 +323,26 @@ class TestZInfQuadrature:
         z_inf_quadrature(ArchScenario.principal_series(12, 0.25j, -0.25j, 3, 1, 1))
         assert 1 <= len(calls) <= len(arch._PANEL_LEVELS)
 
+    def test_u_integral_non_convergence_raises_with_segment(self, monkeypatch):
+        def swinging(rule, u):
+            return complex(1e6 * math.sin(1e6 * u))
+
+        monkeypatch.setattr(arch, "_lambda_integral", swinging)
+        with pytest.raises(arch.GaussKronrodError) as info:
+            z_inf_quadrature(ArchScenario.discrete_series(12, 12, 0, 4, 1.5, 1))
+        err = info.value
+        assert isinstance(err, QuadratureError)
+        # reported in t = 1/u, so the segment stays finite
+        assert err.segment == (0.0, 1.0)
+        assert err.intervals == 200
+        assert err.abserr > err.tolerance
+        assert err.witness == {
+            "segment": err.segment,
+            "intervals": err.intervals,
+            "abserr": err.abserr,
+            "tolerance": err.tolerance,
+        }
+
 
 def _noise_w(kappa, mu, xs):
     """Stand-in for W that alternates in sign from node to node."""

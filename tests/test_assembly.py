@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from localzeta import assembly
 from localzeta.arch import ArchScenario, c1_coefficient, z_inf_closed
 from localzeta.assembly import (
     ALGEBRAICITY_NOTE,
@@ -440,6 +441,23 @@ class TestGlobalZ:
         report = global_z_report(make_gi(), 1.0, 2)
         assert "assembled, not restated" in report.notes
         assert CONVENTION_NOTE in report.notes
+
+    def test_level_factored_once_per_input(self, monkeypatch):
+        gi = make_synthetic_gi(40)
+        calls = []
+        factors = assembly._squarefree_factors
+
+        def counted(n):
+            calls.append(n)
+            return factors(n)
+
+        monkeypatch.setattr(assembly, "_squarefree_factors", counted)
+        report = global_z_report(gi, 1.0, 40)
+        # the input factored N when it was built; no prime of the Euler
+        # product factors it again
+        assert len(report.primes) == 12
+        assert calls == []
+        assert gi.level_primes == (2,)
 
 
 class TestTheorem3Constant:

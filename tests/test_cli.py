@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -252,6 +253,28 @@ class TestVerifyArch:
             assert witness["intervals"] == 200
             assert witness["abserr"] > witness["tolerance"]
 
+    def test_non_converged_u_integral_fails_with_witness(self, write_doc, monkeypatch):
+        def swinging(rule, u):
+            return complex(1e6 * math.sin(1e6 * u))
+
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        monkeypatch.setattr(arch, "_lambda_integral", swinging)
+        path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
+        code, out = run_capture(
+            RunConfig(command="verify-arch", input_path=path, output_format="machine")
+        )
+        assert code == 1
+        records = [json.loads(line, parse_constant=no_constants) for line in out.splitlines()]
+        record = {r["name"]: r for r in records}["arch/zinf/input-000"]
+        assert record["status"] == "fail"
+        witness = record["witness"]
+        assert set(witness) == {"segment", "intervals", "abserr", "tolerance"}
+        assert witness["segment"] == [0.0, 1.0]
+        assert witness["intervals"] == 200
+        assert witness["abserr"] > witness["tolerance"]
+
     def test_scenario_needs_a_spectral_datum(self, write_doc):
         path = write_doc({"arch_scenarios": [{"l": 12, "D": 4, "s": 1.5}]})
         with pytest.raises(InputError, match="s1"):
@@ -425,6 +448,19 @@ class TestEntryPoints:
         names = [json.loads(line)["name"] for line in proc.stdout.splitlines()]
         assert names == sorted(names)
         assert "cosets/p2/audit" in names
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, localzeta.cli; print('scipy.integrate' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_closed_stdout_exits_141_without_traceback(self):
         proc = subprocess.Popen(
