@@ -313,10 +313,6 @@ class GaussKronrodError(QuadratureError):
         )
 
 
-#: The Mellin route's name for GaussKronrodError, kept for code that imports it.
-MellinQuadratureError = GaussKronrodError
-
-
 @dataclass(frozen=True)
 class _Quadrature:
     """One adaptive Gauss-Kronrod integral: its value, the error estimate

@@ -14,9 +14,7 @@ and 141 (128 + SIGPIPE) when the reader closes stdout early, as in
 ``localzeta verify-local | head -1``.
 
 Randomized batteries draw from SplitMix64 streams keyed by ``--seed``
-(see the README for the exact generator definition), except the
-matrix-identity trials of ``verify-cosets``, which still draw from
-``random.Random(f"{seed}:{identity}")``.  Rational values in
+(see the README for the exact generator definition).  Rational values in
 input files are written as integers or ``"num/den"`` strings (floats are
 rejected: the local checks are exact).  Complex values are written as a
 number, a ``"num/den"`` string, or a two-element ``[re, im]`` array.

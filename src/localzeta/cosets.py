@@ -10,7 +10,6 @@ formulas for the surviving double cosets.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -27,8 +26,6 @@ from .localfield import LocalQuadData
 # integer.  The scalars are exact.QuadCoeff with q = d; when d is a square
 # the algebra splits, and inverting a zero divisor raises ZeroDivisionError,
 # which the identity trials treat as a degenerate draw.
-
-EtaleNum = QuadCoeff  # the scalar type's name in this module's interface
 
 
 class EtaleMatrix:
@@ -420,14 +417,14 @@ class DegenerateDraw(Exception):
 IDENTITY_NAMES = ("i", "ii", "vi", "m0-equiv", "mpos-equiv")
 
 
-def _draw_rational(rng: random.Random, nonzero=False) -> Rational:
+def _draw_rational(rng, nonzero=False) -> Rational:
     while True:
         v = rat(rng.randint(-9, 9), rng.randint(1, 6))
         if v or not nonzero:
             return v
 
 
-def _draw_datum(rng: random.Random):
+def _draw_datum(rng):
     """Random (a, b, c, d, alpha) with c invertible and d a nonzero integer.
 
     The rational discriminant n/m = b^2 - 4ac is carried over to the
@@ -452,10 +449,10 @@ def _etale_weyl(d):
     return s1, s2
 
 
-def _pm_marker(rng: random.Random, allow_zero_power: bool = True):
+def _pm_marker(rng, allow_zero_power: bool = True):
     """A uniformizer-power stand-in: alternate a free positive marker with
     literal small powers varpi^m, m in {0, 1, 2}."""
-    if rng.random() < 0.5:
+    if rng.randint(0, 1):
         return rat(rng.randint(1, 9), rng.randint(1, 6))
     varpi = _draw_rational(rng, nonzero=True)
     m = rng.choice((0, 1, 2) if allow_zero_power else (1, 2))
@@ -476,9 +473,10 @@ def _block_embed(g11, g12, g21, g22, d) -> EtaleMatrix:
     )
 
 
-def matrix_identity_trial(which: str, rng: random.Random) -> bool:
+def matrix_identity_trial(which: str, rng) -> bool:
     """One randomized exact comparison of the named identity.
 
+    ``rng`` provides ``randint(lo, hi)`` (inclusive) and ``choice(seq)``.
     Raises DegenerateDraw when the sample violates a precondition; the
     caller redraws.  Returns True on exact equality of both sides.
     """
@@ -609,8 +607,13 @@ def matrix_identity_trial(which: str, rng: random.Random) -> bool:
 
 
 def verify_matrix_identity(which: str, trials: int = 50, seed: int = 20260816) -> bool:
-    """Randomized exact check of one matrix identity over >= `trials` draws."""
-    rng = random.Random(f"{seed}:{which}")
+    """Randomized exact check of one matrix identity over >= `trials` draws
+    from SplitMix64 seeded with seed XOR ((k + 1) * 0x9E3779B97F4A7C15)
+    mod 2^64, where k is the identity's position in IDENTITY_NAMES."""
+    if which not in IDENTITY_NAMES:
+        raise ValueError(f"unknown identity {which!r}; expected one of {IDENTITY_NAMES}")
+    from .rng import SplitMix64  # not at module level: rng -> zeta -> cosets
+    rng = SplitMix64(seed ^ ((IDENTITY_NAMES.index(which) + 1) * 0x9E3779B97F4A7C15))
     done = 0
     attempts = 0
     while done < trials:

@@ -6,12 +6,12 @@ scenarios on any platform or interpreter.  Draws are mapped to small
 nonzero rationals; each splitting class has its own constructor that
 solves the class relations (central-character pairing, the square and
 product constraints) so every drawn scenario is admissible by
-construction.
+construction.  The matrix-identity trials of ``cosets`` draw from it too.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .exact import Rational, rat
 from .localfield import LocalQuadData, SplittingSymbol
@@ -44,19 +44,22 @@ class SplitMix64:
             raise ValueError("n must be positive")
         return self.next_u64() % n
 
-    def integer(self, lo: int, hi: int) -> int:
+    def randint(self, lo: int, hi: int) -> int:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.below(hi - lo + 1)
 
+    def choice(self, seq: Sequence):
+        return seq[self.below(len(seq))]
+
     def nonzero_integer(self, lo: int, hi: int) -> int:
         while True:
-            value = self.integer(lo, hi)
+            value = self.randint(lo, hi)
             if value:
                 return value
 
     def nonzero_rational(self, bound: int = 6, max_den: int = 4) -> Rational:
-        return rat(self.nonzero_integer(-bound, bound), self.integer(1, max_den))
+        return rat(self.nonzero_integer(-bound, bound), self.randint(1, max_den))
 
     def sign(self) -> int:
         return 1 if self.below(2) else -1

@@ -15,7 +15,7 @@ from localzeta.arch import (
     ArchScenario,
     DomainError,
     GammaPoleError,
-    MellinQuadratureError,
+    GaussKronrodError,
     QuadratureError,
     WhittakerQuery,
     c1_coefficient,
@@ -189,7 +189,7 @@ class TestMellinWhittaker:
 
     def test_non_convergence_raises_with_segment(self, monkeypatch):
         monkeypatch.setattr(arch, "_whittaker_w_array", _noise_w)
-        with pytest.raises(MellinQuadratureError) as info:
+        with pytest.raises(GaussKronrodError) as info:
             mellin_whittaker(0.0, 0.0, 1.0)
         err = info.value
         assert isinstance(err, QuadratureError)

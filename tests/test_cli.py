@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from localzeta import arch
+from localzeta import arch, cli
 from localzeta.cli import InputError, RunConfig, main, run
 
 
@@ -214,6 +214,18 @@ class TestVerifyArch:
         witness = failing[0]["witness"]
         assert set(witness) == {"closed", "quadrature", "abs_error"}
         assert witness["abs_error"] > 0
+
+    def test_wrong_closed_form_fails_with_witness(self, write_doc, monkeypatch):
+        closed = cli.z_inf_closed
+        monkeypatch.setattr(cli, "z_inf_closed", lambda sc: 2 * closed(sc))
+        path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
+        code, out = run_capture(
+            RunConfig(command="verify-arch", input_path=path, output_format="machine")
+        )
+        assert code == 1
+        failing = [r for r in records_of(out) if r["status"] == "fail"]
+        assert [r["name"] for r in failing] == ["arch/zinf/input-000"]
+        assert set(failing[0]["witness"]) == {"closed", "quadrature", "abs_error"}
 
     def test_non_converged_lambda_integral_fails_with_witness(self, write_doc, monkeypatch):
         def noise(kappa, mu, xs):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from localzeta import cosets
-from localzeta.exact import rat
+from localzeta.exact import QuadCoeff, rat
 from localzeta.kernels import IDENTITY, group_closure, mark_products, mat_mul_mod
 from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
 from localzeta.cosets import (
@@ -13,7 +13,6 @@ from localzeta.cosets import (
     CosetAuditReport,
     DegenerateDraw,
     EtaleMatrix,
-    EtaleNum,
     FqSp4,
     IDENTITY_NAMES,
     _sp4_generators,
@@ -44,28 +43,28 @@ def quad_data(q, symbol):
 
 class TestEtaleNum:
     def test_sqrt_square(self):
-        root = EtaleNum(0, 1, 5)
-        assert root * root == EtaleNum(5, 0, 5)
+        root = QuadCoeff(0, 1, 5)
+        assert root * root == QuadCoeff(5, 0, 5)
 
     def test_conjugation_is_ring_map(self):
-        x = EtaleNum(rat(1, 2), rat(3), -4)
-        y = EtaleNum(rat(2), rat(-1, 3), -4)
+        x = QuadCoeff(rat(1, 2), rat(3), -4)
+        y = QuadCoeff(rat(2), rat(-1, 3), -4)
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
     def test_inverse_roundtrip(self):
-        x = EtaleNum(rat(3, 2), rat(-1, 5), 7)
-        assert x * x.inverse() == EtaleNum(1, 0, 7)
+        x = QuadCoeff(rat(3, 2), rat(-1, 5), 7)
+        assert x * x.inverse() == QuadCoeff(1, 0, 7)
 
     def test_zero_divisor_raises(self):
         # with d = 4 a square, 2 + sqrt(d) has norm zero
-        x = EtaleNum(2, 1, 4)
+        x = QuadCoeff(2, 1, 4)
         with pytest.raises(ZeroDivisionError):
             x.inverse()
 
     def test_mixed_algebras_rejected(self):
         with pytest.raises(ValueError):
-            EtaleNum(1, 1, 3) + EtaleNum(1, 1, 5)
+            QuadCoeff(1, 1, 3) + QuadCoeff(1, 1, 5)
 
     @given(
         x=st.integers(-9, 9),
@@ -73,8 +72,8 @@ class TestEtaleNum:
         d=st.sampled_from([-4, -3, 5, 8]),
     )
     def test_norm_is_multiplicative(self, x, y, d):
-        a = EtaleNum(x, y, d)
-        b = EtaleNum(y - 2, x + 1, d)
+        a = QuadCoeff(x, y, d)
+        b = QuadCoeff(y - 2, x + 1, d)
         assert (a * b).norm == a.norm * b.norm
 
 
@@ -106,7 +105,7 @@ class TestBesselDatum:
         eta = datum.eta
         assert eta[1, 0] == datum.alpha
         assert eta[2, 3] == -datum.alpha.conjugate()
-        assert eta[0, 0] == EtaleNum(1, 0, datum.d)
+        assert eta[0, 0] == QuadCoeff(1, 0, datum.d)
 
     def test_xi0_satisfies_minimal_polynomial(self):
         datum = BesselDatum(3, 5, 1)
@@ -254,6 +253,34 @@ class _QueueRng:
         return 0.9
 
 
+def _readme_splitmix64(seed):
+    """SplitMix64 written from README "The seeded generator" alone."""
+    state = seed % 2**64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        yield z ^ (z >> 31)
+
+
+class _SpyRng:
+    """Passes draws through to an rng and logs each with its arguments."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def randint(self, lo, hi):
+        value = self.rng.randint(lo, hi)
+        self.log.append(("randint", (lo, hi), value))
+        return value
+
+    def choice(self, seq):
+        value = self.rng.choice(seq)
+        self.log.append(("choice", tuple(seq), value))
+        return value
+
+
 class TestMatrixIdentities:
     @pytest.mark.parametrize("which", IDENTITY_NAMES)
     def test_identity_holds(self, which):
@@ -300,6 +327,34 @@ class TestMatrixIdentities:
         # identity i holds for any alpha, and the equivalences never use eta
         for which in ("i", "m0-equiv", "mpos-equiv"):
             assert verify_matrix_identity(which, trials=5, seed=7), which
+
+    def test_draws_follow_the_readme_definition(self, monkeypatch):
+        which, seed = "ii", 1
+        log, calls = [], []
+        trial = cosets.matrix_identity_trial
+
+        def spied_trial(name, rng):
+            calls.append(name)
+            return trial(name, _SpyRng(rng, log))
+
+        monkeypatch.setattr(cosets, "matrix_identity_trial", spied_trial)
+        assert verify_matrix_identity(which, 5, seed)
+        assert len(calls) > 5  # a degenerate draw was redrawn
+        assert {kind for kind, _, _ in log} == {"randint", "choice"}
+
+        # key: seed XOR ((k + 1) * 0x9E3779B97F4A7C15) mod 2^64, k = the
+        # identity's position; randint(lo, hi) = lo + output mod (hi - lo + 1)
+        # and choice(seq) = seq[output mod len(seq)]
+        stream = _readme_splitmix64(seed ^ ((IDENTITY_NAMES.index(which) + 1) * 0x9E3779B97F4A7C15))
+        expected = []
+        for kind, args, _ in log:
+            output = next(stream)
+            if kind == "randint":
+                lo, hi = args
+                expected.append(lo + output % (hi - lo + 1))
+            else:
+                expected.append(args[output % len(args)])
+        assert [value for _, _, value in log] == expected
 
     def test_drawn_alpha_solves_its_quadratic_over_integer_d(self):
         rng = random.Random(20260816)

@@ -1,7 +1,13 @@
 """Tests for the deterministic scenario sampler."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import localzeta
 from localzeta.exact import rat
 from localzeta.localfield import SplittingSymbol
 from localzeta.rng import SplitMix64, draw_scenario, scenario_stream
@@ -38,7 +44,7 @@ class TestSplitMix64:
 
     def test_integer_bounds(self):
         rng = SplitMix64(4)
-        draws = [rng.integer(-3, 3) for _ in range(300)]
+        draws = [rng.randint(-3, 3) for _ in range(300)]
         assert set(draws) == set(range(-3, 4))
 
     def test_nonzero_integer(self):
@@ -94,3 +100,31 @@ class TestDrawScenario:
         a = next(iter(scenario_stream(42, SplittingSymbol.INERT, 3, 1)))
         b = next(iter(scenario_stream(42, SplittingSymbol.SPLIT, 3, 1)))
         assert a.sat.gamma != b.sat.gamma or a.st.omega_piF != b.st.omega_piF
+
+
+PACKAGE_MODULES = (
+    "exact", "localfield", "satake", "sugano", "kernels", "cosets",
+    "zeta", "rng", "arch", "assembly", "cli",
+)
+
+
+def test_every_module_imports_first():
+    # rng imports zeta, which imports cosets, so cosets may import rng only
+    # at call time; a fresh package per module catches any cycle.
+    script = (
+        "import importlib, sys\n"
+        f"for name in {PACKAGE_MODULES!r}:\n"
+        "    for key in [k for k in sys.modules if k.split('.')[0] == 'localzeta']:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module('localzeta.' + name)\n"
+    )
+    src = str(Path(localzeta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

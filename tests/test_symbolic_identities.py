@@ -1,0 +1,132 @@
+"""Symbolic proof of the five support-matrix identities.
+
+``cosets.matrix_identity_trial`` checks each identity on random exact
+draws.  Here both sides are restated with symbolic entries: the datum
+a, b, c, the torus and unipotent parameters u, w, the uniformizer-power
+marker pm, the uniformizer varpi, and s = sqrt(d) with d = b^2 - 4ac.
+Every entry of lhs - rhs is brought over one denominator and its numerator
+is reduced modulo s^2 - d; the identity holds in the etale algebra exactly
+when every remainder is zero.
+"""
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+a, b, c, u, w, pm, varpi, s = sympy.symbols("a b c u w pm varpi s")
+DISC = b**2 - 4 * a * c
+ALPHA = (b + s) / (2 * c)
+
+S1 = sympy.Matrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+S2 = sympy.Matrix([[0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]])
+
+
+def conj(x):
+    return x.subs(s, -s)
+
+
+def eta(scale):
+    return sympy.Matrix(
+        [[1, 0, 0, 0], [ALPHA * scale, 1, 0, 0], [0, 0, 1, -conj(ALPHA) * scale], [0, 0, 0, 1]]
+    )
+
+
+def lower_unipotent(x):
+    return sympy.Matrix([[1, 0, 0, 0], [x, 1, 0, 0], [0, 0, 1, -x], [0, 0, 0, 1]])
+
+
+def block_embed(g11, g12, g21, g22):
+    return sympy.Matrix(
+        [[g11, g12, 0, 0], [g21, g22, 0, 0], [0, 0, g22, -g21], [0, 0, -g12, g11]]
+    )
+
+
+def sides(which, m=0, l=0, diag=sympy.diag):
+    """(lhs, rhs) of the named identity, as ``matrix_identity_trial`` builds them."""
+    if which == "i":
+        torus = diag(1, u, 1, 1 / u)
+        return eta(pm) * torus, torus * eta(pm / u)
+
+    beta = ALPHA * pm + u * w
+    bbar = conj(beta)
+    if which == "ii":
+        lhs = eta(pm) * diag(1, u, 1, 1 / u) * lower_unipotent(w) * S1
+        torus = diag(-u / beta, beta, -bbar / u, 1 / bbar)
+        upper = sympy.Matrix(
+            [[1, -beta / u, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, bbar / u, 1]]
+        )
+        lower = sympy.Matrix(
+            [[1, 0, 0, 0], [u / beta, 1, 0, 0], [0, 0, 1, -(u / bbar)], [0, 0, 0, 1]]
+        )
+        return lhs, torus * upper * lower
+
+    if which == "vi":
+        lhs = eta(pm) * diag(1, u, 1, 1 / u) * lower_unipotent(w) * S1 * S2 * S1
+        left = sympy.Matrix(
+            [[1, 0, 0, 0], [0, 0, 0, u], [0, 0, 1, 0], [0, -(1 / u), 0, 0]]
+        )
+        right = sympy.Matrix(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, bbar / u, 1, 0], [beta / u, 0, 0, 1]]
+        )
+        return lhs, left * right
+
+    if which == "m0-equiv":
+        v = a + b * (u * w) + c * (u * w) ** 2
+        y = -u / v
+        x = -(u / v) * (c * w * u + b / 2)
+        corner = sympy.Matrix(
+            [
+                [1, 0, 0, 0],
+                [-u * (b + c * u * w) / v, c * u * u / v, 0, 0],
+                [0, 0, c * u * u / v, u * (b + c * u * w) / v],
+                [0, 0, 0, 1],
+            ]
+        )
+    else:
+        p = varpi**m
+        x = b * p / (2 * c * w * w * u) - 1 / w
+        y = -p / (c * w * w * u)
+        top = 1 + p * p * a / (c * w * w * u * u)
+        off = b * p / (c * w * w * u)
+        corner = sympy.Matrix(
+            [
+                [top, -off, 0, 0],
+                [-1 / w, 1 / (w * w), 0, 0],
+                [0, 0, 1 / (w * w), 1 / w],
+                [0, 0, off, top],
+            ]
+        )
+    g = block_embed(x + y * b / 2, y * c, -y * a, x - y * b / 2)
+    h = diag(varpi ** (2 * m + l), varpi ** (m + l), 1, varpi**m)
+    h_inv = diag(varpi ** -(2 * m + l), varpi ** -(m + l), 1, varpi**-m)
+    lhs = h_inv * g * h * diag(1, -u, 1, -(1 / u))
+    rhs = diag(1, u, 1, 1 / u) * lower_unipotent(w) * S1 * corner
+    return lhs, rhs
+
+
+def reduces_to_zero(lhs, rhs) -> bool:
+    modulus = sympy.Poly(s**2 - DISC, s)
+    for entry in lhs - rhs:
+        numerator = sympy.numer(sympy.together(entry))
+        if not sympy.Poly(numerator, s).rem(modulus).is_zero:
+            return False
+    return True
+
+
+CASES = (
+    [("i", 0, 0), ("ii", 0, 0), ("vi", 0, 0)]
+    + [("m0-equiv", 0, l) for l in (0, 1, 2)]
+    + [("mpos-equiv", m, l) for m in (1, 2) for l in (0, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("which,m,l", CASES)
+def test_identity_is_a_polynomial_identity(which, m, l):
+    assert reduces_to_zero(*sides(which, m, l))
+
+
+def test_doubled_torus_entry_breaks_identity_i():
+    def diag_fourth_doubled(t1, t2, t3, t4):
+        return sympy.diag(t1, t2, t3, 2 * t4)
+
+    assert not reduces_to_zero(*sides("i", diag=diag_fourth_doubled))
