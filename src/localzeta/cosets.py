@@ -300,7 +300,7 @@ def sp4_order(p: int) -> int:
     return p**4 * (p**2 - 1) * (p**4 - 1)
 
 
-def count_polynomial_identity(max_degree: int = 8) -> bool:
+def count_polynomial_identity() -> bool:
     """(q-1)^2 (1+2q+2q^2+2q^3+q^4) = (q^2-1)(q^4-1) as integer polynomials."""
 
     def mul(f, g):
@@ -449,13 +449,13 @@ def _etale_weyl(d):
     return s1, s2
 
 
-def _pm_marker(rng, allow_zero_power: bool = True):
+def _pm_marker(rng):
     """A uniformizer-power stand-in: alternate a free positive marker with
     literal small powers varpi^m, m in {0, 1, 2}."""
     if rng.randint(0, 1):
         return rat(rng.randint(1, 9), rng.randint(1, 6))
     varpi = _draw_rational(rng, nonzero=True)
-    m = rng.choice((0, 1, 2) if allow_zero_power else (1, 2))
+    m = rng.choice((0, 1, 2))
     return varpi**m
 
 

@@ -294,16 +294,8 @@ class Poly:
 
     __slots__ = ("coefficients", "q")
 
-    def __init__(self, coefficients: Iterable, q: int | None = None):
-        coeffs = list(coefficients)
-        if q is None:
-            for c in coeffs:
-                if isinstance(c, QuadCoeff):
-                    q = c.q
-                    break
-            else:
-                raise ValueError("polynomial ground field undetermined; pass q")
-        coeffs = [_as_quad(c, q) for c in coeffs]
+    def __init__(self, coefficients: Iterable, q: int):
+        coeffs = [_as_quad(c, q) for c in coefficients]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -512,20 +504,11 @@ class TruncatedSeries:
 
     __slots__ = ("coefficients", "q")
 
-    def __init__(self, coefficients: Sequence, q: int | None = None):
-        coeffs = list(coefficients)
+    def __init__(self, coefficients: Sequence, q: int):
+        coeffs = tuple(_as_quad(c, q) for c in coefficients)
         if not coeffs:
             raise ValueError("a truncated series holds at least the order-0 term")
-        if q is None:
-            for c in coeffs:
-                if isinstance(c, QuadCoeff):
-                    q = c.q
-                    break
-            else:
-                raise ValueError("series ground field undetermined; pass q")
-        object.__setattr__(
-            self, "coefficients", tuple(_as_quad(c, q) for c in coeffs)
-        )
+        object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "q", q)
 
     def __setattr__(self, name, value):
@@ -608,13 +591,13 @@ class TruncatedSeries:
 def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
     """Taylor expansion of rf at t = 0 through order n, by long division.
 
-    With num = sum c_k t^k and den = sum d_k t^k (d_0 != 0), the expansion
-    s satisfies s_k = (c_k - sum_{j>=1} d_j s_{k-j}) / d_0.
+    With num = sum c_k t^k and den = sum d_k t^k, the expansion s
+    satisfies s_k = c_k - sum_{j>=1} d_j s_{k-j}: RationalFunction already
+    scales a nonzero d_0 to exactly 1, so there is nothing to divide by.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    d0 = rf.den.constant_term
-    if not d0:
+    if not rf.den.constant_term:
         raise PoleAtOriginError("pole at origin: denominator vanishes at t = 0")
     q = rf.q
     dcoeffs = rf.den.coefficients
@@ -625,7 +608,7 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
             dj = dcoeffs[j]
             if dj:
                 acc = acc - dj * s[k - j]
-        s.append(acc if d0 == 1 else acc / d0)
+        s.append(acc)
     return TruncatedSeries(s, q)
 
 

@@ -29,20 +29,14 @@ class SplittingSymbol(enum.IntEnum):
     SPLIT = 1
 
 
-def _is_unit_square(u: int, p: int) -> bool:
-    """True when the p-adic unit u is a square in Z_p^x."""
-    if p == 2:
-        return u % 8 == 1
-    return pow(u % p, (p - 1) // 2, p) == 1
-
-
 def splitting_symbol(d: int, p: int) -> SplittingSymbol:
     """Classify the quadratic algebra F(sqrt(d)) over Q_p.
 
-    Returns +1 when d is a p-adic square (split), -1 when d is a unit
-    non-square (inert/unramified field), and 0 when d is a non-square of
-    positive valuation (ramified).  d = 0 is rejected: it does not define
-    an etale algebra.
+    Write d = p^v u with u a p-adic unit.  Odd v is ramified.  For even v
+    the class is that of u: at odd p a square unit is split (+1) and a
+    non-square unit inert (-1); at p = 2, u = 1 (mod 8) is split, u = 5
+    (mod 8) inert and u = 3 (mod 4) ramified (0).  d = 0 is rejected: it
+    does not define an etale algebra.
     """
     if d == 0:
         raise ValueError("d = 0 does not define a quadratic algebra")
@@ -50,11 +44,15 @@ def splitting_symbol(d: int, p: int) -> SplittingSymbol:
     while u % p == 0:
         u //= p
         v += 1
-    if v % 2 == 0 and _is_unit_square(u, p):
+    if v % 2:
+        return SplittingSymbol.RAMIFIED
+    if p == 2:
+        if u % 4 == 3:
+            return SplittingSymbol.RAMIFIED
+        return SplittingSymbol.SPLIT if u % 8 == 1 else SplittingSymbol.INERT
+    if pow(u % p, (p - 1) // 2, p) == 1:
         return SplittingSymbol.SPLIT
-    if v == 0:
-        return SplittingSymbol.INERT
-    return SplittingSymbol.RAMIFIED
+    return SplittingSymbol.INERT
 
 
 @dataclass(frozen=True)

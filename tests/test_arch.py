@@ -118,6 +118,31 @@ class TestWhittakerW:
             whittaker_w(WhittakerQuery(kappa=6.0, mu=5.4, x=0.01))
 
 
+class TestConfluentU:
+    # The (a, b) pairs the verify-arch battery hands to the tanh-sinh grid.
+    PAIRS = [
+        (1, 1),
+        (1 + 0.5j, 1 + 1j),
+        (3 + 0.5j, 1 + 1j),
+        (3.4, 0.8),
+        (3.5, 1),
+        (3.5 + 0.25j, 1 + 0.5j),
+        (3.5 + 0.5j, 1 + 1j),
+        (3.7, 1.4),
+    ]
+    XS = (0.01, 0.1, 1.0, 10.0, 50.0, 120.0)
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_fixed_grid_against_hyperu(self, a, b):
+        a, b = complex(a), complex(b)
+        members = arch._confluent_u_pair(a, b, np.array(self.XS))
+        with mpmath.workdps(30):
+            for shift, values in enumerate(members):
+                for x, got in zip(self.XS, values):
+                    ref = complex(mpmath.hyperu(a + shift, b, x))
+                    assert abs(got - ref) <= 1e-10 * abs(ref), (a + shift, b, x)
+
+
 MELLIN_GRID = [
     (kappa, mu, sigma)
     for kappa in (0, -0.5, 0.5, 1, 6)

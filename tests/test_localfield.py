@@ -53,10 +53,19 @@ class TestSplittingSymbol:
             splitting_symbol(0, 3)
 
     def test_two_adic_unit_classes(self):
-        # mod 8: 1 is a square, 5 is a non-square, even discriminants ramify
+        # mod 8: 1 is a square, 5 is a non-square, -4 = 4 * (-1) ramifies
         assert splitting_symbol(17, 2) is SplittingSymbol.SPLIT
         assert splitting_symbol(5, 2) is SplittingSymbol.INERT
         assert splitting_symbol(-4, 2) is SplittingSymbol.RAMIFIED
+
+    def test_non_fundamental_discriminants(self):
+        # d = p^v u with v even takes the class of the unit u; at p = 2 a
+        # unit u = 3 (mod 4) ramifies
+        assert splitting_symbol(45, 3) is SplittingSymbol.INERT
+        assert splitting_symbol(18, 3) is SplittingSymbol.INERT
+        assert splitting_symbol(20, 2) is SplittingSymbol.INERT
+        assert splitting_symbol(3, 2) is SplittingSymbol.RAMIFIED
+        assert splitting_symbol(7, 2) is SplittingSymbol.RAMIFIED
 
     def test_reference_triples(self):
         for (p, expected), (a, b, c) in TRIPLES.items():
@@ -71,6 +80,13 @@ class TestSplittingSymbol:
         if u % p == 0:
             u += 1
         assert splitting_symbol(d * u * u, p) is splitting_symbol(d, p)
+
+    @given(
+        d=st.integers(min_value=-300, max_value=300).filter(bool),
+        p=st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_stable_under_prime_squares(self, d, p):
+        assert splitting_symbol(d * p * p, p) is splitting_symbol(d, p)
 
 
 class TestLocalQuadData:
