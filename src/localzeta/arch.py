@@ -5,19 +5,19 @@ The closed form is a ratio of Gamma values with powers of D and 4*pi in
 front; the quadrature path integrates the printed (lambda, u) double
 integral with no analytic shortcuts (in particular the u-integral, whose
 closed value is elementary, is still done numerically so the comparison
-is a genuine two-route check).  The lambda-rule is scaled with u, so the
-Whittaker arguments 4 pi sqrt(D) u lambda_i at its nodes do not depend
-on u: W is tabulated once per panel level and reused at every u-node.
-That is reuse of numeric values, checked on every reuse, not an
-analytic shortcut.
+is a genuine two-route check).  The lambda-integral runs over lambda
+scaled with u, so the Whittaker arguments 4 pi sqrt(D) u lambda at its
+nodes do not depend on u: W is tabulated by its exact arguments and
+looked up at every later u-node.  That is reuse of numeric values, not
+an analytic shortcut.
 
-The u-integral and the Mellin identity share one batched, globally
-adaptive Gauss-Kronrod rule (QUADPACK's 10/21-point pair): each
-refinement round evaluates the integrand once, on every new node, and
-the rule reports its own |Kronrod - Gauss| error estimate.  Every
-numerical route raises QuadratureError, with a witness, instead of
-returning an unconverged value, except the confluent-U grid below, which
-has no error estimate yet.
+The lambda-integral, the u-integral and the Mellin identity share one
+batched, globally adaptive Gauss-Kronrod rule (QUADPACK's 10/21-point
+pair): each refinement round evaluates the integrand once, on every new
+node, and the rule reports its own |Kronrod - Gauss| error estimate.
+Every numerical route raises GaussKronrodError, with a witness, instead
+of returning an unconverged value, except the confluent-U grid below,
+which has no error estimate yet.
 
 Whittaker evaluation is written here from scratch: a tanh-sinh quadrature
 of the confluent-U integral representation where it converges, and an
@@ -49,10 +49,8 @@ class QuadratureError(DomainError):
     """A numerical route stopped short of its tolerance.
 
     ``witness`` says where and by how much, so a failed check can report
-    it as is.  The lambda-integral raises this class with the outer node
-    ``u``, the finest panel count and the last two totals; a Gauss-Kronrod
-    integral raises GaussKronrodError.  Each witness entry is also an
-    attribute.
+    it as is.  Every quadrature route raises it as GaussKronrodError.
+    Each witness entry is also an attribute.
     """
 
     def __init__(self, route: str, **witness):
@@ -148,13 +146,6 @@ def _confluent_u_pair(
     )
 
 
-def _whittaker_w_integral(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarray:
-    """W via W = e^(-x/2) x^(mu+1/2) U(mu-kappa+1/2, 1+2mu, x)."""
-    a = mu - kappa + 0.5
-    u = _confluent_u_pair(a, 1 + 2 * mu, xs)[0]
-    return np.exp(-xs / 2 + (mu + 0.5) * np.log(xs)) * u
-
-
 def _whittaker_w_polynomial(n: int, mu: complex, xs: np.ndarray) -> np.ndarray:
     """W for kappa = mu + 1/2 + n, n >= 0: the degenerate (Laguerre) case.
 
@@ -186,8 +177,9 @@ def _whittaker_w_polynomial(n: int, mu: complex, xs: np.ndarray) -> np.ndarray:
 def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarray:
     """W_{kappa,mu} on an array of positive x, choosing the route per kappa.
 
-    Where the integral route converges comfortably (Re(mu-kappa+1/2) >= 1)
-    it is used directly.  Otherwise the first index is lowered by an
+    W = e^(-x/2) x^(mu+1/2) U(mu-kappa+1/2, 1+2mu, x).  Where the integral
+    route for U converges comfortably (Re(mu-kappa+1/2) >= 1) it is used
+    directly (n = 0 below).  Otherwise the first index is lowered by an
     integer n until both seed evaluations are safely convergent, and the
     three-term recurrence
 
@@ -205,9 +197,8 @@ def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarra
     a = mu - kappa + 0.5
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and round(a.real) <= 0:
         return _whittaker_w_polynomial(int(-round(a.real)), mu, xs)
-    if a.real >= 1.0:
-        return _whittaker_w_integral(kappa, mu, xs)
-    if mu.real >= 1.0 and float(np.min(xs)) < 1.0:
+    n = 0 if a.real >= 1.0 else int(math.ceil(1.0 - a.real)) + 2
+    if n and mu.real >= 1.0 and float(np.min(xs)) < 1.0:
         # The value is dominated by cancellation between the x^(1/2-mu)
         # and x^(1/2+mu) branches, which the upward recurrence cannot
         # resolve in double precision.
@@ -215,7 +206,6 @@ def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarra
             "unsupported domain: first index too large for the integral "
             "route while Re(mu) >= 1 at small argument"
         )
-    n = int(math.ceil(1.0 - a.real)) + 2
     k0 = kappa - n
     # a(k0) = a + n and a(k0 - 1) = a + n + 1 share the same second
     # parameter, so both seeds come from a single node grid.
@@ -288,22 +278,30 @@ _KRONROD_NODES = np.array(tuple(-x for x in _XGK) + _XGK[-2::-1])
 _KRONROD_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
 _GAUSS_WEIGHTS = np.array(_WG + _WG[::-1])
 
-#: Most integrand arguments passed in one call: the 128-panel lambda-table
-#: (128 panels x 24 nodes), so a Mellin round never builds a larger
-#: confluent-U node grid.  The u-integrand takes one u-node at a time.
+#: Most integrand arguments passed in one call.  A W evaluation builds a
+#: confluent-U node grid of (arguments x tanh-sinh nodes) complex values,
+#: about 10 MB at this many arguments, so a wide refinement round is
+#: evaluated in pieces.  The u-integrand takes one u-node at a time.
 _EVAL_CHUNK = 3072
 
 
 class GaussKronrodError(QuadratureError):
-    """A Gauss-Kronrod integral reached its interval cap above tolerance.
+    """A Gauss-Kronrod integral that did not converge: it reached its
+    interval cap above tolerance, or its value could not be sized.
 
     Its witness is the segment (in the integration variable), the
-    intervals reached, the error estimate and the tolerance it missed.
+    intervals reached, the error estimate and the tolerance it missed
+    (nan for a value that could not be sized), after any ``where``
+    entries that place the integral, such as the lambda-integral's outer
+    node ``u``.
     """
 
-    def __init__(self, route: str, segment: Tuple[float, float], quad: "_Quadrature"):
+    def __init__(
+        self, route: str, segment: Tuple[float, float], quad: "_Quadrature", **where
+    ):
         super().__init__(
             route,
+            **where,
             segment=segment,
             intervals=quad.intervals,
             abserr=quad.abserr,
@@ -350,7 +348,9 @@ def _gauss_kronrod(
     until the others fit under half the tolerance max(epsabs, epsrel *
     |value|), then evaluates f on all the new nodes together.  Stops once
     the summed estimate meets the tolerance or ``limit`` intervals are in
-    use; the caller reads ``converged``.
+    use; the caller reads ``converged``.  A value that cannot be sized
+    (inf, nan, or a modulus past the float range) stops the rule at once
+    with a nan tolerance, which no error estimate meets.
     """
     lo = np.array([a], dtype=float)
     hi = np.array([b], dtype=float)
@@ -359,7 +359,13 @@ def _gauss_kronrod(
     while True:
         value = complex(est.sum())
         abserr = float(err.sum())
-        tolerance = max(epsabs, epsrel * abs(value))
+        try:
+            size = abs(value)
+        except OverflowError:  # finite parts, modulus past the float range
+            size = math.inf
+        if not size < math.inf:
+            return _Quadrature(value, abserr, math.nan, lo.size, evaluations)
+        tolerance = max(epsabs, epsrel * size)
         if abserr <= tolerance or lo.size >= limit:
             return _Quadrature(value, abserr, tolerance, lo.size, evaluations)
         order = np.argsort(err)
@@ -566,19 +572,15 @@ def z_inf_closed_ds(l, l1, q_c, D, s, a_plus) -> complex:
     return front * num * _reciprocal_gamma(3 * s + (l + 1 - q) / 2)
 
 
-#: Panel counts of the composite Gauss-Legendre lambda-rule, coarse to fine.
-_PANEL_LEVELS = (16, 32, 64, 128)
-
-
 class _LambdaRule:
-    """The lambda-rule of one scenario, with W tabulated per panel level.
+    """The lambda-rule of one scenario, with W tabulated by its arguments.
 
-    With lam_max = reach / (2 * scale) and scale = 2 pi sqrt(D) u, the
-    Whittaker arguments 2 * scale * lam_i are the same for every u up to
-    rounding, so a level's W values are computed at the first u-node that
-    reaches it and reused afterwards.  Each table keeps its arguments; a
-    reuse whose arguments differ by more than 1e-12 relative raises
-    RuntimeError instead of returning W at the wrong points.
+    The lambda-integral runs over x = lam / lam_max in [0, 1], with lam_max
+    = reach / (2 * scale) and scale = 2 pi sqrt(D) u.  W is taken at
+    reach * x, which does not depend on u, and the rest of the integrand
+    depends on u only through a constant factor, which a relative
+    tolerance ignores: every u-node asks for W at the same nodes, so W is
+    computed at the first and looked up, by its exact arguments, after.
     """
 
     def __init__(self, sc: ArchScenario):
@@ -592,53 +594,37 @@ class _LambdaRule:
         # of combined degree Re(power) + l/2 (the W factor grows like z^(l/2)
         # under its exponential).  Integrate far past the peak.
         self.reach = max(self.power.real + sc.l / 2, 1.0) + 60.0
-        self.nodes, self.weights = np.polynomial.legendre.leggauss(24)
-        self.tables = {}  # panels -> (arguments, W values)
+        self.tables = {}  # W arguments (their bytes) -> W values
 
-    def whittaker(self, panels: int, args: np.ndarray) -> np.ndarray:
-        """W at ``args``, from the table of this panel level."""
-        if panels not in self.tables:
-            self.tables[panels] = (args, _whittaker_w_array(self.kappa, self.mu, args))
-        stored, w_vals = self.tables[panels]
-        drift = float(np.max(np.abs(args - stored) / stored))
-        if not drift <= 1e-12:
-            raise RuntimeError(
-                f"W table at {panels} panels was built for other arguments "
-                f"(relative drift {drift:.3g}); the lambda-rule no longer "
-                "scales with u"
-            )
-        return w_vals
+    def whittaker(self, args: np.ndarray) -> np.ndarray:
+        """W at ``args``, from the table when these arguments were seen."""
+        key = args.tobytes()
+        if key not in self.tables:
+            self.tables[key] = _whittaker_w_array(self.kappa, self.mu, args)
+        return self.tables[key]
 
 
 def _lambda_integral(rule: _LambdaRule, u: float) -> complex:
     """int_0^inf lambda^(3s-3/2+l-q/2) W_{l/2,ir/2}(4 pi lam sqrt(D) u)
-    e^(-2 pi lam sqrt(D) u) dlam/lam, by composite Gauss-Legendre with
-    panel doubling until two levels agree to 1e-9 relative.
+    e^(-2 pi lam sqrt(D) u) dlam/lam, cut at lam_max, by the Gauss-Kronrod
+    rule over x = lam / lam_max in [0, 1] to 1e-9 relative within 200
+    intervals.
 
-    Raises QuadratureError when the finest level still disagrees with
-    the one before it.
+    Raises GaussKronrodError, naming the outer node ``u``, when it does
+    not converge.
     """
     scale = 2 * math.pi * rule.root_d * u
     lam_max = rule.reach / (2 * scale)
-    previous = None
-    for panels in _PANEL_LEVELS:
-        edges = np.linspace(0.0, lam_max, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        lam = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-        weights = (half[:, None] * rule.weights[None, :]).ravel()
-        w_vals = rule.whittaker(panels, 2 * scale * lam)
-        integrand = (
-            np.exp((rule.power - 1) * np.log(lam) - scale * lam) * w_vals
-        )
-        total = complex(np.dot(weights, integrand))
-        if previous is not None and abs(total - previous) <= 1e-9 * (
-            abs(total) + 1e-300
-        ):
-            return total
-        last_two = (previous, total)
-        previous = total
-    raise QuadratureError("lambda-integral", u=u, panels=panels, last_two=last_two)
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        lam = lam_max * x
+        w_vals = rule.whittaker(rule.reach * x)  # = W(2 * scale * lam)
+        return np.exp((rule.power - 1) * np.log(lam) - scale * lam) * w_vals
+
+    quad = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-9, limit=200)
+    if not quad.converged:
+        raise GaussKronrodError("lambda-integral in x = lam / lam_max", (0.0, 1.0), quad, u=u)
+    return lam_max * quad.value
 
 
 def z_inf_quadrature(sc: ArchScenario) -> complex:
@@ -652,15 +638,15 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
     The u-integral is done numerically even though its closed value is
     elementary, so this route shares no algebra with z_inf_closed: the
     Mellin route's Gauss-Kronrod rule takes it over t = 1/u in (0, 1], to
-    max(1e-13, 1e-9 * |value|) within 200 intervals.  The inner
-    lambda-rule is rebuilt at every u-node, but its Whittaker arguments
-    4 pi sqrt(D) u lambda_i do not depend on u, so W is evaluated once per
-    panel level (see _LambdaRule); this reuses numeric values and is not
-    an analytic shortcut.
+    max(1e-13, 1e-9 * |value|) within 200 intervals.  The same rule takes
+    the inner lambda-integral at every u-node, but its Whittaker arguments
+    4 pi sqrt(D) u lambda do not depend on u, so W is evaluated at the
+    first u-node only (see _LambdaRule); this reuses numeric values and is
+    not an analytic shortcut.
 
-    Raises QuadratureError when the lambda-integral at some u-node, or
-    (as GaussKronrodError, segment (0, 1) in t) the u-integral, does not
-    converge.
+    Raises GaussKronrodError when the lambda-integral at some u-node
+    (witness entry ``u``, segment (0, 1) in lambda / lambda_max) or the
+    u-integral (segment (0, 1) in t) does not converge.
     """
     _require_convergence(sc)
     s = complex(sc.s)

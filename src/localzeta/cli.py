@@ -161,14 +161,16 @@ def _json_safe(value: object) -> object:
 
     Exact scalars (quadratic-extension coefficients, ``Rational``)
     become their canonical string form; complex numbers become ``[re, im]``
-    pairs.  Anything unrecognized falls back to ``str``.
+    pairs.  Non-finite floats, which JSON has no token for, become the
+    strings ``"inf"``, ``"-inf"`` and ``"nan"``.  Anything unrecognized
+    falls back to ``str``.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return value
+        return value if math.isfinite(value) else str(value)
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [_json_safe(value.real), _json_safe(value.imag)]
     if isinstance(value, Rational):
         return str(value)
     if isinstance(value, (list, tuple)):
@@ -314,6 +316,12 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
     D = _parse_int(_field(obj, "D", where), f"{where}.D")
     s = _parse_complex(_field(obj, "s", where), f"{where}.s")
     a_plus = _parse_complex(obj.get("a_plus", 1), f"{where}.a_plus")
+    families = {"s1/s2": ("s1", "s2"), "l1": ("l1",), "r": ("r",)}
+    given = [name for name, keys in families.items() if any(k in obj for k in keys)]
+    if len(given) > 1:
+        raise InputError(
+            f"{where}: give exactly one of s1/s2, l1 or r; got {' and '.join(given)}"
+        )
     try:
         if "s1" in obj or "s2" in obj:
             s1 = _parse_complex(_field(obj, "s1", where), f"{where}.s1")

@@ -388,11 +388,6 @@ class Poly:
             acc = acc * t + complex(c)
         return acc
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k."""
-        zero = QuadCoeff(0, 0, self.q)
-        return Poly([zero] * k + list(self.coefficients), self.q)
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.q == other.q and self.coefficients == other.coefficients

@@ -247,6 +247,17 @@ class TestGaussKronrod:
         assert q.intervals == 5
         assert not q.converged
 
+    @pytest.mark.parametrize(
+        "height", [1e308, 1e308 + 1e308j, math.nan], ids=["inf", "modulus", "nan"]
+    )
+    def test_value_that_cannot_be_sized_is_not_converged(self, height):
+        # 1e308 over [0, 10] overflows to inf; the complex one has finite
+        # parts, but its modulus is past the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = arch._gauss_kronrod(lambda x: np.full(x.shape, height), 0.0, 10.0, 0.0, 1e-9, 200)
+        assert not q.converged
+        assert q.intervals == 1 and math.isnan(q.tolerance)
+
 
 class TestArchScenario:
     def test_d_classes(self):
@@ -337,16 +348,25 @@ class TestZInfQuadrature:
         with pytest.raises(DomainError, match="6s"):
             z_inf_quadrature(sc)
 
-    def test_whittaker_evaluated_once_per_panel_level(self, monkeypatch):
+    def test_whittaker_evaluated_once_per_node_set(self, monkeypatch):
         calls = []
+        lambda_integrals = []
 
         def counted(kappa, mu, xs):
-            calls.append(len(xs))
+            calls.append(xs.tobytes())
             return _whittaker_w_array(kappa, mu, xs)
 
+        lambda_integral = arch._lambda_integral
+
+        def counted_integral(rule, u):
+            lambda_integrals.append(u)
+            return lambda_integral(rule, u)
+
         monkeypatch.setattr(arch, "_whittaker_w_array", counted)
+        monkeypatch.setattr(arch, "_lambda_integral", counted_integral)
         z_inf_quadrature(ArchScenario.principal_series(12, 0.25j, -0.25j, 3, 1, 1))
-        assert 1 <= len(calls) <= len(arch._PANEL_LEVELS)
+        assert len(set(calls)) == len(calls)  # no node set evaluated twice
+        assert 1 <= len(calls) < len(lambda_integrals)
 
     def test_u_integral_non_convergence_raises_with_segment(self, monkeypatch):
         def swinging(rule, u):
@@ -414,24 +434,51 @@ class TestLambdaRule:
         want = _fresh_lambda_integral(sc, 2.7)
         assert abs(got - want) <= 1e-12 * abs(want)
 
-    def test_guard_rejects_perturbed_table(self):
-        rule = arch._LambdaRule(self.SCENARIOS[1])
-        arch._lambda_integral(rule, 1.3)
-        args, w_vals = rule.tables[16]
-        rule.tables[16] = (args * (1 + 1e-9), w_vals)
-        with pytest.raises(RuntimeError, match="16 panels"):
-            arch._lambda_integral(rule, 2.7)
+    def test_tabulated_arguments_are_the_scaled_nodes(self, monkeypatch):
+        # W is looked up by argument: at every u-node, the arguments in the
+        # table must be 2 * scale * lam at the lam-nodes the rule weights.
+        sc = self.SCENARIOS[1]
+        seen = []
+        gauss_kronrod = arch._gauss_kronrod
 
-    def test_non_convergence_raises_with_last_level(self, monkeypatch):
+        def recording(f, a, b, **kw):
+            def g(x):
+                seen.append(x)
+                return f(x)
+
+            return gauss_kronrod(g, a, b, **kw)
+
+        monkeypatch.setattr(arch, "_gauss_kronrod", recording)
+        power = 3 * complex(sc.s) - 1.5 + sc.l - complex(sc.q_c) / 2
+        reach = max(power.real + sc.l / 2, 1.0) + 60.0
+        rule = arch._LambdaRule(sc)
+        for u in (1.3, 2.7):
+            seen.clear()
+            arch._lambda_integral(rule, u)
+            scale = 2 * math.pi * math.sqrt(sc.D) * u
+            lam_max = reach / (2 * scale)
+            tabulated = [np.frombuffer(key) for key in rule.tables]
+            assert seen
+            for x in seen:
+                want = 2 * scale * (lam_max * x)
+                assert any(
+                    args.size == want.size
+                    and np.max(np.abs(args - want) / want) <= 1e-12
+                    for args in tabulated
+                ), u
+
+    def test_non_convergence_raises_with_witness(self, monkeypatch):
         monkeypatch.setattr(arch, "_whittaker_w_array", _noise_w)
-        with pytest.raises(QuadratureError) as info:
+        with pytest.raises(GaussKronrodError) as info:
             z_inf_quadrature(self.SCENARIOS[0])
         err = info.value
-        assert isinstance(err, DomainError)
+        assert isinstance(err, QuadratureError)
         assert err.u >= 1.0
-        assert err.panels == 128
-        first, second = err.last_two
-        assert abs(first - second) > 1e-9 * abs(second)
+        # reported in x = lam / lam_max
+        assert err.segment == (0.0, 1.0)
+        assert err.intervals == 200
+        assert err.abserr > err.tolerance
+        assert list(err.witness) == ["u", "segment", "intervals", "abserr", "tolerance"]
 
 
 class TestC1Coefficient:

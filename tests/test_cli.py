@@ -23,6 +23,15 @@ def records_of(text):
     return [json.loads(line) for line in text.splitlines()]
 
 
+def strict_records_of(text):
+    """Like records_of, but NaN and Infinity, which are not JSON, fail."""
+
+    def no_constants(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return [json.loads(line, parse_constant=no_constants) for line in text.splitlines()]
+
+
 def valid_local_doc():
     # omega_pi = u0^2 u1 u2 = 1 in the split scenario, so lambda_piF = 1.
     return {
@@ -139,6 +148,21 @@ class TestMachineFormat:
         assert len(records_of(out)) == 2 * 3 * 3
 
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (complex(math.nan, -math.inf), ["nan", "-inf"]),
+            (complex(1.5, math.inf), [1.5, "inf"]),
+            (2.5, 2.5),
+        ],
+    )
+    def test_non_finite_floats_become_strings(self, value, shown):
+        assert cli._json_safe(value) == shown
+
+
 class TestVerifyLocal:
     def test_input_file_route(self, write_doc):
         path = write_doc(valid_local_doc())
@@ -240,10 +264,26 @@ class TestVerifyArch:
         record = {r["name"]: r for r in records_of(out)}["arch/zinf/input-000"]
         assert record["status"] == "fail"
         witness = record["witness"]
-        assert set(witness) == {"u", "panels", "last_two"}
+        assert set(witness) == {"u", "segment", "intervals", "abserr", "tolerance"}
         assert witness["u"] >= 1.0
-        assert witness["panels"] == 128
-        assert len(witness["last_two"]) == 2
+        assert witness["segment"] == [0.0, 1.0]
+        assert witness["intervals"] == 200
+        assert witness["abserr"] > witness["tolerance"]
+
+    def test_overflowing_scenario_fails_with_witness(self, write_doc, capsys):
+        # schema-valid, but its lambda-integrand overflows double precision
+        path = write_doc({"arch_scenarios": [{"l": 200, "l1": 200, "D": 4, "s": 1.5}]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["verify-arch", "--input", path, "--format", "machine"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        record = {r["name"]: r for r in strict_records_of(out)}["arch/zinf/input-000"]
+        assert record["status"] == "fail"
+        witness = record["witness"]
+        assert set(witness) == {"u", "segment", "intervals", "abserr", "tolerance"}
+        assert witness["u"] >= 1.0
+        assert witness["tolerance"] == "nan"
 
     def test_non_converged_mellin_integral_fails_with_witness(self, write_doc, monkeypatch):
         def noise(kappa, mu, xs):
@@ -269,17 +309,13 @@ class TestVerifyArch:
         def swinging(rule, u):
             return complex(1e6 * math.sin(1e6 * u))
 
-        def no_constants(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
         monkeypatch.setattr(arch, "_lambda_integral", swinging)
         path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
         code, out = run_capture(
             RunConfig(command="verify-arch", input_path=path, output_format="machine")
         )
         assert code == 1
-        records = [json.loads(line, parse_constant=no_constants) for line in out.splitlines()]
-        record = {r["name"]: r for r in records}["arch/zinf/input-000"]
+        record = {r["name"]: r for r in strict_records_of(out)}["arch/zinf/input-000"]
         assert record["status"] == "fail"
         witness = record["witness"]
         assert set(witness) == {"segment", "intervals", "abserr", "tolerance"}
@@ -291,6 +327,19 @@ class TestVerifyArch:
         path = write_doc({"arch_scenarios": [{"l": 12, "D": 4, "s": 1.5}]})
         with pytest.raises(InputError, match="s1"):
             run(RunConfig(command="verify-arch", input_path=path), io.StringIO())
+
+    def test_scenario_with_two_spectral_data_is_rejected(self, write_doc, capsys):
+        path = write_doc(
+            {
+                "arch_scenarios": [
+                    {"l": 12, "l1": 12, "D": 4, "s": 1.5},
+                    {"l": 12, "l1": 12, "r": 3, "D": 4, "s": 1.5},
+                ]
+            }
+        )
+        assert main(["verify-arch", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "arch_scenarios[1]" in err and "l1 and r" in err
 
     def test_builtin_grid_constructs(self):
         from localzeta.cli import _builtin_arch_grid
@@ -375,6 +424,16 @@ class TestGlobal:
         assert witness["in_convergence_region"] is True
         assert witness["tail_bound"] > 0
         assert any("assembled" in note for note in witness["notes"])
+
+    def test_infinite_tail_bound_is_printed_as_json(self, write_doc):
+        # Re(s) = 1/10 is outside absolute convergence: the tail bound is inf
+        path = write_doc(valid_global_doc(s="1/10"))
+        code, out = run_capture(
+            RunConfig(command="global", input_path=path, p_max=3, output_format="machine")
+        )
+        assert code == 0
+        (record,) = strict_records_of(out)
+        assert record["witness"]["tail_bound"] == "inf"
 
     def test_special_value_needs_norms_and_holomorphic_point(self, write_doc):
         doc = valid_global_doc(petersson_phi=1.0, petersson_psi=2.5)
