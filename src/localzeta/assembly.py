@@ -1,9 +1,12 @@
 """Assembly of the global value from its local pieces.
 
-The two kappa constants (an archimedean Gamma product and a finite product
-over the level primes), the truncated Euler product of local factors, the
-weight-l special-value constant, and the consistency identity tying the
-two constants together.
+Each constant has one formula, and the global layer composes them rather
+than restating them: kappa_infinity is arch's closed form at q = 0 scaled
+by conj(a(Lambda)) c(1); kappa_N is the finite product over the level
+primes; the truncated Euler product multiplies the local factors; the
+weight-l special-value constant is a level-free front times kappa_N at
+s0 = l/6 - 1/2 (where 6 s0 + 1 = l - 2); and the consistency identity
+checks the closed form at s0 against that same front.
 
 Character data is complex-valued here (unitary class characters), while
 the formal local modules work over exact rationals; the two layers meet
@@ -19,8 +22,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-from .arch import _reciprocal_gamma, c1_coefficient, gamma_fn
+from .arch import _gamma_quotient, c1_coefficient
 from .exact import Rational, rat
+from .localfield import check_character_slots
 from .zeta import UNRAMIFIED_FACTOR_NOTE
 
 __all__ = [
@@ -122,28 +126,13 @@ class PrimeQuadData:
     lambda_piF_over_piL: Optional[complex] = None
 
     def __post_init__(self):
-        if self.symbol not in (-1, 0, 1):
-            raise ValueError("symbol must be -1 (inert), 0 (ramified) or +1 (split)")
-        if not self.lambda_piF:
-            raise ValueError("lambda_piF must be nonzero")
-        if self.symbol == -1:
-            if self.lambda_piL is not None or self.lambda_piF_over_piL is not None:
-                raise ValueError("inert class carries only lambda_piF")
-            return
-        if self.lambda_piL is None or not self.lambda_piL:
-            raise ValueError("non-inert class needs a nonzero lambda_piL")
-        if self.symbol == 0:
-            if self.lambda_piF_over_piL is not None:
-                raise ValueError("ramified class carries no lambda_piF_over_piL")
-            if not _close(self.lambda_piL * self.lambda_piL, self.lambda_piF):
-                raise ValueError("ramified class needs lambda_piL^2 = lambda_piF")
-            return
-        if self.lambda_piF_over_piL is None or not self.lambda_piF_over_piL:
-            raise ValueError("split class needs a nonzero lambda_piF_over_piL")
-        if not _close(self.lambda_piL * self.lambda_piF_over_piL, self.lambda_piF):
-            raise ValueError(
-                "split class needs lambda_piL * lambda_piF_over_piL = lambda_piF"
-            )
+        check_character_slots(
+            self.symbol,
+            self.lambda_piF,
+            self.lambda_piL,
+            self.lambda_piF_over_piL,
+            _close,
+        )
 
 
 @dataclass(frozen=True)
@@ -244,6 +233,11 @@ class GlobalInput:
         return len(self.lambda_classvals)
 
     @property
+    def at_holomorphic_point(self) -> bool:
+        """Whether ir = l - 1 to 1e-9, the one point of the special value."""
+        return abs(1j * complex(self.r) - (self.l - 1)) <= 1e-9
+
+    @property
     def splitting_table(self) -> Dict[int, int]:
         """Per-prime splitting symbols, as a view of local_table."""
         return {p: data.symbol for p, data in self.local_table.items()}
@@ -277,35 +271,19 @@ def a_lambda(gi: GlobalInput) -> complex:
     return value
 
 
-def _kappa_infinity_value(
-    l: int, D: int, a_bar: complex, c1: complex, ir: complex, s: complex
-) -> complex:
-    s = complex(s)
-    ir = complex(ir)
-    front = (
-        0.5
-        * a_bar
-        * c1
-        * math.pi
-        * complex(D) ** (-3 * s - l / 2)
-        * (4 * math.pi) ** (-3 * s + 1.5 - l)
-    )
-    num = gamma_fn(3 * s + l - 1 + ir / 2) * gamma_fn(3 * s + l - 1 - ir / 2)
-    return front * num * _reciprocal_gamma(3 * s + (l + 1) / 2)
-
-
 def kappa_infinity(gi: GlobalInput, s: complex) -> complex:
-    """Archimedean constant of the global formula:
+    """Archimedean constant of the global formula: arch's closed form at
+    q = 0 with a+ = conj(a(Lambda)) c(1), that is
 
     (1/2) conj(a(Lambda)) c(1) pi D^(-3s-l/2) (4 pi)^(-3s+3/2-l)
         Gamma(3s+l-1+ir/2) Gamma(3s+l-1-ir/2) / Gamma(3s+(l+1)/2)
 
     with c(1) from c1_coefficient (raising the weight-l1 coefficient a1
-    to weight l when needed).
+    to weight l when needed).  Unlike z_inf_closed it answers at every s:
+    the global value is reported, and flagged, outside convergence too.
     """
-    a_bar = a_lambda(gi).conjugate()
-    c1 = c1_coefficient(gi.l, gi.l1, gi.r, gi.a1)
-    return _kappa_infinity_value(gi.l, gi.D, a_bar, c1, 1j * complex(gi.r), s)
+    a_plus = a_lambda(gi).conjugate() * c1_coefficient(gi.l, gi.l1, gi.r, gi.a1)
+    return _gamma_quotient(gi.l, gi.D, 0, 1j * complex(gi.r), s, a_plus)
 
 
 def kappa_N(gi: GlobalInput, s):
@@ -393,25 +371,31 @@ def _local_factor_parts(gi: GlobalInput, p: int, s: complex):
     return rankin_inv, zeta_inv * ai_inv
 
 
-def _local_euler_ratio(gi: GlobalInput, p: int, s: complex) -> complex:
-    rankin_inv, aux_inv = _local_factor_parts(gi, p, s)
-    return aux_inv / rankin_inv
+def _truncation_primes(gi: GlobalInput, p_max: int) -> Tuple[int, ...]:
+    """The primes up to p_max, which must reach every level prime."""
+    level = gi.level_primes
+    if level and p_max < max(level):
+        raise ValueError(f"p_max = {p_max} omits the level prime {max(level)}")
+    return tuple(primes_up_to(p_max))
 
 
-def _tail_bound(p_max: int, s: complex) -> float:
+def _tail_bound(p_max: int, alpha: float) -> float:
     """Crude relative bound on the omitted primes' contribution.
 
     Assumes unitary local data (all Satake and character values on the
     unit circle): each omitted prime then moves the log of the product
     by at most 26 p^(-alpha) with alpha = 3 Re(s) + 1/2, and the primes
     beyond p_max contribute at most the integral tail of that bound.
-    Infinite when alpha <= 1 (outside absolute convergence).
+    Infinite when alpha <= 1 (outside absolute convergence) and when the
+    bound is past the float range.
     """
-    alpha = 3 * complex(s).real + 0.5
     if alpha <= 1:
         return math.inf
     log_tail = 26.0 * p_max ** (1 - alpha) / (alpha - 1)
-    return math.expm1(log_tail)
+    try:
+        return math.expm1(log_tail)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -433,26 +417,24 @@ def global_z_report(gi: GlobalInput, s, p_max: int) -> GlobalZReport:
 
     Every prime up to p_max must be covered by the three tables; the
     level primes must all lie below the truncation point.  The report
-    carries the crude tail bound and flags evaluation outside the
-    convergence region Re(6s+1) > 1 (also warned, TruncationWarning).
+    carries the crude tail bound and flags evaluation outside the region
+    of absolute convergence, alpha = 3 Re(s) + 1/2 > 1, that is
+    Re(s) > 1/6 (also warned, TruncationWarning).
     """
-    level = gi.level_primes
-    if level and p_max < max(level):
-        raise ValueError(
-            f"p_max = {p_max} omits the level prime {max(level)}"
-        )
+    primes = _truncation_primes(gi, p_max)
     s_c = complex(s)
-    in_region = (6 * s_c + 1).real > 1
+    alpha = 3 * s_c.real + 0.5
+    in_region = alpha > 1
     if not in_region:
         warnings.warn(
-            "Re(6s+1) <= 1: the Euler-product truncation is unreliable here",
+            "Re(s) <= 1/6: the Euler-product truncation is unreliable here",
             TruncationWarning,
             stacklevel=2,
         )
-    primes = tuple(primes_up_to(p_max))
     product = complex(1)
     for p in primes:
-        product *= _local_euler_ratio(gi, p, s_c)
+        rankin_inv, aux_inv = _local_factor_parts(gi, p, s_c)
+        product *= aux_inv / rankin_inv
     k_inf = kappa_infinity(gi, s_c)
     k_level = complex(kappa_N(gi, s_c))
     return GlobalZReport(
@@ -461,7 +443,7 @@ def global_z_report(gi: GlobalInput, s, p_max: int) -> GlobalZReport:
         kappa_level=k_level,
         euler_product=product,
         primes=primes,
-        tail_bound=_tail_bound(p_max, s_c),
+        tail_bound=_tail_bound(p_max, alpha),
         in_convergence_region=in_region,
         notes=(UNRAMIFIED_FACTOR_NOTE, CONVENTION_NOTE),
     )
@@ -472,64 +454,51 @@ def global_z(gi: GlobalInput, s, p_max: int) -> complex:
     return global_z_report(gi, s, p_max).value
 
 
+def _theorem3_front(gi: GlobalInput, a_bar: complex) -> complex:
+    """a_bar D^(-l+3/2) 2^(-4l+6) (2l-5)!, the level-free part of
+    theorem3_constant when a_bar = conj(a(Lambda))."""
+    l = gi.l
+    if l < 3:
+        raise ValueError("(2l-5)! needs l >= 3")
+    return (
+        a_bar
+        * complex(gi.D) ** (-l + 1.5)
+        * 2.0 ** (-4 * l + 6)
+        * float(math.factorial(2 * l - 5))
+    )
+
+
 def theorem3_constant(gi: GlobalInput) -> complex:
     """The weight-l special-value constant:
 
     conj(a(Lambda)) D^(-l+3/2) 2^(-4l+6) (2l-5)!
         * prod_{p | N} p(p-1)/((p+1)(p^4-1)) (1 - symbol/p) (1 - p^(-l+2))^(-1).
+
+    The level product is kappa_N at s0 = l/6 - 1/2, where 6 s0 + 1 = l - 2,
+    taken exactly and rounded once.
     """
-    l = gi.l
-    if l < 3:
-        raise ValueError("(2l-5)! needs l >= 3")
-    value = (
-        a_lambda(gi).conjugate()
-        * complex(gi.D) ** (-l + 1.5)
-        * 2.0 ** (-4 * l + 6)
-        * float(math.factorial(2 * l - 5))
-    )
-    for p in gi.level_primes:
-        sym = gi.local_table[p].symbol
-        value *= (
-            p * (p - 1) / ((p + 1) * (p**4 - 1))
-            * (1 - sym / p)
-            / (1 - float(p) ** (-(l - 2)))
-        )
-    return value
+    a_bar = a_lambda(gi).conjugate()
+    return _theorem3_front(gi, a_bar) * kappa_N(gi, rat(gi.l - 3, 6))
 
 
 def theorem3_consistency(gi: GlobalInput) -> bool:
     """Check that the two printed constants agree at s = l/6 - 1/2.
 
-    kappa_infinity specialized to the holomorphic point (ir = l - 1,
-    c(1) = (4 pi)^(-l/2)) must equal the level-free part of
-    theorem3_constant times pi^(4-2l); the comparison reduces to the
+    arch's closed form at the holomorphic point (q = 0, ir = l - 1,
+    a+ = conj(a(Lambda)) (4 pi)^(-l/2)) must equal the level-free front
+    of theorem3_constant times pi^(4-2l); the comparison reduces to the
     factorial identity (2l-4)!/(2(l-2)) = (2l-5)! and is checked to
     1e-9 relative.  The input's own spectral data (r, a1, l1) is not
     consulted: the check specializes internally.
     """
     l = gi.l
-    if l < 3 or l % 2:
-        raise ValueError("the special-value point needs an even l >= 3")
     a_bar = a_lambda(gi).conjugate()
-    kap = _kappa_infinity_value(
-        l, gi.D, a_bar, (4 * math.pi) ** (-l / 2), ir=l - 1.0, s=l / 6 - 0.5
-    )
-    target = (
-        a_bar
-        * complex(gi.D) ** (-l + 1.5)
-        * 2.0 ** (-4 * l + 6)
-        * float(math.factorial(2 * l - 5))
-        * math.pi ** (4 - 2 * l)
-    )
+    target = _theorem3_front(gi, a_bar) * math.pi ** (4 - 2 * l)
+    a_plus = a_bar * (4 * math.pi) ** (-l / 2)
+    kap = _gamma_quotient(l, gi.D, 0, l - 1.0, l / 6 - 0.5, a_plus)
     if target == 0:
         return kap == 0
     return abs(kap - target) <= 1e-9 * abs(target)
-
-
-def _rankin_lfactor(gi: GlobalInput, p: int, s: complex) -> complex:
-    """The degree-8 pairing's local L-value (the inverse of rankin_inverse)."""
-    rankin_inv, _ = _local_factor_parts(gi, p, s)
-    return 1 / rankin_inv
 
 
 def special_value_ratio(gi: GlobalInput, p_max: int) -> complex:
@@ -543,15 +512,13 @@ def special_value_ratio(gi: GlobalInput, p_max: int) -> complex:
     """
     if gi.petersson_phi is None or gi.petersson_psi is None:
         raise ValueError("both Petersson norms are required")
-    if abs(1j * complex(gi.r) - (gi.l - 1)) > 1e-9:
+    if not gi.at_holomorphic_point:
         raise ValueError("the special value lives at the point ir = l - 1")
-    level = gi.level_primes
-    if level and p_max < max(level):
-        raise ValueError(f"p_max = {p_max} omits the level prime {max(level)}")
     s0 = gi.l / 6 - 0.5
     lvalue = complex(1)
-    for p in primes_up_to(p_max):
-        lvalue *= _rankin_lfactor(gi, p, s0)
+    for p in _truncation_primes(gi, p_max):
+        rankin_inv, _ = _local_factor_parts(gi, p, s0)
+        lvalue *= 1 / rankin_inv
     return lvalue / (
         math.pi ** (5 * gi.l - 8) * gi.petersson_phi * gi.petersson_psi
     )

@@ -752,8 +752,8 @@ def _run_global(config: RunConfig) -> List[Record]:
     }
     records = [_record("global/z", True, witness)]
 
-    holomorphic_point = abs(1j * gi.r - (gi.l - 1)) <= 1e-9
-    if gi.petersson_phi is not None and gi.petersson_psi is not None and holomorphic_point:
+    has_norms = gi.petersson_phi is not None and gi.petersson_psi is not None
+    if has_norms and gi.at_holomorphic_point:
         try:
             ratio = special_value_ratio(gi, config.p_max)
         except ValueError as exc:
@@ -819,10 +819,9 @@ def _run_consistency(config: RunConfig) -> List[Record]:
     for p, symbol in ((2, SplittingSymbol.INERT), (3, SplittingSymbol.RAMIFIED), (5, SplittingSymbol.SPLIT)):
         gi = _level_prime_input(p, symbol)
         pre = prefactor(_quad_data(p, symbol))
-        expected_base = rat(int(pre.numerator), int(pre.denominator))
         for s in (rat(1, 2), rat(1, 3), rat(1)):
             k = 6 * s + 1
-            expected = expected_base / (1 - rat(p) ** (-int(k)))
+            expected = pre / (1 - rat(p) ** (-int(k)))
             got = kappa_N(gi, s)
             ok = got == expected
             witness = None if ok else {"kappa_N": str(got), "expected": str(expected)}

@@ -606,21 +606,3 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
         s.append(acc)
     return TruncatedSeries(s, q)
 
-
-_QUAD_OPS = {
-    "+": QuadCoeff.__add__,
-    "-": QuadCoeff.__sub__,
-    "*": QuadCoeff.__mul__,
-    "/": QuadCoeff.__truediv__,
-    "×": QuadCoeff.__mul__,
-    "÷": QuadCoeff.__truediv__,
-}
-
-
-def quad_arith(x: QuadCoeff, y: QuadCoeff, op: str) -> QuadCoeff:
-    """Exact field arithmetic in Q(sqrt(q)): op is one of + - * / (× ÷)."""
-    try:
-        fn = _QUAD_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(x, y)

@@ -11,8 +11,9 @@ finite-quotient counting oracle for those indices.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,6 +56,42 @@ def splitting_symbol(d: int, p: int) -> SplittingSymbol:
     return SplittingSymbol.INERT
 
 
+def check_character_slots(
+    symbol: int, piF, piL, piF_over_piL, same: Callable[[object, object], bool]
+) -> None:
+    """Reject character values that do not fit the splitting class.
+
+    symbol is -1 (inert), 0 (ramified) or +1 (split).  lambda_piF is
+    always present and nonzero; inert carries nothing else; ramified
+    carries a nonzero lambda_piL with lambda_piL^2 = lambda_piF; split
+    carries nonzero lambda_piL and lambda_piF_over_piL whose product is
+    lambda_piF.  ``same`` decides those relations: == for exact values,
+    a tolerance for floating-point ones.  Raises ValueError.
+    """
+    if symbol not in (-1, 0, 1):
+        raise ValueError("symbol must be -1 (inert), 0 (ramified) or +1 (split)")
+    if not piF:
+        raise ValueError("lambda_piF must be nonzero")
+    if symbol == -1:
+        if piL is not None or piF_over_piL is not None:
+            raise ValueError("inert class carries only lambda_piF")
+        return
+    if not piL:
+        raise ValueError("non-inert class needs a nonzero lambda_piL")
+    if symbol == 0:
+        if piF_over_piL is not None:
+            raise ValueError("ramified class carries no lambda_piF_over_piL")
+        if not same(piL * piL, piF):
+            raise ValueError("ramified class needs lambda_piL^2 = lambda_piF")
+        return
+    if not piF_over_piL:
+        raise ValueError("split class needs a nonzero lambda_piF_over_piL")
+    if not same(piL * piF_over_piL, piF):
+        raise ValueError(
+            "split class needs lambda_piL * lambda_piF_over_piL = lambda_piF"
+        )
+
+
 @dataclass(frozen=True)
 class LocalQuadData:
     """A splitting class together with the character values it supports.
@@ -64,7 +101,8 @@ class LocalQuadData:
     elements: lambda_piL on a uniformizer of L, and in the split case
     lambda_piF_over_piL on their quotient.  Slots that are meaningless for
     the given splitting class must be None; present values must be nonzero
-    and satisfy the multiplicative relations tying them to lambda_piF.
+    and satisfy, exactly, the multiplicative relations tying them to
+    lambda_piF (see check_character_slots).
     """
 
     p: int
@@ -76,29 +114,14 @@ class LocalQuadData:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be a prime")
-        if not self.lambda_piF:
-            raise ValueError("lambda_piF must be nonzero")
-        sym = SplittingSymbol(self.symbol)
-        object.__setattr__(self, "symbol", sym)
-        if sym is SplittingSymbol.INERT:
-            if self.lambda_piL is not None or self.lambda_piF_over_piL is not None:
-                raise ValueError("inert class carries only lambda_piF")
-        elif sym is SplittingSymbol.RAMIFIED:
-            if self.lambda_piL is None:
-                raise ValueError("ramified class requires lambda_piL")
-            if self.lambda_piF_over_piL is not None:
-                raise ValueError("lambda_piF_over_piL is a split-only value")
-            if self.lambda_piL * self.lambda_piL != self.lambda_piF:
-                raise ValueError("ramified class needs lambda_piL^2 = lambda_piF")
-        else:
-            if self.lambda_piL is None or self.lambda_piF_over_piL is None:
-                raise ValueError("split class requires both extra values")
-            if not self.lambda_piL or not self.lambda_piF_over_piL:
-                raise ValueError("character values must be nonzero")
-            if self.lambda_piL * self.lambda_piF_over_piL != self.lambda_piF:
-                raise ValueError(
-                    "split class needs lambda_piL * lambda_piF_over_piL = lambda_piF"
-                )
+        check_character_slots(
+            self.symbol,
+            self.lambda_piF,
+            self.lambda_piL,
+            self.lambda_piF_over_piL,
+            operator.eq,
+        )
+        object.__setattr__(self, "symbol", SplittingSymbol(self.symbol))
 
     @property
     def q(self) -> int:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,56 @@ class TestPrimeQuadData:
             PrimeQuadData(2, 1.0)
         with pytest.raises(ValueError):
             PrimeQuadData(-1, 0.0)
+
+
+# (symbol, piF, piL, piF_over_piL, accepted): the slot rules that the exact
+# LocalQuadData and the numeric PrimeQuadData share.
+SLOT_TABLE = [
+    (-1, 3, None, None, True),
+    (-1, 0, None, None, False),  # zero lambda_piF
+    (-1, 3, 1, None, False),  # inert carries only lambda_piF
+    (-1, 3, None, 1, False),
+    (0, 4, -2, None, True),
+    (0, 4, None, None, False),  # missing lambda_piL
+    (0, 4, 0, None, False),  # zero lambda_piL
+    (0, 4, 3, None, False),  # lambda_piL^2 != lambda_piF
+    (0, 4, 2, 2, False),  # lambda_piF_over_piL is split-only
+    (0, 0, 0, None, False),
+    (1, 6, 2, 3, True),
+    (1, 6, 2, 2, False),  # lambda_piL lambda_piF_over_piL != lambda_piF
+    (1, 6, 2, None, False),
+    (1, 6, None, 3, False),
+    (1, 6, 0, 3, False),
+    (1, 6, 2, 0, False),
+    (2, 1, None, None, False),  # no such splitting class
+]
+
+
+@pytest.mark.parametrize("symbol, piF, piL, piF_over_piL, accepted", SLOT_TABLE)
+def test_exact_and_numeric_slot_rules_agree(symbol, piF, piL, piF_over_piL, accepted):
+    def exact():
+        LocalQuadData(
+            5,
+            symbol,
+            rat(piF),
+            None if piL is None else rat(piL),
+            None if piF_over_piL is None else rat(piF_over_piL),
+        )
+
+    def numeric():
+        PrimeQuadData(
+            symbol,
+            complex(piF),
+            None if piL is None else complex(piL),
+            None if piF_over_piL is None else complex(piF_over_piL),
+        )
+
+    for build in (exact, numeric):
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ValueError):
+                build()
 
 
 class TestGlobalInput:
@@ -424,10 +475,21 @@ class TestGlobalZ:
 
     def test_outside_convergence_region_warns(self):
         gi = make_gi()
-        with pytest.warns(TruncationWarning):
-            report = global_z_report(gi, 0.0, 2)
-        assert not report.in_convergence_region
+        # 0 < Re(s) <= 1/6 is outside too: 3 Re(s) + 1/2 <= 1
+        for s in (0.0, 0.1):
+            with pytest.warns(TruncationWarning):
+                report = global_z_report(gi, s, 2)
+            assert not report.in_convergence_region
+            assert report.tail_bound == math.inf
+
+    def test_tail_bound_past_the_float_range_is_inf(self):
+        # just inside the region, the bound's exponent overflows expm1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            report = global_z_report(make_gi(), 0.17, 2)
+        assert report.in_convergence_region
         assert report.tail_bound == math.inf
+        assert math.isfinite(abs(report.value))
 
     def test_level_prime_beyond_truncation(self):
         with pytest.raises(ValueError, match="level prime"):
@@ -472,6 +534,23 @@ class TestTheorem3Constant:
         ratio = theorem3_constant(with_level) / theorem3_constant(base)
         expected = (2 * 1) / (3 * 15) * (1 + Fraction(1, 2)) / (1 - Fraction(2) ** -10)
         assert ratio == pytest.approx(complex(expected), rel=1e-12)
+
+    def test_ramified_and_split_level_primes(self):
+        base = make_gi(N=1, satake_table={}, gl2_table={}, local_table={})
+        level_six = make_gi(
+            N=6,
+            satake_table={2: (1, 1, 1), 3: (1, 1, 1)},
+            gl2_table={2: -1, 3: 1},
+            local_table={
+                2: PrimeQuadData(0, 1.0, lambda_piL=-1.0),
+                3: PrimeQuadData(1, 1.0, 2.0, 0.5),
+            },
+        )
+        ratio = theorem3_constant(level_six) / theorem3_constant(base)
+        # ramified p = 2 (1 - 0/2 = 1), split p = 3; 1 - p^(-l+2) at l = 12
+        two = Fraction(2 * 1, 3 * 15) / (1 - Fraction(2) ** -10)
+        three = Fraction(3 * 2, 4 * 80) * (1 - Fraction(1, 3)) / (1 - Fraction(3) ** -10)
+        assert ratio == pytest.approx(complex(two * three), rel=1e-12)
 
     def test_degenerate_class_sum(self):
         gi = make_gi(lambda_classvals=(1, -1), fourier_classvals=(1, 1))

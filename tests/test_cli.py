@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -273,9 +274,12 @@ class TestVerifyArch:
     def test_overflowing_scenario_fails_with_witness(self, write_doc, capsys):
         # schema-valid, but its lambda-integrand overflows double precision
         path = write_doc({"arch_scenarios": [{"l": 200, "l1": 200, "D": 4, "s": 1.5}]})
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["verify-arch", "--input", path, "--format", "machine"])
         assert code == 1
+        # numpy's overflow warnings would reach stderr; the witness says it
+        assert [str(w.message) for w in caught] == []
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         record = {r["name"]: r for r in strict_records_of(out)}["arch/zinf/input-000"]
@@ -434,6 +438,27 @@ class TestGlobal:
         assert code == 0
         (record,) = strict_records_of(out)
         assert record["witness"]["tail_bound"] == "inf"
+
+    @pytest.mark.parametrize(
+        "s, in_region, infinite_bound",
+        [
+            ("1/10", False, True),
+            ("1/6", False, True),
+            ("17/100", True, True),  # inside, but the bound overflows expm1
+            ("1/5", True, False),
+        ],
+    )
+    def test_region_flag_is_re_s_above_one_sixth(
+        self, write_doc, s, in_region, infinite_bound
+    ):
+        path = write_doc(valid_global_doc(s=s))
+        code, out = run_capture(
+            RunConfig(command="global", input_path=path, p_max=3, output_format="machine")
+        )
+        assert code == 0
+        (record,) = strict_records_of(out)
+        assert record["witness"]["in_convergence_region"] is in_region
+        assert (record["witness"]["tail_bound"] == "inf") is infinite_bound
 
     def test_special_value_needs_norms_and_holomorphic_point(self, write_doc):
         doc = valid_global_doc(petersson_phi=1.0, petersson_psi=2.5)

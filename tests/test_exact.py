@@ -10,7 +10,6 @@ from localzeta.exact import (
     RationalFunction,
     TruncatedSeries,
     q_half_power,
-    quad_arith,
     rat,
     series_of,
 )
@@ -64,18 +63,6 @@ class TestQuadCoeff:
         assert s**2 == QuadCoeff(2, 0, 2)
         assert s**-2 == QuadCoeff(rat(1, 2), 0, 2)
         assert s**0 == QuadCoeff(1, 0, 2)
-
-    def test_quad_arith_dispatch(self):
-        x = QuadCoeff(1, 1, 2)
-        y = QuadCoeff(1, -1, 2)
-        assert quad_arith(x, y, "+") == QuadCoeff(2, 0, 2)
-        assert quad_arith(x, y, "-") == QuadCoeff(0, 2, 2)
-        assert quad_arith(x, y, "×") == QuadCoeff(-1, 0, 2)
-        assert quad_arith(x, x, "÷") == QuadCoeff(1, 0, 2)
-        with pytest.raises(ZeroDivisionError):
-            quad_arith(x, QuadCoeff(0, 0, 2), "/")
-        with pytest.raises(ValueError):
-            quad_arith(x, y, "%")
 
     def test_q_half_power(self):
         assert q_half_power(3, 4) == QuadCoeff(9, 0, 3)
