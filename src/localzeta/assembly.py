@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
@@ -292,28 +293,20 @@ def kappa_N(gi: GlobalInput, s):
     p(p-1)/((p+1)(p^4-1)) * (1 - symbol/p) * (1 - p^(-6s-1))^(-1).
 
     Exact (a Rational) when s is rational with 6s+1 an integer; complex
-    otherwise.  N = 1 gives the empty product 1.
+    otherwise.  N = 1 gives the empty product 1.  Raises ValueError when
+    p^(-6s-1) = 1 at a level prime, a pole of the last factor.
     """
-    if isinstance(s, numbers.Rational):
-        k = 6 * rat(s.numerator, s.denominator) + 1
-        if k.denominator == 1:
-            value = rat(1)
-            for p in gi.level_primes:
-                sym = gi.local_table[p].symbol
-                factor = rat(p * (p - 1), (p + 1) * (p**4 - 1)) * (
-                    1 - rat(sym, p)
-                )
-                value *= factor / (1 - rat(p) ** (-int(k)))
-            return value
-    s = complex(s)
-    value = complex(1)
+    k = 6 * rat(s.numerator, s.denominator) + 1 if isinstance(s, numbers.Rational) else None
+    if k is not None and k.denominator == 1:
+        ratio, base, exponent, value = rat, rat, -int(k), rat(1)
+    else:
+        ratio, base, exponent, value = operator.truediv, complex, -6 * complex(s) - 1, complex(1)
     for p in gi.level_primes:
+        x = base(p) ** exponent
+        if x == 1:
+            raise ValueError(f"s = {s} is a pole of the level factor at p = {p}: 1 - p^(-6s-1) = 0")
         sym = gi.local_table[p].symbol
-        value *= (
-            p * (p - 1) / ((p + 1) * (p**4 - 1))
-            * (1 - sym / p)
-            / (1 - complex(p) ** (-6 * s - 1))
-        )
+        value *= ratio(p * (p - 1), (p + 1) * (p**4 - 1)) * (1 - ratio(sym, p)) / (1 - x)
     return value
 
 
@@ -326,7 +319,8 @@ def _local_factor_parts(gi: GlobalInput, p: int, s: complex):
     level prime.  aux_inverse is zeta_p(6s+1)^(-1) times the inverse
     local factor of the induced-character twist.  The local factor of
     the global product is aux_inverse / rankin_inverse (assembled, not
-    restated; see UNRAMIFIED_FACTOR_NOTE).
+    restated; see UNRAMIFIED_FACTOR_NOTE).  Raises ValueError when
+    rankin_inverse is exactly 0, a pole of the degree-8 factor.
     """
     data = gi.local_table.get(p)
     sat = gi.satake_table.get(p)
@@ -345,30 +339,31 @@ def _local_factor_parts(gi: GlobalInput, p: int, s: complex):
         for g in gamma:
             rankin_inv *= 1 - t / (g * omega * p)
         if data.symbol == -1:
-            twist_inv = 1 - chi * t * t / p**3
+            aux_inv = 1 - chi * t * t / p**3
         else:
             chi_omega = chi * omega
-            twist_inv = 1 - data.lambda_piL * chi_omega * t / p**1.5
+            aux_inv = 1 - data.lambda_piL * chi_omega * t / p**1.5
             if data.symbol == 1:
-                twist_inv *= 1 - data.lambda_piF_over_piL * chi_omega * t / p**1.5
-        return rankin_inv, zeta_inv * twist_inv
-
-    beta = tuple(complex(b) for b in gl2)
-    chi = 1 / (omega_pi * beta[0] * beta[1])
-    rankin_inv = complex(1)
-    for g in gamma:
+                aux_inv *= 1 - data.lambda_piF_over_piL * chi_omega * t / p**1.5
+    else:
+        beta = tuple(complex(b) for b in gl2)
+        chi = 1 / (omega_pi * beta[0] * beta[1])
+        rankin_inv = complex(1)
+        for g in gamma:
+            for b in beta:
+                rankin_inv *= 1 - t / (g * b * math.sqrt(p))
+        aux_inv = complex(1)
         for b in beta:
-            rankin_inv *= 1 - t / (g * b * math.sqrt(p))
-    ai_inv = complex(1)
-    for b in beta:
-        if data.symbol == -1:
-            ai_inv *= 1 - data.lambda_piF * (chi * b) ** 2 * t * t / p**2
-        elif data.symbol == 0:
-            ai_inv *= 1 - data.lambda_piL * chi * b * t / p
-        else:
-            for delta in (data.lambda_piL, data.lambda_piF_over_piL):
-                ai_inv *= 1 - delta * chi * b * t / p
-    return rankin_inv, zeta_inv * ai_inv
+            if data.symbol == -1:
+                aux_inv *= 1 - data.lambda_piF * (chi * b) ** 2 * t * t / p**2
+            elif data.symbol == 0:
+                aux_inv *= 1 - data.lambda_piL * chi * b * t / p
+            else:
+                for delta in (data.lambda_piL, data.lambda_piF_over_piL):
+                    aux_inv *= 1 - delta * chi * b * t / p
+    if rankin_inv == 0:
+        raise ValueError(f"s is a pole of the degree-8 local factor at p = {p}: its inverse is 0")
+    return rankin_inv, zeta_inv * aux_inv
 
 
 def _truncation_primes(gi: GlobalInput, p_max: int) -> Tuple[int, ...]:

@@ -1,10 +1,12 @@
 """Command-line driver for the verification batteries.
 
 Seven subcommands re-run the checks that the library exposes and print one
-line per check.  Two output styles: ``table`` for reading, ``machine`` for
-diffing — newline-delimited JSON records ``{"name", "status", "witness"}``
-sorted by name, so two invocations with the same command, seed, and input
-produce byte-identical output.
+line per check.  Each subcommand takes only the flags its battery reads
+(see ``_COMMANDS``) plus ``--format``; any other flag is a usage error.
+Two output styles: ``table`` for reading, ``machine`` for diffing —
+newline-delimited JSON records ``{"name", "status", "witness"}`` sorted by
+name, so two invocations with the same command, seed, and input produce
+byte-identical output.
 
 Exit status is 0 when every check passes, 1 when at least one check fails
 (the failing records carry a witness), 2 for malformed input — bad
@@ -29,7 +31,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .arch import (
@@ -74,16 +76,6 @@ from .rng import scenario_stream
 from .satake import SatakeParams, SteinbergData
 from .zeta import ScenarioData, prefactor, verify_theorem1, z_closed_form
 
-COMMANDS = (
-    "verify-local",
-    "verify-arch",
-    "verify-cosets",
-    "verify-volumes",
-    "lfactor",
-    "global",
-    "consistency",
-)
-
 # Exit status when stdout's reader closes early: 128 + SIGPIPE, as a shell
 # reports a process killed by that signal.
 EXIT_BROKEN_PIPE = 141
@@ -96,6 +88,7 @@ _SYMBOL_NAMES = {
 _SYMBOLS_BY_NAME = {name: sym for sym, name in _SYMBOL_NAMES.items()}
 
 _RATIONAL_RE = re.compile(r"\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?\Z")
+_PRIME_KEY_RE = re.compile(r"[1-9][0-9]*")
 
 
 class InputError(ValueError):
@@ -126,9 +119,9 @@ class RunConfig:
     p_max: int = 20
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise InputError(
-                f"unknown command {self.command!r}; expected one of {', '.join(COMMANDS)}"
+                f"unknown command {self.command!r}; expected one of {', '.join(_COMMANDS)}"
             )
         if not (0 <= self.seed < 2**64):
             raise InputError("seed must fit in an unsigned 64-bit integer")
@@ -274,19 +267,28 @@ def _parse_symbol(value: object, where: str) -> SplittingSymbol:
     )
 
 
+def _lambda_slots(lam: Dict[str, object], piF: object, where: str, parse) -> tuple:
+    """(piF, piL, piF_over_piL) of a lambda object, each read by ``parse``.
+
+    The caller supplies piF's raw value (required or defaulted); an absent
+    or null piL or piF_over_piL is None.
+    """
+    slots = [parse(piF, f"{where}.piF")]
+    for key in ("piL", "piF_over_piL"):
+        raw = lam.get(key)
+        slots.append(None if raw is None else parse(raw, f"{where}.{key}"))
+    return tuple(slots)
+
+
 def _local_scenario_from(value: object, where: str) -> ScenarioData:
     obj = _as_object(value, where)
     q = _parse_int(_field(obj, "q", where), f"{where}.q")
     symbol = _parse_symbol(_field(obj, "symbol", where), f"{where}.symbol")
 
     lam = _as_object(_field(obj, "lambda", where), f"{where}.lambda")
-    lam_piF = _parse_rational(_field(lam, "piF", f"{where}.lambda"), f"{where}.lambda.piF")
-    lam_piL = lam.get("piL")
-    if lam_piL is not None:
-        lam_piL = _parse_rational(lam_piL, f"{where}.lambda.piL")
-    lam_over = lam.get("piF_over_piL")
-    if lam_over is not None:
-        lam_over = _parse_rational(lam_over, f"{where}.lambda.piF_over_piL")
+    lam_piF, lam_piL, lam_over = _lambda_slots(
+        lam, _field(lam, "piF", f"{where}.lambda"), f"{where}.lambda", _parse_rational
+    )
 
     sat_obj = _as_object(_field(obj, "satake", where), f"{where}.satake")
     u = tuple(
@@ -322,6 +324,10 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
         raise InputError(
             f"{where}: give exactly one of s1/s2, l1 or r; got {' and '.join(given)}"
         )
+    if given == ["s1/s2"] and "q_c" in obj:
+        raise InputError(
+            f"{where}.q_c: a principal series has q_c = s1 + s2; give q_c only with l1 or r"
+        )
     try:
         if "s1" in obj or "s2" in obj:
             s1 = _parse_complex(_field(obj, "s1", where), f"{where}.s1")
@@ -347,10 +353,11 @@ def _prime_table(value: object, where: str) -> Dict[int, object]:
     obj = _as_object(value, where)
     table: Dict[int, object] = {}
     for key, entry in obj.items():
-        try:
-            p = int(key)
-        except ValueError:
-            raise InputError(f"{where}: table keys must be primes, got {key!r}") from None
+        p = int(key) if _PRIME_KEY_RE.fullmatch(key) else 0
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise InputError(
+                f"{where}: table keys must be primes written in plain decimal, got {key!r}"
+            )
         table[p] = entry
     return table
 
@@ -402,13 +409,7 @@ def _global_input_from(value: object, where: str) -> Tuple[GlobalInput, complex]
         entry = _as_object(entry, spot)
         symbol = _parse_symbol(_field(entry, "symbol", spot), f"{spot}.symbol")
         lam = _as_object(entry.get("lambda", {"piF": 1}), f"{spot}.lambda")
-        piF = _parse_complex(lam.get("piF", 1), f"{spot}.lambda.piF")
-        piL = lam.get("piL")
-        if piL is not None:
-            piL = _parse_complex(piL, f"{spot}.lambda.piL")
-        over = lam.get("piF_over_piL")
-        if over is not None:
-            over = _parse_complex(over, f"{spot}.lambda.piF_over_piL")
+        piF, piL, over = _lambda_slots(lam, lam.get("piF", 1), f"{spot}.lambda", _parse_complex)
         try:
             local_table[p] = PrimeQuadData(
                 symbol=int(symbol),
@@ -697,7 +698,7 @@ def _run_volumes(config: RunConfig) -> List[Record]:
 
 def _trivial_scenario() -> ScenarioData:
     return ScenarioData(
-        local=LocalQuadData(p=2, symbol=SplittingSymbol.INERT, lambda_piF=rat(1)),
+        local=_quad_data(2, SplittingSymbol.INERT),
         sat=SatakeParams(rat(1), rat(1), rat(1)),
         st=SteinbergData(rat(1)),
     )
@@ -836,14 +837,33 @@ def _run_consistency(config: RunConfig) -> List[Record]:
     return records
 
 
-_HANDLERS = {
-    "verify-local": _run_local,
-    "verify-arch": _run_arch,
-    "verify-cosets": _run_cosets,
-    "verify-volumes": _run_volumes,
-    "lfactor": _run_lfactor,
-    "global": _run_global,
-    "consistency": _run_consistency,
+# Each subcommand once: its battery, its help line, and the RunConfig fields
+# that battery reads.  The parser gives each command a flag per field it
+# reads (see _FLAGS), plus --format, and no other.
+_COMMANDS = {
+    "verify-local": (_run_local, "exact series-vs-closed-form identity over seeded scenarios",
+                     ("seed", "trials", "order", "input_path")),
+    "verify-arch": (_run_arch, "quadrature vs closed archimedean values, plus fixed identities",
+                    ("tolerance", "input_path")),
+    "verify-cosets": (_run_cosets, "exhaustive coset audit and matrix identities at p = 2 or 3",
+                      ("seed", "trials", "p")),
+    "verify-volumes": (_run_volumes, "unit-index formulas against finite-ring counts", ()),
+    "lfactor": (_run_lfactor, "print the closed-form local factor for given scenarios",
+                ("input_path",)),
+    "global": (_run_global, "assemble the truncated global value from an input file",
+               ("input_path", "p_max")),
+    "consistency": (_run_consistency, "cross-module constant and level-factor identities", ()),
+}
+
+# RunConfig field -> (flag, type, help); the default is the field's own.
+_FLAGS = {
+    "seed": ("--seed", int, "SplitMix64 stream key"),
+    "trials": ("--trials", int, "scenarios per battery"),
+    "order": ("--order", int, "series truncation order"),
+    "tolerance": ("--tol", float, "relative tolerance for quadrature comparisons"),
+    "input_path": ("--input", str, "JSON input file"),
+    "p": ("--p", int, "residue characteristic for the coset audit"),
+    "p_max": ("--pmax", int, "Euler product cutoff"),
 }
 
 
@@ -891,7 +911,7 @@ def run(config: RunConfig, stream: Optional[TextIO] = None) -> int:
     the driver can format the diagnostic themselves.
     """
     out = sys.stdout if stream is None else stream
-    records = _HANDLERS[config.command](config)
+    records = _COMMANDS[config.command][0](config)
     return _emit(records, config, out)
 
 
@@ -901,55 +921,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification batteries for the local and global factors",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "verify-local": "exact series-vs-closed-form identity over seeded scenarios",
-        "verify-arch": "quadrature vs closed archimedean values, plus fixed identities",
-        "verify-cosets": "exhaustive coset audit and matrix identities at p = 2 or 3",
-        "verify-volumes": "unit-index formulas against finite-ring counts",
-        "lfactor": "print the closed-form local factor for given scenarios",
-        "global": "assemble the truncated global value from an input file",
-        "consistency": "cross-module constant and level-factor identities",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name], description=helps[name])
-        sp.add_argument("--seed", type=int, default=20260816, help="SplitMix64 stream key")
-        sp.add_argument("--trials", type=int, default=50, help="scenarios per battery")
-        sp.add_argument("--order", type=int, default=25, help="series truncation order")
-        sp.add_argument(
-            "--tol",
-            dest="tolerance",
-            type=float,
-            default=1e-6,
-            help="relative tolerance for quadrature comparisons",
-        )
-        sp.add_argument("--input", dest="input_path", default=None, help="JSON input file")
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for name, (_, help_line, reads) in _COMMANDS.items():
+        # No abbreviations: "global --p 3" must not be read as --pmax.
+        sp = sub.add_parser(name, help=help_line, description=help_line, allow_abbrev=False)
+        for key in reads:
+            flag, kind, help_text = _FLAGS[key]
+            sp.add_argument(flag, dest=key, type=kind, default=defaults[key], help=help_text)
         sp.add_argument(
             "--format",
             dest="output_format",
             choices=("table", "machine"),
-            default="table",
+            default=defaults["output_format"],
             help="report style: human table or sorted JSON lines",
         )
-        sp.add_argument("--p", type=int, default=2, help="residue characteristic for the coset audit")
-        sp.add_argument("--pmax", dest="p_max", type=int, default=20, help="Euler product cutoff")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=ns.command,
-            seed=ns.seed,
-            trials=ns.trials,
-            order=ns.order,
-            tolerance=ns.tolerance,
-            input_path=ns.input_path,
-            output_format=ns.output_format,
-            p=ns.p,
-            p_max=ns.p_max,
-        )
-        status = run(config)
+        status = run(RunConfig(**vars(ns)))
         sys.stdout.flush()
         return status
     except InputError as exc:

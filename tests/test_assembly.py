@@ -353,6 +353,31 @@ class TestKappaN:
         value = kappa_N(make_gi(), 0.5)
         assert value == pytest.approx(16 / 225, rel=1e-14)
 
+    def test_level_thirty_mixed_classes(self):
+        """Split 2, ramified 3, inert 5 at s = 1/3, where 6s + 1 = 3."""
+        gi = make_gi(
+            N=30,
+            satake_table={},
+            gl2_table={2: 1, 3: -1, 5: 1},
+            local_table={
+                2: PrimeQuadData(1, 1.0, 2.0, 0.5),
+                3: PrimeQuadData(0, 1.0, -1.0),
+                5: PrimeQuadData(-1, 1.0),
+            },
+        )
+        factor2 = Fraction(2, 45) * Fraction(1, 2) / Fraction(7, 8)
+        factor3 = Fraction(6, 320) / Fraction(26, 27)
+        factor5 = Fraction(20, 3744) * Fraction(6, 5) / Fraction(124, 125)
+        expected = factor2 * factor3 * factor5
+        assert kappa_N(gi, Fraction(1, 3)) == expected
+        assert kappa_N(gi, 1 / 3) == pytest.approx(float(expected), rel=1e-14)
+
+    @pytest.mark.parametrize("s", [Fraction(-1, 6), -1 / 6, complex(-1 / 6)])
+    def test_pole_at_minus_one_sixth_is_a_value_error(self, s):
+        # 1 - p^(-6s-1) = 1 - p^0 = 0 at every level prime.
+        with pytest.raises(ValueError, match="pole of the level factor at p = 2"):
+            kappa_N(make_gi(), s)
+
     @pytest.mark.parametrize(
         "p,symbol,quad,exact_local",
         [

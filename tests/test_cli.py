@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -345,6 +346,17 @@ class TestVerifyArch:
         err = capsys.readouterr().err
         assert "arch_scenarios[1]" in err and "l1 and r" in err
 
+    def test_q_c_only_with_l1_or_r(self, write_doc, capsys):
+        # A principal series sets q_c = s1 + s2 itself, so a given q_c would be dropped.
+        path = write_doc(
+            {"arch_scenarios": [{"l": 12, "s1": 0.2, "s2": -0.2, "q_c": 5, "D": 3, "s": 1}]}
+        )
+        assert main(["verify-arch", "--input", path]) == 2
+        assert "arch_scenarios[0].q_c" in capsys.readouterr().err
+        for entry in ({"l": 12, "l1": 12, "q_c": 0.5, "D": 4, "s": 1.5},
+                      {"l": 12, "r": 3, "q_c": 0.5, "D": 4, "s": 1.5}):
+            assert cli._arch_scenario_from(entry, "x").q_c == 0.5
+
     def test_builtin_grid_constructs(self):
         from localzeta.cli import _builtin_arch_grid
 
@@ -501,6 +513,28 @@ class TestGlobal:
         assert main(["global", "--input", path]) == 2
         assert "must be real" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["4", "1", "0", "1_3", "03", "+3", " 3", "3 ", "x", "\u0663"])
+    def test_table_keys_are_primes_in_plain_decimal(self, write_doc, capsys, key):
+        doc = valid_global_doc()
+        doc["global_input"]["gl2_table"][key] = [1, 1]
+        path = write_doc(doc)
+        assert main(["global", "--input", path, "--pmax", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "global_input.gl2_table" in err and repr(key) in err
+
+    def test_pole_of_a_local_factor_is_exit_two(self, write_doc):
+        # At s = -1/6, t = sqrt(p), and p = 3's degree-8 inverse factor is
+        # exactly 0 because its Satake and GL(2) values are all 1.
+        path = write_doc(valid_global_doc(s="-1/6"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "localzeta.cli", "global", "--input", path, "--pmax", "3"],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert "p = 3" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestConsistency:
     def test_battery_passes(self):
@@ -515,6 +549,67 @@ class TestConsistency:
         assert "consistency/arch-constant/D3/l12" in names
         assert "consistency/level-factor/p5-split/s1-3" in names
         assert "consistency/v-level/2" in names
+
+
+# The flags each command's battery reads; --format is on every command.
+COMMAND_FLAGS = {
+    "verify-local": {"--seed", "--trials", "--order", "--input"},
+    "verify-arch": {"--tol", "--input"},
+    "verify-cosets": {"--seed", "--trials", "--p"},
+    "verify-volumes": set(),
+    "lfactor": {"--input"},
+    "global": {"--input", "--pmax"},
+    "consistency": set(),
+}
+FLAG_VALUES = {
+    "--seed": "5", "--trials": "3", "--order": "9", "--tol": "0.1",
+    "--input": "in.json", "--p": "3", "--pmax": "7",
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_command_accepts_exactly_its_flags(self, command, capsys):
+        parser = cli._build_parser()
+        for flag, value in FLAG_VALUES.items():
+            if flag in COMMAND_FLAGS[command]:
+                parser.parse_args([command, flag, value])
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([command, flag, value])
+                assert exc.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z]+", capsys.readouterr().out))
+        assert listed == COMMAND_FLAGS[command] | {"-h", "--help", "--format"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-volumes", "--seed", "5"],
+            ["consistency", "--pmax", "3"],
+            ["verify-arch", "--order", "9"],
+            ["lfactor", "--trials", "3"],
+            ["global", "--p", "3"],  # not an abbreviation of --pmax
+        ],
+        ids=" ".join,
+    )
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [(["verify-cosets"], {}), (["verify-local", "--order", "10"], {"order": 10}), (["consistency"], {})],
+        ids=["verify-cosets", "verify-local", "consistency"],
+    )
+    def test_flag_defaults_are_the_run_config_defaults(self, argv, fields, capsys):
+        assert main(argv) == 0
+        assert run_capture(RunConfig(command=argv[0], **fields)) == (0, capsys.readouterr().out)
 
 
 class TestEntryPoints:
