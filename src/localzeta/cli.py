@@ -32,6 +32,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .arch import (
@@ -328,25 +329,28 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
         raise InputError(
             f"{where}.q_c: a principal series has q_c = s1 + s2; give q_c only with l1 or r"
         )
+    # Parse every field first: a parse error already names its own path.
+    if "s1" in obj or "s2" in obj:
+        s1 = _parse_complex(_field(obj, "s1", where), f"{where}.s1")
+        s2 = _parse_complex(_field(obj, "s2", where), f"{where}.s2")
+        build = partial(ArchScenario.principal_series, l, s1, s2, D, s, a_plus)
+    elif "l1" in obj:
+        l1 = _parse_int(_field(obj, "l1", where), f"{where}.l1")
+        q_c = _parse_complex(obj.get("q_c", 0), f"{where}.q_c")
+        build = partial(ArchScenario.discrete_series, l, l1, q_c, D, s, a_plus)
+    elif "r" in obj:
+        q_c = _parse_complex(obj.get("q_c", 0), f"{where}.q_c")
+        r = _parse_complex(_field(obj, "r", where), f"{where}.r")
+        build = partial(ArchScenario, l=l, q_c=q_c, r=r, D=D, s=s, a_plus=a_plus)
+    else:
+        raise InputError(
+            f"{where}: give either a principal-series pair (s1, s2), a lowest "
+            "weight l1, or a spectral parameter r"
+        )
     try:
-        if "s1" in obj or "s2" in obj:
-            s1 = _parse_complex(_field(obj, "s1", where), f"{where}.s1")
-            s2 = _parse_complex(_field(obj, "s2", where), f"{where}.s2")
-            return ArchScenario.principal_series(l, s1, s2, D, s, a_plus)
-        if "l1" in obj:
-            l1 = _parse_int(_field(obj, "l1", where), f"{where}.l1")
-            q_c = _parse_complex(obj.get("q_c", 0), f"{where}.q_c")
-            return ArchScenario.discrete_series(l, l1, q_c, D, s, a_plus)
-        if "r" in obj:
-            q_c = _parse_complex(obj.get("q_c", 0), f"{where}.q_c")
-            r = _parse_complex(_field(obj, "r", where), f"{where}.r")
-            return ArchScenario(l=l, q_c=q_c, r=r, D=D, s=s, a_plus=a_plus)
+        return build()
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
-    raise InputError(
-        f"{where}: give either a principal-series pair (s1, s2), a lowest "
-        "weight l1, or a spectral parameter r"
-    )
 
 
 def _prime_table(value: object, where: str) -> Dict[int, object]:
@@ -921,6 +925,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification batteries for the local and global factors",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    parser.commands = sub.choices
     defaults = {f.name: f.default for f in fields(RunConfig)}
     for name, (_, help_line, reads) in _COMMANDS.items():
         # No abbreviations: "global --p 3" must not be read as --pmax.
@@ -939,7 +944,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    ns, unread = parser.parse_known_args(argv)
+    if unread:
+        # argparse hands a command's unknown flags up to the top-level parser;
+        # report them with the usage line of the command that was given.
+        parser.commands[ns.command].error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         status = run(RunConfig(**vars(ns)))
         sys.stdout.flush()

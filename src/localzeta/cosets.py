@@ -181,33 +181,6 @@ def _flat(rows) -> tuple:
     return tuple(chain.from_iterable(rows))
 
 
-_J4_FLAT = _flat(J4)
-
-
-def _is_symplectic_mod(rows, p: int) -> bool:
-    gt = _flat(zip(*rows))
-    lhs = kernels.mat_mul_mod(kernels.mat_mul_mod(gt, _J4_FLAT, p), _flat(rows), p)
-    return lhs == tuple(v % p for v in _J4_FLAT)
-
-
-@dataclass(frozen=True)
-class FqSp4:
-    """An element of Sp4 over Z/p, stored as rows of ints in [0, p)."""
-
-    entries: tuple
-    p: int
-
-    def __post_init__(self):
-        rows = tuple(tuple(v % self.p for v in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if not _is_symplectic_mod(rows, self.p):
-            raise ValueError("matrix does not preserve the symplectic form")
-
-    @property
-    def flat(self) -> tuple:
-        return _flat(self.entries)
-
-
 def _torus(a1: int, a2: int, p: int):
     i1, i2 = pow(a1, -1, p), pow(a2, -1, p)
     return ((a1, 0, 0, 0), (0, a2, 0, 0), (0, 0, i1, 0), (0, 0, 0, i2))
@@ -273,22 +246,22 @@ def _family_unipotents(family: int, p: int):
         raise ValueError("family must be 1..8")
 
 
-def bruhat_reps(p: int, families=range(1, 9)) -> list[FqSp4]:
-    """All Bruhat-cell representatives of the level-p quotient, mod p."""
+def bruhat_reps(p: int, families=range(1, 9)) -> np.ndarray:
+    """All Bruhat-cell representatives of the level-p quotient, mod p, as one
+    batch of torus * unipotent * Weyl word in family, torus, unipotent order.
+    Raises ValueError if one of them is not symplectic mod p."""
     if p not in (2, 3):
         raise ValueError("exhaustive representative lists are kept to p in {2, 3}")
     units = range(1, p)
-    reps = []
+    tori = [_torus(a1, a2, p) for a1 in units for a2 in units]
+    reps = np.empty((0, 16), dtype=np.uint8)
     for family in families:
-        word = [_flat(s) for s in _WORDS[family]]
-        for a1 in units:
-            for a2 in units:
-                t = _flat(_torus(a1, a2, p))
-                for u in _family_unipotents(family, p):
-                    g = kernels.mat_mul_mod(t, _flat(u), p)
-                    for s in word:
-                        g = kernels.mat_mul_mod(g, s, p)
-                    reps.append(FqSp4((g[0:4], g[4:8], g[8:12], g[12:16]), p))
+        g = kernels.products(tori, list(_family_unipotents(family, p)), p)
+        for s in _WORDS[family]:
+            g = kernels.products(g, s, p)
+        reps = np.concatenate([reps, g])
+    if not kernels.preserves_form(reps, J4, p).all():
+        raise ValueError("a representative does not preserve the symplectic form")
     return reps
 
 
@@ -391,7 +364,7 @@ def coset_audit(p: int) -> CosetAuditReport:
         closed = True
     except RuntimeError:
         closed = False
-    reps = [r.flat for r in bruhat_reps(p)]
+    reps = bruhat_reps(p)
     distinct, duplicate = kernels.mark_products(reps, subgroup, p)
     expected = len(reps) * len(subgroup)
     return CosetAuditReport(

@@ -439,6 +439,15 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
+def factor_product(coeffs: Iterable, q: int, power: int = 1) -> Poly:
+    """The product of 1 - c*t^power over the coefficients c: an inverse local
+    L-factor in t, from its roots' reciprocals.  No coefficients give 1."""
+    product = Poly.one(q)
+    for c in coeffs:
+        product = product * Poly([1, *[0] * (power - 1), -c], q)
+    return product
+
+
 class RationalFunction:
     """Quotient num/den of polynomials, den != 0.
 

@@ -1,11 +1,13 @@
 """Mod-p arithmetic on 4x4 matrices: the hot loops of the coset audit.
 
 A single matrix is a flat row-major 16-tuple of ints.  A batch is an
-(n, 16) uint8 array of entries in [0, p), multiplied with batched
-``np.matmul`` on int16 views.  Each matrix of a batch also has one int64
+(n, 16) uint8 array of entries in [0, p); the batch functions reduce any
+input that reshapes to (n, 16) to one.  ``products`` multiplies all pairs
+of two batches with ``np.matmul`` on int16 views, and ``preserves_form``
+masks the rows g with g^T F g = F.  Each matrix of a batch also has one int64
 code, sum(entry_i * p**(15 - i)); the code is big-endian, so code order is
 the lexicographic order of the tuples, and deduplication is ``np.unique``
-and ``np.isin`` on codes.
+and ``np.isin`` on codes.  The scalar ``mat_mul_mod`` is only a reference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ def backend_name() -> str:
 
 
 def mat_mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """Product of two flat 4x4 matrices mod p, as a tuple of ints."""
+    """Product of two flat 4x4 matrices mod p, as a tuple of ints: the
+    reference that the tests check ``products`` against and the benchmark times."""
     out = []
     for i in (0, 4, 8, 12):
         a0, a1, a2, a3 = a[i], a[i + 1], a[i + 2], a[i + 3]
@@ -49,11 +52,19 @@ def _codes(batch: np.ndarray, p: int) -> np.ndarray:
     return codes
 
 
-def _products(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+def products(left, right, p: int) -> np.ndarray:
     """All products l * r mod p, left-major, as an (len(left) * len(right), 16) batch."""
-    a = left.astype(np.int16).reshape(-1, 1, 4, 4)
-    b = right.astype(np.int16).reshape(1, -1, 4, 4)
+    a = _batch(left, p).astype(np.int16).reshape(-1, 1, 4, 4)
+    b = _batch(right, p).astype(np.int16).reshape(1, -1, 4, 4)
     return (np.matmul(a, b) % p).astype(np.uint8).reshape(-1, 16)
+
+
+def preserves_form(mats, form, p: int) -> np.ndarray:
+    """Boolean mask of the matrices g with g^T * form * g = form mod p."""
+    g = _batch(mats, p).astype(np.int16).reshape(-1, 4, 4)
+    f = _batch(form, p).astype(np.int16).reshape(4, 4)
+    gtf = np.matmul(np.swapaxes(g, 1, 2), f) % p  # reduce before the int16 product
+    return (np.matmul(gtf, g) % p == f).all(axis=(1, 2))
 
 
 def group_closure(gens, p: int, max_size: int) -> np.ndarray:
@@ -70,7 +81,7 @@ def group_closure(gens, p: int, max_size: int) -> np.ndarray:
     group_codes = _codes(group, p)
     frontier = group
     while len(frontier):
-        prods = _products(frontier, gens, p)
+        prods = products(frontier, gens, p)
         codes, first = np.unique(_codes(prods, p), return_index=True)
         fresh = ~np.isin(codes, group_codes)
         frontier = prods[first[fresh]]
@@ -90,7 +101,7 @@ def mark_products(reps, subgroup, p: int) -> tuple[int, tuple[int, ...] | None]:
     the subgroup, no product repeats and the count is
     len(reps)*len(subgroup).
     """
-    prods = _products(_batch(reps, p), _batch(subgroup, p), p)
+    prods = products(reps, subgroup, p)
     codes = _codes(prods, p)
     first = np.unique(codes, return_index=True)[1]
     if len(first) == len(codes):

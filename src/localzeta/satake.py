@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import Poly, QuadCoeff, Rational, q_half_power, rat
+from .exact import Poly, Rational, factor_product, q_half_power, rat
 from .localfield import LocalQuadData, SplittingSymbol
 
 
@@ -75,23 +75,10 @@ def l8_inverse(sat: SatakeParams, st: SteinbergData, q: int) -> Poly:
     """Degree-8-type inverse L-factor of the contragredient pair, in t = q^(-3s).
 
     Each linear factor carries the coefficient gamma^(-1) Omega^(-1) q^(-1/2)
-    in the variable u = q^(-3s-1/2); expanding first and substituting
-    u = q^(-1/2) t afterwards keeps the sqrt(q) arithmetic honest, and the
-    result is checked to have purely rational coefficients.
+    in the variable u = q^(-3s-1/2) = q^(-1/2) t, which in t is the rational
+    coefficient gamma^(-1) Omega^(-1) q^(-1).
     """
-    half_inv = q_half_power(q, -1)  # q^(-1/2), genuinely irrational
-    product = Poly.one(q)
-    for g in sat.gamma:
-        c = half_inv * (1 / (g * st.omega_piF))
-        product = product * Poly([QuadCoeff.rational(1, q), -c], q)
-    # substitute u = q^(-1/2) t: scale the t^k coefficient by q^(-k/2)
-    coeffs = [
-        product.coefficient(k) * q_half_power(q, -k) for k in range(product.degree + 1)
-    ]
-    result = Poly(coeffs, q)
-    assert all(c.is_rational for c in result.coefficients), "sqrt(q) part must cancel"
-    assert result.degree == 4
-    return result
+    return factor_product([1 / (g * st.omega_piF * q) for g in sat.gamma], q)
 
 
 def l_tau_ai_chi_inverse(
@@ -107,15 +94,13 @@ def l_tau_ai_chi_inverse(
         raise ValueError("chi_piF must be nonzero")
     q = local.q
     if local.symbol is SplittingSymbol.INERT:
-        return Poly([1, 0, -chi_piF * rat(1, q**3)], q)
+        return factor_product([chi_piF * rat(1, q**3)], q, power=2)
     if local.lambda_piL is None:
         raise ValueError("missing lambda_piL for a non-inert class")
-    chi_omega = chi_piF * st.omega_piF
-    three_half_inv = q_half_power(q, -3)
-    first = Poly([1, -(three_half_inv * (local.lambda_piL * chi_omega))], q)
-    if local.symbol is SplittingSymbol.RAMIFIED:
-        return first
-    if local.lambda_piF_over_piL is None:
-        raise ValueError("missing lambda_piF_over_piL for the split class")
-    second = Poly([1, -(three_half_inv * (local.lambda_piF_over_piL * chi_omega))], q)
-    return first * second
+    slots = [local.lambda_piL]
+    if local.symbol is SplittingSymbol.SPLIT:
+        if local.lambda_piF_over_piL is None:
+            raise ValueError("missing lambda_piF_over_piL for the split class")
+        slots.append(local.lambda_piF_over_piL)
+    scale = q_half_power(q, -3) * (chi_piF * st.omega_piF)
+    return factor_product([scale * lam for lam in slots], q)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import Poly, QuadCoeff, RationalFunction, TruncatedSeries, q_half_power, rat, series_of
+from .exact import Poly, QuadCoeff, RationalFunction, TruncatedSeries, factor_product, q_half_power, rat, series_of
 from .localfield import LocalQuadData, SplittingSymbol
 from .satake import SatakeParams
 
@@ -57,10 +57,8 @@ def sugano_polys(local: LocalQuadData, sat: SatakeParams) -> SuganoPolys:
             qm2 * (local.lambda_piL + local.lambda_piF_over_piL), q
         )
     H = Poly([1, -A5, -(A2 * A4)], q)
-    Q = Poly.one(q)
     scale = q_half_power(q, -3)
-    for g in sat.gamma:
-        Q = Q * Poly([1, -(scale * g)], q)
+    Q = factor_product([scale * g for g in sat.gamma], q)
     return SuganoPolys(H=H, Q=Q, A2=A2, A4=A4, A5=A5)
 
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .exact import (
-    Poly,
     QuadCoeff,
     Rational,
     RationalFunction,
     TruncatedSeries,
+    factor_product,
     q_half_power,
     rat,
     series_of,
@@ -171,8 +171,7 @@ def z_closed_form(sc: ScenarioData) -> RationalFunction:
     q = sc.q
     num = l_tau_ai_chi_inverse(sc.local, sc.chi_piF, sc.st)
     den = l8_inverse(sc.sat, sc.st, q)
-    scaled = Poly([c * prefactor(sc.local) for c in num.coefficients], q)
-    return RationalFunction(scaled, den)
+    return RationalFunction(num * prefactor(sc.local), den)
 
 
 @dataclass(frozen=True)
@@ -223,28 +222,17 @@ def unramified_local_factor(
         raise ValueError("tau Satake values must be nonzero")
     q = local.q
     chi = 1 / (sat.omega_pi_piF * beta1 * beta2)
-    zeta_inv = Poly([1, 0, rat(-1, q)], q)
+    zeta_inv = factor_product([rat(1, q)], q, power=2)
 
     betas = (beta1, beta2)
     if local.symbol is SplittingSymbol.INERT:
-        ai = Poly.one(q)
-        for b in betas:
-            ai = ai * Poly([1, 0, -local.lambda_piF * chi * chi * b * b * rat(1, q**2)], q)
-    elif local.symbol is SplittingSymbol.RAMIFIED:
-        ai = Poly.one(q)
-        for b in betas:
-            ai = ai * Poly([1, -local.lambda_piL * chi * b * rat(1, q)], q)
+        ai = factor_product([local.lambda_piF * (chi * b) ** 2 / q**2 for b in betas], q, power=2)
     else:
-        ai = Poly.one(q)
-        for b in betas:
-            for delta in (local.lambda_piL, local.lambda_piF_over_piL):
-                ai = ai * Poly([1, -delta * chi * b * rat(1, q)], q)
+        deltas = [local.lambda_piL]
+        if local.symbol is SplittingSymbol.SPLIT:
+            deltas.append(local.lambda_piF_over_piL)
+        ai = factor_product([d * chi * b * rat(1, q) for b in betas for d in deltas], q)
 
-    den = Poly.one(q)
     half_inv = q_half_power(q, -1)
-    for g in sat.gamma:
-        for b in betas:
-            den = den * Poly([1, -(half_inv * (1 / (g * b)))], q)
-    assert den.degree == 8
-
+    den = factor_product([half_inv * (1 / (g * b)) for g in sat.gamma for b in betas], q)
     return RationalFunction(zeta_inv * ai, den)

@@ -357,6 +357,25 @@ class TestVerifyArch:
                       {"l": 12, "r": 3, "q_c": 0.5, "D": 4, "s": 1.5}):
             assert cli._arch_scenario_from(entry, "x").q_c == 0.5
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (
+                {"l": 12, "s1": "x", "s2": 0, "D": 3, "s": 1},
+                "error: arch_scenarios[0].s1: expected 'num/den', got 'x'",
+            ),
+            (
+                {"l": 13, "s1": 0, "s2": 0, "D": 3, "s": 1},
+                "error: arch_scenarios[0]: l must be an even integer >= 2",
+            ),
+        ],
+        ids=["parse-error", "constructor-error"],
+    )
+    def test_error_names_the_entry_once(self, write_doc, capsys, entry, message):
+        path = write_doc({"arch_scenarios": [entry]})
+        assert main(["verify-arch", "--input", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_builtin_grid_constructs(self):
         from localzeta.cli import _builtin_arch_grid
 
@@ -601,6 +620,26 @@ class TestFlags:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["verify-volumes", "--seed", "5"], "verify-volumes [-h] [--format {table,machine}]"),
+            (
+                ["global", "--p", "3"],
+                "global [-h] [--input INPUT_PATH] [--pmax P_MAX] [--format {table,machine}]",
+            ),
+        ],
+        ids=["verify-volumes --seed 5", "global --p 3"],
+    )
+    def test_unread_flag_shows_the_command_usage(self, argv, usage, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one usage line, whatever the terminal
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"usage: localzeta {usage}"
+        assert err[-1] == f"localzeta {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}"
 
     @pytest.mark.parametrize(
         "argv, fields",

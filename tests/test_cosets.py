@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from localzeta import cosets
+from localzeta import cosets, kernels
 from localzeta.exact import QuadCoeff, rat
 from localzeta.kernels import IDENTITY, group_closure, mark_products, mat_mul_mod
 from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
@@ -13,7 +14,6 @@ from localzeta.cosets import (
     CosetAuditReport,
     DegenerateDraw,
     EtaleMatrix,
-    FqSp4,
     IDENTITY_NAMES,
     _sp4_generators,
     bruhat_reps,
@@ -140,8 +140,37 @@ class TestBruhatReps:
 
     def test_non_symplectic_rejected(self):
         bad = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        with pytest.raises(ValueError):
-            FqSp4(bad, 3)
+        assert kernels.preserves_form([cosets._flat(bad), IDENTITY], cosets.J4, 3).tolist() == [False, True]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_batch_equals_scalar_construction(self, p):
+        # The representatives one scalar product at a time: torus * unipotent,
+        # then one product per letter of the Weyl word, in family, torus,
+        # unipotent order.
+        reference = []
+        for family in range(1, 9):
+            for a1 in range(1, p):
+                for a2 in range(1, p):
+                    t = cosets._flat(cosets._torus(a1, a2, p))
+                    for u in cosets._family_unipotents(family, p):
+                        g = mat_mul_mod(t, cosets._flat(u), p)
+                        for s in cosets._WORDS[family]:
+                            g = mat_mul_mod(g, cosets._flat(s), p)
+                        reference.append(g)
+        reps = bruhat_reps(p)
+        assert reps.dtype == np.uint8 and reps.shape == (len(reference), 16)
+        assert [tuple(r) for r in reps.tolist()] == reference
+
+    def test_non_symplectic_representative_raises(self, monkeypatch):
+        bad = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        monkeypatch.setattr(cosets, "_family_unipotents", lambda family, p: iter([bad]))
+        with pytest.raises(ValueError, match="symplectic"):
+            bruhat_reps(3, families=[2])
+
+    def test_unknown_family_rejected(self):
+        for family in (0, 9):
+            with pytest.raises(ValueError, match="family"):
+                bruhat_reps(2, families=[1, family])
 
 
 class TestCosetAudit:
@@ -175,7 +204,7 @@ def _audit_subgroup(p):
 
 class TestKernels:
     def test_duplicate_witness_is_first_repeat(self):
-        reps = [r.flat for r in bruhat_reps(2)]
+        reps = [tuple(r) for r in bruhat_reps(2).tolist()]
         reps.insert(5, reps[3])
         group = [tuple(m) for m in _audit_group(2).tolist()]
         subgroup = sorted(m for m in group if ksharp_mod_p_member(m, 2))
@@ -235,6 +264,42 @@ class TestKernels:
                 duplicate = prod
             seen.add(prod)
         assert mark_products(reps, subgroup, p) == (len(seen), duplicate)
+
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_products_and_form_match_scalar_reference(self, p):
+        rng = random.Random(100 + p)
+
+        def draw():
+            return tuple(rng.randrange(-p, 2 * p) for _ in range(16))
+
+        left = [draw() for _ in range(6)]
+        right = [draw() for _ in range(5)]
+        batch = kernels.products(left, right, p)
+        assert [tuple(m) for m in batch.tolist()] == [
+            mat_mul_mod(a, b, p) for a in left for b in right
+        ]
+
+        # random words in integral symplectic generators, mixed with random matrices
+        gens = _sp4_generators(2)
+        mats = []
+        for _ in range(12):
+            g = IDENTITY
+            for _ in range(8):
+                g = mat_mul_mod(g, rng.choice(gens), p)
+            mats += [g, draw()]
+
+        def transpose(m):
+            return tuple(m[4 * j + i] for i in range(4) for j in range(4))
+
+        for form in (cosets._flat(cosets.J4), draw()):
+            want = [
+                mat_mul_mod(mat_mul_mod(transpose(g), form, p), g, p)
+                == tuple(v % p for v in form)
+                for g in mats
+            ]
+            assert kernels.preserves_form(mats, form, p).tolist() == want
+        assert kernels.preserves_form(mats, cosets.J4, p)[::2].all()
 
 
 class _QueueRng:

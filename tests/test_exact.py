@@ -9,6 +9,7 @@ from localzeta.exact import (
     Rational,
     RationalFunction,
     TruncatedSeries,
+    factor_product,
     q_half_power,
     rat,
     series_of,
@@ -146,6 +147,21 @@ class TestPoly:
     def test_str(self):
         p = Poly([1, 0, QuadCoeff(0, rat(-1, 2), 2)], 2)
         assert p.to_str() == "1 - (1/2*sqrt(2))*t^2"
+
+
+class TestFactorProduct:
+    def test_equals_explicit_products(self):
+        q = 3
+        cs = [rat(1, 2), QuadCoeff(rat(1, 3), rat(-2, 5), q), rat(-7)]
+        linear = Poly([1, -cs[0]], q) * Poly([1, -cs[1]], q) * Poly([1, -cs[2]], q)
+        inert = Poly([1, 0, -cs[0]], q) * Poly([1, 0, -cs[1]], q) * Poly([1, 0, -cs[2]], q)
+        assert factor_product(cs, q) == linear
+        assert factor_product(cs, q, power=2) == inert
+        assert factor_product(iter(cs), q).degree == 3
+
+    def test_no_factors_is_one(self):
+        assert factor_product([], 5) == Poly.one(5)
+        assert factor_product([], 5, power=2) == Poly.one(5)
 
 
 class TestRationalFunction:
