@@ -503,6 +503,8 @@ def _theorem1_record(name: str, sc: ScenarioData, order: int) -> Record:
             None if rep.closed_coefficient is None else str(rep.closed_coefficient)
         ),
     }
+    if not rep.m_positive_vanishes:
+        witness["first_nonzero_cell"] = rep.first_nonzero_cell
     return _record(name, False, witness)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -642,21 +642,33 @@ def vol_k_sharp(q: int) -> Rational:
     return rat(1, (q**2 - 1) * (q**4 - 1))
 
 
-def volume_V1(local: LocalQuadData, l: int, m: int) -> Rational:
-    """Volume sum over the torus-family double coset at (l, m)."""
+def volume_numerators(local: LocalQuadData, l: int, m: int) -> Tuple[int, int, int]:
+    """The volume formula: V1 and V2 at (l, m) as integers over one denominator.
+
+    Returns (n1, n2, den) with V1 = n1/den and V2 = n2/den, where
+    den = (q + 1)(q^4 - 1), n1 = (q - symbol) q^(4m + 3l) and
+    n2 = (q - symbol) q^(4m + 3l + 1).  The long-Weyl family is empty at
+    m = 0, so n2 is 0 there.  The fractions are not reduced; callers that
+    only test a combination of V1 and V2 for zero never need them to be.
+    """
     if l < 0 or m < 0:
         raise ValueError("l and m must be non-negative")
     q = local.q
-    # (1 - symbol/q) q^(4m + 3l + 1) / ((q + 1)(q^4 - 1)) as one integer ratio
-    return rat((q - int(local.symbol)) * q ** (4 * m + 3 * l), (q + 1) * (q**4 - 1))
+    n1 = (q - int(local.symbol)) * q ** (4 * m + 3 * l)
+    return n1, (n1 * q if m else 0), (q + 1) * (q**4 - 1)
+
+
+def volume_V1(local: LocalQuadData, l: int, m: int) -> Rational:
+    """Volume sum over the torus-family double coset at (l, m), reduced."""
+    n1, _, den = volume_numerators(local, l, m)
+    return rat(n1, den)
 
 
 def volume_V2(local: LocalQuadData, l: int, m: int) -> Rational:
-    """Volume sum over the long-Weyl-family double coset; needs m > 0."""
+    """Volume sum over the long-Weyl-family double coset, reduced; needs m > 0."""
     if l < 0:
         raise ValueError("l must be non-negative")
     if m < 1:
         raise ValueError("the long-Weyl family only occurs for m > 0")
-    q = local.q
-    # (1 - symbol/q) q^(4m + 3l + 2) / ((q + 1)(q^4 - 1)) as one integer ratio
-    return rat((q - int(local.symbol)) * q ** (4 * m + 3 * l + 1), (q + 1) * (q**4 - 1))
+    _, n2, den = volume_numerators(local, l, m)
+    return rat(n2, den)

@@ -598,20 +598,35 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
     With num = sum c_k t^k and den = sum d_k t^k, the expansion s
     satisfies s_k = c_k - sum_{j>=1} d_j s_{k-j}: RationalFunction already
     scales a nonzero d_0 to exactly 1, so there is nothing to divide by.
+
+    The recurrence runs on the (A, B, D) triples themselves.  Each s_k is
+    accumulated over one running denominator, the lcm of its terms'
+    denominators, and reduced once, by gcd(D, A, B): the normal form is
+    unique, so every coefficient is the triple QuadCoeff arithmetic gives.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
     if not rf.den.constant_term:
         raise PoleAtOriginError("pole at origin: denominator vanishes at t = 0")
     q = rf.q
-    dcoeffs = rf.den.coefficients
-    s: list[QuadCoeff] = []
+    num = [c._v[:3] for c in rf.num.coefficients[: n + 1]]
+    num += [(0, 0, 1)] * (n + 1 - len(num))
+    den = [(j, d._v[:3]) for j, d in enumerate(rf.den.coefficients) if j and d]
+    s: list[tuple] = []
     for k in range(n + 1):
-        acc = rf.num.coefficient(k)
-        for j in range(1, min(k, len(dcoeffs) - 1) + 1):
-            dj = dcoeffs[j]
-            if dj:
-                acc = acc - dj * s[k - j]
-        s.append(acc)
-    return TruncatedSeries(s, q)
-
+        A, B, D = num[k]
+        for j, (dA, dB, dD) in den:
+            if j > k:
+                break
+            sA, sB, sD = s[k - j]
+            # Subtract d_j s_{k-j} = (pA + pB sqrt(q))/pD over lcm(D, pD).
+            pD = dD * sD
+            g = gcd(D, pD)
+            t = pD // g
+            u = D // g
+            A = A * t - (dA * sA + dB * sB * q) * u
+            B = B * t - (dA * sB + dB * sA) * u
+            D *= t
+        g = gcd(D, A, B)
+        s.append((A // g, B // g, D // g))
+    return TruncatedSeries([_quad(A, B, D, q) for A, B, D in s], q)

@@ -12,7 +12,7 @@ equality, not a numeric tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .exact import (
     QuadCoeff,
@@ -27,7 +27,7 @@ from .exact import (
 from .localfield import LocalQuadData, SplittingSymbol
 from .satake import SatakeParams, SteinbergData, chi_piF_from, l8_inverse, l_tau_ai_chi_inverse
 from .sugano import bessel_values, sugano_polys
-from .cosets import volume_V1, volume_V2
+from .cosets import volume_numerators, volume_V1
 
 #: The unramified factor below is assembled as the unique quotient shape
 #: consistent with the global product; the underlying general formula is
@@ -68,14 +68,16 @@ def steinberg_whittaker_diag(l: int, st: SteinbergData, q: int) -> Rational:
     """Newform value on diag(varpi^l, 1): Omega(varpi)^l q^(-l), zero for l < 0."""
     if l < 0:
         return rat(0)
-    return st.omega_piF**l * rat(1, q**l)
+    w = st.omega_piF
+    return Rational(w.numerator**l, w.denominator**l * q**l)
 
 
 def steinberg_whittaker_al(l: int, st: SteinbergData, q: int) -> Rational:
     """Newform value on antidiag(varpi^l; 1): -Omega(varpi)^l q^(-l-1)."""
     if l < 0:
         raise ValueError("l must be non-negative")
-    return -(st.omega_piF**l) * rat(1, q ** (l + 1))
+    w = st.omega_piF
+    return Rational(-(w.numerator**l), w.denominator**l * q ** (l + 1))
 
 
 def prefactor(local: LocalQuadData) -> Rational:
@@ -88,16 +90,30 @@ def _zero_coeffs(n: int, q: int) -> list:
     return [QuadCoeff.rational(0, q) for _ in range(n + 1)]
 
 
-_ZERO = rat(0)
+def _nonzero_brackets(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, Rational]]:
+    """(l, m, W_diag V1 + W_al V2) for each cell, in loop order, whose bracket
+    is non-zero.
 
-
-def _dot2(x1: Rational, y1: Rational, x2: Rational, y2: Rational) -> Rational:
-    """x1*y1 + x2*y2 over one common denominator: one rational normalisation
-    instead of three."""
-    d1 = x1.denominator * y1.denominator
-    d2 = x2.denominator * y2.denominator
-    num = x1.numerator * y1.numerator * d2 + x2.numerator * y2.numerator * d1
-    return Rational(num, d1 * d2) if num else _ZERO
+    Every cell 0 <= l <= n - 2, 1 <= m <= (n - l)/2 is evaluated from the
+    newform values and the volume numerators; none is skipped because the
+    algebra says it vanishes.  V1 = n1/den and V2 = n2/den share den, so
+    the bracket is zero exactly when the integer
+    W_diag.num W_al.den n1 + W_al.num W_diag.den n2 is, and a Rational is
+    built only when it is not.
+    """
+    q = sc.q
+    local = sc.local
+    for l in range(0, n - 1):
+        w_diag = steinberg_whittaker_diag(l, sc.st, q)
+        w_al = steinberg_whittaker_al(l, sc.st, q)
+        c1 = w_diag.numerator * w_al.denominator
+        c2 = w_al.numerator * w_diag.denominator
+        w_den = w_diag.denominator * w_al.denominator
+        for m in range(1, (n - l) // 2 + 1):
+            n1, n2, v_den = volume_numerators(local, l, m)
+            num = c1 * n1 + c2 * n2
+            if num:
+                yield l, m, Rational(num, w_den * v_den)
 
 
 def z_series_m_positive(sc: ScenarioData, n: int) -> TruncatedSeries:
@@ -110,9 +126,10 @@ def z_series_m_positive(sc: ScenarioData, n: int) -> TruncatedSeries:
     the neutral placeholder 1.  The result must be identically zero, and
     callers assert exactly that.
 
-    The bracket W_diag V1 + W_al V2 of each cell is formed first; the
-    character and absolute-value factors multiply in only where it is
-    nonzero (an exact zero times anything is zero).
+    Each cell's bracket W_diag V1 + W_al V2 is tested for zero on integers
+    (see _nonzero_brackets); the character and absolute-value factors
+    multiply in only where it is non-zero (an exact zero times anything is
+    zero).
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -121,19 +138,11 @@ def z_series_m_positive(sc: ScenarioData, n: int) -> TruncatedSeries:
     omega_pi = sc.sat.omega_pi_piF
     omega = sc.st.omega_piF
     units = q - 1
-    for l in range(0, n - 1):
-        w_diag = steinberg_whittaker_diag(l, sc.st, q)
-        w_al = steinberg_whittaker_al(l, sc.st, q)
-        for m in range(1, (n - l) // 2 + 1):
-            bracket = _dot2(
-                w_diag, volume_V1(sc.local, l, m), w_al, volume_V2(sc.local, l, m)
-            )
-            if not bracket:
-                continue
-            k = 2 * m + l
-            char = (1 / omega_pi) ** k * (1 / omega) ** (2 * k) * omega ** (2 * m)
-            term = q_half_power(q, -3 * k) * (units * char * bracket)
-            coeffs[k] = coeffs[k] + term
+    for l, m, bracket in _nonzero_brackets(sc, n):
+        k = 2 * m + l
+        char = (1 / omega_pi) ** k * (1 / omega) ** (2 * k) * omega ** (2 * m)
+        term = q_half_power(q, -3 * k) * (units * char * bracket)
+        coeffs[k] = coeffs[k] + term
     return TruncatedSeries(coeffs, q)
 
 
@@ -176,7 +185,12 @@ def z_closed_form(sc: ScenarioData) -> RationalFunction:
 
 @dataclass(frozen=True)
 class Theorem1Report:
-    """Outcome of one exact scenario comparison, with a witness on failure."""
+    """Outcome of one exact scenario comparison, with a witness on failure.
+
+    first_nonzero_cell is the first (l, m), in loop order, whose bracket
+    W_diag V1 + W_al V2 is non-zero.  It is looked up only when the m > 0
+    sum does not vanish, and is None otherwise.
+    """
 
     ok: bool
     order: int
@@ -185,6 +199,7 @@ class Theorem1Report:
     first_difference: Optional[int]
     direct_coefficient: Optional[str]
     closed_coefficient: Optional[str]
+    first_nonzero_cell: Optional[Tuple[int, int]]
 
 
 def verify_theorem1(sc: ScenarioData, n: int = 25) -> Theorem1Report:
@@ -193,6 +208,9 @@ def verify_theorem1(sc: ScenarioData, n: int = 25) -> Theorem1Report:
     direct = _z_series_m_zero(sc, n) + partial
     closed = series_of(z_closed_form(sc), n)
     vanishes = not any(partial.coefficients)
+    cell = None
+    if not vanishes:
+        cell = next(((l, m) for l, m, _ in _nonzero_brackets(sc, n)), None)
     idx = direct.first_difference(closed)
     return Theorem1Report(
         ok=(idx is None and vanishes),
@@ -202,6 +220,7 @@ def verify_theorem1(sc: ScenarioData, n: int = 25) -> Theorem1Report:
         first_difference=idx,
         direct_coefficient=None if idx is None else str(direct[idx]),
         closed_coefficient=None if idx is None else str(closed[idx]),
+        first_nonzero_cell=cell,
     )
 
 

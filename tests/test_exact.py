@@ -1,5 +1,7 @@
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localzeta.exact import (
@@ -185,6 +187,21 @@ class TestRationalFunction:
         assert rf == doubled
 
 
+def series_by_dispatch(rf, n):
+    """The s_k = c_k - sum d_j s_{k-j} recurrence on QuadCoeff operators,
+    one reduced operation per step: the reference series_of must match."""
+    dcoeffs = rf.den.coefficients
+    s = []
+    for k in range(n + 1):
+        acc = rf.num.coefficient(k)
+        for j in range(1, min(k, len(dcoeffs) - 1) + 1):
+            dj = dcoeffs[j]
+            if dj:
+                acc = acc - dj * s[k - j]
+        s.append(acc)
+    return s
+
+
 class TestSeries:
     def test_geometric(self):
         rf = RationalFunction(Poly([1], 2), Poly([1, -1], 2))
@@ -215,6 +232,25 @@ class TestSeries:
         prod = Poly(list(s.coefficients), s.q) * rf.den
         for k in range(n + 1):
             assert prod.coefficient(k) == rf.num.coefficient(k)
+
+    # q = 4 is a square (zero divisors) and q = -3 is negative.
+    @given(
+        st.sampled_from([2, 3, 5, 4, -3]).flatmap(
+            lambda q: st.tuples(polys(q), polys(q), st.integers(min_value=0, max_value=25))
+        )
+    )
+    @settings(max_examples=100)
+    def test_matches_quadcoeff_recurrence_in_normal_form(self, args):
+        num, den, n = args
+        d0 = den.constant_term
+        assume(d0 and d0.norm != 0)
+        rf = RationalFunction(num, den)
+        s = series_of(rf, n)
+        assert s.q == rf.q and s.order == n
+        assert list(s.coefficients) == series_by_dispatch(rf, n)
+        for c in s.coefficients:
+            A, B, D, _ = c._v
+            assert D > 0 and gcd(A, B, D) == 1
 
     def test_long_division_oracle_degree_2(self):
         # independent hand long division for a degree-2 case:

@@ -1,7 +1,10 @@
 """Tests for the two sides of the local zeta identity."""
 
+import json
+
 import pytest
 
+from localzeta import cli
 from localzeta.exact import Poly, QuadCoeff, RationalFunction, TruncatedSeries, q_half_power, rat, series_of
 from localzeta.localfield import LocalQuadData, SplittingSymbol
 from localzeta.rng import SplitMix64, draw_scenario, draw_tau_satake, scenario_stream
@@ -159,6 +162,8 @@ class TestTheorem1:
         report = verify_theorem1(sc, n)
         assert not report.ok
         assert not report.m_positive_vanishes
+        # Every bracket of the real volumes still vanishes.
+        assert report.first_nonzero_cell is None
 
     def test_report_fields_on_success(self):
         report = verify_theorem1(trivial_inert_scenario(), n=8)
@@ -166,6 +171,69 @@ class TestTheorem1:
         assert report.ok and report.series_match and report.m_positive_vanishes
         assert report.first_difference is None
         assert report.direct_coefficient is None
+        assert report.first_nonzero_cell is None
+
+
+@pytest.fixture
+def wrong_v2_at_3_2(monkeypatch):
+    """Volume numerators with V2 off by one at (l, m) = (3, 2) only."""
+    real = zeta.volume_numerators
+
+    def patched(local, l, m):
+        n1, n2, den = real(local, l, m)
+        return n1, n2 + ((l, m) == (3, 2)), den
+
+    monkeypatch.setattr(zeta, "volume_numerators", patched)
+
+
+class TestFirstNonzeroCell:
+    """A wrong volume is named by its (l, m) cell, in the report and on stdout."""
+
+    def test_report_names_the_cell(self, wrong_v2_at_3_2):
+        for symbol in SplittingSymbol:
+            sc = draw_scenario(SplitMix64(31), symbol, 3)
+            report = verify_theorem1(sc, n=10)
+            assert not report.ok
+            assert not report.m_positive_vanishes
+            assert report.first_nonzero_cell == (3, 2)
+
+    def test_verify_local_prints_the_cell(self, wrong_v2_at_3_2, capsys):
+        argv = ["verify-local", "--trials", "1", "--order", "10", "--format", "machine"]
+        assert cli.main(argv) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert records and all(r["status"] == "fail" for r in records)
+        assert all(r["witness"]["first_nonzero_cell"] == [3, 2] for r in records)
+
+    def test_cell_is_absent_from_passing_and_series_witnesses(self):
+        """Only a non-vanishing m > 0 sum adds the cell to the witness."""
+        sc = draw_scenario(SplitMix64(32), SplittingSymbol.SPLIT, 3)
+        object.__setattr__(sc.st, "omega_piF", 2 * sc.st.omega_piF)
+        record = cli._theorem1_record("local/control", sc, 10)
+        assert record["status"] == "fail"
+        assert "first_nonzero_cell" not in record["witness"]
+
+
+class TestDeepOrder:
+    """Order 80, where series coefficients run to kilobits."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("symbol", list(SplittingSymbol))
+    def test_one_scenario_per_cell(self, q, symbol):
+        sc = draw_scenario(SplitMix64(80), symbol, q)
+        report = verify_theorem1(sc, n=80)
+        assert report.ok, (q, symbol, report)
+        assert not any(z_series_m_positive(sc, 80).coefficients)
+
+    def test_doubled_omega_witness_matches_order_25(self):
+        sc = draw_scenario(SplitMix64(81), SplittingSymbol.SPLIT, 3)
+        object.__setattr__(sc.st, "omega_piF", 2 * sc.st.omega_piF)
+        shallow = verify_theorem1(sc, n=25)
+        deep = verify_theorem1(sc, n=80)
+        assert not shallow.ok and not deep.ok
+        assert shallow.first_difference is not None
+        assert deep.first_difference == shallow.first_difference
+        assert deep.direct_coefficient == shallow.direct_coefficient
+        assert deep.closed_coefficient == shallow.closed_coefficient
 
 
 class TestNegativeControls:
