@@ -8,6 +8,13 @@ weight-l special-value constant is a level-free front times kappa_N at
 s0 = l/6 - 1/2 (where 6 s0 + 1 = l - 2); and the consistency identity
 checks the closed form at s0 against that same front.
 
+The s-free part of every local factor (its divisors and character
+prefixes) is built once per input, on first use, into
+GlobalInput.euler_table; each report evaluates that table at its own
+t = p^(-3s) in one loop, with the floating-point operations of a
+per-prime evaluation in their order, so the table changes no bit of a
+report.
+
 Character data is complex-valued here (unitary class characters), while
 the formal local modules work over exact rationals; the two layers meet
 only through numeric evaluation of the same formulas, and the tests pin
@@ -16,12 +23,13 @@ that meeting point prime by prime.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .arch import _gamma_quotient, c1_coefficient
 from .exact import Rational, rat
@@ -136,6 +144,63 @@ class PrimeQuadData:
         )
 
 
+#: The s-free part of one prime's local factor: complex(p), the divisors d
+#: of the degree-8 inverse factor prod_d (1 - t/d), and the auxiliary
+#: (prefix, denominator) pairs of the twist's factors 1 - k t/den and
+#: 1 - k t^2/den.
+FactorRow = Tuple[
+    complex,
+    Tuple[complex, ...],
+    Tuple[Tuple[complex, float], ...],
+    Tuple[Tuple[complex, float], ...],
+]
+
+
+def _factor_row(
+    p: int,
+    data: PrimeQuadData,
+    gl2,
+    gamma: Tuple[complex, ...],
+    omega_pi: complex,
+    at_level: bool,
+) -> FactorRow:
+    """The row of the Euler-product table at p (see FactorRow).
+
+    The degree-8 inverse factor is the contragredient pairing, every
+    Satake value inverted: its divisors are g b sqrt(p) over the Satake
+    values g and the GL(2) Satake pair b, or g omega p with the twist
+    value omega at a level prime.  The auxiliary factor is the inverse
+    local factor of the induced-character twist; a report multiplies it
+    by zeta_p(6s+1)^(-1) = 1 - t^2/p (assembled, not restated; see
+    UNRAMIFIED_FACTOR_NOTE).  Every divisor and prefix is the
+    left-associated product that a per-prime evaluation forms, so the
+    table changes no bit of a report.
+    """
+    if at_level:
+        omega = complex(gl2)
+        chi = 1 / (omega_pi * omega * omega)
+        divisors = tuple(g * omega * p for g in gamma)
+        if data.symbol == -1:
+            return complex(p), divisors, (), ((chi, p**3),)
+        chi_omega = chi * omega
+        deltas = (data.lambda_piL,) if data.symbol == 0 else (
+            data.lambda_piL, data.lambda_piF_over_piL
+        )
+        return complex(p), divisors, tuple((d * chi_omega, p**1.5) for d in deltas), ()
+    beta = tuple(complex(b) for b in gl2)
+    chi = 1 / (omega_pi * beta[0] * beta[1])
+    root = math.sqrt(p)
+    divisors = tuple(g * b * root for g in gamma for b in beta)
+    if data.symbol == -1:
+        return complex(p), divisors, (), tuple(
+            (data.lambda_piF * (chi * b) ** 2, p**2) for b in beta
+        )
+    deltas = (data.lambda_piL,) if data.symbol == 0 else (
+        data.lambda_piL, data.lambda_piF_over_piL
+    )
+    return complex(p), divisors, tuple((d * chi * b, p) for b in beta for d in deltas), ()
+
+
 @dataclass(frozen=True)
 class GlobalInput:
     """Everything the global formulas consume.
@@ -148,6 +213,9 @@ class GlobalInput:
     a twist value +-1 at a level prime), and local_table holds the
     quadratic character data.  l1 is the lowest weight of the degree-2
     archimedean component and defaults to l.
+
+    The Euler-product factor table (euler_table) is built once per
+    input, on first use, so no report repeats its per-prime set-up.
     """
 
     l: int
@@ -227,6 +295,25 @@ class GlobalInput:
                     f"pairing constraint violated at p = {p}: "
                     f"lambda_piF = {data.lambda_piF} but omega_pi = {self.omega_pi(p)}"
                 )
+
+    @functools.cached_property
+    def euler_table(self) -> Tuple[Dict[int, FactorRow], Dict[int, ArithmeticError]]:
+        """The s-free part of the local factor at each prime covered by all
+        three tables (see FactorRow), and the primes whose row could not be
+        built, with the ArithmeticError a report reaching them raises."""
+        rows: Dict[int, FactorRow] = {}
+        faults: Dict[int, ArithmeticError] = {}
+        for p, data in self.local_table.items():
+            if p in self.satake_table and p in self.gl2_table:
+                p = int(p)
+                try:
+                    rows[p] = _factor_row(
+                        p, data, self.gl2_table[p], self.gamma(p), self.omega_pi(p),
+                        p in self.level_primes,
+                    )
+                except ArithmeticError as exc:  # values at the edge of the float range
+                    faults[p] = exc
+        return rows, faults
 
     @property
     def h(self) -> int:
@@ -310,60 +397,10 @@ def kappa_N(gi: GlobalInput, s):
     return value
 
 
-def _local_factor_parts(gi: GlobalInput, p: int, s: complex):
-    """(rankin_inverse, aux_inverse) at t = p^(-3s).
-
-    rankin_inverse is the inverse local factor of the degree-8 pairing
-    (contragredient shape: every Satake value enters inverted), built
-    from the Satake pair off the level and from the twist value at a
-    level prime.  aux_inverse is zeta_p(6s+1)^(-1) times the inverse
-    local factor of the induced-character twist.  The local factor of
-    the global product is aux_inverse / rankin_inverse (assembled, not
-    restated; see UNRAMIFIED_FACTOR_NOTE).  Raises ValueError when
-    rankin_inverse is exactly 0, a pole of the degree-8 factor.
-    """
-    data = gi.local_table.get(p)
-    sat = gi.satake_table.get(p)
-    gl2 = gi.gl2_table.get(p)
-    if data is None or sat is None or gl2 is None:
-        raise ValueError(f"missing local data for p = {p}")
-    t = complex(p) ** (-3 * complex(s))
-    gamma = gi.gamma(p)
-    omega_pi = gi.omega_pi(p)
-    zeta_inv = 1 - t * t / p
-
-    if p in gi.level_primes:
-        omega = complex(gl2)
-        chi = 1 / (omega_pi * omega * omega)
-        rankin_inv = complex(1)
-        for g in gamma:
-            rankin_inv *= 1 - t / (g * omega * p)
-        if data.symbol == -1:
-            aux_inv = 1 - chi * t * t / p**3
-        else:
-            chi_omega = chi * omega
-            aux_inv = 1 - data.lambda_piL * chi_omega * t / p**1.5
-            if data.symbol == 1:
-                aux_inv *= 1 - data.lambda_piF_over_piL * chi_omega * t / p**1.5
-    else:
-        beta = tuple(complex(b) for b in gl2)
-        chi = 1 / (omega_pi * beta[0] * beta[1])
-        rankin_inv = complex(1)
-        for g in gamma:
-            for b in beta:
-                rankin_inv *= 1 - t / (g * b * math.sqrt(p))
-        aux_inv = complex(1)
-        for b in beta:
-            if data.symbol == -1:
-                aux_inv *= 1 - data.lambda_piF * (chi * b) ** 2 * t * t / p**2
-            elif data.symbol == 0:
-                aux_inv *= 1 - data.lambda_piL * chi * b * t / p
-            else:
-                for delta in (data.lambda_piL, data.lambda_piF_over_piL):
-                    aux_inv *= 1 - delta * chi * b * t / p
-    if rankin_inv == 0:
-        raise ValueError(f"s is a pole of the degree-8 local factor at p = {p}: its inverse is 0")
-    return rankin_inv, zeta_inv * aux_inv
+@functools.lru_cache(maxsize=16, typed=True)
+def _primes_through(p_max: int) -> Tuple[int, ...]:
+    """primes_up_to(p_max) as a tuple, sieved once per p_max."""
+    return tuple(primes_up_to(p_max))
 
 
 def _truncation_primes(gi: GlobalInput, p_max: int) -> Tuple[int, ...]:
@@ -371,7 +408,35 @@ def _truncation_primes(gi: GlobalInput, p_max: int) -> Tuple[int, ...]:
     level = gi.level_primes
     if level and p_max < max(level):
         raise ValueError(f"p_max = {p_max} omits the level prime {max(level)}")
-    return tuple(primes_up_to(p_max))
+    return _primes_through(p_max)
+
+
+def _euler_factors(
+    gi: GlobalInput, s: complex, primes: Tuple[int, ...]
+) -> Iterator[Tuple[int, complex, complex, FactorRow]]:
+    """(p, t, rankin_inverse, row) for each prime in order, t = p^(-3s).
+
+    rankin_inverse is the degree-8 inverse factor at t.  Raises
+    ValueError at the first prime without local data and at the first
+    where rankin_inverse is exactly 0, a pole of the degree-8 factor.
+    """
+    rows, faults = gi.euler_table
+    exponent = -3 * s
+    one = complex(1)
+    for p in primes:
+        row = rows.get(p)
+        if row is None:
+            fault = faults.get(p)
+            if fault is None:
+                raise ValueError(f"missing local data for p = {p}")
+            raise type(fault)(*fault.args)
+        t = row[0] ** exponent
+        rankin_inv = one
+        for d in row[1]:
+            rankin_inv *= 1 - t / d
+        if rankin_inv == 0:
+            raise ValueError(f"s is a pole of the degree-8 local factor at p = {p}: its inverse is 0")
+        yield p, t, rankin_inv, row
 
 
 def _tail_bound(p_max: int, alpha: float) -> float:
@@ -427,9 +492,15 @@ def global_z_report(gi: GlobalInput, s, p_max: int) -> GlobalZReport:
             stacklevel=2,
         )
     product = complex(1)
-    for p in primes:
-        rankin_inv, aux_inv = _local_factor_parts(gi, p, s_c)
-        product *= aux_inv / rankin_inv
+    for p, t, rankin_inv, (_, _, aux_t, aux_tt) in _euler_factors(gi, s_c, primes):
+        # 1 * (1 - x) is 1 - x to the bit for finite x (neither part of
+        # 1 - x is -0.0), so the level primes share this start too.
+        aux_inv = complex(1)
+        for k, den in aux_t:
+            aux_inv *= 1 - k * t / den
+        for k, den in aux_tt:
+            aux_inv *= 1 - k * t * t / den
+        product *= (1 - t * t / p) * aux_inv / rankin_inv
     k_inf = kappa_infinity(gi, s_c)
     k_level = complex(kappa_N(gi, s_c))
     return GlobalZReport(
@@ -511,8 +582,7 @@ def special_value_ratio(gi: GlobalInput, p_max: int) -> complex:
         raise ValueError("the special value lives at the point ir = l - 1")
     s0 = gi.l / 6 - 0.5
     lvalue = complex(1)
-    for p in _truncation_primes(gi, p_max):
-        rankin_inv, _ = _local_factor_parts(gi, p, s0)
+    for _, _, rankin_inv, _ in _euler_factors(gi, complex(s0), _truncation_primes(gi, p_max)):
         lvalue *= 1 / rankin_inv
     return lvalue / (
         math.pi ** (5 * gi.l - 8) * gi.petersson_phi * gi.petersson_psi

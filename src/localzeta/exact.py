@@ -534,7 +534,7 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
-            return TruncatedSeries(
+            return _series(
                 [a + b for a, b in zip(self.coefficients, other.coefficients)], self.q
             )
         return NotImplemented
@@ -542,7 +542,7 @@ class TruncatedSeries:
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
-            return TruncatedSeries(
+            return _series(
                 [a - b for a, b in zip(self.coefficients, other.coefficients)], self.q
             )
         return NotImplemented
@@ -560,10 +560,10 @@ class TruncatedSeries:
                     cj = other.coefficients[j]
                     if cj:
                         out[i + j] = out[i + j] + ci * cj
-            return TruncatedSeries(out, self.q)
+            return _series(out, self.q)
         if isinstance(other, (int, Rational, QuadCoeff)):
             s = _as_quad(other, self.q)
-            return TruncatedSeries([c * s for c in self.coefficients], self.q)
+            return _series([c * s for c in self.coefficients], self.q)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -590,6 +590,15 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({[str(c) for c in self.coefficients]})"
+
+
+def _series(coefficients: Iterable[QuadCoeff], q: int) -> TruncatedSeries:
+    """A TruncatedSeries from QuadCoeffs the caller knows to lie in
+    Q(sqrt(q)), at least the order-0 term."""
+    x = object.__new__(TruncatedSeries)
+    object.__setattr__(x, "coefficients", tuple(coefficients))
+    object.__setattr__(x, "q", q)
+    return x
 
 
 def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
@@ -629,4 +638,4 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
             D *= t
         g = gcd(D, A, B)
         s.append((A // g, B // g, D // g))
-    return TruncatedSeries([_quad(A, B, D, q) for A, B, D in s], q)
+    return _series([_quad(A, B, D, q) for A, B, D in s], q)

@@ -19,6 +19,7 @@ from .exact import (
     Rational,
     RationalFunction,
     TruncatedSeries,
+    _series,
     factor_product,
     q_half_power,
     rat,
@@ -143,7 +144,7 @@ def z_series_m_positive(sc: ScenarioData, n: int) -> TruncatedSeries:
         char = (1 / omega_pi) ** k * (1 / omega) ** (2 * k) * omega ** (2 * m)
         term = q_half_power(q, -3 * k) * (units * char * bracket)
         coeffs[k] = coeffs[k] + term
-    return TruncatedSeries(coeffs, q)
+    return _series(coeffs, q)
 
 
 def _z_series_m_zero(sc: ScenarioData, n: int) -> TruncatedSeries:
@@ -161,7 +162,7 @@ def _z_series_m_zero(sc: ScenarioData, n: int) -> TruncatedSeries:
         scalar = steinberg_whittaker_diag(l, sc.st, q) * volume_V1(sc.local, l, 0)
         coeffs.append(bessel[l] * (char * scalar))
         char = char * step
-    return TruncatedSeries(coeffs, q)
+    return _series(coeffs, q)
 
 
 def z_series_direct(sc: ScenarioData, n: int) -> TruncatedSeries:

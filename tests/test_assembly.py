@@ -31,6 +31,7 @@ from localzeta.assembly import (
 )
 from localzeta.exact import rat
 from localzeta.localfield import LocalQuadData, SplittingSymbol
+from localzeta.rng import SplitMix64
 from localzeta.satake import SatakeParams, SteinbergData
 from localzeta.zeta import (
     ScenarioData,
@@ -89,6 +90,101 @@ def make_synthetic_gi(p_max, **overrides):
     satake, gl2, local = synthetic_tables(p_max)
     return make_gi(
         satake_table=satake, gl2_table=gl2, local_table=local, **overrides
+    )
+
+
+def reference_local_factor_parts(gi, p, s):
+    """(rankin_inverse, aux_inverse) at t = p^(-3s), written out per prime:
+    the evaluation the precomputed Euler-product table must reproduce to
+    the bit."""
+    data = gi.local_table.get(p)
+    sat = gi.satake_table.get(p)
+    gl2 = gi.gl2_table.get(p)
+    if data is None or sat is None or gl2 is None:
+        raise ValueError(f"missing local data for p = {p}")
+    t = complex(p) ** (-3 * complex(s))
+    gamma = gi.gamma(p)
+    omega_pi = gi.omega_pi(p)
+    zeta_inv = 1 - t * t / p
+
+    if p in gi.level_primes:
+        omega = complex(gl2)
+        chi = 1 / (omega_pi * omega * omega)
+        rankin_inv = complex(1)
+        for g in gamma:
+            rankin_inv *= 1 - t / (g * omega * p)
+        if data.symbol == -1:
+            aux_inv = 1 - chi * t * t / p**3
+        else:
+            chi_omega = chi * omega
+            aux_inv = 1 - data.lambda_piL * chi_omega * t / p**1.5
+            if data.symbol == 1:
+                aux_inv *= 1 - data.lambda_piF_over_piL * chi_omega * t / p**1.5
+    else:
+        beta = tuple(complex(b) for b in gl2)
+        chi = 1 / (omega_pi * beta[0] * beta[1])
+        rankin_inv = complex(1)
+        for g in gamma:
+            for b in beta:
+                rankin_inv *= 1 - t / (g * b * math.sqrt(p))
+        aux_inv = complex(1)
+        for b in beta:
+            if data.symbol == -1:
+                aux_inv *= 1 - data.lambda_piF * (chi * b) ** 2 * t * t / p**2
+            elif data.symbol == 0:
+                aux_inv *= 1 - data.lambda_piL * chi * b * t / p
+            else:
+                for delta in (data.lambda_piL, data.lambda_piF_over_piL):
+                    aux_inv *= 1 - delta * chi * b * t / p
+    if rankin_inv == 0:
+        raise ValueError(f"s is a pole of the degree-8 local factor at p = {p}: its inverse is 0")
+    return rankin_inv, zeta_inv * aux_inv
+
+
+def reference_euler_product(gi, s, p_max):
+    product = complex(1)
+    for p in primes_up_to(p_max):
+        rankin_inv, aux_inv = reference_local_factor_parts(gi, p, complex(s))
+        product *= aux_inv / rankin_inv
+    return product
+
+
+def reference_special_value_ratio(gi, p_max):
+    s0 = gi.l / 6 - 0.5
+    lvalue = complex(1)
+    for p in primes_up_to(p_max):
+        rankin_inv, _ = reference_local_factor_parts(gi, p, s0)
+        lvalue *= 1 / rankin_inv
+    return lvalue / (math.pi ** (5 * gi.l - 8) * gi.petersson_phi * gi.petersson_psi)
+
+
+def seeded_unitary_gi(p_max, l=12, N=30, seed=2008):
+    """A SplitMix64-drawn unitary table over every prime <= p_max at the
+    holomorphic point of weight l.  At level N = 30 the level primes 2, 3
+    and 5 are inert, ramified and split; N = 1 has no level primes."""
+    mix = SplitMix64(seed)
+
+    def unit():
+        return cmath.exp(2j * math.pi * mix.next_u64() / 2**64)
+
+    level_symbols = {2: -1, 3: 0, 5: 1} if N == 30 else {}
+    satake, gl2, local = {}, {}, {}
+    for p in primes_up_to(p_max):
+        u = (unit(), unit(), unit())
+        satake[p] = u
+        omega = u[0] * u[0] * u[1] * u[2]
+        symbol = level_symbols.get(p, (-1, 0, 1)[mix.below(3)])
+        if symbol == -1:
+            local[p] = PrimeQuadData(-1, omega)
+        elif symbol == 0:
+            local[p] = PrimeQuadData(0, omega, mix.sign() * omega**0.5)
+        else:
+            mu = unit()
+            local[p] = PrimeQuadData(1, omega, mu, omega / mu)
+        gl2[p] = float(mix.sign()) if p in level_symbols else (unit(), unit())
+    return make_gi(
+        l=l, l1=l, r=-1j * (l - 1), N=N, satake_table=satake, gl2_table=gl2,
+        local_table=local, petersson_phi=1.25, petersson_psi=0.5,
     )
 
 
@@ -545,6 +641,138 @@ class TestGlobalZ:
         assert len(report.primes) == 12
         assert calls == []
         assert gi.level_primes == (2,)
+
+
+class TestEulerTable:
+    """The per-input factor table against the per-prime evaluation."""
+
+    # The second input is the sensitive one: weight 4 puts the special
+    # value at s0 = 1/6, where t = p^(-1/2), and without level primes the
+    # smallest primes go through the Satake-pair path, where |t/p| is
+    # largest.  There a last-bit change in a divisor or a prefix moves the
+    # product.
+    @pytest.fixture(scope="class", params=[(12, 30), (4, 1)], ids=["l12-N30", "l4-N1"])
+    def gi(self, request):
+        l, N = request.param
+        return seeded_unitary_gi(5000, l=l, N=N)
+
+    def test_the_table_covers_every_prime(self):
+        gi = seeded_unitary_gi(5000)
+        rows, faults = gi.euler_table
+        assert len(primes_up_to(5000)) == 669
+        assert sorted(rows) == primes_up_to(5000) and faults == {}
+        assert gi.level_primes == (2, 3, 5)
+        assert [gi.local_table[p].symbol for p in gi.level_primes] == [-1, 0, 1]
+
+    # Near the edge of the region (0.25, 0.2 + 0.5j) the factors are far
+    # enough from 1 that reassociating a divisor's product changes the result.
+    @pytest.mark.parametrize("p_max", [997, 5000])
+    @pytest.mark.parametrize("s", [0.7, 0.9 + 0.3j, 2.0, 1.5, 0.25, 0.2 + 0.5j])
+    def test_report_is_bit_identical(self, gi, s, p_max):
+        report = global_z_report(gi, s, p_max)
+        product = reference_euler_product(gi, s, p_max)
+        assert report.euler_product == product
+        value = kappa_infinity(gi, complex(s)) * complex(kappa_N(gi, complex(s))) * product
+        assert report.value == value
+
+    @pytest.mark.parametrize("p_max", [997, 5000])
+    def test_special_value_ratio_is_bit_identical(self, gi, p_max):
+        assert special_value_ratio(gi, p_max) == reference_special_value_ratio(gi, p_max)
+
+    @pytest.mark.parametrize(
+        "drop, s",
+        [
+            ({"local": [101]}, 0.7),
+            ({"gl2": [97, 499], "satake": [499]}, 0.9 + 0.3j),
+            ({"satake": [3]}, 1.5),  # a level prime
+        ],
+    )
+    def test_missing_data_names_the_same_prime(self, drop, s):
+        satake, gl2, local = synthetic_tables(600)
+        tables = {"satake": satake, "gl2": gl2, "local": local}
+        for name, primes in drop.items():
+            for p in primes:
+                del tables[name][p]
+        gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
+        with pytest.raises(ValueError) as want:
+            reference_euler_product(gi, s, 600)
+        with pytest.raises(ValueError) as got:
+            global_z_report(gi, s, 600)
+        assert str(got.value) == str(want.value)
+        assert "missing local data" in str(got.value)
+
+    @pytest.mark.parametrize("missing_from", [None, 5, 2])
+    def test_pole_names_the_same_prime(self, missing_from):
+        # At s = -1/6, t = sqrt(p): p = 3's inverse factor is exactly 0.
+        satake = {2: (1, 2, 0.5), 3: (1, 1, 1), 5: (1, 1, 1)}
+        gl2 = {2: -1, 3: (1, 1), 5: (1, 1)}
+        local = {p: PrimeQuadData(-1, 1.0) for p in (2, 3, 5)}
+        if missing_from is not None:
+            del local[missing_from]
+            if missing_from == 2:
+                del gl2[2]
+        gi = make_gi(
+            N=1 if missing_from == 2 else 2,
+            satake_table=satake, gl2_table=gl2, local_table=local,
+            petersson_phi=1.0, petersson_psi=1.0, l=4, l1=4, r=-3j,
+        )
+        s = -1 / 6
+        with pytest.raises(ValueError) as want:
+            reference_euler_product(gi, s, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            with pytest.raises(ValueError) as got:
+                global_z_report(gi, s, 5)
+        assert str(got.value) == str(want.value)
+        if missing_from == 2:
+            assert "missing local data for p = 2" in str(got.value)
+        else:
+            assert "pole of the degree-8 local factor at p = 3" in str(got.value)
+            # l = 4 puts the special value at s0 = 1/6, away from the pole
+            assert special_value_ratio(gi, 3) == reference_special_value_ratio(gi, 3)
+
+    def test_an_unbuildable_row_fails_only_the_reports_that_reach_it(self):
+        satake, gl2, local = synthetic_tables(20)
+        satake[19] = (1e-200, 1e-200, 1e-200)  # omega_pi underflows to 0
+        local[19] = PrimeQuadData(-1, 1e-12)
+        gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
+        rows, faults = gi.euler_table
+        assert 19 in faults and 19 not in rows
+        assert global_z_report(gi, 1.0, 17).euler_product == reference_euler_product(gi, 1.0, 17)
+        with pytest.raises(ZeroDivisionError) as want:
+            reference_euler_product(gi, 1.0, 19)
+        with pytest.raises(ZeroDivisionError) as got:
+            global_z_report(gi, 1.0, 19)
+        assert str(got.value) == str(want.value)
+
+    def test_the_table_is_built_once_per_input(self, monkeypatch):
+        gi = make_synthetic_gi(60, petersson_phi=1.0, petersson_psi=1.0)
+        assembly._primes_through.cache_clear()
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append((name, args[-1]))
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(GlobalInput, "gamma", counted("gamma", GlobalInput.gamma))
+        monkeypatch.setattr(GlobalInput, "omega_pi", counted("omega_pi", GlobalInput.omega_pi))
+        monkeypatch.setattr(assembly, "primes_up_to", counted("sieve", assembly.primes_up_to))
+        global_z_report(gi, 0.7, 41)
+        # the first report builds the table: one gamma and one omega_pi per prime
+        primes = primes_up_to(60)
+        assert sorted(calls) == sorted(
+            [("gamma", p) for p in primes] + [("omega_pi", p) for p in primes] + [("sieve", 41)]
+        )
+        del calls[:]
+        for s in (0.7, 1.0, 0.8 + 0.2j):
+            for p_max in (41, 59, 41):
+                global_z_report(gi, s, p_max)
+                special_value_ratio(gi, p_max)
+        # later reports do no per-prime set-up, and sieve once per new p_max
+        assert calls == [("sieve", 59)]
 
 
 class TestTheorem3Constant:

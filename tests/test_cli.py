@@ -1,16 +1,20 @@
 """End-to-end checks for the command-line verification driver."""
 
+import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import localzeta
 from localzeta import arch, cli
 from localzeta.cli import InputError, RunConfig, main, run
 
@@ -553,6 +557,28 @@ class TestGlobal:
         )
         assert proc.returncode == 2
         assert "p = 3" in proc.stderr and "Traceback" not in proc.stderr
+
+
+    def test_committed_input_matches_the_benchmark_digest(self):
+        # The committed global input's machine output, byte for byte: a
+        # last-bit move anywhere in the global value fails here.
+        root = Path(__file__).resolve().parents[1]
+        argv = ["global", "--input", "perfbench/inputs/global.json", "--pmax", "13",
+                "--format", "machine"]
+        checks = json.loads((root / "perfbench" / "cli_checks.json").read_text(encoding="utf-8"))
+        (entry,) = [e for e in checks["geometry"] if e["argv"] == argv]
+        src = str(Path(localzeta.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "localzeta.cli", *argv],
+            cwd=root,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == entry["sha256"]
 
 
 class TestConsistency:

@@ -267,6 +267,28 @@ class TestSeries:
         assert a * b == TruncatedSeries([1, 0, 0], 5)
         assert (a * 2)[0] == QuadCoeff(2, 0, 5)
 
+    def test_public_constructor_coerces_and_checks_the_field(self):
+        s = TruncatedSeries([2, rat(1, 3), QuadCoeff(0, 1, 5)], 5)
+        assert s.coefficients == (
+            QuadCoeff(2, 0, 5),
+            QuadCoeff(rat(1, 3), 0, 5),
+            QuadCoeff(0, 1, 5),
+        )
+        assert all(isinstance(c, QuadCoeff) and c.q == 5 for c in s.coefficients)
+        with pytest.raises(ValueError, match="mixed ground fields"):
+            TruncatedSeries([1, QuadCoeff(0, 1, 3)], 5)
+        with pytest.raises(ValueError, match="order-0"):
+            TruncatedSeries([], 5)
+
+    def test_arithmetic_results_hold_quadcoeffs_of_the_field(self):
+        a = TruncatedSeries([1, QuadCoeff(0, 1, 5), rat(1, 2)], 5)
+        b = TruncatedSeries([rat(-1, 3), 2, QuadCoeff(1, 1, 5)], 5)
+        rf = RationalFunction(Poly([1, 1], 5), Poly([1, -2, 1], 5))
+        for s in (a + b, a - b, a * b, a * 3, a * rat(1, 7), series_of(rf, 2)):
+            assert s.q == 5
+            assert all(isinstance(c, QuadCoeff) and c.q == 5 for c in s.coefficients)
+            assert s == TruncatedSeries(s.coefficients, 5)
+
     def test_first_difference(self):
         a = TruncatedSeries([1, 1, 1], 5)
         b = TruncatedSeries([1, 1, 2], 5)
