@@ -746,18 +746,23 @@ def _run_global(config: RunConfig) -> List[Record]:
             rep = global_z_report(gi, s, config.p_max)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    witness = {
-        "value": rep.value,
-        "kappa_inf": rep.kappa_inf,
-        "kappa_level": rep.kappa_level,
-        "euler_product": rep.euler_product,
-        "primes_used": len(rep.primes),
-        "p_max": config.p_max,
-        "tail_bound": rep.tail_bound,
-        "in_convergence_region": rep.in_convergence_region,
-        "notes": list(rep.notes),
-    }
-    records = [_record("global/z", True, witness)]
+        except OverflowError as exc:
+            # a value past the float range cannot be sized: the check fails
+            rep = None
+            witness = {"s": s, "p_max": config.p_max, "overflow": str(exc)}
+    if rep is not None:
+        witness = {
+            "value": rep.value,
+            "kappa_inf": rep.kappa_inf,
+            "kappa_level": rep.kappa_level,
+            "euler_product": rep.euler_product,
+            "primes_used": len(rep.primes),
+            "p_max": config.p_max,
+            "tail_bound": rep.tail_bound,
+            "in_convergence_region": rep.in_convergence_region,
+            "notes": list(rep.notes),
+        }
+    records = [_record("global/z", rep is not None, witness)]
 
     has_norms = gi.petersson_phi is not None and gi.petersson_psi is not None
     if has_norms and gi.at_holomorphic_point:

@@ -34,18 +34,25 @@ class EtaleMatrix:
     __slots__ = ("rows", "d")
 
     def __init__(self, rows: Sequence[Sequence], d: int):
+        ints = {}  # one QuadCoeff per distinct int entry, mostly 0 and 1
         coerced = []
         for row in rows:
             if len(row) != 4:
                 raise ValueError("rows must have length 4")
-            coerced.append(
-                tuple(
-                    e if isinstance(e, QuadCoeff) else QuadCoeff(e, 0, d) for e in row
-                )
-            )
-            for e in coerced[-1]:
-                if e.q != d:
-                    raise ValueError("mixed etale algebras")
+            entries = []
+            for e in row:
+                if isinstance(e, QuadCoeff):
+                    if e.q != d:
+                        raise ValueError("mixed etale algebras")
+                elif type(e) is int:
+                    c = ints.get(e)
+                    if c is None:
+                        c = ints[e] = QuadCoeff(e, 0, d)
+                    e = c
+                else:
+                    e = QuadCoeff(e, 0, d)
+                entries.append(e)
+            coerced.append(tuple(entries))
         if len(coerced) != 4:
             raise ValueError("need 4 rows")
         object.__setattr__(self, "rows", tuple(coerced))
@@ -59,20 +66,28 @@ class EtaleMatrix:
         return self.rows[i][j]
 
     def __mul__(self, other):
+        # Schoolbook product over the nonzero terms only (the operands are
+        # diagonal, unipotent, Weyl or block matrices); its entries are
+        # QuadCoeffs of this d already, so they skip __init__'s coercion.
         if not isinstance(other, EtaleMatrix):
             return NotImplemented
-        if other.d != self.d:
+        d = self.d
+        if other.d != d:
             raise ValueError("mixed etale algebras")
+        zero = QuadCoeff(0, 0, d)
+        right = [[(j, e) for j, e in enumerate(row) if e] for row in other.rows]
         out = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, 4):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return EtaleMatrix(out, self.d)
+        for row in self.rows:
+            acc = [zero] * 4
+            for a, terms in zip(row, right):
+                if a:
+                    for j, e in terms:
+                        acc[j] = acc[j] + a * e
+            out.append(tuple(acc))
+        product = object.__new__(EtaleMatrix)
+        object.__setattr__(product, "rows", tuple(out))
+        object.__setattr__(product, "d", d)
+        return product
 
     def __eq__(self, other):
         if isinstance(other, EtaleMatrix):

@@ -143,6 +143,11 @@ def unit_index(data: LocalQuadData, m: int) -> Rational:
     return (1 - rat(int(data.symbol), q)) * rat(q) ** m
 
 
+# Enumerated residues per bincount call: memory stays bounded however large
+# p^k is, and each chunk fits in cache.
+_ORACLE_CHUNK = 1 << 16
+
+
 def unit_index_oracle(a: int, b: int, c: int, p: int, m: int) -> int:
     """Count (o_L^x : o_m^x) inside the finite quotient o_L / p^k o_L.
 
@@ -154,27 +159,39 @@ def unit_index_oracle(a: int, b: int, c: int, p: int, m: int) -> int:
     1 + p^k o_L lies in o_m^x for k >= m, the global index equals the ratio
     of unit counts in the quotient.  Computed at k = m+1 and k = m+2; a
     mismatch raises PrecisionError rather than guessing.
+
+    The norm mod p, and so whether a pair is a unit, depends only on
+    (x mod p, y mod p).  The pairs of X x Y over one residue pair (r, s)
+    are hx[r] * hy[s] in number, where hx and hy are the histograms mod p
+    of the enumerated x's and y's, and they are all units or all not.
+    Summing over residue pairs with U[r, s] = 1 for a unit norm gives
+    hx^T U hy, the same count as visiting all |X| |Y| pairs, from a p x p
+    table and one pass over each enumeration.
     """
     if c % p == 0:
         raise ValueError("c must be a p-adic unit")
     if m < 0:
         raise ValueError("m must be non-negative")
 
-    b_red = b % p
-    ac_red = (a * c) % p
+    r = np.arange(p, dtype=np.int64)
+    x, y = r[:, None], r[None, :]
+    norm = (x * x - (b % p) * x * y + ((a * c) % p) * y * y) % p
+    units = (norm != 0).astype(object)  # object: the counts are exact ints
 
-    def norm_unit_count(xs: np.ndarray, ys: np.ndarray) -> int:
-        x = (xs % p).astype(np.int16)[:, None]
-        y = (ys % p).astype(np.int16)[None, :]
-        norm = (x * x - b_red * x * y + ac_red * y * y) % p
-        return int(np.count_nonzero(norm))
+    def residue_histogram(n: int, step: int) -> np.ndarray:
+        """Histogram mod p of i * step over 0 <= i < n."""
+        hist = np.zeros(p, dtype=np.int64)
+        for lo in range(0, n, _ORACLE_CHUNK):
+            i = np.arange(lo, min(n, lo + _ORACLE_CHUNK), dtype=np.int64)
+            hist += np.bincount(i * step % p, minlength=p)
+        return hist.astype(object)
 
     def index_at(k: int) -> int:
-        pk = p**k
-        full = np.arange(pk, dtype=np.int64)
-        total = norm_unit_count(full, full)
-        sub = (np.arange(p ** (k - m), dtype=np.int64) * p**m) % pk
-        image = norm_unit_count(full, sub)
+        # Z/p^k, and the image of o_m: p^m y for y in Z/p^(k-m), all < p^k
+        full = residue_histogram(p**k, 1)
+        sub = residue_histogram(p ** (k - m), p**m)
+        total = int(full @ units @ full)
+        image = int(full @ units @ sub)
         if image == 0 or total % image:
             raise PrecisionError(
                 f"unit count {total} not divisible by suborder count {image}"

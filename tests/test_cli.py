@@ -422,6 +422,24 @@ class TestVerifyVolumes:
         assert "volumes/index/p5/split/m3" in names
         assert "volumes/ksharp/q3" in names
 
+    def test_one_perturbed_oracle_count_fails_that_cell(self, monkeypatch, capsys):
+        counted = cli.unit_index_oracle
+
+        def off_by_one(a, b, c, p, m):
+            n = counted(a, b, c, p, m)
+            return n + 1 if (p, m) == (3, 2) and (a, b, c) == cli._ORACLE_TRIPLES[(3, "split")] else n
+
+        monkeypatch.setattr(cli, "unit_index_oracle", off_by_one)
+        assert main(["verify-volumes", "--format", "machine"]) == 1
+        failed = [r for r in strict_records_of(capsys.readouterr().out) if r["status"] != "pass"]
+        assert failed == [
+            {
+                "name": "volumes/index/p3/split/m2",
+                "status": "fail",
+                "witness": {"formula": "6", "oracle": 7},
+            }
+        ]
+
 
 class TestLfactor:
     def test_default_prints_the_trivial_factor(self, capsys):
@@ -558,6 +576,24 @@ class TestGlobal:
         assert proc.returncode == 2
         assert "p = 3" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("p_max", ["3", "13"])
+    def test_overflowing_s_fails_with_witness(self, write_doc, capsys, p_max):
+        # at s = -120, kappa_inf's (4 pi)^(-3s + ...) (and at p_max = 13 the
+        # Euler product's p^(-3s)) are past the float range
+        root = Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "perfbench" / "inputs" / "global.json").read_text(encoding="utf-8"))
+        doc["global_input"]["s"] = -120
+        path = write_doc(doc)
+        assert main(["global", "--input", path, "--pmax", p_max, "--format", "machine"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        (record,) = strict_records_of(out)
+        assert record["name"] == "global/z" and record["status"] == "fail"
+        assert record["witness"] == {
+            "s": [-120.0, 0.0],
+            "p_max": int(p_max),
+            "overflow": "complex exponentiation",
+        }
 
     def test_committed_input_matches_the_benchmark_digest(self):
         # The committed global input's machine output, byte for byte: a

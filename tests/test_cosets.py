@@ -77,6 +77,69 @@ class TestEtaleNum:
         assert (a * b).norm == a.norm * b.norm
 
 
+def _schoolbook(x, y):
+    """The 4x4 product entry by entry, every term included."""
+    zero = QuadCoeff(0, 0, x.d)
+    return [
+        [sum((x[i, k] * y[k, j] for k in range(4)), zero) for j in range(4)]
+        for i in range(4)
+    ]
+
+
+def _sparse_matrix(rng, d):
+    """A seeded matrix with about half its entries zero."""
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        return QuadCoeff(rat(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-3, 3), d)
+
+    return EtaleMatrix([[entry() for _ in range(4)] for _ in range(4)], d)
+
+
+class TestEtaleMatrixProduct:
+    @pytest.mark.parametrize("d", [-4, -3, 5, 8, 4, 9])  # 4 and 9: zero divisors
+    def test_matches_schoolbook_product(self, d):
+        rng = random.Random(1000 + d)
+        for _ in range(40):
+            x, y = _sparse_matrix(rng, d), _sparse_matrix(rng, d)
+            product = x * y
+            want = _schoolbook(x, y)
+            assert product.d == d
+            assert [list(row) for row in product.rows] == want
+            assert product == EtaleMatrix(want, d)
+            assert hash(product) == hash(EtaleMatrix(want, d))
+            assert all(e.q == d for row in product.rows for e in row)
+
+    def test_zero_divisor_terms_cancel_to_zero(self):
+        # over d = 4, (2 + sqrt 4)(2 - sqrt 4) = 0 although neither factor is
+        u, v = QuadCoeff(2, 1, 4), QuadCoeff(2, -1, 4)
+        x = ediag(u, 1, u, 1, 4)
+        y = ediag(v, 1, 1, v, 4)
+        product = x * y
+        assert product == ediag(0, 1, u, v, 4)
+        assert product[0, 0] == QuadCoeff(0, 0, 4) and not product[0, 0]
+        assert [list(row) for row in product.rows] == _schoolbook(x, y)
+
+    def test_mixed_algebras_rejected(self):
+        with pytest.raises(ValueError, match="mixed etale algebras"):
+            ediag(1, 2, 3, 4, 5) * ediag(1, 2, 3, 4, -3)
+        with pytest.raises(ValueError, match="mixed etale algebras"):
+            EtaleMatrix([[QuadCoeff(1, 1, 5), 0, 0, 0]] + [[0] * 4] * 3, -3)
+
+    def test_product_is_immutable(self):
+        product = ediag(1, 2, 3, 4, 5) * ediag(1, rat(1, 2), 3, 4, 5)
+        with pytest.raises(AttributeError):
+            product.rows = ()
+        with pytest.raises(AttributeError):
+            product.d = 7
+
+    def test_plain_scalars_are_coerced_like_quadcoeffs(self):
+        row = [0, 1, rat(1, 2), "-3/4"]
+        m = EtaleMatrix([row] * 4, 5)
+        assert m.rows[0] == tuple(QuadCoeff(e, 0, 5) for e in row)
+        assert m == EtaleMatrix([[QuadCoeff(e, 0, 5) for e in row]] * 4, 5)
+
+
 class TestBesselDatum:
     def test_alpha_relations_hold(self):
         datum = BesselDatum(1, 1, 1)  # d = -3

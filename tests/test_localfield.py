@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +179,50 @@ class TestUnitIndexOracle:
         a, b, c = TRIPLES[(p, symbol)]
         data = make_data(p, symbol)
         assert unit_index_oracle(a, b, c, p, m) == unit_index(data, m)
+
+
+def direct_index(a, b, c, p, m, k):
+    """The oracle's index at depth k, visiting every pair (x, y) of the grid."""
+    xs = np.arange(p**k)
+
+    def unit_count(ys):
+        x, y = xs[:, None], ys[None, :]
+        return int(np.count_nonzero((x * x - b * x * y + a * c * y * y) % p))
+
+    total = unit_count(xs)
+    image = unit_count(np.arange(p ** (k - m)) * p**m)
+    assert total % image == 0
+    return total // image
+
+
+def triple_of_class(p, symbol):
+    """(a, 0, 1) with d = -4a in the given class over Q_p, p odd."""
+    a = next(a for a in range(1, p + 1) if splitting_symbol(-4 * a, p) == symbol)
+    return a, 0, 1
+
+
+class TestGroupedOracle:
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("cell", sorted(TRIPLES), ids=lambda c: f"p{c[0]}-{c[1].name}")
+    def test_matches_direct_enumeration(self, cell, m):
+        p, _ = cell
+        a, b, c = TRIPLES[cell]
+        direct = [direct_index(a, b, c, p, m, k) for k in (m + 1, m + 2)]
+        assert direct == [unit_index_oracle(a, b, c, p, m)] * 2
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("p, abc", [(2, (1, 1, 3)), (3, (1, 1, 2)), (5, (2, 1, 3))])
+    def test_matches_direct_enumeration_with_c_not_one(self, p, abc, m):
+        # the TRIPLES all have c = 1, where a c and a cannot be told apart
+        a, b, c = abc
+        direct = [direct_index(a, b, c, p, m, k) for k in (m + 1, m + 2)]
+        assert direct == [unit_index_oracle(a, b, c, p, m)] * 2
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("p", [7, 11, 101])
+    def test_matches_closed_formula_at_larger_primes(self, p, m):
+        # p^(2k) grid cells at k = m + 2 (about 10^16 at p = 101, m = 2),
+        # counted from two histograms of p^k and p^(k - m) entries.
+        for symbol in SplittingSymbol:
+            a, b, c = triple_of_class(p, symbol)
+            assert unit_index_oracle(a, b, c, p, m) == unit_index(make_data(p, symbol), m)
