@@ -201,19 +201,18 @@ def triple_of_class(p, symbol):
     return a, 0, 1
 
 
+# Every TRIPLES cell, and three with c != 1, where a c and a differ.
+DIRECT_CELLS = [(p, abc) for (p, _), abc in sorted(TRIPLES.items())] + [
+    (2, (1, 1, 3)),
+    (3, (1, 1, 2)),
+    (5, (2, 1, 3)),
+]
+
+
 class TestGroupedOracle:
     @pytest.mark.parametrize("m", [0, 1, 2])
-    @pytest.mark.parametrize("cell", sorted(TRIPLES), ids=lambda c: f"p{c[0]}-{c[1].name}")
-    def test_matches_direct_enumeration(self, cell, m):
-        p, _ = cell
-        a, b, c = TRIPLES[cell]
-        direct = [direct_index(a, b, c, p, m, k) for k in (m + 1, m + 2)]
-        assert direct == [unit_index_oracle(a, b, c, p, m)] * 2
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("p, abc", [(2, (1, 1, 3)), (3, (1, 1, 2)), (5, (2, 1, 3))])
-    def test_matches_direct_enumeration_with_c_not_one(self, p, abc, m):
-        # the TRIPLES all have c = 1, where a c and a cannot be told apart
+    @pytest.mark.parametrize("p, abc", DIRECT_CELLS)
+    def test_matches_direct_enumeration(self, p, abc, m):
         a, b, c = abc
         direct = [direct_index(a, b, c, p, m, k) for k in (m + 1, m + 2)]
         assert direct == [unit_index_oracle(a, b, c, p, m)] * 2
