@@ -1,9 +1,11 @@
 """Command-line driver for the verification batteries.
 
-Seven subcommands re-run the checks that the library exposes and print one
-line per check.  Each subcommand takes only the flags its battery reads
-(see ``_COMMANDS``) plus ``--format``; any other flag is a usage error.
-Two output styles: ``table`` for reading, ``machine`` for diffing —
+Seven subcommands run the batteries of ``localzeta.batteries``, where
+every check and its fixed data are defined, and print one line per check.
+This module only reads the input files, builds the run configuration and
+prints the records.  Each subcommand takes only the flags its battery
+reads (see ``_COMMANDS``) plus ``--format``; any other flag is a usage
+error.  Two output styles: ``table`` for reading, ``machine`` for diffing —
 newline-delimited JSON records ``{"name", "status", "witness"}`` sorted by
 name, so two invocations with the same command, seed, and input produce
 byte-identical output.
@@ -30,63 +32,23 @@ import math
 import os
 import re
 import sys
-import warnings
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
-from .arch import (
-    ArchScenario,
-    QuadratureError,
-    WhittakerQuery,
-    gamma_fn,
-    mellin_whittaker,
-    whittaker_w,
-    z_inf_closed,
-    z_inf_quadrature,
-)
-from .assembly import (
-    ALGEBRAICITY_NOTE,
-    GlobalInput,
-    PrimeQuadData,
-    global_z_report,
-    kappa_N,
-    special_value_ratio,
-    theorem3_consistency,
-    v_N,
-)
-from .cosets import (
-    IDENTITY_NAMES,
-    coset_audit,
-    count_polynomial_identity,
-    expected_rep_count,
-    verify_matrix_identity,
-    vol_k_sharp,
-    volume_V1,
-    volume_V2,
-)
+from . import batteries
+from .arch import ArchScenario
+from .assembly import GlobalInput, PrimeQuadData
 from .exact import Rational, rat
-from .localfield import (
-    LocalQuadData,
-    SplittingSymbol,
-    splitting_symbol,
-    unit_index,
-    unit_index_oracle,
-)
-from .rng import scenario_stream
+from .localfield import LocalQuadData, SplittingSymbol
 from .satake import SatakeParams, SteinbergData
-from .zeta import ScenarioData, prefactor, verify_theorem1, z_closed_form
+from .zeta import ScenarioData
 
 # Exit status when stdout's reader closes early: 128 + SIGPIPE, as a shell
 # reports a process killed by that signal.
 EXIT_BROKEN_PIPE = 141
 
-_SYMBOL_NAMES = {
-    SplittingSymbol.INERT: "inert",
-    SplittingSymbol.RAMIFIED: "ramified",
-    SplittingSymbol.SPLIT: "split",
-}
-_SYMBOLS_BY_NAME = {name: sym for sym, name in _SYMBOL_NAMES.items()}
+_SYMBOLS_BY_NAME = {name: sym for sym, name in batteries.SYMBOL_NAMES.items()}
 
 _RATIONAL_RE = re.compile(r"\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?\Z")
 _PRIME_KEY_RE = re.compile(r"[1-9][0-9]*")
@@ -113,7 +75,7 @@ class RunConfig:
     seed: int = 20260816
     trials: int = 50
     order: int = 25
-    tolerance: float = 1e-6
+    tolerance: float = batteries.ZINF_TOLERANCE
     input_path: Optional[str] = None
     output_format: str = "table"
     p: int = 2
@@ -243,10 +205,12 @@ def _parse_complex(value: object, where: str) -> complex:
     """Complex number from a real number, a rational string, or ``[re, im]``."""
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        return complex(_parse_rational(value, where))
+    if isinstance(value, (int, float, str)):
+        exact = _parse_rational(value, where) if isinstance(value, str) else value
+        try:
+            return complex(exact)
+        except OverflowError as exc:
+            raise InputError(f"{where}: past the float range ({exc})") from exc
     if isinstance(value, list):
         if len(value) != 2:
             raise InputError(f"{where}: a complex array must be [re, im]")
@@ -458,7 +422,9 @@ def _global_input_from(value: object, where: str) -> Tuple[GlobalInput, complex]
     return gi, s
 
 
-def _scenario_list(config: RunConfig, key: str) -> Optional[List[object]]:
+def _scenarios(config: RunConfig, key: str, parse) -> Optional[list]:
+    """The input file's ``key`` array, each entry read by ``parse``; None
+    without --input."""
     if config.input_path is None:
         return None
     doc = _load_document(config.input_path)
@@ -467,143 +433,27 @@ def _scenario_list(config: RunConfig, key: str) -> Optional[List[object]]:
         raise InputError(
             f"{config.input_path}: top-level key {key!r} must be a non-empty array"
         )
-    return raw
+    return [parse(entry, f"{key}[{i}]") for i, entry in enumerate(raw)]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand batteries.
+# Subcommands: read the input if there is one, then run the battery that
+# localzeta.batteries defines for the command.
 # ---------------------------------------------------------------------------
 
 
-def _theorem1_record(name: str, sc: ScenarioData, order: int) -> Record:
-    rep = verify_theorem1(sc, order)
-    if rep.ok:
-        return _record(name, True)
-    witness = {
-        "q": sc.local.q,
-        "symbol": _SYMBOL_NAMES[sc.local.symbol],
-        "lambda_piF": str(sc.local.lambda_piF),
-        "lambda_piL": None if sc.local.lambda_piL is None else str(sc.local.lambda_piL),
-        "lambda_piF_over_piL": (
-            None
-            if sc.local.lambda_piF_over_piL is None
-            else str(sc.local.lambda_piF_over_piL)
-        ),
-        "u0": str(sc.sat.u0),
-        "u1": str(sc.sat.u1),
-        "u2": str(sc.sat.u2),
-        "omega": str(sc.st.omega_piF),
-        "series_match": rep.series_match,
-        "m_positive_vanishes": rep.m_positive_vanishes,
-        "first_difference": rep.first_difference,
-        "direct_coefficient": (
-            None if rep.direct_coefficient is None else str(rep.direct_coefficient)
-        ),
-        "closed_coefficient": (
-            None if rep.closed_coefficient is None else str(rep.closed_coefficient)
-        ),
-    }
-    if not rep.m_positive_vanishes:
-        witness["first_nonzero_cell"] = rep.first_nonzero_cell
-    return _record(name, False, witness)
+def _records(checks: Iterable[batteries.Check]) -> List[Record]:
+    return [_record(name, *check()) for name, check in checks]
 
 
 def _run_local(config: RunConfig) -> List[Record]:
-    raw = _scenario_list(config, "local_scenarios")
-    records = []
-    if raw is not None:
-        for i, entry in enumerate(raw):
-            sc = _local_scenario_from(entry, f"local_scenarios[{i}]")
-            records.append(_theorem1_record(f"local/input/{i:03d}", sc, config.order))
-        return records
-    for q in (2, 3, 5):
-        for symbol in SplittingSymbol:
-            stream = scenario_stream(config.seed, symbol, q, config.trials)
-            for i, sc in enumerate(stream):
-                name = f"local/q{q}/{_SYMBOL_NAMES[symbol]}/{i:04d}"
-                records.append(_theorem1_record(name, sc, config.order))
-    return records
-
-
-def _builtin_arch_grid() -> Tuple[Tuple[str, ArchScenario], ...]:
-    ds = ArchScenario.discrete_series
-    ps = ArchScenario.principal_series
-    return (
-        ("ds-a", ds(12, 12, 0, 4, 1.5, 1)),
-        ("ds-b", ds(12, 12, 0, 3, 1.5, 1)),
-        ("ds-c", ds(12, 10, 0, 4, 1.0, 2)),
-        ("ds-d", ds(12, 8, 0, 3, 1.25, 1)),
-        ("ds-e", ds(14, 12, 0, 4, 1.5, 1)),
-        ("ds-f", ds(12, 12, 1, 3, 1.5, 1)),
-        ("ds-g", ds(16, 14, 0.5, 4, 2.0, 0.5)),
-        ("ps-a", ps(12, 0.2, -0.2, 3, 1, 1)),
-        ("ps-b", ps(12, 0.2, -0.2, 4, 1, 1)),
-        ("ps-c", ps(10, 0.2, -0.2, 4, 1.2, 1.5)),
-        ("ps-d", ps(12, 0.1, 0.3, 3, 1, 1)),
-        ("ps-e", ps(12, 0.25j, -0.25j, 3, 1, 1)),
-        ("ps-f", ps(14, 0.25j, -0.25j, 3, 0.8, 1)),
-    )
+    scenarios = _scenarios(config, "local_scenarios", _local_scenario_from)
+    return _records(batteries.local_checks(config.seed, config.trials, config.order, scenarios))
 
 
 def _run_arch(config: RunConfig) -> List[Record]:
-    raw = _scenario_list(config, "arch_scenarios")
-    if raw is not None:
-        pairs = [
-            (f"input-{i:03d}", _arch_scenario_from(entry, f"arch_scenarios[{i}]"))
-            for i, entry in enumerate(raw)
-        ]
-    else:
-        pairs = list(_builtin_arch_grid())
-
-    records = []
-    for tag, sc in pairs:
-        closed = z_inf_closed(sc)
-        try:
-            numeric = z_inf_quadrature(sc)
-        except QuadratureError as exc:
-            records.append(_record(f"arch/zinf/{tag}", False, exc.witness))
-            continue
-        err = abs(numeric - closed)
-        ok = err <= config.tolerance * (abs(closed) if closed else 1.0)
-        witness = None
-        if not ok:
-            witness = {"closed": closed, "quadrature": numeric, "abs_error": err}
-        records.append(_record(f"arch/zinf/{tag}", ok, witness))
-
-    # Collapse of the confluent function to an elementary one; pinned at 1e-10.
-    for mu in (0.0, 0.5, 3.0, 5.5):
-        for z in (0.5, 2.0, 10.0):
-            w = whittaker_w(WhittakerQuery(mu + 0.5, mu, z))
-            want = math.exp(-z / 2.0) * z ** (mu + 0.5)
-            ok = abs(w - want) <= 1e-10 * abs(want)
-            witness = None if ok else {"computed": w, "elementary": want}
-            records.append(_record(f"arch/reduction/mu{mu}-z{z}", ok, witness))
-
-    # First-moment transform against the gamma-quotient form; pinned at 1e-8.
-    # When the closed form is exactly zero (a reciprocal-gamma zero), the
-    # quadrature must vanish at the scale of the gamma-pair numerator.
-    mellin_points = [
-        (kappa, mu, sigma)
-        for kappa in (0, -0.5, 0.5, 1, 6)
-        for mu in (0, 0.5j)
-        for sigma in (1, 2, 5)
-    ]
-    mellin_points.append((6, 5.5, 6))
-    for kappa, mu, sigma in mellin_points:
-        name = f"arch/mellin/k{kappa}-mu{mu}-s{sigma}"
-        try:
-            numeric, closed = mellin_whittaker(kappa, mu, sigma)
-        except QuadratureError as exc:
-            records.append(_record(name, False, exc.witness))
-            continue
-        if closed == 0:
-            scale = abs(gamma_fn(sigma + mu + 0.5) * gamma_fn(sigma - mu + 0.5))
-            ok = abs(numeric) <= 1e-8 * scale
-        else:
-            ok = abs(numeric - closed) <= 1e-8 * abs(closed)
-        witness = None if ok else {"quadrature": numeric, "closed": closed}
-        records.append(_record(name, ok, witness))
-    return records
+    scenarios = _scenarios(config, "arch_scenarios", _arch_scenario_from)
+    return _records(batteries.arch_checks(config.tolerance, scenarios))
 
 
 def _run_cosets(config: RunConfig) -> List[Record]:
@@ -611,124 +461,15 @@ def _run_cosets(config: RunConfig) -> List[Record]:
         raise InputError(
             f"the coset audit is exhaustive and only runs for p in (2, 3), got p = {config.p}"
         )
-    rep = coset_audit(config.p)
-    audit_witness: Dict[str, object] = {
-        "cosets": rep.rep_count,
-        "expected": expected_rep_count(config.p),
-        "group_order": rep.group_order,
-        "subgroup_order": rep.subgroup_order,
-    }
-    if not rep.passed:
-        audit_witness.update(
-            {
-                "subgroup_closed": rep.subgroup_closed,
-                "pairwise_distinct": rep.pairwise_distinct,
-                "covers_group": rep.covers_group,
-                "witness": rep.witness,
-            }
-        )
-    records = [
-        _record(f"cosets/p{config.p}/audit", rep.passed, audit_witness),
-        _record("cosets/count-polynomial", count_polynomial_identity()),
-    ]
-    for which in IDENTITY_NAMES:
-        ok = verify_matrix_identity(which, trials=config.trials, seed=config.seed)
-        records.append(_record(f"cosets/identity/{which}", ok))
-    return records
-
-
-# One (a, b, c) presentation per residue class: xi0 has minimal polynomial
-# x^2 + b x + ac, so the discriminant b^2 - 4ac decides the splitting.
-_ORACLE_TRIPLES = {
-    (2, "inert"): (-1, 1, 1),
-    (2, "ramified"): (1, 0, 1),
-    (2, "split"): (0, 1, 1),
-    (3, "inert"): (1, 0, 1),
-    (3, "ramified"): (1, 1, 1),
-    (3, "split"): (-1, 0, 1),
-    (5, "inert"): (2, 0, 1),
-    (5, "ramified"): (-1, 1, 1),
-    (5, "split"): (1, 0, 1),
-}
-
-
-def _quad_data(p: int, symbol: SplittingSymbol) -> LocalQuadData:
-    """A LocalQuadData with the trivial character, for volume formulas."""
-    if symbol is SplittingSymbol.INERT:
-        return LocalQuadData(p=p, symbol=symbol, lambda_piF=rat(1))
-    if symbol is SplittingSymbol.RAMIFIED:
-        return LocalQuadData(p=p, symbol=symbol, lambda_piF=rat(1), lambda_piL=rat(1))
-    return LocalQuadData(
-        p=p,
-        symbol=symbol,
-        lambda_piF=rat(1),
-        lambda_piL=rat(1),
-        lambda_piF_over_piL=rat(1),
-    )
+    return _records(batteries.coset_checks(config.p, config.seed, config.trials))
 
 
 def _run_volumes(config: RunConfig) -> List[Record]:
-    records = []
-    for (p, cls), (a, b, c) in sorted(_ORACLE_TRIPLES.items()):
-        symbol = splitting_symbol(b * b - 4 * a * c, p)
-        assert _SYMBOL_NAMES[symbol] == cls, "oracle triple mislabeled"
-        data = _quad_data(p, symbol)
-        for m in range(0, 4):
-            formula = unit_index(data, m)
-            counted = unit_index_oracle(a, b, c, p, m)
-            ok = formula == counted
-            witness = None if ok else {"formula": str(formula), "oracle": counted}
-            records.append(_record(f"volumes/index/p{p}/{cls}/m{m}", ok, witness))
-
-    for q in (2, 3, 5):
-        for symbol, cls in _SYMBOL_NAMES.items():
-            data = _quad_data(q, symbol)
-            bad = None
-            for l in (2, 4, 6):
-                for m in range(1, 5):
-                    v1 = volume_V1(data, l, m)
-                    v2 = volume_V2(data, l, m)
-                    if v1 * q != v2:
-                        bad = {"l": l, "m": m, "V1": str(v1), "V2": str(v2)}
-                        break
-                if bad:
-                    break
-            records.append(_record(f"volumes/cancellation/q{q}/{cls}", bad is None, bad))
-
-    for q in (2, 3, 5):
-        ok = vol_k_sharp(q) * expected_rep_count(q) == 1
-        witness = None if ok else {"volume": str(vol_k_sharp(q))}
-        records.append(_record(f"volumes/ksharp/q{q}", ok, witness))
-    return records
-
-
-def _trivial_scenario() -> ScenarioData:
-    return ScenarioData(
-        local=_quad_data(2, SplittingSymbol.INERT),
-        sat=SatakeParams(rat(1), rat(1), rat(1)),
-        st=SteinbergData(rat(1)),
-    )
+    return _records(batteries.volume_checks())
 
 
 def _run_lfactor(config: RunConfig) -> List[Record]:
-    raw = _scenario_list(config, "local_scenarios")
-    if raw is not None:
-        scenarios = [
-            _local_scenario_from(entry, f"local_scenarios[{i}]")
-            for i, entry in enumerate(raw)
-        ]
-    else:
-        scenarios = [_trivial_scenario()]
-    records = []
-    for i, sc in enumerate(scenarios):
-        rf = z_closed_form(sc)
-        witness = {
-            "q": sc.local.q,
-            "symbol": _SYMBOL_NAMES[sc.local.symbol],
-            "factor": f"({rf.num.to_str()}) / ({rf.den.to_str()})",
-        }
-        records.append(_record(f"lfactor/{i:03d}", True, witness))
-    return records
+    return _records(batteries.lfactor_checks(_scenarios(config, "local_scenarios", _local_scenario_from)))
 
 
 def _run_global(config: RunConfig) -> List[Record]:
@@ -740,112 +481,14 @@ def _run_global(config: RunConfig) -> List[Record]:
             f"{config.input_path}: missing required top-level key 'global_input'"
         )
     gi, s = _global_input_from(doc["global_input"], "global_input")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the region flag lands in the witness
-        try:
-            rep = global_z_report(gi, s, config.p_max)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        except OverflowError as exc:
-            # a value past the float range cannot be sized: the check fails
-            rep = None
-            witness = {"s": s, "p_max": config.p_max, "overflow": str(exc)}
-    if rep is not None:
-        witness = {
-            "value": rep.value,
-            "kappa_inf": rep.kappa_inf,
-            "kappa_level": rep.kappa_level,
-            "euler_product": rep.euler_product,
-            "primes_used": len(rep.primes),
-            "p_max": config.p_max,
-            "tail_bound": rep.tail_bound,
-            "in_convergence_region": rep.in_convergence_region,
-            "notes": list(rep.notes),
-        }
-    records = [_record("global/z", rep is not None, witness)]
-
-    has_norms = gi.petersson_phi is not None and gi.petersson_psi is not None
-    if has_norms and gi.at_holomorphic_point:
-        try:
-            ratio = special_value_ratio(gi, config.p_max)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        records.append(
-            _record(
-                "global/special-value",
-                True,
-                {"ratio": ratio, "note": ALGEBRAICITY_NOTE},
-            )
-        )
-    return records
-
-
-def _consistency_input(l: int, D: int) -> GlobalInput:
-    return GlobalInput(
-        l=l,
-        D=D,
-        N=1,
-        lambda_classvals=(1.0,),
-        fourier_classvals=(1.0,),
-        a1=1.0,
-        r=-1j * (l - 1),
-        satake_table={},
-        gl2_table={},
-        local_table={},
-    )
-
-
-def _level_prime_input(p: int, symbol: SplittingSymbol) -> GlobalInput:
-    if symbol is SplittingSymbol.INERT:
-        local = PrimeQuadData(symbol=-1, lambda_piF=1.0)
-    elif symbol is SplittingSymbol.RAMIFIED:
-        local = PrimeQuadData(symbol=0, lambda_piF=1.0, lambda_piL=-1.0)
-    else:
-        local = PrimeQuadData(
-            symbol=1, lambda_piF=1.0, lambda_piL=2.0, lambda_piF_over_piL=0.5
-        )
-    return GlobalInput(
-        l=12,
-        D=4,
-        N=p,
-        lambda_classvals=(1.0,),
-        fourier_classvals=(1.0,),
-        a1=1.0,
-        r=-11j,
-        satake_table={p: (1.0, 1.0, 1.0)},
-        gl2_table={p: -1.0},
-        local_table={p: local},
-    )
+    try:
+        return _records(batteries.global_checks(gi, s, config.p_max))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _run_consistency(config: RunConfig) -> List[Record]:
-    records = []
-    for D in (3, 4):
-        for l in range(12, 41, 2):
-            ok = theorem3_consistency(_consistency_input(l, D))
-            records.append(_record(f"consistency/arch-constant/D{D}/l{l:02d}", ok))
-
-    # The level factor at a single Steinberg prime must reproduce the
-    # prefactor of the local closed form, exactly, after removing the
-    # zeta factor that the normalization absorbs.
-    for p, symbol in ((2, SplittingSymbol.INERT), (3, SplittingSymbol.RAMIFIED), (5, SplittingSymbol.SPLIT)):
-        gi = _level_prime_input(p, symbol)
-        pre = prefactor(_quad_data(p, symbol))
-        for s in (rat(1, 2), rat(1, 3), rat(1)):
-            k = 6 * s + 1
-            expected = pre / (1 - rat(p) ** (-int(k)))
-            got = kappa_N(gi, s)
-            ok = got == expected
-            witness = None if ok else {"kappa_N": str(got), "expected": str(expected)}
-            cls = _SYMBOL_NAMES[symbol]
-            tag = f"s{s.numerator}-{s.denominator}"
-            records.append(_record(f"consistency/level-factor/p{p}-{cls}/{tag}", ok, witness))
-
-    ok = v_N(2) == rat(1, 45)
-    records.append(
-        _record("consistency/v-level/2", ok, None if ok else {"v_N": str(v_N(2))})
-    )
-    return records
+    return _records(batteries.consistency_checks())
 
 
 # Each subcommand once: its battery, its help line, and the RunConfig fields

@@ -1,26 +1,18 @@
 """Acceptance gate: one test per criterion, run with ``pytest -v`` to get
 one pass/fail line for each.
 
-Every tolerance and budget is pinned here, not read from configuration:
-the local identities are exact (tolerance zero), the archimedean routes
-carry 1e-6 / 1e-8 / 1e-10, the constant consistency 1e-9, and each
-battery asserts its wall-clock budget.
+Criteria 5 to 7 run the checks of ``localzeta.batteries``, the ones the
+CLI prints, and pin their size here.  Every tolerance and budget is
+pinned here too: the local identities are exact (tolerance zero), the
+archimedean routes carry 1e-6 / 1e-8 / 1e-10, the constant consistency
+1e-9, and each battery asserts its wall-clock budget.
 """
 
-import math
 import time
 from fractions import Fraction
 
-from localzeta.arch import WhittakerQuery, gamma_fn, mellin_whittaker, whittaker_w
-from localzeta.arch import z_inf_closed, z_inf_quadrature
-from localzeta.assembly import (
-    GlobalInput,
-    PrimeQuadData,
-    kappa_N,
-    theorem3_consistency,
-    v_N,
-)
-from localzeta.cli import _builtin_arch_grid
+from localzeta import batteries
+from localzeta.assembly import kappa_N, v_N
 from localzeta.cosets import (
     IDENTITY_NAMES,
     coset_audit,
@@ -31,31 +23,20 @@ from localzeta.cosets import (
     volume_V2,
 )
 from localzeta.exact import rat
-from localzeta.localfield import (
-    LocalQuadData,
-    SplittingSymbol,
-    splitting_symbol,
-    unit_index,
-    unit_index_oracle,
-)
+from localzeta.localfield import SplittingSymbol, splitting_symbol
 from localzeta.rng import SplitMix64, draw_scenario, scenario_stream
 from localzeta.zeta import prefactor, verify_theorem1
 
 SEED = 20260816
 
 
-def quad_data(q, symbol):
-    if symbol is SplittingSymbol.INERT:
-        return LocalQuadData(p=q, symbol=symbol, lambda_piF=rat(1))
-    if symbol is SplittingSymbol.RAMIFIED:
-        return LocalQuadData(p=q, symbol=symbol, lambda_piF=rat(1), lambda_piL=rat(1))
-    return LocalQuadData(
-        p=q,
-        symbol=symbol,
-        lambda_piF=rat(1),
-        lambda_piL=rat(1),
-        lambda_piF_over_piL=rat(1),
-    )
+def run_battery(checks, prefix, count):
+    """Run the ``count`` checks whose names start with prefix; each must pass."""
+    picked = [(name, check) for name, check in checks if name.startswith(prefix)]
+    assert len(picked) == count, (prefix, len(picked))
+    for name, check in picked:
+        ok, witness = check()
+        assert ok, (name, witness)
 
 
 def test_criterion_1_series_equals_closed_form_exactly():
@@ -80,7 +61,7 @@ def test_criterion_2_volume_cancellation_is_identically_zero():
     start = time.monotonic()
     for q in (2, 3, 5):
         for symbol in SplittingSymbol:
-            local = quad_data(q, symbol)
+            local = batteries.trivial_local(q, symbol)
             for l in range(0, 11):
                 for m in range(1, 11):
                     assert volume_V1(local, l, m) - rat(1, q) * volume_V2(local, l, m) == 0
@@ -122,23 +103,12 @@ def test_criterion_4_matrix_identities_and_support_table():
 def test_criterion_5_unit_index_matches_finite_quotient_count():
     """Formula vs enumeration oracle: exact integer agreement for
     p in {2,3,5}, m <= 3, all three splitting types; under 5 seconds."""
-    presentations = {
-        (2, SplittingSymbol.INERT): (-1, 1, 1),
-        (2, SplittingSymbol.RAMIFIED): (1, 0, 1),
-        (2, SplittingSymbol.SPLIT): (0, 1, 1),
-        (3, SplittingSymbol.INERT): (1, 0, 1),
-        (3, SplittingSymbol.RAMIFIED): (1, 1, 1),
-        (3, SplittingSymbol.SPLIT): (-1, 0, 1),
-        (5, SplittingSymbol.INERT): (2, 0, 1),
-        (5, SplittingSymbol.RAMIFIED): (-1, 1, 1),
-        (5, SplittingSymbol.SPLIT): (1, 0, 1),
-    }
     start = time.monotonic()
-    for (p, symbol), (a, b, c) in presentations.items():
-        assert splitting_symbol(b * b - 4 * a * c, p) is symbol
-        data = quad_data(p, symbol)
-        for m in range(0, 4):
-            assert unit_index(data, m) == unit_index_oracle(a, b, c, p, m), (p, symbol, m)
+    triples = batteries.ORACLE_TRIPLES
+    assert set(triples) == {(p, batteries.SYMBOL_NAMES[sym]) for p in (2, 3, 5) for sym in SplittingSymbol}
+    for (p, cls), (a, b, c) in triples.items():
+        assert batteries.SYMBOL_NAMES[splitting_symbol(b * b - 4 * a * c, p)] == cls
+    run_battery(batteries.volume_checks(), "volumes/index/", 9 * 4)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"oracle battery took {elapsed:.1f}s"
 
@@ -149,101 +119,41 @@ def test_criterion_6_archimedean_quadrature_matches_closed_forms():
     special point s = l/6 - 1/2 at l = 12); the first-moment transform to
     1e-8; the elementary collapse of W to 1e-10; under 60 seconds."""
     start = time.monotonic()
-    grid = _builtin_arch_grid()
-    assert len(grid) >= 12
+    assert batteries.ZINF_TOLERANCE == 1e-6
+    assert batteries.MELLIN_TOLERANCE == 1e-8
+    assert batteries.COLLAPSE_TOLERANCE == 1e-10
+    grid = batteries.ARCH_GRID
     assert any(sc.l == 12 and sc.s == 1.5 for _, sc in grid)  # s = l/6 - 1/2
     assert {sc.D for _, sc in grid} == {3, 4}
-    for tag, sc in grid:
-        closed = z_inf_closed(sc)
-        numeric = z_inf_quadrature(sc)
-        assert abs(numeric - closed) <= 1e-6 * abs(closed), tag
-
-    points = [
-        (kappa, mu, sigma)
-        for kappa in (0, -0.5, 0.5, 1, 6)
-        for mu in (0, 0.5j)
-        for sigma in (1, 2, 5)
-    ]
-    points.append((6, 5.5, 6))
-    for kappa, mu, sigma in points:
-        numeric, closed = mellin_whittaker(kappa, mu, sigma)
-        if closed == 0:
-            scale = abs(gamma_fn(sigma + mu + 0.5) * gamma_fn(sigma - mu + 0.5))
-            assert abs(numeric) <= 1e-8 * scale, (kappa, mu, sigma)
-        else:
-            assert abs(numeric - closed) <= 1e-8 * abs(closed), (kappa, mu, sigma)
-
-    for mu in (0.0, 0.5, 3.0, 5.5):
-        for z in (0.5, 2.0, 10.0):
-            w = whittaker_w(WhittakerQuery(mu + 0.5, mu, z))
-            want = math.exp(-z / 2.0) * z ** (mu + 0.5)
-            assert abs(w - want) <= 1e-10 * abs(want), (mu, z)
-
+    checks = batteries.arch_checks(1e-6)
+    run_battery(checks, "arch/zinf/", 13)
+    run_battery(checks, "arch/reduction/", 12)
+    run_battery(checks, "arch/mellin/", 31)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"archimedean battery took {elapsed:.1f}s"
-
-
-def _level_prime_input(p, symbol):
-    if symbol is SplittingSymbol.INERT:
-        local = PrimeQuadData(symbol=-1, lambda_piF=1.0)
-    elif symbol is SplittingSymbol.RAMIFIED:
-        local = PrimeQuadData(symbol=0, lambda_piF=1.0, lambda_piL=-1.0)
-    else:
-        local = PrimeQuadData(
-            symbol=1, lambda_piF=1.0, lambda_piL=2.0, lambda_piF_over_piL=0.5
-        )
-    return GlobalInput(
-        l=12,
-        D=4,
-        N=p,
-        lambda_classvals=(1.0,),
-        fourier_classvals=(1.0,),
-        a1=1.0,
-        r=-11j,
-        satake_table={p: (1.0, 1.0, 1.0)},
-        gl2_table={p: -1.0},
-        local_table={p: local},
-    )
 
 
 def test_criterion_7_constant_consistency():
     """theorem3_consistency to 1e-9 relative for all even l in [12,40];
     the level factor reproduces the local prefactor exactly at rational s;
     the level-one volume at N = 2 is 1/45."""
-    for D in (3, 4):
-        for l in range(12, 41, 2):
-            gi = GlobalInput(
-                l=l,
-                D=D,
-                N=1,
-                lambda_classvals=(1.0,),
-                fourier_classvals=(1.0,),
-                a1=1.0,
-                r=-1j * (l - 1),
-                satake_table={},
-                gl2_table={},
-                local_table={},
-            )
-            assert theorem3_consistency(gi), (l, D)
+    checks = batteries.consistency_checks()
+    run_battery(checks, "consistency/arch-constant/", 2 * 15)
+    run_battery(checks, "consistency/level-factor/", 3 * 3)
+    run_battery(checks, "consistency/v-level/", 1)
 
-    for p, symbol in (
-        (2, SplittingSymbol.INERT),
-        (2, SplittingSymbol.RAMIFIED),
-        (2, SplittingSymbol.SPLIT),
-        (3, SplittingSymbol.INERT),
-        (3, SplittingSymbol.RAMIFIED),
-        (3, SplittingSymbol.SPLIT),
-        (5, SplittingSymbol.INERT),
-        (5, SplittingSymbol.RAMIFIED),
-        (5, SplittingSymbol.SPLIT),
-    ):
-        gi = _level_prime_input(p, symbol)
-        pre = prefactor(quad_data(p, symbol))
-        base = Fraction(int(pre.numerator), int(pre.denominator))
-        for s in (Fraction(1, 2), Fraction(1, 3), Fraction(1)):
-            k = int(6 * s + 1)
-            expected = base / (1 - Fraction(p) ** (-k))
-            assert kappa_N(gi, s) == expected, (p, symbol, s)
+    # the six (p, class) pairs the battery leaves out
+    for p in (2, 3, 5):
+        for symbol in SplittingSymbol:
+            if (p, symbol) in batteries.LEVEL_FACTOR_PAIRS:
+                continue
+            gi = batteries.level_prime_input(p, symbol)
+            pre = prefactor(batteries.trivial_local(p, symbol))
+            base = Fraction(int(pre.numerator), int(pre.denominator))
+            for s in (Fraction(1, 2), Fraction(1, 3), Fraction(1)):
+                k = int(6 * s + 1)
+                expected = base / (1 - Fraction(p) ** (-k))
+                assert kappa_N(gi, s) == expected, (p, symbol, s)
 
     assert v_N(2) == Fraction(1, 45)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from localzeta import arch
+from localzeta import arch, batteries
 from localzeta.arch import (
     ArchScenario,
     DomainError,
@@ -143,14 +143,6 @@ class TestConfluentU:
                     assert abs(got - ref) <= 1e-10 * abs(ref), (a + shift, b, x)
 
 
-MELLIN_GRID = [
-    (kappa, mu, sigma)
-    for kappa in (0, -0.5, 0.5, 1, 6)
-    for mu in (0, 0.5j)
-    for sigma in (1, 2, 5)
-] + [(6, 5.5, 6)]
-
-
 class TestMellinWhittaker:
     def test_example_value(self):
         numeric, closed = mellin_whittaker(0.0, 0.0, 0.5)
@@ -200,7 +192,7 @@ class TestMellinWhittaker:
         assert 1 <= len(calls) <= 40
         assert max(calls) <= arch._EVAL_CHUNK
 
-    @pytest.mark.parametrize("point", MELLIN_GRID, ids=str)
+    @pytest.mark.parametrize("point", batteries.MELLIN_POINTS, ids=str)
     def test_converges_within_reported_error(self, point):
         kappa, mu, sigma = (complex(v) for v in point)
         head, tail = arch._mellin_segments(kappa, mu, sigma)

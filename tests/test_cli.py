@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -13,10 +12,60 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import localzeta
-from localzeta import arch, cli
+from localzeta import arch, batteries, cli, cosets, localfield
 from localzeta.cli import InputError, RunConfig, main, run
+from localzeta.localfield import SplittingSymbol
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every CLI output the benchmark checks, and five more outputs recorded at
+# commit 8f6ba32.
+BENCHMARK_DIGESTS = [
+    (entry["argv"], entry["sha256"])
+    for entries in json.loads(
+        (ROOT / "perfbench" / "cli_checks.json").read_text(encoding="utf-8")
+    ).values()
+    for entry in entries
+]
+RECORDED_DIGESTS = [
+    (["verify-arch", "--format", "machine"],
+     "f553f5be60cc30d3e1637a55750dff74bf44f2c50f29291c906c80bdb4c7af24"),
+    (["lfactor", "--format", "machine"],
+     "7042b9721f231bb077cac5ba644f1dcd9b98cd780a260d53b7ffab4369dfaaef"),
+    (["verify-cosets", "--p", "3", "--trials", "5", "--format", "machine"],
+     "57f475ea7c1ea8884fd10d0923033c1e2a46b19cb9cf0d8fc45bc9e84e5c4a29"),
+    (["verify-local", "--format", "machine"],
+     "be4bb3beb13787f34ea71ef1d06e3be9f484a828e8f41d80f423694a62018c56"),
+    (["verify-volumes"],
+     "6c41c005363da9e4937dbb12aa772930d31606fea36b08a7096ed7c350d020d2"),
+]
+
+
+# s for the global command: 0, reals from 1e-300 to 1e308 in size, integers
+# of up to 400 digits, and [re, im] pairs of them.
+_EXTREME_REALS = st.one_of(
+    st.just(0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1, -1]), st.integers(-300, 308)),
+    st.floats(min_value=-1e308, max_value=1e308),
+    st.integers(min_value=-(10**400), max_value=10**400),
+)
+EXTREME_S = st.one_of(_EXTREME_REALS, st.lists(_EXTREME_REALS, min_size=2, max_size=2))
+
+
+def committed_global_doc(**overrides):
+    doc = json.loads((ROOT / "perfbench" / "inputs" / "global.json").read_text(encoding="utf-8"))
+    doc["global_input"].update(overrides)
+    return doc
+
+
+def stdout_digest(argv, capsys):
+    """sha256 of what ``main(argv)`` prints, which must exit 0."""
+    assert main(argv) == 0, argv
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
 def run_capture(config):
@@ -246,8 +295,8 @@ class TestVerifyArch:
         assert witness["abs_error"] > 0
 
     def test_wrong_closed_form_fails_with_witness(self, write_doc, monkeypatch):
-        closed = cli.z_inf_closed
-        monkeypatch.setattr(cli, "z_inf_closed", lambda sc: 2 * closed(sc))
+        closed = arch.z_inf_closed
+        monkeypatch.setattr(arch, "z_inf_closed", lambda sc: 2 * closed(sc))
         path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
         code, out = run_capture(
             RunConfig(command="verify-arch", input_path=path, output_format="machine")
@@ -381,9 +430,7 @@ class TestVerifyArch:
         assert capsys.readouterr().err.splitlines() == [message]
 
     def test_builtin_grid_constructs(self):
-        from localzeta.cli import _builtin_arch_grid
-
-        grid = _builtin_arch_grid()
+        grid = batteries.ARCH_GRID
         assert len(grid) == 13
         tags = [tag for tag, _ in grid]
         assert len(set(tags)) == 13
@@ -402,6 +449,27 @@ class TestVerifyCosets:
         for which in ("i", "ii", "vi", "m0-equiv", "mpos-equiv"):
             assert by_name[f"cosets/identity/{which}"]["status"] == "pass"
         assert by_name["cosets/count-polynomial"]["status"] == "pass"
+
+    def test_duplicated_representative_fails_the_audit(self, monkeypatch, capsys):
+        reps = cosets.bruhat_reps
+
+        def first_twice(p, *args):
+            out = reps(p, *args).copy()
+            out[1] = out[0]
+            return out
+
+        monkeypatch.setattr(cosets, "bruhat_reps", first_twice)
+        assert main(["verify-cosets", "--trials", "2", "--format", "machine"]) == 1
+        failed = [r for r in strict_records_of(capsys.readouterr().out) if r["status"] != "pass"]
+        assert [r["name"] for r in failed] == ["cosets/p2/audit"]
+        witness = failed[0]["witness"]
+        assert witness["pairwise_distinct"] is False
+        # the witness is g k for the doubled representative g and a k in
+        # the level subgroup: g^-1 = -J g^T J for a symplectic g
+        g = reps(2)[0].reshape(4, 4).astype(np.int64)
+        J = np.asarray(cosets.J4, dtype=np.int64)
+        k = (-J @ g.T @ J @ np.reshape(witness["witness"], (4, 4))) % 2
+        assert cosets.ksharp_mod_p_member(k.reshape(16), 2)
 
     def test_large_characteristic_is_rejected(self, capsys):
         assert main(["verify-cosets", "--p", "5"]) == 2
@@ -423,13 +491,13 @@ class TestVerifyVolumes:
         assert "volumes/ksharp/q3" in names
 
     def test_one_perturbed_oracle_count_fails_that_cell(self, monkeypatch, capsys):
-        counted = cli.unit_index_oracle
-        target = (*cli._ORACLE_TRIPLES[(3, "split")], 3, 2)
+        counted = localfield.unit_index_oracle
+        target = (*batteries.ORACLE_TRIPLES[(3, "split")], 3, 2)
 
         def off_by_one(*args):
             return counted(*args) + (args == target)
 
-        monkeypatch.setattr(cli, "unit_index_oracle", off_by_one)
+        monkeypatch.setattr(localfield, "unit_index_oracle", off_by_one)
         assert main(["verify-volumes", "--format", "machine"]) == 1
         failed = [r for r in strict_records_of(capsys.readouterr().out) if r["status"] != "pass"]
         assert failed == [
@@ -439,6 +507,22 @@ class TestVerifyVolumes:
                 "witness": {"formula": "6", "oracle": 7},
             }
         ]
+
+
+    def test_one_wrong_volume_fails_that_cancellation_row(self, monkeypatch, capsys):
+        volume = cosets.volume_V2
+
+        def wrong_in_one_cell(data, l, m):
+            cell = (data.q, data.symbol, l, m) == (3, SplittingSymbol.SPLIT, 4, 3)
+            return volume(data, l, m) + cell
+
+        monkeypatch.setattr(cosets, "volume_V2", wrong_in_one_cell)
+        assert main(["verify-volumes", "--format", "machine"]) == 1
+        failed = [r for r in strict_records_of(capsys.readouterr().out) if r["status"] != "pass"]
+        assert [r["name"] for r in failed] == ["volumes/cancellation/q3/split"]
+        witness = failed[0]["witness"]
+        assert (witness["l"], witness["m"]) == (4, 3)
+        assert set(witness) == {"l", "m", "V1", "V2"}
 
 
 class TestLfactor:
@@ -580,10 +664,7 @@ class TestGlobal:
     def test_overflowing_s_fails_with_witness(self, write_doc, capsys, p_max):
         # at s = -120, kappa_inf's (4 pi)^(-3s + ...) (and at p_max = 13 the
         # Euler product's p^(-3s)) are past the float range
-        root = Path(__file__).resolve().parents[1]
-        doc = json.loads((root / "perfbench" / "inputs" / "global.json").read_text(encoding="utf-8"))
-        doc["global_input"]["s"] = -120
-        path = write_doc(doc)
+        path = write_doc(committed_global_doc(s=-120))
         assert main(["global", "--input", path, "--pmax", p_max, "--format", "machine"]) == 1
         out, err = capsys.readouterr()
         assert err == ""
@@ -595,26 +676,69 @@ class TestGlobal:
             "overflow": "complex exponentiation",
         }
 
-    def test_committed_input_matches_the_benchmark_digest(self):
-        # The committed global input's machine output, byte for byte: a
-        # last-bit move anywhere in the global value fails here.
-        root = Path(__file__).resolve().parents[1]
-        argv = ["global", "--input", "perfbench/inputs/global.json", "--pmax", "13",
-                "--format", "machine"]
-        checks = json.loads((root / "perfbench" / "cli_checks.json").read_text(encoding="utf-8"))
-        (entry,) = [e for e in checks["geometry"] if e["argv"] == argv]
-        src = str(Path(localzeta.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "localzeta.cli", *argv],
-            cwd=root,
-            capture_output=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == entry["sha256"]
+    @pytest.mark.parametrize("p_max", ["3", "13"])
+    def test_non_finite_value_fails(self, write_doc, capsys, p_max):
+        # at s = 300 kappa_inf is nan, and so is the value: no pass
+        path = write_doc(committed_global_doc(s=300))
+        assert main(["global", "--input", path, "--pmax", p_max, "--format", "machine"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        (record,) = strict_records_of(out)
+        assert record["name"] == "global/z" and record["status"] == "fail"
+        assert record["witness"]["value"] == ["nan", "nan"]
+        assert record["witness"]["p_max"] == int(p_max)
+
+    @pytest.mark.parametrize("p_max", ["3", "13"])
+    def test_zero_to_a_complex_power_fails_with_witness(self, write_doc, capsys, p_max):
+        # at s = 1/2 + 1e308 i, p^(-3s) raises ZeroDivisionError, not OverflowError
+        path = write_doc(committed_global_doc(s=[0.5, 1e308]))
+        assert main(["global", "--input", path, "--pmax", p_max, "--format", "machine"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        (record,) = strict_records_of(out)
+        assert record["name"] == "global/z" and record["status"] == "fail"
+        assert record["witness"] == {
+            "s": [0.5, 1e308],
+            "p_max": int(p_max),
+            "overflow": "0.0 to a negative or complex power",
+        }
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(s=EXTREME_S, p_max=st.sampled_from([3, 13]))
+    def test_any_s_ends_in_a_status(self, tmp_path_factory, s, p_max):
+        path = tmp_path_factory.getbasetemp() / "extreme-s.json"
+        path.write_text(json.dumps(committed_global_doc(s=s)), encoding="utf-8")
+        config = RunConfig(command="global", input_path=str(path), p_max=p_max, output_format="machine")
+        try:
+            code, out = run_capture(config)
+        except InputError:
+            return  # exit status 2
+        records = strict_records_of(out)
+        assert code == (1 if any(r["status"] == "fail" for r in records) else 0)
+        for record in records:
+            witness = record["witness"]
+            assert witness, record
+            if record["status"] == "pass" and "value" in witness:
+                # a non-finite float would print as the string "nan" or "inf"
+                assert all(isinstance(part, float) for part in witness["value"]), record
+
+    @pytest.mark.parametrize("s", [10**400, "-1" + "0" * 400 + "/3"])
+    def test_s_past_the_float_range_is_exit_two(self, write_doc, capsys, s):
+        path = write_doc(committed_global_doc(s=s))
+        assert main(["global", "--input", path, "--pmax", "3"]) == 2
+        assert "global_input.s: past the float range" in capsys.readouterr().err
+
+    def test_committed_input_matches_the_benchmark_digest(self, monkeypatch, capsys):
+        # Stdout byte for byte: a last-bit move in any printed value, a
+        # renamed or dropped check, or a changed table layout fails here.
+        assert len(BENCHMARK_DIGESTS) == 7
+        monkeypatch.chdir(ROOT)  # the benchmark's argv name repo-relative inputs
+        moved = [argv for argv, sha256 in BENCHMARK_DIGESTS if stdout_digest(argv, capsys) != sha256]
+        assert moved == []
+
+    @pytest.mark.parametrize("argv, sha256", RECORDED_DIGESTS, ids=[" ".join(a) for a, _ in RECORDED_DIGESTS])
+    def test_output_matches_the_recorded_digest(self, argv, sha256, capsys):
+        assert stdout_digest(argv, capsys) == sha256
 
 
 class TestConsistency:

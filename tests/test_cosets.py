@@ -33,7 +33,8 @@ from localzeta.cosets import (
 )
 
 
-def quad_data(q, symbol):
+def twisted_local(q, symbol):
+    """Local data with a non-trivial character in every class."""
     if symbol is SplittingSymbol.INERT:
         return LocalQuadData(q, symbol, rat(2))
     if symbol is SplittingSymbol.RAMIFIED:
@@ -532,11 +533,11 @@ class TestSupportClassify:
 
 class TestVolumes:
     def test_base_point_inert(self):
-        local = quad_data(2, SplittingSymbol.INERT)
+        local = twisted_local(2, SplittingSymbol.INERT)
         assert volume_V1(local, 0, 0) == rat(1, 15)
 
     def test_m1_pair_and_cancellation(self):
-        local = quad_data(2, SplittingSymbol.INERT)
+        local = twisted_local(2, SplittingSymbol.INERT)
         v1 = volume_V1(local, 0, 1)
         v2 = volume_V2(local, 0, 1)
         assert v1 == rat(16, 15) and v2 == rat(32, 15)
@@ -545,7 +546,7 @@ class TestVolumes:
     def test_cancellation_grid(self):
         for q in (2, 3):
             for symbol in SplittingSymbol:
-                local = quad_data(q, symbol)
+                local = twisted_local(q, symbol)
                 for l in range(4):
                     for m in range(1, 4):
                         lhs = volume_V1(local, l, m)
@@ -553,7 +554,7 @@ class TestVolumes:
                         assert lhs == rhs
 
     def test_v2_needs_positive_m(self):
-        local = quad_data(3, SplittingSymbol.SPLIT)
+        local = twisted_local(3, SplittingSymbol.SPLIT)
         with pytest.raises(ValueError):
             volume_V2(local, 0, 0)
 
@@ -563,7 +564,7 @@ class TestVolumes:
     def test_unit_index_bridge(self):
         for q in (2, 3, 5):
             for symbol in SplittingSymbol:
-                local = quad_data(q, symbol)
+                local = twisted_local(q, symbol)
                 for l in (0, 1, 2):
                     bridged = (
                         volume_V1(local, l, 0)

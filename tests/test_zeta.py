@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from localzeta import cli
+from localzeta import batteries, cli
 from localzeta.exact import Poly, QuadCoeff, RationalFunction, TruncatedSeries, q_half_power, rat, series_of
 from localzeta.localfield import LocalQuadData, SplittingSymbol
 from localzeta.rng import SplitMix64, draw_scenario, draw_tau_satake, scenario_stream
@@ -208,9 +208,9 @@ class TestFirstNonzeroCell:
         """Only a non-vanishing m > 0 sum adds the cell to the witness."""
         sc = draw_scenario(SplitMix64(32), SplittingSymbol.SPLIT, 3)
         object.__setattr__(sc.st, "omega_piF", 2 * sc.st.omega_piF)
-        record = cli._theorem1_record("local/control", sc, 10)
-        assert record["status"] == "fail"
-        assert "first_nonzero_cell" not in record["witness"]
+        ok, witness = batteries.theorem1_record(sc, 10)
+        assert not ok
+        assert "first_nonzero_cell" not in witness
 
 
 class TestDeepOrder:
