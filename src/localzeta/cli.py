@@ -13,6 +13,7 @@ byte-identical output.
 Exit status is 0 when every check passes, 1 when at least one check fails
 (the failing records carry a witness), 2 for malformed input — bad
 flags, unreadable files, JSON syntax errors (reported with line and column),
+numbers that are not finite JSON numbers (``NaN``, ``Infinity``, ``1e400``),
 or schema violations (reported with the JSON path of the offending value) —
 and 141 (128 + SIGPIPE) when the reader closes stdout early, as in
 ``localzeta verify-local | head -1``.
@@ -142,6 +143,17 @@ def _json_safe(value: object) -> object:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_constant(token: str) -> float:
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is past the float range")
+    return value
+
+
 def _load_document(path: str) -> Dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -149,11 +161,13 @@ def _load_document(path: str) -> Dict[str, object]:
     except OSError as exc:
         raise InputError(f"cannot read input file {path}: {exc.strerror or exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: the top-level JSON value must be an object")
     return doc
