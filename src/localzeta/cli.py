@@ -13,8 +13,9 @@ byte-identical output.
 Exit status is 0 when every check passes, 1 when at least one check fails
 (the failing records carry a witness), 2 for malformed input — bad
 flags, unreadable files, JSON syntax errors (reported with line and column),
-numbers that are not finite JSON numbers (``NaN``, ``Infinity``, ``1e400``),
-or schema violations (reported with the JSON path of the offending value) —
+non-finite numbers (``NaN``, ``Infinity``, or a literal past the float range
+such as ``1e400``), integer literals longer than Python converts, or schema
+violations (reported with the JSON path of the offending value) —
 and 141 (128 + SIGPIPE) when the reader closes stdout early, as in
 ``localzeta verify-local | head -1``.
 

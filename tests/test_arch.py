@@ -4,6 +4,7 @@ identity, and quadrature against the closed Gamma-product form."""
 import cmath
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -141,6 +142,47 @@ class TestConfluentU:
                 for x, got in zip(self.XS, values):
                     ref = complex(mpmath.hyperu(a + shift, b, x))
                     assert abs(got - ref) <= 1e-10 * abs(ref), (a + shift, b, x)
+
+    @staticmethod
+    def complex_sum(a, b, xs):
+        """Both members' sums as each term's complex exponential, exponents
+        below -745 flushed to zero, and the sums of the terms' moduli."""
+        h = 0.05
+        n = int(math.ceil(max(4.2, math.log(200.0 / a.real)) / h))
+        v = h * np.arange(-n, n + 1)
+        log_t = 0.5 * math.pi * np.sinh(v)
+        t = np.exp(log_t)
+        log_pow = a * log_t + (b - a - 1) * np.log1p(t) + np.log(0.5 * math.pi * np.cosh(v) * h)
+        exponent = -np.outer(xs, t) + log_pow[None, :]
+        flushed = exponent.real < -745.0
+        terms = np.exp(np.where(flushed, -745.0, exponent))
+        terms[flushed] = 0.0
+        shift = np.exp(log_t - np.log1p(t))
+        return (
+            (terms.sum(axis=1), (terms * shift).sum(axis=1)),
+            (np.abs(terms).sum(axis=1), (np.abs(terms) * shift).sum(axis=1)),
+        )
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_real_grid_matches_the_complex_sum(self, a, b):
+        a, b = complex(a), complex(b)
+        xs = np.array((1e-4, 1e-3, *self.XS))
+        members = arch._confluent_u_pair(a, b, xs)
+        sums, moduli = self.complex_sum(a, b, xs)
+        eps = np.finfo(float).eps
+        for shift, (got, ref, size) in enumerate(zip(members, sums, moduli)):
+            scale = arch._reciprocal_gamma(a + shift)
+            # rounding only: a few ulps of the sum of the terms' moduli
+            miss = np.abs(got - ref * scale) / (eps * size * abs(scale))
+            assert miss.max() <= 8, (a + shift, b, xs[miss.argmax()])
+
+    def test_smallest_mellin_arguments_stay_finite_without_warnings(self):
+        xs = np.geomspace(2.88e-10, 120.0, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in self.PAIRS:
+                for values in arch._confluent_u_pair(complex(a), complex(b), xs):
+                    assert np.all(np.isfinite(values)), (a, b)
 
 
 class TestMellinWhittaker:

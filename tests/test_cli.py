@@ -524,6 +524,28 @@ class TestVerifyVolumes:
         assert (witness["l"], witness["m"]) == (4, 3)
         assert set(witness) == {"l", "m", "V1", "V2"}
 
+    def test_each_cancellation_row_visits_its_whole_range(self, monkeypatch):
+        # passing rows carry no witness, so only the visited cells show
+        # that a row checks every l in (2, 4, 6) and every m in 1..4
+        visited = []
+        volume = cosets.volume_V1
+
+        def recorded(data, l, m):
+            visited.append((l, m))
+            return volume(data, l, m)
+
+        monkeypatch.setattr(cosets, "volume_V1", recorded)
+        rows = [
+            (name, check)
+            for name, check in batteries.volume_checks()
+            if name.startswith("volumes/cancellation/")
+        ]
+        assert len(rows) == 9
+        for name, check in rows:
+            visited.clear()
+            assert check() == (True, None), name
+            assert sorted(visited) == [(l, m) for l in (2, 4, 6) for m in range(1, 5)], name
+
 
 class TestLfactor:
     def test_default_prints_the_trivial_factor(self, capsys):
@@ -852,6 +874,32 @@ class TestEntryPoints:
         path.write_text("{broken", encoding="utf-8")
         assert main(["verify-local", "--input", str(path)]) == 2
         assert "line 1 column 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "s", ["NaN", "1e400", "[0, 1e400]", pytest.param("1" + "0" * 5000, id="5001-digit-int")]
+    )
+    def test_non_finite_number_is_exit_two(self, tmp_path, capsys, s):
+        # plain json.loads reads NaN as nan and 1e400 as inf, and raises a
+        # bare ValueError past Python's integer-string digit limit
+        text = (ROOT / "perfbench" / "inputs" / "global.json").read_text(encoding="utf-8")
+        assert text.count('"s": "3/2"') == 1
+        path = tmp_path / "global.json"
+        path.write_text(text.replace('"s": "3/2"', f'"s": {s}'), encoding="utf-8")
+        assert main(["global", "--input", str(path), "--pmax", "13"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+
+    def test_nan_in_an_arch_scenario_is_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "arch.json"
+        path.write_text(
+            '{"arch_scenarios": [{"l": 12, "l1": 12, "q_c": 0, "D": 4, "s": NaN, "a_plus": 1}]}',
+            encoding="utf-8",
+        )
+        assert main(["verify-arch", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{path}: NaN is not a JSON number" in err
 
     def test_module_execution(self):
         proc = subprocess.run(
