@@ -5,19 +5,18 @@ The closed form is a ratio of Gamma values with powers of D and 4*pi in
 front; the quadrature path integrates the printed (lambda, u) double
 integral with no analytic shortcuts (in particular the u-integral, whose
 closed value is elementary, is still done numerically so the comparison
-is a genuine two-route check).  The lambda-integral runs over lambda
-scaled with u, so the Whittaker arguments 4 pi sqrt(D) u lambda at its
-nodes do not depend on u: W is tabulated by its exact arguments and
-looked up at every later u-node.  That is reuse of numeric values, not
-an analytic shortcut.
+is a genuine two-route check).
 
 The lambda-integral, the u-integral and the Mellin identity share one
-batched, globally adaptive Gauss-Kronrod rule (QUADPACK's 10/21-point
-pair): each refinement round evaluates the integrand once, on every new
-node, and the rule reports its own |Kronrod - Gauss| error estimate.
-Every numerical route raises GaussKronrodError, with a witness, instead
-of returning an unconverged value, except the confluent-U grid below,
-which has no error estimate yet.
+globally adaptive, row-wise Gauss-Kronrod rule (QUADPACK's 10/21-point
+pair): one pass integrates several integrands on shared intervals, each
+to its own tolerance, evaluating them once per round on every new node.
+The lambda-integrals at all the u-nodes of a u-round are one pass; with
+lambda scaled by u, their Whittaker arguments 4 pi sqrt(D) u lambda do
+not depend on u, so W is tabulated by them (reuse of numeric values, not
+an analytic shortcut).  Every numerical route raises GaussKronrodError,
+with a witness, instead of returning an unconverged value, except the
+confluent-U grid below, which has no error estimate yet.
 
 Whittaker evaluation is written here from scratch: a tanh-sinh quadrature
 of the confluent-U integral representation where it converges, and an
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 import scipy.special
@@ -272,7 +271,7 @@ _GAUSS_WEIGHTS = np.array(_WG + _WG[::-1])
 #: Most integrand arguments passed in one call.  A W evaluation builds a
 #: confluent-U node grid of (arguments x tanh-sinh nodes) real values,
 #: about 5 MB at this many arguments, so a wide refinement round is
-#: evaluated in pieces.  The u-integrand takes one u-node at a time.
+#: evaluated in pieces (the lambda-integrand's rows share one W call).
 _EVAL_CHUNK = 3072
 
 
@@ -287,17 +286,9 @@ class GaussKronrodError(QuadratureError):
     node ``u``.
     """
 
-    def __init__(
-        self, route: str, segment: Tuple[float, float], quad: "_Quadrature", **where
-    ):
-        super().__init__(
-            route,
-            **where,
-            segment=segment,
-            intervals=quad.intervals,
-            abserr=quad.abserr,
-            tolerance=quad.tolerance,
-        )
+    def __init__(self, route: str, segment: Tuple[float, float], quad: "_Quadrature", **where):
+        witness = dict(intervals=quad.intervals, abserr=quad.abserr, tolerance=quad.tolerance)
+        super().__init__(route, **where, segment=segment, **witness)
 
 
 @dataclass(frozen=True)
@@ -318,70 +309,78 @@ class _Quadrature:
 
 
 def _g10k21(f, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and |Kronrod - Gauss| on each interval [lo_i, hi_i],
-    from one pass of f over all their nodes.
+    """Kronrod values and |Kronrod - Gauss| of each row of f on each
+    interval [lo_i, hi_i], from one pass of f over all their nodes.
 
-    Overflow is silent here: a value past the float range reaches
-    _gauss_kronrod as inf or nan, which fails the rule with a witness.
+    The rule calls it with overflow silenced: a value past the float range
+    reaches the rule as inf or nan, which fails it with a witness.
     """
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (centre[:, None] + half[:, None] * _KRONROD_NODES[None, :]).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.concatenate(
-            [f(x[i : i + _EVAL_CHUNK]) for i in range(0, x.size, _EVAL_CHUNK)]
-        )
-        fx = fx.reshape(lo.size, _KRONROD_NODES.size)
-        kronrod = half * (fx @ _KRONROD_WEIGHTS)
-        gauss = half * (fx[:, 1::2] @ _GAUSS_WEIGHTS)
-        return kronrod, np.abs(kronrod - gauss)
+    fx = np.concatenate([f(x[i : i + _EVAL_CHUNK]) for i in range(0, x.size, _EVAL_CHUNK)], axis=1)
+    fx = fx.reshape(-1, lo.size, _KRONROD_NODES.size)
+    kronrod = half * (fx @ _KRONROD_WEIGHTS)
+    gauss = half * (fx[:, :, 1::2] @ _GAUSS_WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss)
 
 
-def _gauss_kronrod(
+def _gauss_kronrod_rows(
     f, a: float, b: float, epsabs: float, epsrel: float, limit: int
-) -> _Quadrature:
-    """Globally adaptive G10K21 quadrature of a vectorised f on [a, b].
+) -> List[_Quadrature]:
+    """Globally adaptive G10K21 quadrature on [a, b] of each row of f(x).
 
-    Each round bisects the intervals with the largest error estimates
-    until the others fit under half the tolerance max(epsabs, epsrel *
-    |value|), then evaluates f on all the new nodes together.  Stops once
-    the summed estimate meets the tolerance or ``limit`` intervals are in
-    use; the caller reads ``converged``.  A value that cannot be sized
-    (inf, nan, or a modulus past the float range) stops the rule at once
-    with a nan tolerance, which no error estimate meets.
+    f maps an array of nodes to a (rows, nodes) array.  The rows share
+    intervals; each has its own value, error estimate and tolerance
+    max(epsabs, epsrel * |value|).  Each round bisects every interval some
+    row would split (its largest estimates, down to where the rest fit
+    under half its tolerance; at the ``limit`` cap, those of largest
+    estimate/tolerance) and evaluates f on all new nodes together, until
+    every row meets its tolerance or ``limit`` intervals are in use; the
+    caller reads ``converged``.  A value that cannot be sized (inf, nan, or
+    a modulus past the float range) stops the rule at once with a nan
+    tolerance for its row, which no error estimate meets.
     """
     lo = np.array([a], dtype=float)
     hi = np.array([b], dtype=float)
-    est, err = _g10k21(f, lo, hi)
     evaluations = _KRONROD_NODES.size
-    while True:
-        value = complex(est.sum())
-        abserr = float(err.sum())
-        try:
-            size = abs(value)
-        except OverflowError:  # finite parts, modulus past the float range
-            size = math.inf
-        if not size < math.inf:
-            return _Quadrature(value, abserr, math.nan, lo.size, evaluations)
-        tolerance = max(epsabs, epsrel * size)
-        if abserr <= tolerance or lo.size >= limit:
-            return _Quadrature(value, abserr, tolerance, lo.size, evaluations)
-        order = np.argsort(err)
-        # the largest estimates, down to where the rest fit under half the
-        # tolerance ("not <=" also takes nan), and no more than the cap allows
-        split = order[~(np.cumsum(err[order]) <= 0.5 * tolerance)]
-        split = split[max(0, split.size - (limit - lo.size)) :]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[split] = False
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_est, new_err = _g10k21(f, new_lo, new_hi)
-        evaluations += new_lo.size * _KRONROD_NODES.size
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        est = np.concatenate([est[keep], new_est])
-        err = np.concatenate([err[keep], new_err])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        est, err = _g10k21(f, lo, hi)
+        rows = np.arange(est.shape[0])[:, None]
+        while True:
+            value = est.sum(axis=1)
+            abserr = err.sum(axis=1)
+            size = np.abs(value)
+            tolerance = np.maximum(epsabs, epsrel * size)
+            if not size.max() < math.inf or (abserr <= tolerance).all() or lo.size >= limit:
+                tolerance[~(size < math.inf)] = math.nan  # "not <" also takes nan
+                return [
+                    _Quadrature(complex(v), float(e), float(t), lo.size, evaluations)
+                    for v, e, t in zip(value, abserr, tolerance)
+                ]
+            column = tolerance[:, None]
+            order = err.argsort(axis=1)
+            wanted = np.empty(err.shape, dtype=bool)
+            wanted[rows, order] = err[rows, order].cumsum(axis=1) > 0.5 * column
+            ranked = (err / column).max(axis=0).argsort()
+            split = ranked[wanted.any(axis=0)[ranked]]
+            split = split[max(0, split.size - (limit - lo.size)) :]
+            keep = np.ones(lo.size, dtype=bool)
+            keep[split] = False
+            mid = 0.5 * (lo[split] + hi[split])
+            new_lo = np.concatenate([lo[split], mid])
+            new_hi = np.concatenate([mid, hi[split]])
+            new_est, new_err = _g10k21(f, new_lo, new_hi)
+            evaluations += new_lo.size * _KRONROD_NODES.size
+            lo = np.concatenate([lo[keep], new_lo])
+            hi = np.concatenate([hi[keep], new_hi])
+            est = np.concatenate([est[:, keep], new_est], axis=1)
+            err = np.concatenate([err[:, keep], new_err], axis=1)
+
+
+def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> _Quadrature:
+    """The rule above on a vectorised f with one row of values."""
+    return _gauss_kronrod_rows(lambda x: f(x)[None], a, b, epsabs, epsrel, limit)[0]
 
 
 def _mellin_segments(
@@ -424,14 +423,12 @@ def mellin_whittaker(
     int_0^inf e^(-x/2) x^(sigma-1) W_{kappa,mu}(x) dx
         = Gamma(sigma+mu+1/2) Gamma(sigma-mu+1/2) / Gamma(sigma-kappa+1).
 
-    Returns (numeric, closed).  The numeric value is a batched, globally
-    adaptive Gauss-Kronrod (G10K21) quadrature of the left side on [0, 1]
-    (with x = y^2) and [1, 120], each segment held to max(1e-12, 1e-11 *
-    |value|) by its own |Kronrod - Gauss| error estimate; each refinement
-    round evaluates W once, on all of its new nodes.  The closed value is
-    the Gamma product.  Convergence at 0 requires Re(sigma) > |Re(mu)| -
-    1/2 (DomainError otherwise); a segment that reaches 200 intervals
-    above its tolerance raises GaussKronrodError.
+    Returns (numeric, closed).  The numeric value is the Gauss-Kronrod
+    rule's on [0, 1] (with x = y^2) and [1, 120], each segment held to
+    max(1e-12, 1e-11 * |value|) by its own error estimate, and the closed
+    value is the Gamma product.  Convergence at 0 requires Re(sigma) >
+    |Re(mu)| - 1/2 (DomainError otherwise); a segment that reaches 200
+    intervals above its tolerance raises GaussKronrodError.
     """
     kappa = complex(kappa)
     mu = complex(mu)
@@ -581,8 +578,8 @@ class _LambdaRule:
     = reach / (2 * scale) and scale = 2 pi sqrt(D) u.  W is taken at
     reach * x, which does not depend on u, and the rest of the integrand
     depends on u only through a constant factor, which a relative
-    tolerance ignores: every u-node asks for W at the same nodes, so W is
-    computed at the first and looked up, by its exact arguments, after.
+    tolerance ignores: every u-round asks for W at the same nodes, so W is
+    computed in the first and looked up, by its exact arguments, after.
     """
 
     def __init__(self, sc: ArchScenario):
@@ -606,27 +603,31 @@ class _LambdaRule:
         return self.tables[key]
 
 
-def _lambda_integral(rule: _LambdaRule, u: float) -> complex:
+def _lambda_integral(rule: _LambdaRule, us: np.ndarray) -> np.ndarray:
     """int_0^inf lambda^(3s-3/2+l-q/2) W_{l/2,ir/2}(4 pi lam sqrt(D) u)
-    e^(-2 pi lam sqrt(D) u) dlam/lam, cut at lam_max, by the Gauss-Kronrod
-    rule over x = lam / lam_max in [0, 1] to 1e-9 relative within 200
-    intervals.
+    e^(-2 pi lam sqrt(D) u) dlam/lam, cut at lam_max, for each u in ``us``
+    as one row of the Gauss-Kronrod rule over x = lam / lam_max in [0, 1],
+    to 1e-9 relative within 200 intervals.
 
-    Raises GaussKronrodError, naming the outer node ``u``, when it does
-    not converge.
+    Raises GaussKronrodError naming the ``u`` of a row that did not
+    converge: one that could not be sized (nan tolerance), else the first.
     """
-    scale = 2 * math.pi * rule.root_d * u
+    scale = 2 * math.pi * rule.root_d * us
     lam_max = rule.reach / (2 * scale)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        lam = lam_max * x
-        w_vals = rule.whittaker(rule.reach * x)  # = W(2 * scale * lam)
-        return np.exp((rule.power - 1) * np.log(lam) - scale * lam) * w_vals
+        lam = np.outer(lam_max, x)
+        w_vals = rule.whittaker(rule.reach * x)  # = W(2 * scale * lam), every row
+        return np.exp((rule.power - 1) * np.log(lam) - scale[:, None] * lam) * w_vals
 
-    quad = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-9, limit=200)
-    if not quad.converged:
-        raise GaussKronrodError("lambda-integral in x = lam / lam_max", (0.0, 1.0), quad, u=u)
-    return lam_max * quad.value
+    quads = _gauss_kronrod_rows(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-9, limit=200)
+    missed = [r for r, quad in enumerate(quads) if not quad.converged]
+    if missed:  # an unsized row (nan tolerance) before the others
+        r = min(missed, key=lambda r: not math.isnan(quads[r].tolerance))
+        raise GaussKronrodError(
+            "lambda-integral in x = lam / lam_max", (0.0, 1.0), quads[r], u=float(us[r])
+        )
+    return lam_max * np.array([quad.value for quad in quads])
 
 
 def z_inf_quadrature(sc: ArchScenario) -> complex:
@@ -640,11 +641,11 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
     The u-integral is done numerically even though its closed value is
     elementary, so this route shares no algebra with z_inf_closed: the
     Mellin route's Gauss-Kronrod rule takes it over t = 1/u in (0, 1], to
-    max(1e-13, 1e-9 * |value|) within 200 intervals.  The same rule takes
-    the inner lambda-integral at every u-node, but its Whittaker arguments
-    4 pi sqrt(D) u lambda do not depend on u, so W is evaluated at the
-    first u-node only (see _LambdaRule); this reuses numeric values and is
-    not an analytic shortcut.
+    max(1e-13, 1e-9 * |value|) within 200 intervals.  Each of its rounds
+    takes the lambda-integrals at all its u-nodes in one row-wise pass of
+    the same rule, whose Whittaker arguments 4 pi sqrt(D) u lambda do not
+    depend on u: W is evaluated in the first round only (see _LambdaRule),
+    which reuses numeric values and is not an analytic shortcut.
 
     Raises GaussKronrodError when the lambda-integral at some u-node
     (witness entry ``u``, segment (0, 1) in lambda / lambda_max) or the
@@ -656,12 +657,10 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
     u_power = -3 * s - 1.5 + q / 2
     rule = _LambdaRule(sc)
 
-    def outer(u: float) -> complex:
-        return complex(np.exp(u_power * math.log(u))) * _lambda_integral(rule, u)
-
     def integrand(t: np.ndarray) -> np.ndarray:
         # u = 1/t, so du = -dt / t^2
-        return np.array([outer(1.0 / ti) / (ti * ti) for ti in t])
+        u = 1.0 / t
+        return np.exp(u_power * np.log(u)) * _lambda_integral(rule, u) / (t * t)
 
     quad = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-9, limit=200)
     if not quad.converged:

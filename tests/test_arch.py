@@ -292,6 +292,55 @@ class TestGaussKronrod:
         assert not q.converged
         assert q.intervals == 1 and math.isnan(q.tolerance)
 
+    def test_proportional_rows_split_as_one(self):
+        def g(x):
+            return np.sqrt(x) * np.cos(3 * x)
+
+        both = arch._gauss_kronrod_rows(
+            lambda x: np.stack([g(x), 3.7 * g(x)]), 0.0, 1.0, 0.0, 1e-11, 200
+        )
+        for row, f in zip(both, (g, lambda x: 3.7 * g(x))):
+            alone = arch._gauss_kronrod(f, 0.0, 1.0, 0.0, 1e-11, 200)
+            assert alone.intervals > 1 and row.converged
+            assert (row.intervals, row.evaluations) == (alone.intervals, alone.evaluations)
+            # equal to rounding: the products behind them differ in shape
+            assert abs(row.value - alone.value) <= 1e-15 * abs(alone.value)
+
+    def test_rows_share_the_intervals_of_the_hardest(self):
+        alone = arch._gauss_kronrod(np.sqrt, 0.0, 1.0, 1e-12, 1e-11, 200)
+        square, root = arch._gauss_kronrod_rows(
+            lambda x: np.stack([x * x, np.sqrt(x)]), 0.0, 1.0, 1e-12, 1e-11, 200
+        )
+        assert root.converged and square.converged
+        assert root.intervals == square.intervals >= alone.intervals > 1
+        assert abs(root.value - 2 / 3) <= root.abserr
+        assert abs(square.value - 1 / 3) <= 1e-15
+
+    def test_cap_keeps_the_largest_error_over_tolerance(self):
+        # Both rows want both halves of [0, 1], and the cap allows one more
+        # interval.  sqrt(x) has the larger error relative to its value,
+        # on [0, 1/2]; the other row's errors are larger in absolute terms.
+        def f(x):
+            return np.stack([np.sqrt(x), 1e6 * (1 - x) ** 0.75])
+
+        rows = arch._gauss_kronrod_rows(f, 0.0, 1.0, 0.0, 1e-15, limit=3)
+        _, err = arch._g10k21(f, np.array([0.0, 0.25, 0.5]), np.array([0.25, 0.5, 1.0]))
+        for row, want in zip(rows, err.sum(axis=1)):
+            assert row.intervals == 3 and not row.converged
+            # |Kronrod - Gauss| of row 2 cancels to about 3e-5 of its terms, whose
+            # last bits depend on how many intervals share the product
+            assert row.abserr == pytest.approx(want, rel=1e-9)
+
+    def test_only_the_row_that_cannot_be_sized_gets_a_nan_tolerance(self):
+        with np.errstate(over="ignore"):
+            one, huge = arch._gauss_kronrod_rows(
+                lambda x: np.stack([np.ones_like(x), np.full(x.shape, 1e308)]),
+                0.0, 10.0, 0.0, 1e-9, 200,
+            )
+        assert one.converged and one.tolerance == 1e-8
+        assert not huge.converged and math.isnan(huge.tolerance)
+        assert one.intervals == huge.intervals == 1
+
 
 class TestArchScenario:
     def test_d_classes(self):
@@ -392,9 +441,9 @@ class TestZInfQuadrature:
 
         lambda_integral = arch._lambda_integral
 
-        def counted_integral(rule, u):
-            lambda_integrals.append(u)
-            return lambda_integral(rule, u)
+        def counted_integral(rule, us):
+            lambda_integrals.extend(us)  # one lambda-integral per u-node
+            return lambda_integral(rule, us)
 
         monkeypatch.setattr(arch, "_whittaker_w_array", counted)
         monkeypatch.setattr(arch, "_lambda_integral", counted_integral)
@@ -403,8 +452,8 @@ class TestZInfQuadrature:
         assert 1 <= len(calls) < len(lambda_integrals)
 
     def test_u_integral_non_convergence_raises_with_segment(self, monkeypatch):
-        def swinging(rule, u):
-            return complex(1e6 * math.sin(1e6 * u))
+        def swinging(rule, us):
+            return (1e6 * np.sin(1e6 * us)).astype(complex)
 
         monkeypatch.setattr(arch, "_lambda_integral", swinging)
         with pytest.raises(arch.GaussKronrodError) as info:
@@ -452,6 +501,21 @@ def _fresh_lambda_integral(sc, u):
     raise AssertionError("reference lambda-integral did not converge")
 
 
+def _lambda_integral_alone(rule, u):
+    """The lambda-integral at one u, as a one-row Gauss-Kronrod rule."""
+    scale = 2 * math.pi * rule.root_d * u
+    lam_max = rule.reach / (2 * scale)
+
+    def integrand(x):
+        lam = lam_max * x
+        w_vals = rule.whittaker(rule.reach * x)
+        return np.exp((rule.power - 1) * np.log(lam) - scale * lam) * w_vals
+
+    quad = arch._gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-9, limit=200)
+    assert quad.converged
+    return lam_max * quad.value
+
+
 class TestLambdaRule:
     SCENARIOS = [
         ArchScenario.discrete_series(12, 12, 0, 4, 1.5, 1),
@@ -461,34 +525,46 @@ class TestLambdaRule:
     @pytest.mark.parametrize("sc", SCENARIOS, ids=["ds", "ps"])
     def test_tabulated_matches_fresh_evaluation(self, sc):
         rule = arch._LambdaRule(sc)
-        arch._lambda_integral(rule, 1.3)  # fills the tables
+        arch._lambda_integral(rule, np.array([1.3]))  # fills the tables
         tables = dict(rule.tables)
-        got = arch._lambda_integral(rule, 2.7)
+        (got,) = arch._lambda_integral(rule, np.array([2.7]))
         assert all(rule.tables[k] is tables[k] for k in tables)  # reused, not rebuilt
         want = _fresh_lambda_integral(sc, 2.7)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize(
+        "sc", [sc for _, sc in batteries.ARCH_GRID], ids=[tag for tag, _ in batteries.ARCH_GRID]
+    )
+    def test_rows_match_the_rule_one_u_at_a_time(self, sc):
+        # the u-nodes of the first round of the u-integral, u = 1/t on (0, 1]
+        us = 1.0 / (0.5 + 0.5 * arch._KRONROD_NODES)
+        got = arch._lambda_integral(arch._LambdaRule(sc), us)
+        rule = arch._LambdaRule(sc)
+        for u, value in zip(us, got):
+            want = _lambda_integral_alone(rule, u)
+            assert abs(value - want) <= 1e-15 * abs(want), u
 
     def test_tabulated_arguments_are_the_scaled_nodes(self, monkeypatch):
         # W is looked up by argument: at every u-node, the arguments in the
         # table must be 2 * scale * lam at the lam-nodes the rule weights.
         sc = self.SCENARIOS[1]
         seen = []
-        gauss_kronrod = arch._gauss_kronrod
+        gauss_kronrod_rows = arch._gauss_kronrod_rows
 
         def recording(f, a, b, **kw):
             def g(x):
                 seen.append(x)
                 return f(x)
 
-            return gauss_kronrod(g, a, b, **kw)
+            return gauss_kronrod_rows(g, a, b, **kw)
 
-        monkeypatch.setattr(arch, "_gauss_kronrod", recording)
+        monkeypatch.setattr(arch, "_gauss_kronrod_rows", recording)
         power = 3 * complex(sc.s) - 1.5 + sc.l - complex(sc.q_c) / 2
         reach = max(power.real + sc.l / 2, 1.0) + 60.0
         rule = arch._LambdaRule(sc)
         for u in (1.3, 2.7):
             seen.clear()
-            arch._lambda_integral(rule, u)
+            arch._lambda_integral(rule, np.array([u]))
             scale = 2 * math.pi * math.sqrt(sc.D) * u
             lam_max = reach / (2 * scale)
             tabulated = [np.frombuffer(key) for key in rule.tables]

@@ -364,8 +364,8 @@ class TestVerifyArch:
             assert witness["abserr"] > witness["tolerance"]
 
     def test_non_converged_u_integral_fails_with_witness(self, write_doc, monkeypatch):
-        def swinging(rule, u):
-            return complex(1e6 * math.sin(1e6 * u))
+        def swinging(rule, us):
+            return (1e6 * np.sin(1e6 * us)).astype(complex)
 
         monkeypatch.setattr(arch, "_lambda_integral", swinging)
         path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
