@@ -13,10 +13,10 @@ pair): one pass integrates several integrands on shared intervals, each
 to its own tolerance, evaluating them once per round on every new node.
 The lambda-integrals at all the u-nodes of a u-round are one pass; with
 lambda scaled by u, their Whittaker arguments 4 pi sqrt(D) u lambda do
-not depend on u, so W is tabulated by them (reuse of numeric values, not
-an analytic shortcut).  Every numerical route raises GaussKronrodError,
-with a witness, instead of returning an unconverged value, except the
-confluent-U grid below, which has no error estimate yet.
+not depend on u, so every row of the pass shares each W evaluation.
+Every numerical route raises GaussKronrodError, with a witness, instead
+of returning an unconverged value, except the confluent-U grid below,
+which has no error estimate yet.
 
 Whittaker evaluation is written here from scratch: a tanh-sinh quadrature
 of the confluent-U integral representation where it converges, and an
@@ -177,7 +177,11 @@ def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarra
                         - (k-mu-1/2)(k+mu-1/2) W_{k-1,mu}(x)
 
     walks back up.  W grows factorially in the first index, so the upward
-    direction is the numerically dominant (stable) one.
+    direction is the numerically dominant (stable) one.  Where U is a
+    polynomial of degree n, its Laguerre form serves up to n = 170; past
+    that n! leaves the float range, and the recurrence walks up from
+    U(0, 1+2mu, x) = 1.  The walk stops once every value is inf or nan, or
+    zero above a zero, as no further step changes that.
     """
     kappa = complex(kappa)
     mu = complex(mu)
@@ -186,28 +190,37 @@ def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarra
         raise DomainError("Whittaker argument must be positive")
     a = mu - kappa + 0.5
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and round(a.real) <= 0:
-        return _whittaker_w_polynomial(int(-round(a.real)), mu, xs)
-    n = 0 if a.real >= 1.0 else int(math.ceil(1.0 - a.real)) + 2
-    if n and mu.real >= 1.0 and float(np.min(xs)) < 1.0:
-        # The value is dominated by cancellation between the x^(1/2-mu)
-        # and x^(1/2+mu) branches, which the upward recurrence cannot
-        # resolve in double precision.
-        raise DomainError(
-            "unsupported domain: first index too large for the integral "
-            "route while Re(mu) >= 1 at small argument"
-        )
-    k0 = kappa - n
-    # a(k0) = a + n and a(k0 - 1) = a + n + 1 share the same second
-    # parameter, so both seeds come from a single node grid.
-    u_k0, u_below = _confluent_u_pair(a + n, 1 + 2 * mu, xs)
+        n = int(-round(a.real))
+        if n <= 170:
+            return _whittaker_w_polynomial(n, mu, xs)
+        k0, u_k0, u_below = mu + 0.5, 1, 0  # W_{k0-1} has weight zero in the first step
+    else:
+        n = 0 if a.real >= 1.0 else int(math.ceil(1.0 - a.real)) + 2
+        if n and mu.real >= 1.0 and float(np.min(xs)) < 1.0:
+            # The value is dominated by cancellation between the x^(1/2-mu)
+            # and x^(1/2+mu) branches, which the upward recurrence cannot
+            # resolve in double precision.
+            raise DomainError(
+                "unsupported domain: first index too large for the integral "
+                "route while Re(mu) >= 1 at small argument"
+            )
+        k0 = kappa - n
+        # a(k0) = a + n and a(k0 - 1) = a + n + 1 share the same second
+        # parameter, so both seeds come from a single node grid.
+        u_k0, u_below = _confluent_u_pair(a + n, 1 + 2 * mu, xs)
     envelope = np.exp(-xs / 2 + (mu + 0.5) * np.log(xs))
     w_prev = envelope * u_below  # W_{k0-1}
     w_curr = envelope * u_k0  # W_{k0}
     k = k0
-    for _ in range(n):
+    for step in range(1, n + 1):
         w_next = (xs - 2 * k) * w_curr - (k - mu - 0.5) * (k + mu - 0.5) * w_prev
         w_prev, w_curr = w_curr, w_next
         k = k + 1
+        # After 1, 2, 4, 8, ... steps, once the sum is 0 or not finite: stop
+        # if no value can come back from past the float range, or leave 0.
+        if not step & (step - 1) and not 0 < abs(w_curr.sum()) < math.inf:
+            if not (np.isfinite(w_curr) & ((w_curr != 0) | (w_prev != 0))).any():
+                break
     return w_curr
 
 
@@ -271,7 +284,8 @@ _GAUSS_WEIGHTS = np.array(_WG + _WG[::-1])
 #: Most integrand arguments passed in one call.  A W evaluation builds a
 #: confluent-U node grid of (arguments x tanh-sinh nodes) real values,
 #: about 5 MB at this many arguments, so a wide refinement round is
-#: evaluated in pieces (the lambda-integrand's rows share one W call).
+#: evaluated in pieces (all rows of the lambda-integrand share the W call
+#: of each piece).
 _EVAL_CHUNK = 3072
 
 
@@ -571,54 +585,28 @@ def z_inf_closed_ds(l, l1, q_c, D, s, a_plus) -> complex:
     return front * num * _reciprocal_gamma(3 * s + (l + 1 - q) / 2)
 
 
-class _LambdaRule:
-    """The lambda-rule of one scenario, with W tabulated by its arguments.
-
-    The lambda-integral runs over x = lam / lam_max in [0, 1], with lam_max
-    = reach / (2 * scale) and scale = 2 pi sqrt(D) u.  W is taken at
-    reach * x, which does not depend on u, and the rest of the integrand
-    depends on u only through a constant factor, which a relative
-    tolerance ignores: every u-round asks for W at the same nodes, so W is
-    computed in the first and looked up, by its exact arguments, after.
-    """
-
-    def __init__(self, sc: ArchScenario):
-        s = complex(sc.s)
-        q = complex(sc.q_c)
-        self.kappa = sc.l / 2
-        self.mu = sc.ir / 2
-        self.power = 3 * s - 1.5 + sc.l - q / 2  # exponent of lambda (before 1/lambda)
-        self.root_d = math.sqrt(sc.D)
-        # The integrand decays like e^(-2 * scale * lam) with polynomial growth
-        # of combined degree Re(power) + l/2 (the W factor grows like z^(l/2)
-        # under its exponential).  Integrate far past the peak.
-        self.reach = max(self.power.real + sc.l / 2, 1.0) + 60.0
-        self.tables = {}  # W arguments (their bytes) -> W values
-
-    def whittaker(self, args: np.ndarray) -> np.ndarray:
-        """W at ``args``, from the table when these arguments were seen."""
-        key = args.tobytes()
-        if key not in self.tables:
-            self.tables[key] = _whittaker_w_array(self.kappa, self.mu, args)
-        return self.tables[key]
-
-
-def _lambda_integral(rule: _LambdaRule, us: np.ndarray) -> np.ndarray:
+def _lambda_integral(sc: ArchScenario, us: np.ndarray) -> np.ndarray:
     """int_0^inf lambda^(3s-3/2+l-q/2) W_{l/2,ir/2}(4 pi lam sqrt(D) u)
     e^(-2 pi lam sqrt(D) u) dlam/lam, cut at lam_max, for each u in ``us``
     as one row of the Gauss-Kronrod rule over x = lam / lam_max in [0, 1],
-    to 1e-9 relative within 200 intervals.
+    to 1e-9 relative within 200 intervals.  Its rows share each W call:
+    W is taken at reach * x, which does not depend on u.
 
     Raises GaussKronrodError naming the ``u`` of a row that did not
     converge: one that could not be sized (nan tolerance), else the first.
     """
-    scale = 2 * math.pi * rule.root_d * us
-    lam_max = rule.reach / (2 * scale)
+    power = 3 * complex(sc.s) - 1.5 + sc.l - complex(sc.q_c) / 2  # exponent of lambda
+    # The integrand decays like e^(-2 * scale * lam) with polynomial growth
+    # of combined degree Re(power) + l/2 (the W factor grows like z^(l/2)
+    # under its exponential).  Integrate far past the peak.
+    reach = max(power.real + sc.l / 2, 1.0) + 60.0
+    scale = 2 * math.pi * math.sqrt(sc.D) * us
+    lam_max = reach / (2 * scale)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         lam = np.outer(lam_max, x)
-        w_vals = rule.whittaker(rule.reach * x)  # = W(2 * scale * lam), every row
-        return np.exp((rule.power - 1) * np.log(lam) - scale[:, None] * lam) * w_vals
+        w_vals = _whittaker_w_array(sc.l / 2, sc.ir / 2, reach * x)  # = W(2 * scale * lam)
+        return np.exp((power - 1) * np.log(lam) - scale[:, None] * lam) * w_vals
 
     quads = _gauss_kronrod_rows(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-9, limit=200)
     missed = [r for r, quad in enumerate(quads) if not quad.converged]
@@ -643,9 +631,8 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
     Mellin route's Gauss-Kronrod rule takes it over t = 1/u in (0, 1], to
     max(1e-13, 1e-9 * |value|) within 200 intervals.  Each of its rounds
     takes the lambda-integrals at all its u-nodes in one row-wise pass of
-    the same rule, whose Whittaker arguments 4 pi sqrt(D) u lambda do not
-    depend on u: W is evaluated in the first round only (see _LambdaRule),
-    which reuses numeric values and is not an analytic shortcut.
+    the same rule, whose rows share their W evaluations (see
+    _lambda_integral).
 
     Raises GaussKronrodError when the lambda-integral at some u-node
     (witness entry ``u``, segment (0, 1) in lambda / lambda_max) or the
@@ -655,12 +642,11 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
     s = complex(sc.s)
     q = complex(sc.q_c)
     u_power = -3 * s - 1.5 + q / 2
-    rule = _LambdaRule(sc)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         # u = 1/t, so du = -dt / t^2
         u = 1.0 / t
-        return np.exp(u_power * np.log(u)) * _lambda_integral(rule, u) / (t * t)
+        return np.exp(u_power * np.log(u)) * _lambda_integral(sc, u) / (t * t)
 
     quad = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-9, limit=200)
     if not quad.converged:
@@ -693,6 +679,8 @@ def c1_coefficient(l: int, l1: int, r: complex, a1: complex) -> complex:
     value = complex(a1)
     for t in range(l + 2, l1 + 1, 2):
         value *= (ir / 2 + 0.5 - t / 2) * (ir / 2 - 0.5 + t / 2)
+        if not value or (math.isnan(value.real) and math.isnan(value.imag)):
+            break  # a zero stays zero (up to its sign), and a nan stays nan
     return value
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "special_value_ratio",
     "v_N",
     "primes_up_to",
+    "is_prime",
 ]
 
 ALGEBRAICITY_NOTE = (
@@ -86,30 +87,34 @@ def primes_up_to(n: int) -> list:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
-def _squarefree_factors(n: int) -> Tuple[int, ...]:
-    """Sorted prime factors of n; rejects n with a square factor."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    factors = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                raise ValueError(f"{n} is not square-free")
-            factors.append(d)
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors.append(m)
-    return tuple(factors)
+def is_prime(n: int) -> bool:
+    """Whether n is prime; exact below 3,825,123,056,546,413,051, the least
+    composite that is a strong probable prime to the first nine prime bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
+    for b in bases:
+        x = pow(b, (n - 1) >> twos, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(twos)):
+            return False
+    return True
 
 
 def v_N(n: int) -> Rational:
-    """The level volume V_N = prod_{p | N} 1/((p^2 - 1)(p^4 - 1)), exactly."""
-    value = rat(1)
-    for p in _squarefree_factors(n):
-        value *= rat(1, (p * p - 1) * (p**4 - 1))
+    """The level volume V_N = prod_{p | N} 1/((p^2 - 1)(p^4 - 1)), exactly,
+    for a square-free N >= 1 (ValueError otherwise)."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    value, m, d = rat(1), n, 2
+    while m > 1:
+        p = d if d * d <= m else m  # past its square root, m is prime
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                raise ValueError(f"{n} is not square-free")
+            value *= rat(1, (p * p - 1) * (p**4 - 1))
+        d += 1
     return value
 
 
@@ -243,7 +248,10 @@ class GlobalInput:
             raise ValueError("l1 must be an even integer >= 2")
         if self.D <= 0 or self.D % 4 not in (0, 3):
             raise ValueError("D must be a positive integer = 0 or 3 mod 4")
-        level = _squarefree_factors(self.N)  # also rejects square factors
+        # A level prime must key gl2_table, so N is factored over its keys.
+        level = tuple(p for p in sorted(self.gl2_table) if self.N % p == 0 and is_prime(p))
+        if math.prod(level) != self.N:  # also N < 1, or a square factor
+            raise ValueError(f"N = {self.N} must be a product of distinct primes keying gl2_table")
         object.__setattr__(self, "level_primes", level)
         object.__setattr__(self, "lambda_classvals", tuple(self.lambda_classvals))
         object.__setattr__(self, "fourier_classvals", tuple(self.fourier_classvals))
@@ -260,8 +268,6 @@ class GlobalInput:
             if len(triple) != 3 or not all(complex(u) for u in triple):
                 raise ValueError(f"satake_table[{p}] needs three nonzero values")
         for p in level:
-            if p not in self.gl2_table:
-                raise ValueError(f"level prime {p} missing from gl2_table")
             if p not in self.local_table:
                 raise ValueError(f"level prime {p} missing from local_table")
         for p, entry in self.gl2_table.items():

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from . import batteries
 from .arch import ArchScenario
-from .assembly import GlobalInput, PrimeQuadData
+from .assembly import GlobalInput, PrimeQuadData, is_prime
 from .exact import Rational, rat
 from .localfield import LocalQuadData, SplittingSymbol
 from .satake import SatakeParams, SteinbergData
@@ -333,13 +333,17 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
 
 
 def _prime_table(value: object, where: str) -> Dict[int, object]:
+    """A table keyed by primes below 2**53, past which floats, in which the
+    Euler factors are evaluated, no longer hold every integer."""
     obj = _as_object(value, where)
     table: Dict[int, object] = {}
     for key, entry in obj.items():
-        p = int(key) if _PRIME_KEY_RE.fullmatch(key) else 0
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p = int(key) if _PRIME_KEY_RE.fullmatch(key) and len(key) < 17 else 0
+        if not (p < 2**53 and is_prime(p)):
+            shown = key if len(key) < 30 else f"{key[:20]}... ({len(key)} characters)"
             raise InputError(
-                f"{where}: table keys must be primes written in plain decimal, got {key!r}"
+                f"{where}: table keys must be primes below 2**53 written in plain "
+                f"decimal, got {shown!r}"
             )
         table[p] = entry
     return table

@@ -194,6 +194,26 @@ class TestHelpers:
         assert primes_up_to(2) == [2]
         assert primes_up_to(1) == []
 
+    def test_is_prime_against_the_sieve(self):
+        primes = set(primes_up_to(20000))
+        assert [n for n in range(-3, 20001) if assembly.is_prime(n)] == sorted(primes)
+
+    @pytest.mark.parametrize(
+        "n",
+        # the least strong pseudoprimes to the bases 2; 2, 3; ...; 2 to 17,
+        # and a Carmichael number
+        [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+         341550071728321, 561],
+    )
+    def test_is_prime_rejects_strong_pseudoprimes(self, n):
+        assert not assembly.is_prime(n)
+
+    def test_is_prime_large(self):
+        assert assembly.is_prime(10**18 + 3) and assembly.is_prime(2**61 - 1)
+        assert not assembly.is_prime((2**31 - 1) * (2**61 - 1))
+        # the least composite passing all nine bases, past 2**53
+        assert assembly.is_prime(3825123056546413051)
+
     def test_v_N_level_two(self):
         assert v_N(2) == Fraction(1, 45)
 
@@ -330,6 +350,20 @@ class TestGlobalInput:
             make_gi(gl2_table={})
         with pytest.raises(ValueError, match="local_table"):
             make_gi(local_table={})
+
+    @pytest.mark.parametrize("n", [3, 10**18 + 3, 3**5000], ids=["3", "1e18+3", "3^5000"])
+    def test_level_is_factored_over_the_gl2_keys(self, n):
+        # a prime factor that keys no gl2_table entry ends the factoring
+        # at once, however large N is
+        with pytest.raises(ValueError, match=f"N = {n} must be a product of distinct primes keying gl2_table"):
+            make_gi(N=n)
+
+    def test_composite_gl2_key_is_no_level_prime(self):
+        # 4 divides N = 4 but is no prime, so 2 is the level prime, twice
+        with pytest.raises(ValueError, match="N = 4 must be a product of distinct primes"):
+            make_gi(N=4, gl2_table={2: -1, 4: (1, 1)})
+        with pytest.raises(ValueError, match="N = 6 must be a product of distinct primes"):
+            make_gi(N=6, gl2_table={2: -1, 6: -1})
 
     def test_level_twist_is_plus_minus_one(self):
         with pytest.raises(ValueError, match="twist"):
@@ -628,13 +662,13 @@ class TestGlobalZ:
     def test_level_factored_once_per_input(self, monkeypatch):
         gi = make_synthetic_gi(40)
         calls = []
-        factors = assembly._squarefree_factors
+        is_prime = assembly.is_prime
 
         def counted(n):
             calls.append(n)
-            return factors(n)
+            return is_prime(n)
 
-        monkeypatch.setattr(assembly, "_squarefree_factors", counted)
+        monkeypatch.setattr(assembly, "is_prime", counted)
         report = global_z_report(gi, 1.0, 40)
         # the input factored N when it was built; no prime of the Euler
         # product factors it again

@@ -1,10 +1,12 @@
 """End-to-end checks for the command-line verification driver."""
 
+import contextlib
 import hashlib
 import io
 import json
 import math
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -85,6 +87,22 @@ def strict_records_of(text):
         raise ValueError(f"non-standard JSON constant {name}")
 
     return [json.loads(line, parse_constant=no_constants) for line in text.splitlines()]
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the test, rather than hang it, once the block runs ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")  # not caught as an Exception
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def valid_local_doc():
@@ -364,7 +382,7 @@ class TestVerifyArch:
             assert witness["abserr"] > witness["tolerance"]
 
     def test_non_converged_u_integral_fails_with_witness(self, write_doc, monkeypatch):
-        def swinging(rule, us):
+        def swinging(sc, us):
             return (1e6 * np.sin(1e6 * us)).astype(complex)
 
         monkeypatch.setattr(arch, "_lambda_integral", swinging)
@@ -761,6 +779,66 @@ class TestGlobal:
     @pytest.mark.parametrize("argv, sha256", RECORDED_DIGESTS, ids=[" ".join(a) for a, _ in RECORDED_DIGESTS])
     def test_output_matches_the_recorded_digest(self, argv, sha256, capsys):
         assert stdout_digest(argv, capsys) == sha256
+
+
+class TestLargeIntegers:
+    """Integers in the input that once drove a loop of about that many
+    steps.  Each input ends in its exit status within a second; the 5 s
+    bound makes a regression fail instead of hang."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [{"l": 2000, "l1": 12}, {"l": 10**15, "l1": 12}, {"l": 10**15, "s1": 0.2, "s2": -0.2}],
+        ids=["l2000-ds", "l1e15-ds", "l1e15-ps"],
+    )
+    def test_large_weight_cannot_be_sized(self, write_doc, capsys, scenario):
+        path = write_doc({"arch_scenarios": [dict(scenario, D=4, s=1.5)]})
+        with within(5), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify-arch", "--input", path, "--format", "machine"])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        out, err = capsys.readouterr()
+        assert err == ""
+        record = {r["name"]: r for r in strict_records_of(out)}["arch/zinf/input-000"]
+        assert record["status"] == "fail"
+        witness = record["witness"]
+        assert set(witness) == {"u", "segment", "intervals", "abserr", "tolerance"}
+        assert witness["tolerance"] == "nan"  # the lambda-integral could not be sized
+
+    def test_large_lowest_weight_fails_with_witness(self, write_doc, capsys):
+        path = write_doc(committed_global_doc(l1=10**15))
+        with within(5):
+            code = main(["global", "--input", path, "--pmax", "13", "--format", "machine"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        (record,) = strict_records_of(out)
+        assert record["name"] == "global/z" and record["status"] == "fail"
+        assert record["witness"]["kappa_inf"] == ["nan", "nan"]
+
+    @pytest.mark.parametrize(
+        "table,key,message",
+        [
+            (None, None, "global_input: N = 1000000000000000003 must be a product of distinct primes keying gl2_table"),
+            ("satake_table", "1000000000000000003", "global_input.satake_table: table keys must be primes below 2**53"),
+            ("local_table", "1" + "0" * 4999, "global_input.local_table: table keys must be primes below 2**53"),
+        ],
+        ids=["N-1e18+3", "key-1e18+3", "key-5000-digits"],
+    )
+    def test_large_integer_is_exit_two(self, write_doc, capsys, table, key, message):
+        doc = committed_global_doc()
+        if table is None:
+            doc["global_input"]["N"] = 10**18 + 3
+        else:
+            doc["global_input"][table][key] = doc["global_input"][table]["3"]
+        path = write_doc(doc)
+        with within(5):
+            code = main(["global", "--input", path, "--pmax", "13", "--format", "machine"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 class TestConsistency:
