@@ -50,6 +50,7 @@ __all__ = [
     "global_z",
     "global_z_report",
     "theorem3_constant",
+    "theorem3_rel_error",
     "theorem3_consistency",
     "special_value_ratio",
     "v_N",
@@ -553,15 +554,14 @@ def theorem3_constant(gi: GlobalInput) -> complex:
     return _theorem3_front(gi, a_bar) * kappa_N(gi, rat(gi.l - 3, 6))
 
 
-def theorem3_consistency(gi: GlobalInput) -> bool:
-    """Check that the two printed constants agree at s = l/6 - 1/2.
+def theorem3_rel_error(gi: GlobalInput) -> float:
+    """Relative error between the two printed constants at s = l/6 - 1/2.
 
     arch's closed form at the holomorphic point (q = 0, ir = l - 1,
-    a+ = conj(a(Lambda)) (4 pi)^(-l/2)) must equal the level-free front
-    of theorem3_constant times pi^(4-2l); the comparison reduces to the
-    factorial identity (2l-4)!/(2(l-2)) = (2l-5)! and is checked to
-    1e-9 relative.  The input's own spectral data (r, a1, l1) is not
-    consulted: the check specializes internally.
+    a+ = conj(a(Lambda)) (4 pi)^(-l/2)) against the level-free front of
+    theorem3_constant times pi^(4-2l); they agree by the factorial
+    identity (2l-4)!/(2(l-2)) = (2l-5)!.  The input's own spectral data
+    (r, a1, l1) is not consulted: the check specializes internally.
     """
     l = gi.l
     a_bar = a_lambda(gi).conjugate()
@@ -569,8 +569,13 @@ def theorem3_consistency(gi: GlobalInput) -> bool:
     a_plus = a_bar * (4 * math.pi) ** (-l / 2)
     kap = _gamma_quotient(l, gi.D, 0, l - 1.0, l / 6 - 0.5, a_plus)
     if target == 0:
-        return kap == 0
-    return abs(kap - target) <= 1e-9 * abs(target)
+        return 0.0 if kap == 0 else math.inf
+    return abs(kap - target) / abs(target)
+
+
+def theorem3_consistency(gi: GlobalInput) -> bool:
+    """Check that the two printed constants agree to 1e-9 relative."""
+    return theorem3_rel_error(gi) <= 1e-9
 
 
 def special_value_ratio(gi: GlobalInput, p_max: int) -> complex:

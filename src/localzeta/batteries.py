@@ -358,7 +358,10 @@ def global_checks(gi: GlobalInput, s: complex, p_max: int) -> List[Check]:
 
 
 def _arch_constant_check(l: int, D: int) -> Tuple[bool, Witness]:
-    return assembly.theorem3_consistency(consistency_input(l, D)), None
+    gi = consistency_input(l, D)
+    if assembly.theorem3_consistency(gi):
+        return True, None
+    return False, {"l": l, "D": D, "rel_error": assembly.theorem3_rel_error(gi)}
 
 
 def _level_factor_check(p: int, symbol: SplittingSymbol, s) -> Tuple[bool, Witness]:

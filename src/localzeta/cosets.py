@@ -1,7 +1,7 @@
 """Coset geometry for the paramodular-style congruence subgroup at level p.
 
 Four jobs live here: the Bruhat-cell representatives of the quotient of the
-hyperspecial maximal compact by the level subgroup, an exhaustive finite
+hyperspecial maximal compact by the level subgroup, a finite counting
 audit that those representatives are a disjoint cover, randomized exact
 verification of the 4x4 matrix identities that drive the support
 classification of the degenerate Whittaker function, and the closed volume
@@ -11,7 +11,6 @@ formulas for the surviving double cosets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -192,10 +191,6 @@ S2 = ((0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1))
 J4 = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 
 
-def _flat(rows) -> tuple:
-    return tuple(chain.from_iterable(rows))
-
-
 def _torus(a1: int, a2: int, p: int):
     i1, i2 = pow(a1, -1, p), pow(a2, -1, p)
     return ((a1, 0, 0, 0), (0, a2, 0, 0), (0, 0, i1, 0), (0, 0, 0, i2))
@@ -348,48 +343,42 @@ class CosetAuditReport:
         )
 
 
-def _sp4_generators(p: int) -> list:
-    """Flat generators of Sp4(F_p) for p in {2, 3}."""
-    gens = [
-        _flat(S1),
-        _flat(S2),
-        (1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 1),
-        (1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
-    ]
-    if p > 2:
-        g = 2  # generates F_3^x; enough for the primes handled here
-        gens += [_flat(_torus(g, 1, p)), _flat(_torus(1, g, p))]
-    return gens
+def ksharp_mod_p(p: int) -> np.ndarray:
+    """The mod-p reduction of the level subgroup, code-sorted: the members
+    among the p**10 matrices zero at ``_KSHARP_ZEROS`` (free entries in
+    flat-index order) that preserve the symplectic form."""
+    free = [i for i in range(16) if i not in _KSHARP_ZEROS]
+    candidates = np.zeros((p ** len(free), 16), dtype=np.uint8)
+    candidates[:, free] = np.indices((p,) * len(free), dtype=np.uint8).reshape(len(free), -1).T
+    candidates = candidates[ksharp_mod_p_member(candidates, p)]
+    return candidates[kernels.preserves_form(candidates, J4, p)]
 
 
 def coset_audit(p: int) -> CosetAuditReport:
-    """Exhaustive disjointness-and-covering audit of the representatives.
+    """Counting audit that the representatives are a disjoint cover.
 
-    Enumerates all of Sp4(F_p) by closure from standard generators, carves
-    out the reduction of the level subgroup by the membership predicate,
-    multiplies every representative by every subgroup element, and demands
-    that the products be pairwise distinct and exhaust the group.
+    Closes the level subgroup K of ``ksharp_mod_p``, multiplies every
+    representative by every element of K, and demands that the products be
+    pairwise distinct and as many as |Sp4(F_p)|.  The representatives
+    (``bruhat_reps`` checks it) and K are symplectic, so the products lie
+    in Sp4(F_p), and that many distinct ones cover it.
     """
-    if p not in (2, 3):
-        raise ValueError("audit is kept to p in {2, 3}; see bruhat_reps")
-    group = kernels.group_closure(_sp4_generators(p), p, max_size=sp4_order(p))
-    subgroup = group[ksharp_mod_p_member(group, p)]
+    reps = bruhat_reps(p)
+    subgroup = ksharp_mod_p(p)
     try:
         kernels.group_closure(subgroup, p, max_size=len(subgroup))
         closed = True
     except RuntimeError:
         closed = False
-    reps = bruhat_reps(p)
     distinct, duplicate = kernels.mark_products(reps, subgroup, p)
-    expected = len(reps) * len(subgroup)
     return CosetAuditReport(
         p=p,
-        group_order=len(group),
+        group_order=sp4_order(p),
         subgroup_order=len(subgroup),
         rep_count=len(reps),
         subgroup_closed=closed,
-        pairwise_distinct=(distinct == expected and duplicate is None),
-        covers_group=(distinct == len(group)),
+        pairwise_distinct=(distinct == len(reps) * len(subgroup) and duplicate is None),
+        covers_group=(distinct == sp4_order(p)),
         witness=duplicate,
     )
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localzeta import arch, batteries, cli, cosets, localfield
+from localzeta import arch, assembly, batteries, cli, cosets, localfield
 from localzeta.cli import InputError, RunConfig, main, run
 from localzeta.localfield import SplittingSymbol
 
@@ -489,6 +489,17 @@ class TestVerifyCosets:
         k = (-J @ g.T @ J @ np.reshape(witness["witness"], (4, 4))) % 2
         assert cosets.ksharp_mod_p_member(k.reshape(16), 2)
 
+    def test_missing_representative_fails_the_count(self, monkeypatch, capsys):
+        reps = cosets.bruhat_reps
+        monkeypatch.setattr(cosets, "bruhat_reps", lambda p, *args: reps(p, *args)[:-1])
+        assert main(["verify-cosets", "--trials", "2", "--format", "machine"]) == 1
+        failed = [r for r in strict_records_of(capsys.readouterr().out) if r["status"] != "pass"]
+        assert [r["name"] for r in failed] == ["cosets/p2/audit"]
+        witness = failed[0]["witness"]
+        assert witness["covers_group"] is False
+        assert witness["pairwise_distinct"] is True
+        assert witness["cosets"] == 44 and witness["group_order"] == 720
+
     def test_large_characteristic_is_rejected(self, capsys):
         assert main(["verify-cosets", "--p", "5"]) == 2
         assert "p in (2, 3)" in capsys.readouterr().err
@@ -854,6 +865,20 @@ class TestConsistency:
         assert "consistency/arch-constant/D3/l12" in names
         assert "consistency/level-factor/p5-split/s1-3" in names
         assert "consistency/v-level/2" in names
+
+    def test_scaled_closed_form_fails_that_point(self, monkeypatch, capsys):
+        quotient = assembly._gamma_quotient
+
+        def scaled(l, D, *args):
+            return quotient(l, D, *args) * (1 + 1e-6 * (l == 20 and D == 3))
+
+        monkeypatch.setattr(assembly, "_gamma_quotient", scaled)
+        assert main(["consistency", "--format", "machine"]) == 1
+        failed = [r for r in strict_records_of(capsys.readouterr().out) if r["status"] != "pass"]
+        assert [r["name"] for r in failed] == ["consistency/arch-constant/D3/l20"]
+        witness = failed[0]["witness"]
+        assert (witness["l"], witness["D"]) == (20, 3)
+        assert witness["rel_error"] == pytest.approx(1e-6, rel=1e-6)
 
 
 # The flags each command's battery reads; --format is on every command.

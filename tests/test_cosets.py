@@ -15,13 +15,13 @@ from localzeta.cosets import (
     DegenerateDraw,
     EtaleMatrix,
     IDENTITY_NAMES,
-    _sp4_generators,
     bruhat_reps,
     coset_audit,
     count_polynomial_identity,
     ediag,
     eta_matrix,
     expected_rep_count,
+    ksharp_mod_p,
     ksharp_mod_p_member,
     matrix_identity_trial,
     sp4_order,
@@ -31,6 +31,10 @@ from localzeta.cosets import (
     volume_V1,
     volume_V2,
 )
+
+
+def _flat(rows) -> tuple:
+    return tuple(v for row in rows for v in row)
 
 
 def twisted_local(q, symbol):
@@ -204,7 +208,7 @@ class TestBruhatReps:
 
     def test_non_symplectic_rejected(self):
         bad = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        assert kernels.preserves_form([cosets._flat(bad), IDENTITY], cosets.J4, 3).tolist() == [False, True]
+        assert kernels.preserves_form([_flat(bad), IDENTITY], cosets.J4, 3).tolist() == [False, True]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_batch_equals_scalar_construction(self, p):
@@ -215,11 +219,11 @@ class TestBruhatReps:
         for family in range(1, 9):
             for a1 in range(1, p):
                 for a2 in range(1, p):
-                    t = cosets._flat(cosets._torus(a1, a2, p))
+                    t = _flat(cosets._torus(a1, a2, p))
                     for u in cosets._family_unipotents(family, p):
-                        g = mat_mul_mod(t, cosets._flat(u), p)
+                        g = mat_mul_mod(t, _flat(u), p)
                         for s in cosets._WORDS[family]:
-                            g = mat_mul_mod(g, cosets._flat(s), p)
+                            g = mat_mul_mod(g, _flat(s), p)
                         reference.append(g)
         reps = bruhat_reps(p)
         assert reps.dtype == np.uint8 and reps.shape == (len(reference), 16)
@@ -252,18 +256,61 @@ class TestCosetAudit:
         assert report.rep_count == 640
         assert report.passed
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_missing_representative_fails_the_count(self, monkeypatch, p):
+        reps = cosets.bruhat_reps
+        monkeypatch.setattr(cosets, "bruhat_reps", lambda p, *args: reps(p, *args)[:-1])
+        report = coset_audit(p)
+        assert not report.passed
+        assert report.covers_group is False
+        assert report.rep_count == expected_rep_count(p) - 1
+        assert report.pairwise_distinct and report.witness is None
+
+    def test_large_p_rejected_by_the_representative_guard(self):
+        with pytest.raises(ValueError, match="p in {2, 3}"):
+            coset_audit(5)
+
     def test_identity_is_a_member(self):
         assert ksharp_mod_p_member(IDENTITY, 2)
         assert ksharp_mod_p_member(IDENTITY, 3)
 
 
+def _sp4_generators(p: int) -> list:
+    """Flat generators of Sp4(F_p) for p in {2, 3}."""
+    gens = [
+        _flat(cosets.S1),
+        _flat(cosets.S2),
+        (1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 1),
+        (1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    ]
+    if p > 2:
+        g = 2  # generates F_3^x
+        gens += [_flat(cosets._torus(g, 1, p)), _flat(cosets._torus(1, g, p))]
+    return gens
+
+
 def _audit_group(p):
+    """All of Sp4(F_p), by closure from generators: the test oracle for the
+    counting audit, which never builds the group."""
     return group_closure(_sp4_generators(p), p, max_size=sp4_order(p))
 
 
 def _audit_subgroup(p):
     group = _audit_group(p)
     return group[ksharp_mod_p_member(group, p)]
+
+
+class TestEnumeratedGroupOracle:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_group_has_the_formula_order(self, p):
+        assert len(_audit_group(p)) == sp4_order(p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_carved_subgroup_is_the_audits_subgroup(self, p):
+        carved = _audit_subgroup(p)
+        built = ksharp_mod_p(p)
+        assert built.dtype == carved.dtype and built.shape == carved.shape
+        assert built.tolist() == carved.tolist()
 
 
 class TestKernels:
@@ -356,7 +403,7 @@ class TestKernels:
         def transpose(m):
             return tuple(m[4 * j + i] for i in range(4) for j in range(4))
 
-        for form in (cosets._flat(cosets.J4), draw()):
+        for form in (_flat(cosets.J4), draw()):
             want = [
                 mat_mul_mod(mat_mul_mod(transpose(g), form, p), g, p)
                 == tuple(v % p for v in form)
