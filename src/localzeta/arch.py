@@ -25,16 +25,20 @@ otherwise.  The tanh-sinh rule runs on one grid with a fixed step, as
 one real exponential over the (argument, node) grid and one matrix
 product; its accuracy is pinned in the test suite against mpmath, which
 is used only there, as an independent oracle.
+
+Gamma values come from scipy.special, the slowest import of the package.
+It is imported on the first Gamma evaluation, not with this module, so a
+process that never evaluates Gamma never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-import scipy.special
 
 
 class GammaPoleError(ValueError):
@@ -60,22 +64,30 @@ class QuadratureError(DomainError):
         vars(self).update(witness)
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported once, on the first Gamma evaluation."""
+    import scipy.special
+    return scipy.special
+
+
 def gamma_fn(z: complex) -> complex:
     """Gamma function on the complex plane, with explicit pole detection.
 
     Backed by scipy's complex Gamma (Lanczos-class accuracy, relative
-    error well under 1e-12 for |z| <= 50); this wrapper adds the pole
-    check so callers get an exception instead of nan.
+    error well under 1e-12 for |z| <= 50), which the first call imports;
+    this wrapper adds the pole check so callers get an exception instead
+    of nan.
     """
     z = complex(z)
     if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
         raise GammaPoleError(f"gamma pole at z = {z.real:g}")
-    return complex(scipy.special.gamma(z))
+    return complex(_special().gamma(z))
 
 
 def _reciprocal_gamma(z: complex) -> complex:
     """1/Gamma, entire (zero at the poles of Gamma)."""
-    return complex(scipy.special.rgamma(complex(z)))
+    return complex(_special().rgamma(complex(z)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ so a caller can time each check on its own.
 
 Library functions are looked up through their module when a check runs,
 so a test can replace one with ``monkeypatch`` and see which check fails.
+The checks import ``arch``, ``assembly`` and ``cosets`` when they run, so
+a command loads only the layers its battery uses: the local and lfactor
+batteries load neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -16,17 +19,19 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cache, partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import arch, assembly, cosets, localfield, zeta
-from .arch import ArchScenario, QuadratureError, WhittakerQuery
-from .assembly import GlobalInput, PrimeQuadData
+from . import localfield, zeta
 from .exact import rat
 from .localfield import LocalQuadData, SplittingSymbol
 from .rng import scenario_stream
 from .satake import SatakeParams, SteinbergData
 from .zeta import ScenarioData
+
+if TYPE_CHECKING:
+    from .arch import ArchScenario
+    from .assembly import GlobalInput
 
 Witness = Optional[Dict[str, object]]
 Check = Tuple[str, Callable[[], Tuple[bool, Witness]]]
@@ -44,23 +49,28 @@ ZINF_TOLERANCE = 1e-6
 MELLIN_TOLERANCE = 1e-8
 COLLAPSE_TOLERANCE = 1e-10
 
-_ds = ArchScenario.discrete_series
-_ps = ArchScenario.principal_series
-ARCH_GRID: Tuple[Tuple[str, ArchScenario], ...] = (
-    ("ds-a", _ds(12, 12, 0, 4, 1.5, 1)),
-    ("ds-b", _ds(12, 12, 0, 3, 1.5, 1)),
-    ("ds-c", _ds(12, 10, 0, 4, 1.0, 2)),
-    ("ds-d", _ds(12, 8, 0, 3, 1.25, 1)),
-    ("ds-e", _ds(14, 12, 0, 4, 1.5, 1)),
-    ("ds-f", _ds(12, 12, 1, 3, 1.5, 1)),
-    ("ds-g", _ds(16, 14, 0.5, 4, 2.0, 0.5)),
-    ("ps-a", _ps(12, 0.2, -0.2, 3, 1, 1)),
-    ("ps-b", _ps(12, 0.2, -0.2, 4, 1, 1)),
-    ("ps-c", _ps(10, 0.2, -0.2, 4, 1.2, 1.5)),
-    ("ps-d", _ps(12, 0.1, 0.3, 3, 1, 1)),
-    ("ps-e", _ps(12, 0.25j, -0.25j, 3, 1, 1)),
-    ("ps-f", _ps(14, 0.25j, -0.25j, 3, 0.8, 1)),
-)
+
+@cache
+def arch_grid() -> Tuple[Tuple[str, ArchScenario], ...]:
+    """The tagged default scenarios of the archimedean battery."""
+    from .arch import ArchScenario
+    ds, ps = ArchScenario.discrete_series, ArchScenario.principal_series
+    return (
+        ("ds-a", ds(12, 12, 0, 4, 1.5, 1)),
+        ("ds-b", ds(12, 12, 0, 3, 1.5, 1)),
+        ("ds-c", ds(12, 10, 0, 4, 1.0, 2)),
+        ("ds-d", ds(12, 8, 0, 3, 1.25, 1)),
+        ("ds-e", ds(14, 12, 0, 4, 1.5, 1)),
+        ("ds-f", ds(12, 12, 1, 3, 1.5, 1)),
+        ("ds-g", ds(16, 14, 0.5, 4, 2.0, 0.5)),
+        ("ps-a", ps(12, 0.2, -0.2, 3, 1, 1)),
+        ("ps-b", ps(12, 0.2, -0.2, 4, 1, 1)),
+        ("ps-c", ps(10, 0.2, -0.2, 4, 1.2, 1.5)),
+        ("ps-d", ps(12, 0.1, 0.3, 3, 1, 1)),
+        ("ps-e", ps(12, 0.25j, -0.25j, 3, 1, 1)),
+        ("ps-f", ps(14, 0.25j, -0.25j, 3, 0.8, 1)),
+    )
+
 
 # (kappa, mu, sigma) of the first-moment transform, and (mu, z) of W's
 # collapse at kappa = mu + 1/2.
@@ -101,6 +111,7 @@ def trivial_local(p: int, symbol: SplittingSymbol) -> LocalQuadData:
 
 def consistency_input(l: int, D: int) -> GlobalInput:
     """Level one at the holomorphic point ir = l - 1, where Theorem 3 applies."""
+    from .assembly import GlobalInput
     return GlobalInput(
         l=l, D=D, N=1, lambda_classvals=(1.0,), fourier_classvals=(1.0,), a1=1.0,
         r=-1j * (l - 1), satake_table={}, gl2_table={}, local_table={},
@@ -109,6 +120,7 @@ def consistency_input(l: int, D: int) -> GlobalInput:
 
 def level_prime_input(p: int, symbol: SplittingSymbol) -> GlobalInput:
     """Weight 12 at level N = p, with one Steinberg prime of the given class."""
+    from .assembly import GlobalInput, PrimeQuadData
     if symbol is SplittingSymbol.INERT:
         local = PrimeQuadData(symbol=-1, lambda_piF=1.0)
     elif symbol is SplittingSymbol.RAMIFIED:
@@ -187,10 +199,11 @@ def lfactor_checks(scenarios: Optional[Sequence[ScenarioData]] = None) -> List[C
 
 
 def _zinf_check(sc: ArchScenario, tolerance: float) -> Tuple[bool, Witness]:
+    from . import arch
     closed = arch.z_inf_closed(sc)
     try:
         numeric = arch.z_inf_quadrature(sc)
-    except QuadratureError as exc:
+    except arch.QuadratureError as exc:
         return False, exc.witness
     err = abs(numeric - closed)
     ok = err <= tolerance * (abs(closed) if closed else 1.0)
@@ -198,16 +211,18 @@ def _zinf_check(sc: ArchScenario, tolerance: float) -> Tuple[bool, Witness]:
 
 
 def _collapse_check(mu: float, z: float) -> Tuple[bool, Witness]:
-    w = arch.whittaker_w(WhittakerQuery(mu + 0.5, mu, z))
+    from . import arch
+    w = arch.whittaker_w(arch.WhittakerQuery(mu + 0.5, mu, z))
     want = math.exp(-z / 2.0) * z ** (mu + 0.5)
     ok = abs(w - want) <= COLLAPSE_TOLERANCE * abs(want)
     return ok, None if ok else {"computed": w, "elementary": want}
 
 
 def _mellin_check(kappa, mu, sigma) -> Tuple[bool, Witness]:
+    from . import arch
     try:
         numeric, closed = arch.mellin_whittaker(kappa, mu, sigma)
-    except QuadratureError as exc:
+    except arch.QuadratureError as exc:
         return False, exc.witness
     if closed == 0:
         # A reciprocal-gamma zero: the quadrature must vanish at the scale
@@ -223,9 +238,9 @@ def arch_checks(
     tolerance: float = ZINF_TOLERANCE, scenarios: Optional[Sequence[ArchScenario]] = None
 ) -> List[Check]:
     """Quadrature against the closed value on the given scenarios (default:
-    ``ARCH_GRID``) to ``tolerance``, then the fixed-tolerance collapse and
+    ``arch_grid()``) to ``tolerance``, then the fixed-tolerance collapse and
     first-moment identities."""
-    named = ARCH_GRID if scenarios is None else [(f"input-{i:03d}", sc) for i, sc in enumerate(scenarios)]
+    named = arch_grid() if scenarios is None else [(f"input-{i:03d}", sc) for i, sc in enumerate(scenarios)]
     return (
         [(f"arch/zinf/{tag}", partial(_zinf_check, sc, tolerance)) for tag, sc in named]
         + [(f"arch/reduction/mu{mu}-z{z}", partial(_collapse_check, mu, z)) for mu, z in COLLAPSE_POINTS]
@@ -237,6 +252,7 @@ def arch_checks(
 
 
 def _audit_check(p: int) -> Tuple[bool, Witness]:
+    from . import cosets
     rep = cosets.coset_audit(p)
     witness = {
         "cosets": rep.rep_count,
@@ -255,22 +271,25 @@ def _audit_check(p: int) -> Tuple[bool, Witness]:
 
 
 def _count_polynomial_check() -> Tuple[bool, Witness]:
+    from . import cosets
     return cosets.count_polynomial_identity(), None
 
 
 def _identity_check(which: str, trials: int, seed: int) -> Tuple[bool, Witness]:
+    from . import cosets
     return cosets.verify_matrix_identity(which, trials=trials, seed=seed), None
 
 
 def coset_checks(p: int, seed: int, trials: int) -> List[Check]:
     """The exhaustive coset audit at p (2 or 3), the count polynomial, and
     ``trials`` exact random substitutions into each matrix identity."""
+    from .cosets import IDENTITY_NAMES
     return [
         (f"cosets/p{p}/audit", partial(_audit_check, p)),
         ("cosets/count-polynomial", _count_polynomial_check),
     ] + [
         (f"cosets/identity/{which}", partial(_identity_check, which, trials, seed))
-        for which in cosets.IDENTITY_NAMES
+        for which in IDENTITY_NAMES
     ]
 
 
@@ -282,6 +301,7 @@ def _index_check(data: LocalQuadData, abc: Tuple[int, int, int], m: int) -> Tupl
 
 
 def _cancellation_check(data: LocalQuadData) -> Tuple[bool, Witness]:
+    from . import cosets
     for l in (2, 4, 6):
         for m in range(1, 5):
             v1 = cosets.volume_V1(data, l, m)
@@ -292,6 +312,7 @@ def _cancellation_check(data: LocalQuadData) -> Tuple[bool, Witness]:
 
 
 def _ksharp_check(q: int) -> Tuple[bool, Witness]:
+    from . import cosets
     volume = cosets.vol_k_sharp(q)
     ok = volume * cosets.expected_rep_count(q) == 1
     return ok, None if ok else {"volume": str(volume)}
@@ -320,6 +341,7 @@ def volume_checks() -> List[Check]:
 
 
 def _global_z_check(gi: GlobalInput, s: complex, p_max: int) -> Tuple[bool, Witness]:
+    from . import assembly
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the region flag lands in the witness
         try:
@@ -341,6 +363,7 @@ def _global_z_check(gi: GlobalInput, s: complex, p_max: int) -> Tuple[bool, Witn
 
 
 def _special_value_report(gi: GlobalInput, p_max: int) -> Tuple[bool, Witness]:
+    from . import assembly
     ratio = assembly.special_value_ratio(gi, p_max)
     return True, {"ratio": ratio, "note": assembly.ALGEBRAICITY_NOTE}
 
@@ -358,6 +381,7 @@ def global_checks(gi: GlobalInput, s: complex, p_max: int) -> List[Check]:
 
 
 def _arch_constant_check(l: int, D: int) -> Tuple[bool, Witness]:
+    from . import assembly
     gi = consistency_input(l, D)
     if assembly.theorem3_consistency(gi):
         return True, None
@@ -365,6 +389,7 @@ def _arch_constant_check(l: int, D: int) -> Tuple[bool, Witness]:
 
 
 def _level_factor_check(p: int, symbol: SplittingSymbol, s) -> Tuple[bool, Witness]:
+    from . import assembly
     # The level factor at one Steinberg prime reproduces the prefactor of
     # the local closed form, exactly, once the zeta factor that the
     # normalization absorbs is removed.
@@ -376,6 +401,7 @@ def _level_factor_check(p: int, symbol: SplittingSymbol, s) -> Tuple[bool, Witne
 
 
 def _v_level_check() -> Tuple[bool, Witness]:
+    from . import assembly
     v = assembly.v_N(2)
     ok = v == rat(1, 45)
     return ok, None if ok else {"v_N": str(v)}

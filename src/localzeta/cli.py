@@ -36,15 +36,17 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from . import batteries
-from .arch import ArchScenario
-from .assembly import GlobalInput, PrimeQuadData, is_prime
 from .exact import Rational, rat
 from .localfield import LocalQuadData, SplittingSymbol
 from .satake import SatakeParams, SteinbergData
 from .zeta import ScenarioData
+
+if TYPE_CHECKING:
+    from .arch import ArchScenario
+    from .assembly import GlobalInput
 
 # Exit status when stdout's reader closes early: 128 + SIGPIPE, as a shell
 # reports a process killed by that signal.
@@ -293,6 +295,7 @@ def _local_scenario_from(value: object, where: str) -> ScenarioData:
 
 
 def _arch_scenario_from(value: object, where: str) -> ArchScenario:
+    from .arch import ArchScenario
     obj = _as_object(value, where)
     l = _parse_int(_field(obj, "l", where), f"{where}.l")
     D = _parse_int(_field(obj, "D", where), f"{where}.D")
@@ -335,6 +338,7 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
 def _prime_table(value: object, where: str) -> Dict[int, object]:
     """A table keyed by primes below 2**53, past which floats, in which the
     Euler factors are evaluated, no longer hold every integer."""
+    from .assembly import is_prime
     obj = _as_object(value, where)
     table: Dict[int, object] = {}
     for key, entry in obj.items():
@@ -350,6 +354,7 @@ def _prime_table(value: object, where: str) -> Dict[int, object]:
 
 
 def _global_input_from(value: object, where: str) -> Tuple[GlobalInput, complex]:
+    from .assembly import GlobalInput, PrimeQuadData
     obj = _as_object(value, where)
     l = _parse_int(_field(obj, "l", where), f"{where}.l")
     D = _parse_int(_field(obj, "D", where), f"{where}.D")

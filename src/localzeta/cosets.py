@@ -1,23 +1,25 @@
 """Coset geometry for the paramodular-style congruence subgroup at level p.
 
-Four jobs live here: the Bruhat-cell representatives of the quotient of the
-hyperspecial maximal compact by the level subgroup, a finite counting
-audit that those representatives are a disjoint cover, randomized exact
-verification of the 4x4 matrix identities that drive the support
-classification of the degenerate Whittaker function, and the closed volume
-formulas for the surviving double cosets.
+Three jobs live here: the Bruhat-cell representatives of the quotient of
+the hyperspecial maximal compact by the level subgroup, a finite counting
+audit that those representatives are a disjoint cover, and randomized
+exact verification of the 4x4 matrix identities that drive the support
+classification of the degenerate Whittaker function.  The closed volume
+formulas for the surviving double cosets are defined in ``localfield``,
+which imports no numpy, and re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .exact import QuadCoeff, Rational, rat
-from .localfield import LocalQuadData
+from .localfield import vol_k_sharp, volume_numerators, volume_V1, volume_V2
+from .rng import SplitMix64
 
 
 # --------------------------------------------------------------------------
@@ -589,7 +591,6 @@ def verify_matrix_identity(which: str, trials: int = 50, seed: int = 20260816) -
     mod 2^64, where k is the identity's position in IDENTITY_NAMES."""
     if which not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {which!r}; expected one of {IDENTITY_NAMES}")
-    from .rng import SplitMix64  # not at module level: rng -> zeta -> cosets
     rng = SplitMix64(seed ^ ((IDENTITY_NAMES.index(which) + 1) * 0x9E3779B97F4A7C15))
     done = 0
     attempts = 0
@@ -635,44 +636,3 @@ def support_classify(family: str, m: int, beta_class: Optional[str] = None) -> b
     if family == "vi":
         return m > 0 and beta_class == "in_P"
     return False
-
-
-# --------------------------------------------------------------------------
-# volumes
-
-
-def vol_k_sharp(q: int) -> Rational:
-    """Volume of the level subgroup when the maximal compact has volume 1."""
-    return rat(1, (q**2 - 1) * (q**4 - 1))
-
-
-def volume_numerators(local: LocalQuadData, l: int, m: int) -> Tuple[int, int, int]:
-    """The volume formula: V1 and V2 at (l, m) as integers over one denominator.
-
-    Returns (n1, n2, den) with V1 = n1/den and V2 = n2/den, where
-    den = (q + 1)(q^4 - 1), n1 = (q - symbol) q^(4m + 3l) and
-    n2 = (q - symbol) q^(4m + 3l + 1).  The long-Weyl family is empty at
-    m = 0, so n2 is 0 there.  The fractions are not reduced; callers that
-    only test a combination of V1 and V2 for zero never need them to be.
-    """
-    if l < 0 or m < 0:
-        raise ValueError("l and m must be non-negative")
-    q = local.q
-    n1 = (q - int(local.symbol)) * q ** (4 * m + 3 * l)
-    return n1, (n1 * q if m else 0), (q + 1) * (q**4 - 1)
-
-
-def volume_V1(local: LocalQuadData, l: int, m: int) -> Rational:
-    """Volume sum over the torus-family double coset at (l, m), reduced."""
-    n1, _, den = volume_numerators(local, l, m)
-    return rat(n1, den)
-
-
-def volume_V2(local: LocalQuadData, l: int, m: int) -> Rational:
-    """Volume sum over the long-Weyl-family double coset, reduced; needs m > 0."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    if m < 1:
-        raise ValueError("the long-Weyl family only occurs for m > 0")
-    _, n2, den = volume_numerators(local, l, m)
-    return rat(n2, den)

@@ -5,7 +5,10 @@ with odd residue characteristic or p = 2: the splitting symbol that says
 whether L is inert, ramified or split over F, the values of an unramified
 character on the relevant uniformizer classes, and the unit indices
 (o_L^x : o_m^x) of the filtration orders o_m = o + p^m o_L, together with a
-finite-quotient counting oracle for those indices.
+finite-quotient counting oracle for those indices, and the closed volume
+formulas of the double cosets that survive in the local zeta integral.
+Only the counting oracle uses numpy, and it imports it when it runs, so the
+exact path loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable, Optional, Tuple
 
 from .exact import Rational, rat
 
@@ -172,6 +173,7 @@ def unit_index_oracle(a: int, b: int, c: int, p: int, m: int) -> int:
         raise ValueError("c must be a p-adic unit")
     if m < 0:
         raise ValueError("m must be non-negative")
+    import numpy as np
 
     r = np.arange(p, dtype=np.int64)
     x, y = r[:, None], r[None, :]
@@ -204,3 +206,44 @@ def unit_index_oracle(a: int, b: int, c: int, p: int, m: int) -> int:
             f"index did not stabilize: k={m + 1} gives {first}, k={m + 2} gives {second}"
         )
     return second
+
+
+# --------------------------------------------------------------------------
+# volumes
+
+
+def vol_k_sharp(q: int) -> Rational:
+    """Volume of the level subgroup when the maximal compact has volume 1."""
+    return rat(1, (q**2 - 1) * (q**4 - 1))
+
+
+def volume_numerators(local: LocalQuadData, l: int, m: int) -> Tuple[int, int, int]:
+    """The volume formula: V1 and V2 at (l, m) as integers over one denominator.
+
+    Returns (n1, n2, den) with V1 = n1/den and V2 = n2/den, where
+    den = (q + 1)(q^4 - 1), n1 = (q - symbol) q^(4m + 3l) and
+    n2 = (q - symbol) q^(4m + 3l + 1).  The long-Weyl family is empty at
+    m = 0, so n2 is 0 there.  The fractions are not reduced; callers that
+    only test a combination of V1 and V2 for zero never need them to be.
+    """
+    if l < 0 or m < 0:
+        raise ValueError("l and m must be non-negative")
+    q = local.q
+    n1 = (q - int(local.symbol)) * q ** (4 * m + 3 * l)
+    return n1, (n1 * q if m else 0), (q + 1) * (q**4 - 1)
+
+
+def volume_V1(local: LocalQuadData, l: int, m: int) -> Rational:
+    """Volume sum over the torus-family double coset at (l, m), reduced."""
+    n1, _, den = volume_numerators(local, l, m)
+    return rat(n1, den)
+
+
+def volume_V2(local: LocalQuadData, l: int, m: int) -> Rational:
+    """Volume sum over the long-Weyl-family double coset, reduced; needs m > 0."""
+    if l < 0:
+        raise ValueError("l must be non-negative")
+    if m < 1:
+        raise ValueError("the long-Weyl family only occurs for m > 0")
+    _, n2, den = volume_numerators(local, l, m)
+    return rat(n2, den)

@@ -25,10 +25,9 @@ from .exact import (
     rat,
     series_of,
 )
-from .localfield import LocalQuadData, SplittingSymbol
+from .localfield import LocalQuadData, SplittingSymbol, volume_numerators, volume_V1
 from .satake import SatakeParams, SteinbergData, chi_piF_from, l8_inverse, l_tau_ai_chi_inverse
 from .sugano import bessel_values, sugano_polys
-from .cosets import volume_numerators, volume_V1
 
 #: The unramified factor below is assembled as the unique quotient shape
 #: consistent with the global product; the underlying general formula is

@@ -122,7 +122,7 @@ def test_criterion_6_archimedean_quadrature_matches_closed_forms():
     assert batteries.ZINF_TOLERANCE == 1e-6
     assert batteries.MELLIN_TOLERANCE == 1e-8
     assert batteries.COLLAPSE_TOLERANCE == 1e-10
-    grid = batteries.ARCH_GRID
+    grid = batteries.arch_grid()
     assert any(sc.l == 12 and sc.s == 1.5 for _, sc in grid)  # s = l/6 - 1/2
     assert {sc.D for _, sc in grid} == {3, 4}
     checks = batteries.arch_checks(1e-6)

@@ -4,6 +4,8 @@ identity, and quadrature against the closed Gamma-product form."""
 import cmath
 import math
 import random
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -53,6 +55,21 @@ class TestGammaFn:
     def test_poles(self, z):
         with pytest.raises(GammaPoleError):
             gamma_fn(z)
+
+    def test_scipy_special_loads_on_the_first_call(self):
+        # in a fresh interpreter: the float layers import without it, and the
+        # first Gamma value loads it and is its value
+        code = (
+            "import sys\n"
+            "from localzeta import arch, assembly, batteries\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "value = arch.gamma_fn(1.5 + 0.5j)\n"
+            "after = 'scipy.special' in sys.modules\n"
+            "import scipy.special\n"
+            "print(before, after, value == complex(scipy.special.gamma(1.5 + 0.5j)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["False", "True", "True"]
 
 
 class TestWhittakerW:
@@ -550,7 +567,7 @@ class TestLambdaRule:
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize(
-        "sc", [sc for _, sc in batteries.ARCH_GRID], ids=[tag for tag, _ in batteries.ARCH_GRID]
+        "sc", [sc for _, sc in batteries.arch_grid()], ids=[tag for tag, _ in batteries.arch_grid()]
     )
     def test_rows_match_the_rule_one_u_at_a_time(self, sc):
         # the u-nodes of the first round of the u-integral, u = 1/t on (0, 1]

@@ -448,7 +448,7 @@ class TestVerifyArch:
         assert capsys.readouterr().err.splitlines() == [message]
 
     def test_builtin_grid_constructs(self):
-        grid = batteries.ARCH_GRID
+        grid = batteries.arch_grid()
         assert len(grid) == 13
         tags = [tag for tag, _ in grid]
         assert len(set(tags)) == 13
@@ -962,6 +962,23 @@ class TestFlags:
         assert run_capture(RunConfig(command=argv[0], **fields)) == (0, capsys.readouterr().out)
 
 
+def loaded_after(code: str, packages=("numpy", "scipy")) -> list:
+    """The modules of ``packages`` that a fresh interpreter has loaded after
+    running ``code``."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            code + "\nimport json, sys\n"
+            f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestEntryPoints:
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit) as exc:
@@ -1017,17 +1034,27 @@ class TestEntryPoints:
         assert "cosets/p2/audit" in names
 
     def test_import_leaves_scipy_integrate_unloaded(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, localzeta.cli; print('scipy.integrate' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            check=True,
+        # nor any other numpy or scipy module: each command imports its layers
+        assert loaded_after("import localzeta.cli") == []
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            ("verify-local --trials 2 --order 10", ("numpy", "scipy")),
+            ("lfactor", ("numpy", "scipy")),
+            ("verify-cosets --p 2 --trials 5", ("scipy",)),
+            ("verify-volumes", ("scipy",)),
+        ],
+        ids=["verify-local", "lfactor", "verify-cosets", "verify-volumes"],
+    )
+    def test_command_loads_only_the_layers_it_runs(self, argv, unloaded):
+        run_it = (
+            "import contextlib, io\n"
+            "from localzeta.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv.split()!r}) == 0\n"
         )
-        assert proc.stdout.strip() == "False"
+        assert loaded_after(run_it, unloaded) == []
 
     def test_closed_stdout_exits_141_without_traceback(self):
         proc = subprocess.Popen(
