@@ -10,9 +10,14 @@ checks the closed form at s0 against that same front.
 
 The s-free part of every local factor (its divisors and character
 prefixes) is built once per input, on first use, into
-GlobalInput.euler_table; each report evaluates that table at its own
-t = p^(-3s) in one loop, with the floating-point operations of a
-per-prime evaluation in their order, so the table changes no bit of a
+GlobalInput.euler_table: float64 planes with a column per prime
+(EulerTable).  A report takes t = p^(-3s) from Python's own complex pow,
+one prime at a time, evaluates every local factor at once on the planes
+with CPython's formulas for a complex product and quotient (_c_prod,
+_c_quot), and multiplies the factors in Python complex arithmetic, prime
+by prime.  Each float64 operation is one that the per-prime evaluation
+in Python complex arithmetic performs, on the same operands, and IEEE 754
+rounds it the same in numpy as in C, so the planes change no bit of a
 report.
 
 Character data is complex-valued here (unitary class characters), while
@@ -24,12 +29,15 @@ that meeting point prime by prime.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .arch import _gamma_quotient, c1_coefficient
 from .exact import Rational, rat
@@ -153,7 +161,8 @@ class PrimeQuadData:
 #: The s-free part of one prime's local factor: complex(p), the divisors d
 #: of the degree-8 inverse factor prod_d (1 - t/d), and the auxiliary
 #: (prefix, denominator) pairs of the twist's factors 1 - k t/den and
-#: 1 - k t^2/den.
+#: 1 - k t^2/den.  Each denominator is the float that complex division
+#: converts an integer divisor to.
 FactorRow = Tuple[
     complex,
     Tuple[complex, ...],
@@ -179,15 +188,15 @@ def _factor_row(
     local factor of the induced-character twist; a report multiplies it
     by zeta_p(6s+1)^(-1) = 1 - t^2/p (assembled, not restated; see
     UNRAMIFIED_FACTOR_NOTE).  Every divisor and prefix is the
-    left-associated product that a per-prime evaluation forms, so the
-    table changes no bit of a report.
+    left-associated product of Python complex values that a per-prime
+    evaluation forms, so EulerTable starts from the same bits.
     """
     if at_level:
         omega = complex(gl2)
         chi = 1 / (omega_pi * omega * omega)
         divisors = tuple(g * omega * p for g in gamma)
         if data.symbol == -1:
-            return complex(p), divisors, (), ((chi, p**3),)
+            return complex(p), divisors, (), ((chi, float(p**3)),)
         chi_omega = chi * omega
         deltas = (data.lambda_piL,) if data.symbol == 0 else (
             data.lambda_piL, data.lambda_piF_over_piL
@@ -199,12 +208,149 @@ def _factor_row(
     divisors = tuple(g * b * root for g in gamma for b in beta)
     if data.symbol == -1:
         return complex(p), divisors, (), tuple(
-            (data.lambda_piF * (chi * b) ** 2, p**2) for b in beta
+            (data.lambda_piF * (chi * b) ** 2, float(p**2)) for b in beta
         )
     deltas = (data.lambda_piL,) if data.symbol == 0 else (
         data.lambda_piL, data.lambda_piF_over_piL
     )
-    return complex(p), divisors, tuple((d * chi * b, p) for b in beta for d in deltas), ()
+    return complex(p), divisors, tuple((d * chi * b, float(p)) for b in beta for d in deltas), ()
+
+
+def _c_prod(ar, ai, br, bi):
+    """a * b as CPython's _Py_c_prod (Objects/complexobject.c) forms it,
+    on the real and imaginary planes of a and b: each part is two
+    products and one sum, rounded in that order."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quotient_parts(br, bi):
+    """The half of CPython's _Py_c_quot that depends on the divisor b only:
+    Smith's algorithm (R. L. Smith, "Algorithm 116: Complex division",
+    CACM 5, 1962) scales by whichever part of b is larger in magnitude.
+    Returns that choice (True where |Re b| >= |Im b|), the ratio of the
+    smaller part to the larger, and the scaled denominator.  A zero b
+    is the caller's to reject, as CPython raises ZeroDivisionError there;
+    a NaN part gives NaN planes, as CPython gives NaN."""
+    branch = abs(br) >= abs(bi)
+    ratio = np.where(branch, bi / br, br / bi)
+    denom = np.where(branch, br + bi * ratio, br * ratio + bi)
+    return branch, ratio, denom
+
+
+def _c_quot(ar, ai, branch, ratio, denom):
+    """a / b as CPython's _Py_c_quot forms it, given _quotient_parts(b).
+    Where |Re b| >= |Im b| it is ((ar + ai r) / d, (ai - ar r) / d), else
+    ((ar r + ai) / d, (ai r - ar) / d); a sum's operand order does not
+    change its bits, a difference's does."""
+    u = np.where(branch, ar, ai)
+    v = np.where(branch, ai, ar)
+    w = u * ratio
+    return (u + v * ratio) / denom, np.where(branch, v - w, w - v) / denom
+
+
+def _one_minus(qr, qi):
+    """1 - q as CPython's _Py_c_diff forms it from complex(1): 0.0 - qi,
+    not -qi, which would differ in the sign of a zero."""
+    return 1.0 - qr, 0.0 - qi
+
+
+def _fold_slots(factors, used):
+    """Per column, the product complex(1) * f * f * ... over its used slots
+    in slot order, a left fold of _c_prod."""
+    fr, fi = factors
+    accr, acci = np.ones(fr.shape[1]), np.zeros(fr.shape[1])
+    for slot_r, slot_i, mask in zip(fr, fi, used):
+        pr, pi = _c_prod(accr, acci, slot_r, slot_i)
+        accr, acci = (pr, pi) if mask.all() else (np.where(mask, pr, accr), np.where(mask, pi, acci))
+    return accr, acci
+
+
+@dataclass(frozen=True, eq=False)
+class EulerTable:
+    """The s-free part of every local factor, as float64 planes.
+
+    A column per prime, in ascending order; a slot axis in front for the
+    eight divisors of the degree-8 inverse factor and the (at most four)
+    auxiliary prefixes, padded and masked where a prime has fewer.  Each
+    divisor and denominator is stored as the s-free half of CPython's
+    complex quotient (_quotient_parts), so evaluating the table at t is
+    the per-prime evaluation's own float64 operations, one plane at a
+    time: Python complex arithmetic rounds each part of a product or a
+    quotient exactly as the formulas of _c_prod and _c_quot do, and
+    numpy's +, -, * and / round each element as IEEE 754 prescribes.
+    Only t = p^(-3s) itself is left to Python's pow, whose bits and
+    errors numpy's pow need not reproduce.  Iterating over the table
+    yields its primes.
+    """
+
+    primes: Tuple[int, ...]
+    bases: Tuple[complex, ...]  # complex(p), the base of t = p^(-3s)
+    divisor: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts, (8, n)
+    divisor_used: np.ndarray  # (8, n)
+    zero_divisor: np.ndarray  # (n,): some divisor is 0, so t/d raises
+    prefix: Tuple[np.ndarray, np.ndarray]  # real and imaginary parts, (4, n)
+    prefix_squared: np.ndarray  # (4, n): the factor is 1 - k t^2/den
+    prefix_used: np.ndarray  # (4, n)
+    denominator: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts, (4, n)
+    prime: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts of p, (n,)
+
+    def __iter__(self):
+        return iter(self.primes)
+
+    @classmethod
+    def from_rows(cls, primes, rows) -> "EulerTable":
+        """The table over these primes from their FactorRows, in the same
+        ascending order."""
+        n = len(rows)
+
+        def planes(entries, width):
+            """Each row's entries as a (width, n) complex array, padded with 1."""
+            padded = [tuple(e) + (1,) * (width - len(e)) for e in entries]
+            return np.array(padded, dtype=complex).reshape(n, width).T
+
+        divisors = planes([row[1] for row in rows], 8)
+        pairs = [row[2] + row[3] for row in rows]
+        prefixes = planes([[k for k, _ in pair] for pair in pairs], 4)
+        dens = planes([[den for _, den in pair] for pair in pairs], 4)
+        bases = np.array([row[0] for row in rows], dtype=complex)
+        divisor_used = np.arange(8)[:, None] < [len(row[1]) for row in rows]
+        slot = np.arange(4)[:, None]
+        with np.errstate(all="ignore"):
+            return cls(
+                primes=tuple(primes),
+                bases=tuple(row[0] for row in rows),
+                divisor=_quotient_parts(divisors.real, divisors.imag),
+                divisor_used=divisor_used,
+                zero_divisor=((divisors == 0) & divisor_used).any(axis=0),
+                prefix=(np.ascontiguousarray(prefixes.real), np.ascontiguousarray(prefixes.imag)),
+                prefix_squared=slot >= [len(row[2]) for row in rows],
+                prefix_used=slot < [len(pair) for pair in pairs],
+                denominator=_quotient_parts(dens.real, dens.imag),
+                prime=_quotient_parts(bases.real, bases.imag),
+            )
+
+    def degree8_inverse(self, tr, ti):
+        """prod_d (1 - t/d) over each column's divisors, for t over the
+        first len(tr) columns, from complex(1) as the scalar product starts."""
+        k = len(tr)
+        q = _c_quot(tr, ti, *(part[:, :k] for part in self.divisor))
+        return _fold_slots(_one_minus(*q), self.divisor_used[:, :k])
+
+    def local_factor(self, tr, ti, rankin):
+        """(1 - t^2/p) * aux / rankin for t over the first len(tr) columns,
+        aux the product of the factors 1 - k t/den and 1 - k t^2/den in
+        slot order, and rankin the planes of degree8_inverse."""
+        k = len(tr)
+        ktr, kti = _c_prod(self.prefix[0][:, :k], self.prefix[1][:, :k], tr, ti)
+        kttr, ktti = _c_prod(ktr, kti, tr, ti)  # (k t) t, as k * t * t associates
+        squared = self.prefix_squared[:, :k]
+        q = _c_quot(
+            np.where(squared, kttr, ktr), np.where(squared, ktti, kti),
+            *(part[:, :k] for part in self.denominator),
+        )
+        aux = _fold_slots(_one_minus(*q), self.prefix_used[:, :k])
+        zeta = _one_minus(*_c_quot(*_c_prod(tr, ti, tr, ti), *(part[:k] for part in self.prime)))
+        return _c_quot(*_c_prod(*zeta, *aux), *_quotient_parts(*rankin))
 
 
 @dataclass(frozen=True)
@@ -304,23 +450,31 @@ class GlobalInput:
                 )
 
     @functools.cached_property
-    def euler_table(self) -> Tuple[Dict[int, FactorRow], Dict[int, ArithmeticError]]:
+    def euler_table(self) -> Tuple[EulerTable, Dict[int, ArithmeticError]]:
         """The s-free part of the local factor at each prime covered by all
-        three tables (see FactorRow), and the primes whose row could not be
-        built, with the ArithmeticError a report reaching them raises."""
-        rows: Dict[int, FactorRow] = {}
+        three tables (see EulerTable), and the primes whose row could not
+        be built, with the ArithmeticError a report reaching them raises.
+
+        A covered key divisible by a smaller prime of the table is left
+        out: no report reads it, and without it the primes of a report
+        that the table covers are the table's first columns."""
+        primes, rows = [], []
         faults: Dict[int, ArithmeticError] = {}
-        for p, data in self.local_table.items():
-            if p in self.satake_table and p in self.gl2_table:
-                p = int(p)
-                try:
-                    rows[p] = _factor_row(
-                        p, data, self.gl2_table[p], self.gamma(p), self.omega_pi(p),
-                        p in self.level_primes,
-                    )
-                except ArithmeticError as exc:  # values at the edge of the float range
-                    faults[p] = exc
-        return rows, faults
+        covered = (int(p) for p in self.local_table if p in self.satake_table and p in self.gl2_table)
+        for p in sorted(covered):
+            if p < 2 or any(p % q == 0 for q in itertools.takewhile(lambda q: q * q <= p, primes)):
+                continue
+            try:
+                row = _factor_row(
+                    p, self.local_table[p], self.gl2_table[p], self.gamma(p), self.omega_pi(p),
+                    p in self.level_primes,
+                )
+            except ArithmeticError as exc:  # values at the edge of the float range
+                faults[p] = exc
+                continue
+            primes.append(p)
+            rows.append(row)
+        return EulerTable.from_rows(primes, rows), faults
 
     @property
     def h(self) -> int:
@@ -418,32 +572,65 @@ def _truncation_primes(gi: GlobalInput, p_max: int) -> Tuple[int, ...]:
     return _primes_through(p_max)
 
 
-def _euler_factors(
-    gi: GlobalInput, s: complex, primes: Tuple[int, ...]
-) -> Iterator[Tuple[int, complex, complex, FactorRow]]:
-    """(p, t, rankin_inverse, row) for each prime in order, t = p^(-3s).
+def _euler_planes(gi: GlobalInput, s: complex, primes: Tuple[int, ...]):
+    """(table, t, rankin_inverse) over the given primes, in ascending order:
+    t = p^(-3s) as a complex array and the degree-8 inverse factor at t as
+    real and imaginary planes (EulerTable.degree8_inverse).
 
-    rankin_inverse is the degree-8 inverse factor at t.  Raises
-    ValueError at the first prime without local data and at the first
-    where rankin_inverse is exactly 0, a pole of the degree-8 factor.
+    Each t is Python's own complex pow, so it keeps libm's bits.  The
+    first failing prime in ascending order raises, with what a per-prime
+    evaluation raises there, checked in its order: a missing prime
+    (ValueError) or one whose row could not be built, then the pow
+    (OverflowError or ZeroDivisionError), then a zero divisor
+    (ZeroDivisionError), then a pole of the degree-8 factor, where its
+    inverse is exactly 0 (ValueError).
     """
-    rows, faults = gi.euler_table
+    table, faults = gi.euler_table
+    n = len(primes)
+    covered = n  # the table covers primes[:covered], in its first columns
+    if table.primes[:n] != primes:
+        covered = next(
+            i for i, p in enumerate(primes) if i == len(table.primes) or table.primes[i] != p
+        )
     exponent = -3 * s
-    one = complex(1)
-    for p in primes:
-        row = rows.get(p)
-        if row is None:
-            fault = faults.get(p)
-            if fault is None:
-                raise ValueError(f"missing local data for p = {p}")
-            raise type(fault)(*fault.args)
-        t = row[0] ** exponent
-        rankin_inv = one
-        for d in row[1]:
-            rankin_inv *= 1 - t / d
-        if rankin_inv == 0:
-            raise ValueError(f"s is a pole of the degree-8 local factor at p = {p}: its inverse is 0")
-        yield p, t, rankin_inv, row
+    ts, failure = [], None
+    try:
+        for base in table.bases[:covered]:
+            ts.append(base ** exponent)
+    except ArithmeticError as exc:
+        failure = exc  # at primes[len(ts)]
+    t = np.array(ts, dtype=complex)
+    with np.errstate(all="ignore"):
+        rankin = table.degree8_inverse(t.real, t.imag)
+    zero = table.zero_divisor[: len(ts)]
+    bad = np.flatnonzero(zero | ((rankin[0] == 0) & (rankin[1] == 0)))
+    if bad.size:
+        i = int(bad[0])
+        if zero[i]:
+            ts[i] / 0j  # raises CPython's ZeroDivisionError, as t / d does there
+        raise ValueError(
+            f"s is a pole of the degree-8 local factor at p = {primes[i]}: its inverse is 0"
+        )
+    if failure is not None:
+        raise failure
+    if covered < n:
+        fault = faults.get(primes[covered])
+        if fault is None:
+            raise ValueError(f"missing local data for p = {primes[covered]}")
+        raise type(fault)(*fault.args)
+    return table, t, rankin
+
+
+def _product(factors) -> complex:
+    """The left fold product *= f over the factors' (re, im) planes in
+    Python complex arithmetic, prime by prime, as a per-prime evaluation
+    forms it; a numpy reduction would reassociate it."""
+    values = np.empty(factors[0].shape, dtype=complex)
+    values.real, values.imag = factors  # the parts, bit for bit
+    product = complex(1)
+    for factor in values.tolist():
+        product *= factor
+    return product
 
 
 def _tail_bound(p_max: int, alpha: float) -> float:
@@ -498,16 +685,9 @@ def global_z_report(gi: GlobalInput, s, p_max: int) -> GlobalZReport:
             TruncationWarning,
             stacklevel=2,
         )
-    product = complex(1)
-    for p, t, rankin_inv, (_, _, aux_t, aux_tt) in _euler_factors(gi, s_c, primes):
-        # 1 * (1 - x) is 1 - x to the bit for finite x (neither part of
-        # 1 - x is -0.0), so the level primes share this start too.
-        aux_inv = complex(1)
-        for k, den in aux_t:
-            aux_inv *= 1 - k * t / den
-        for k, den in aux_tt:
-            aux_inv *= 1 - k * t * t / den
-        product *= (1 - t * t / p) * aux_inv / rankin_inv
+    table, t, rankin = _euler_planes(gi, s_c, primes)
+    with np.errstate(all="ignore"):
+        product = _product(table.local_factor(t.real, t.imag, rankin))
     k_inf = kappa_infinity(gi, s_c)
     k_level = complex(kappa_N(gi, s_c))
     return GlobalZReport(
@@ -592,9 +772,9 @@ def special_value_ratio(gi: GlobalInput, p_max: int) -> complex:
     if not gi.at_holomorphic_point:
         raise ValueError("the special value lives at the point ir = l - 1")
     s0 = gi.l / 6 - 0.5
-    lvalue = complex(1)
-    for _, _, rankin_inv, _ in _euler_factors(gi, complex(s0), _truncation_primes(gi, p_max)):
-        lvalue *= 1 / rankin_inv
+    _, _, rankin = _euler_planes(gi, complex(s0), _truncation_primes(gi, p_max))
+    with np.errstate(all="ignore"):
+        lvalue = _product(_c_quot(1.0, 0.0, *_quotient_parts(*rankin)))
     return lvalue / (
         math.pi ** (5 * gi.l - 8) * gi.petersson_phi * gi.petersson_psi
     )

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import struct
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -700,8 +702,10 @@ class TestEulerTable:
 
     # Near the edge of the region (0.25, 0.2 + 0.5j) the factors are far
     # enough from 1 that reassociating a divisor's product changes the result.
+    # At 1/3, 2/3 and 1 the exponent -3s is an integer, and CPython's pow
+    # takes its integer-power route for t.
     @pytest.mark.parametrize("p_max", [997, 5000])
-    @pytest.mark.parametrize("s", [0.7, 0.9 + 0.3j, 2.0, 1.5, 0.25, 0.2 + 0.5j])
+    @pytest.mark.parametrize("s", [0.7, 0.9 + 0.3j, 2.0, 1.5, 0.25, 0.2 + 0.5j, 1 / 3, 2 / 3, 1])
     def test_report_is_bit_identical(self, gi, s, p_max):
         report = global_z_report(gi, s, p_max)
         product = reference_euler_product(gi, s, p_max)
@@ -712,6 +716,76 @@ class TestEulerTable:
     @pytest.mark.parametrize("p_max", [997, 5000])
     def test_special_value_ratio_is_bit_identical(self, gi, p_max):
         assert special_value_ratio(gi, p_max) == reference_special_value_ratio(gi, p_max)
+
+    def test_every_cut_of_one_table_is_bit_identical(self, gi):
+        # p_max need not be prime: each report slices its own leading columns
+        for p_max in (1000, 4999, 5, 6, 5000, 1000):
+            report = global_z_report(gi, 0.9 + 0.3j, p_max)
+            assert report.primes == tuple(primes_up_to(p_max))
+            assert report.euler_product == reference_euler_product(gi, 0.9 + 0.3j, p_max)
+            assert special_value_ratio(gi, p_max) == reference_special_value_ratio(gi, p_max)
+
+    @pytest.mark.parametrize(
+        "drop, s, error, prime",
+        [
+            ([101], -120, OverflowError, None),  # p^360 leaves the float range at p = 11
+            ([5], -120, ValueError, 5),  # a missing prime before the overflow
+            ([101], 0.7 + 1e308j, ZeroDivisionError, None),  # pow fails at p = 2 already
+        ],
+    )
+    def test_the_first_failing_prime_raises_first(self, drop, s, error, prime):
+        satake, gl2, local = synthetic_tables(600)
+        for p in drop:
+            del local[p]
+        gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            with pytest.raises(error) as want:
+                reference_euler_product(gi, s, 600)
+            with pytest.raises(error) as got:
+                global_z_report(gi, s, 600)
+        assert str(got.value) == str(want.value)
+        if prime is not None:
+            assert str(got.value) == f"missing local data for p = {prime}"
+
+    @pytest.mark.parametrize("p_max, missing", [(11, None), (11, 11), (13, 3)])
+    def test_a_zero_divisor_raises_as_the_division_does(self, p_max, missing):
+        # At p = 7 the Satake value u1 u0 = 1e-200 times the GL(2) value
+        # 1e-200 underflows to a zero divisor, while omega_pi = 1 and the
+        # twist's chi = 1 stay finite, so the row builds.
+        satake, gl2, local = synthetic_tables(20)
+        satake[7], gl2[7] = (1.0, 1e-200, 1e200), (1e-200, 1e200)
+        local[7] = PrimeQuadData(0, 1.0, -1.0)
+        gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
+        assert assembly._factor_row(7, local[7], gl2[7], gi.gamma(7), gi.omega_pi(7), False)[1][2] == 0
+        assert 7 in gi.euler_table[0]
+        assert global_z_report(gi, 1.0, 5).euler_product == reference_euler_product(gi, 1.0, 5)
+        if missing is not None:
+            del local[missing]
+            gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
+        error = ValueError if missing == 3 else ZeroDivisionError
+        with pytest.raises(error) as want:
+            reference_euler_product(gi, 1.0, p_max)
+        with pytest.raises(error) as got:
+            global_z_report(gi, 1.0, p_max)
+        assert str(got.value) == str(want.value)
+
+    def test_a_composite_key_is_no_column(self):
+        satake, gl2, local = synthetic_tables(30)
+        for table in (satake, gl2, local):
+            table[25], table[1] = table[23], table[23]
+        del local[5]  # a composite key past a missing prime stays harmless
+        gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
+        table, faults = gi.euler_table
+        assert list(table) == [2, 3, 7, 11, 13, 17, 19, 23, 25, 29] and faults == {}
+        assert global_z_report(gi, 0.7, 3).euler_product == reference_euler_product(gi, 0.7, 3)
+        with pytest.raises(ValueError, match="missing local data for p = 5"):
+            global_z_report(gi, 0.7, 30)
+        local[5] = PrimeQuadData(-1, 1.0)
+        gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
+        assert 25 not in gi.euler_table[0]
+        assert global_z_report(gi, 0.7, 30).euler_product == reference_euler_product(gi, 0.7, 30)
+
 
     @pytest.mark.parametrize(
         "drop, s",
@@ -807,6 +881,35 @@ class TestEulerTable:
                 special_value_ratio(gi, p_max)
         # later reports do no per-prime set-up, and sieve once per new p_max
         assert calls == [("sieve", 59)]
+
+
+# Parts at the edges of the float range: signed zeros, the smallest
+# subnormal, the largest finite values, infinities and NaN.
+_EDGE_PARTS = (0.0, -0.0, 5e-324, -2.5e-308, 0.75, -1.0, 3.0, 1e308, -1.7e308, math.inf, -math.inf, math.nan)
+
+
+def _same_float(x: float, y: float) -> bool:
+    """Equal to the bit, or both NaN (CPython and numpy may differ in a NaN's payload)."""
+    return (math.isnan(x) and math.isnan(y)) or struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def test_complex_formulas_match_cpython_to_the_bit():
+    values = [complex(re, im) for re in _EDGE_PARTS for im in _EDGE_PARTS]
+    a = np.array([x for x in values for _ in values])
+    b = np.array([y for _ in values for y in values])
+    with np.errstate(all="ignore"):
+        prod = assembly._c_prod(a.real, a.imag, b.real, b.imag)
+        quot = assembly._c_quot(a.real, a.imag, *assembly._quotient_parts(b.real, b.imag))
+        diff = assembly._one_minus(a.real, a.imag)
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        want = 1 - x
+        assert _same_float(diff[0][i], want.real) and _same_float(diff[1][i], want.imag), x
+        want = x * y
+        assert _same_float(prod[0][i], want.real) and _same_float(prod[1][i], want.imag), (x, y)
+        if y == 0:
+            continue  # CPython raises ZeroDivisionError, which the table records
+        want = x / y
+        assert _same_float(quot[0][i], want.real) and _same_float(quot[1][i], want.imag), (x, y)
 
 
 class TestTheorem3Constant:

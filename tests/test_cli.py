@@ -761,7 +761,9 @@ class TestGlobal:
         path.write_text(json.dumps(committed_global_doc(s=s)), encoding="utf-8")
         config = RunConfig(command="global", input_path=str(path), p_max=p_max, output_format="machine")
         try:
-            code, out = run_capture(config)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # numpy's floating-point warnings
+                code, out = run_capture(config)
         except InputError:
             return  # exit status 2
         records = strict_records_of(out)

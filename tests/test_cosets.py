@@ -9,6 +9,7 @@ from localzeta import cosets, kernels
 from localzeta.exact import QuadCoeff, rat
 from localzeta.kernels import IDENTITY, group_closure, mark_products, mat_mul_mod
 from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
+from localzeta.rng import SplitMix64
 from localzeta.cosets import (
     BesselDatum,
     CosetAuditReport,
@@ -376,6 +377,50 @@ class TestKernels:
             seen.add(prod)
         assert mark_products(reps, subgroup, p) == (len(seen), duplicate)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sorted_codes_match_the_numpy_set_operations(self, seed):
+        # The kernels' stable sort and searchsorted against np.unique and
+        # np.isin, on SplitMix64-drawn p = 3 batches with planted duplicates.
+        p, mix = 3, SplitMix64(seed)
+        codes = kernels._codes
+
+        def unique_closure(gens, max_size):
+            gens = kernels._batch(gens, p)
+            group = kernels._batch(IDENTITY, p)
+            group_codes, frontier = codes(group, p), group
+            while len(frontier):
+                prods = kernels.products(frontier, gens, p)
+                found, first = np.unique(codes(prods, p), return_index=True)
+                fresh = ~np.isin(found, group_codes)
+                frontier = prods[first[fresh]]
+                group = np.concatenate([group, frontier])
+                group_codes = np.concatenate([group_codes, found[fresh]])
+                assert len(group) <= max_size
+            return group[np.argsort(group_codes)]
+
+        def unique_marks(reps, subgroup):
+            prods = kernels.products(reps, subgroup, p)
+            found = codes(prods, p)
+            first = np.unique(found, return_index=True)[1]
+            repeated = np.ones(len(found), dtype=bool)
+            repeated[first] = False
+            return len(first), tuple(prods[np.argmax(repeated)].tolist()) if repeated.any() else None
+
+        gens = [mix.choice(_sp4_generators(p)) for _ in range(3)]
+        gens.insert(1, gens[2])  # a generator given twice
+        closure = group_closure(gens, p, max_size=sp4_order(p))
+        assert closure.tolist() == unique_closure(gens, sp4_order(p)).tolist()
+
+        level = ksharp_mod_p(p)
+        reps = [tuple(mix.below(p) for _ in range(16)) for _ in range(40)]
+        subgroup = [level[mix.below(len(level))] for _ in range(30)]
+        for i in range(4):  # plant repeated reps and subgroup members
+            reps[10 + 7 * i] = reps[mix.below(10 + 7 * i)]
+            subgroup[5 + 6 * i] = subgroup[mix.below(5 + 6 * i)]
+        got = mark_products(reps, subgroup, p)
+        assert got == unique_marks(reps, subgroup)
+        assert got[1] is not None
+        assert mark_products(reps[:1], subgroup[:1], p) == unique_marks(reps[:1], subgroup[:1])
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     def test_products_and_form_match_scalar_reference(self, p):
