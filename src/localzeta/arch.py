@@ -21,10 +21,11 @@ which has no error estimate yet.
 Whittaker evaluation is written here from scratch: a tanh-sinh quadrature
 of the confluent-U integral representation where it converges, and an
 upward recurrence in the first index from two safely-convergent seeds
-otherwise.  The tanh-sinh rule runs on one grid with a fixed step, as
-one real exponential over the (argument, node) grid and one matrix
-product; its accuracy is pinned in the test suite against mpmath, which
-is used only there, as an independent oracle.
+otherwise.  Where U is a polynomial, the same recurrence walks up from
+U(0, b, x) = 1, at every degree.  The tanh-sinh rule runs on one grid
+with a fixed step, as one real exponential over the (argument, node)
+grid and one matrix product; its accuracy is pinned in the test suite
+against mpmath, which is used only there, as an independent oracle.
 
 Gamma values come from scipy.special, the slowest import of the package.
 It is imported on the first Gamma evaluation, not with this module, so a
@@ -148,34 +149,6 @@ def _confluent_u_pair(
     return sums[:, 0] * _reciprocal_gamma(a), sums[:, 1] * _reciprocal_gamma(a + 1)
 
 
-def _whittaker_w_polynomial(n: int, mu: complex, xs: np.ndarray) -> np.ndarray:
-    """W for kappa = mu + 1/2 + n, n >= 0: the degenerate (Laguerre) case.
-
-    U(-n, 1+2mu, x) = (-1)^n n! L_n^(2mu)(x), so W is an exact elementary
-    expression, stable at every x > 0.  Covers in particular all the
-    discrete-series evaluations, where the first index exceeds the second
-    by a half-integer.
-    """
-    alpha = 2 * mu
-    prev = np.ones_like(xs, dtype=complex)  # L_0
-    if n == 0:
-        lag = prev
-    else:
-        curr = 1 + alpha - xs  # L_1
-        for k in range(1, n):
-            prev, curr = curr, ((2 * k + 1 + alpha - xs) * curr - (k + alpha) * prev) / (
-                k + 1
-            )
-        lag = curr
-    sign = -1.0 if n % 2 else 1.0
-    return (
-        sign
-        * math.factorial(n)
-        * np.exp(-xs / 2 + (mu + 0.5) * np.log(xs))
-        * lag
-    )
-
-
 def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarray:
     """W_{kappa,mu} on an array of positive x, choosing the route per kappa.
 
@@ -190,10 +163,10 @@ def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarra
 
     walks back up.  W grows factorially in the first index, so the upward
     direction is the numerically dominant (stable) one.  Where U is a
-    polynomial of degree n, its Laguerre form serves up to n = 170; past
-    that n! leaves the float range, and the recurrence walks up from
-    U(0, 1+2mu, x) = 1.  The walk stops once every value is inf or nan, or
-    zero above a zero, as no further step changes that.
+    polynomial of degree n (a = -n), the walk takes n steps up from
+    U(0, 1+2mu, x) = 1, which covers every discrete-series evaluation.
+    The walk stops once every value is inf or nan, or zero above a zero,
+    as no further step changes that.
     """
     kappa = complex(kappa)
     mu = complex(mu)
@@ -203,8 +176,6 @@ def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarra
     a = mu - kappa + 0.5
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and round(a.real) <= 0:
         n = int(-round(a.real))
-        if n <= 170:
-            return _whittaker_w_polynomial(n, mu, xs)
         k0, u_k0, u_below = mu + 0.5, 1, 0  # W_{k0-1} has weight zero in the first step
     else:
         n = 0 if a.real >= 1.0 else int(math.ceil(1.0 - a.real)) + 2
@@ -694,15 +665,3 @@ def c1_coefficient(l: int, l1: int, r: complex, a1: complex) -> complex:
         if not value or (math.isnan(value.real) and math.isnan(value.imag)):
             break  # a zero stays zero (up to its sign), and a nan stays nan
     return value
-
-
-def holo_coeffs(b_n: complex, n: int, l: int) -> complex:
-    """Coefficients of the weight-l form attached to a holomorphic form:
-
-    c(n) = b_n (4 pi n)^(-l/2) for n > 0, and 0 for n < 0.
-    """
-    if n == 0:
-        raise ValueError("n must be a nonzero integer")
-    if n < 0:
-        return 0j
-    return complex(b_n) * (4 * math.pi * n) ** (-l / 2)

@@ -477,19 +477,9 @@ class GlobalInput:
         return EulerTable.from_rows(primes, rows), faults
 
     @property
-    def h(self) -> int:
-        """Number of ideal classes carried by the input."""
-        return len(self.lambda_classvals)
-
-    @property
     def at_holomorphic_point(self) -> bool:
         """Whether ir = l - 1 to 1e-9, the one point of the special value."""
         return abs(1j * complex(self.r) - (self.l - 1)) <= 1e-9
-
-    @property
-    def splitting_table(self) -> Dict[int, int]:
-        """Per-prime splitting symbols, as a view of local_table."""
-        return {p: data.symbol for p, data in self.local_table.items()}
 
     def omega_pi(self, p: int) -> complex:
         """Central character value u0^2 u1 u2 at the prime p."""

@@ -109,65 +109,6 @@ def ediag(t1, t2, t3, t4, d) -> EtaleMatrix:
     )
 
 
-# --------------------------------------------------------------------------
-# the Bessel datum behind the degenerate Whittaker data
-
-
-@dataclass(frozen=True)
-class BesselDatum:
-    """A nondegenerate symmetric datum (a, b, c) with c a unit.
-
-    Carries the discriminant d = b^2 - 4ac, the matrix S = [[a, b/2],
-    [b/2, c]], the algebra generators xi0 = (-b + sqrt(d))/2 and
-    alpha = (b + sqrt(d))/(2c), and the unipotent eta built from alpha.
-    The additive character convention is fixed once and recorded here.
-    """
-
-    a: int
-    b: int
-    c: int
-
-    psi_convention = "psi(x) = exp(-2*pi*i*x)"
-
-    def __post_init__(self):
-        if self.d == 0:
-            raise ValueError("discriminant must be nonzero")
-        alpha, bar = self.alpha, self.alpha.conjugate()
-        if self.c * alpha * alpha - self.b * alpha + self.a != 0:
-            raise AssertionError("alpha fails its defining quadratic")
-        if alpha + bar != rat(self.b, self.c) or alpha * bar != rat(self.a, self.c):
-            raise AssertionError("conjugate trace/norm relations fail")
-
-    @property
-    def d(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def D(self) -> int:
-        if self.d >= 0:
-            raise ValueError("D = -d is defined only for negative discriminant")
-        return -self.d
-
-    @property
-    def S(self):
-        return (
-            (rat(self.a), rat(self.b, 2)),
-            (rat(self.b, 2), rat(self.c)),
-        )
-
-    @property
-    def xi0(self) -> QuadCoeff:
-        return QuadCoeff(rat(-self.b, 2), rat(1, 2), self.d)
-
-    @property
-    def alpha(self) -> QuadCoeff:
-        return QuadCoeff(rat(self.b, 2 * self.c), rat(1, 2 * self.c), self.d)
-
-    @property
-    def eta(self) -> EtaleMatrix:
-        return eta_matrix(self.alpha, rat(1))
-
-
 def eta_matrix(alpha: QuadCoeff, scale) -> EtaleMatrix:
     """The eta unipotent with alpha scaled by a uniformizer-power marker."""
     d = alpha.q

@@ -23,7 +23,6 @@ from localzeta.arch import (
     WhittakerQuery,
     c1_coefficient,
     gamma_fn,
-    holo_coeffs,
     mellin_whittaker,
     whittaker_w,
     z_inf_closed,
@@ -72,6 +71,18 @@ class TestGammaFn:
         assert proc.stdout.split() == ["False", "True", "True"]
 
 
+def laguerre_w(n, mu, x):
+    """W_{mu+1/2+n, mu}(x) = (-1)^n n! e^(-x/2) x^(mu+1/2) L_n^(2mu)(x), with
+    the Laguerre polynomial summed term by term at 500 digits."""
+    with mpmath.workdps(500):
+        mu, x = mpmath.mpmathify(mu), mpmath.mpf(x)
+        lag = mpmath.fsum(
+            (-1) ** j * mpmath.binomial(n + 2 * mu, n - j) * x**j / mpmath.factorial(j)
+            for j in range(n + 1)
+        )
+        return complex((-1) ** n * mpmath.factorial(n) * mpmath.exp(-x / 2) * x ** (mu + 0.5) * lag)
+
+
 class TestWhittakerW:
     def test_pure_exponential_reduction(self):
         # W_{mu+1/2, mu}(z) = e^(-z/2) z^(mu+1/2)
@@ -116,12 +127,20 @@ class TestWhittakerW:
 
     @pytest.mark.parametrize("kappa,mu", [(171.5, 0.0), (171.5 + 0.5j, 0.5j)])
     def test_polynomial_route_past_the_factorial_range(self, kappa, mu):
-        # degree 171, where 171! is past the float range but W is not yet
-        xs = np.array([1e-3, 2e-3])
-        got = _whittaker_w_array(kappa, mu, xs)
-        for x, value in zip(xs, got):
-            ref = complex(mpmath.whitw(kappa, mu, x))
-            assert abs(value - ref) <= 1e-12 * abs(ref), x
+        # U(-n, 1+2mu, x) is a polynomial of degree n = kappa - mu - 1/2, and
+        # one walk up from U(0, 1+2mu, x) = 1 serves every degree: low ones,
+        # those up to 170 where n! is a float, and 171, where 171! is past
+        # the float range but W is not yet at x <= 2e-3
+        cases = [(n, x) for n in (1, 2, 40, 150, 170) for x in (0.01, 1.0, 50.0)]
+        cases += [(171, 1e-3), (171, 2e-3)]
+        for n, x in cases:
+            k = kappa - 171 + n
+            got = complex(_whittaker_w_array(k, mu, np.array([x]))[0])
+            try:
+                ref = complex(mpmath.whitw(k, mu, x))
+            except ValueError:  # whitw does not converge, as at a zero of W
+                ref = laguerre_w(n, mu, x)
+            assert abs(got - ref) <= 1e-11 * abs(ref), (n, x)
 
     @pytest.mark.parametrize("kappa,mu", [(1000, 5.5), (5e14, 5.5), (5e14, 0.2)])
     def test_large_first_index_is_past_the_float_range(self, kappa, mu):
@@ -634,20 +653,3 @@ class TestC1Coefficient:
     def test_odd_weight_rejected(self):
         with pytest.raises(ValueError):
             c1_coefficient(11, 13, 1.0, 1.0)
-
-
-class TestHoloCoeffs:
-    def test_first_coefficient(self):
-        assert abs(holo_coeffs(1.0, 1, 12) - (4 * math.pi) ** -6) < 1e-20
-
-    def test_negative_index(self):
-        assert holo_coeffs(2.5, -3, 12) == 0
-
-    def test_scaling(self):
-        b4 = 3.25
-        ratio = holo_coeffs(b4, 4, 12) / holo_coeffs(1.0, 1, 12)
-        assert abs(ratio - b4 * 4.0**-6) <= 1e-14 * abs(ratio)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            holo_coeffs(1.0, 0, 12)

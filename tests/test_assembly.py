@@ -319,9 +319,7 @@ def test_exact_and_numeric_slot_rules_agree(symbol, piF, piL, piF_over_piL, acce
 class TestGlobalInput:
     def test_valid_fixture(self):
         gi = make_gi()
-        assert gi.h == 1
         assert gi.level_primes == (2,)
-        assert gi.splitting_table == {2: -1}
         assert gi.l1 == 12  # defaults to l
 
     def test_weight_validation(self):

@@ -754,6 +754,23 @@ class TestGlobal:
             "overflow": "0.0 to a negative or complex power",
         }
 
+    def test_a_numpy_warning_escapes_the_global_check(self, write_doc, monkeypatch):
+        # the check absorbs only the region and a(Lambda) warnings, so the
+        # caller's filter below sees a floating-point warning of the report
+        report = assembly.global_z_report
+
+        def warning_report(gi, s, p_max):
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            return report(gi, s, p_max)
+
+        monkeypatch.setattr(assembly, "global_z_report", warning_report)
+        path = write_doc(committed_global_doc())
+        config = RunConfig(command="global", input_path=path, p_max=13, output_format="machine")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+                run_capture(config)
+
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(s=EXTREME_S, p_max=st.sampled_from([3, 13]))
     def test_any_s_ends_in_a_status(self, tmp_path_factory, s, p_max):

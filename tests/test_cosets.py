@@ -11,7 +11,6 @@ from localzeta.kernels import IDENTITY, group_closure, mark_products, mat_mul_mo
 from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
 from localzeta.rng import SplitMix64
 from localzeta.cosets import (
-    BesselDatum,
     CosetAuditReport,
     DegenerateDraw,
     EtaleMatrix,
@@ -144,45 +143,6 @@ class TestEtaleMatrixProduct:
         m = EtaleMatrix([row] * 4, 5)
         assert m.rows[0] == tuple(QuadCoeff(e, 0, 5) for e in row)
         assert m == EtaleMatrix([[QuadCoeff(e, 0, 5) for e in row]] * 4, 5)
-
-
-class TestBesselDatum:
-    def test_alpha_relations_hold(self):
-        datum = BesselDatum(1, 1, 1)  # d = -3
-        alpha = datum.alpha
-        assert alpha + alpha.conjugate() == rat(1)
-        assert alpha * alpha.conjugate() == rat(1)
-
-    def test_degenerate_discriminant_rejected(self):
-        with pytest.raises(ValueError):
-            BesselDatum(1, 2, 1)  # d = 0
-
-    def test_positive_d_has_no_D(self):
-        datum = BesselDatum(-1, 0, 1)  # d = 4
-        with pytest.raises(ValueError):
-            datum.D
-
-    def test_D_flips_sign(self):
-        assert BesselDatum(1, 0, 1).D == 4
-
-    def test_S_matrix(self):
-        datum = BesselDatum(2, 3, 1)
-        assert datum.S == ((rat(2), rat(3, 2)), (rat(3, 2), rat(1)))
-
-    def test_eta_shape(self):
-        datum = BesselDatum(1, 0, 1)
-        eta = datum.eta
-        assert eta[1, 0] == datum.alpha
-        assert eta[2, 3] == -datum.alpha.conjugate()
-        assert eta[0, 0] == QuadCoeff(1, 0, datum.d)
-
-    def test_xi0_satisfies_minimal_polynomial(self):
-        datum = BesselDatum(3, 5, 1)
-        xi = datum.xi0
-        assert xi * xi + datum.b * xi + datum.a * datum.c == 0
-
-    def test_psi_convention_recorded(self):
-        assert "exp(-2*pi*i*x)" in BesselDatum.psi_convention
 
 
 class TestBruhatReps:
@@ -508,12 +468,13 @@ class TestMatrixIdentities:
         assert verify_matrix_identity(which, trials=15, seed=7)
 
     def test_identity_i_by_hand(self):
-        datum = BesselDatum(1, 0, 1)
-        d = datum.d
-        torus = ediag(1, 1, 1, 1, d)
-        lhs = eta_matrix(datum.alpha, rat(1)) * torus
-        rhs = torus * eta_matrix(datum.alpha, rat(1))
-        assert lhs == rhs == datum.eta
+        # (a, b, c) = (1, 0, 1): d = -4 and alpha = (b + sqrt(d))/(2c) = sqrt(-4)/2
+        alpha = QuadCoeff(0, rat(1, 2), -4)
+        assert alpha * alpha + 1 == 0  # c alpha^2 - b alpha + a = 0
+        torus = ediag(1, 1, 1, 1, -4)
+        eta = eta_matrix(alpha, rat(1))
+        assert eta[1, 0] == alpha and eta[2, 3] == -alpha.conjugate()
+        assert eta * torus == torus * eta
 
     def test_degenerate_draw_raised(self):
         # a=-2, b=1, c=1, u=1, w=1 makes v = a + b uw + c (uw)^2 vanish
