@@ -210,7 +210,9 @@ class QuadCoeff:
         return self._v[:3] == o
 
     def __hash__(self):
-        return hash(self._v)
+        # Equal to an int or rational exactly when B = 0, so hash as one.
+        A, B, D, _ = self._v
+        return hash(Rational(A, D)) if B == 0 else hash(self._v)
 
     def __bool__(self):
         v = self._v
@@ -295,7 +297,10 @@ class Poly:
     __slots__ = ("coefficients", "q")
 
     def __init__(self, coefficients: Iterable, q: int):
-        coeffs = [_as_quad(c, q) for c in coefficients]
+        coeffs = [
+            c if type(c) is QuadCoeff and c._v[3] == q else _as_quad(c, q)
+            for c in coefficients
+        ]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -441,11 +446,21 @@ class Poly:
 
 def factor_product(coeffs: Iterable, q: int, power: int = 1) -> Poly:
     """The product of 1 - c*t^power over the coefficients c: an inverse local
-    L-factor in t, from its roots' reciprocals.  No coefficients give 1."""
-    product = Poly.one(q)
+    L-factor in t, from its roots' reciprocals.  No coefficients give 1.
+
+    Its coefficients are the signed elementary symmetric functions e_k of
+    the c's in every power-th slot.  Each c updates them in place, from the
+    top down: e_k <- e_k - c e_(k-1).  No intermediate Poly is built.
+    """
+    e = [_quad(1, 0, 1, q)]
     for c in coeffs:
-        product = product * Poly([1, *[0] * (power - 1), -c], q)
-    return product
+        c = _as_quad(c, q)
+        e.append(-(c * e[-1]))
+        for k in range(len(e) - 2, 0, -1):
+            e[k] = e[k] - c * e[k - 1]
+    spread = [_quad(0, 0, 1, q)] * (power * (len(e) - 1) + 1)
+    spread[::power] = e
+    return Poly(spread, q)
 
 
 class RationalFunction:
@@ -509,7 +524,10 @@ class TruncatedSeries:
     __slots__ = ("coefficients", "q")
 
     def __init__(self, coefficients: Sequence, q: int):
-        coeffs = tuple(_as_quad(c, q) for c in coefficients)
+        coeffs = tuple(
+            c if type(c) is QuadCoeff and c._v[3] == q else _as_quad(c, q)
+            for c in coefficients
+        )
         if not coeffs:
             raise ValueError("a truncated series holds at least the order-0 term")
         object.__setattr__(self, "coefficients", coeffs)
@@ -534,7 +552,7 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
-            return _series(
+            return TruncatedSeries(
                 [a + b for a, b in zip(self.coefficients, other.coefficients)], self.q
             )
         return NotImplemented
@@ -542,7 +560,7 @@ class TruncatedSeries:
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
-            return _series(
+            return TruncatedSeries(
                 [a - b for a, b in zip(self.coefficients, other.coefficients)], self.q
             )
         return NotImplemented
@@ -560,10 +578,10 @@ class TruncatedSeries:
                     cj = other.coefficients[j]
                     if cj:
                         out[i + j] = out[i + j] + ci * cj
-            return _series(out, self.q)
+            return TruncatedSeries(out, self.q)
         if isinstance(other, (int, Rational, QuadCoeff)):
             s = _as_quad(other, self.q)
-            return _series([c * s for c in self.coefficients], self.q)
+            return TruncatedSeries([c * s for c in self.coefficients], self.q)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -592,13 +610,16 @@ class TruncatedSeries:
         return f"TruncatedSeries({[str(c) for c in self.coefficients]})"
 
 
-def _series(coefficients: Iterable[QuadCoeff], q: int) -> TruncatedSeries:
-    """A TruncatedSeries from QuadCoeffs the caller knows to lie in
-    Q(sqrt(q)), at least the order-0 term."""
-    x = object.__new__(TruncatedSeries)
-    object.__setattr__(x, "coefficients", tuple(coefficients))
-    object.__setattr__(x, "q", q)
-    return x
+def scaled_product(x: QuadCoeff, y: QuadCoeff, num: int, den: int) -> QuadCoeff:
+    """x * y * num/den for integers num and den > 0, reduced once: the
+    triple of x * (y * Rational(num, den)), from one gcd instead of three."""
+    A1, B1, D1, q = x._v
+    A2, B2, D2, q2 = y._v
+    if q2 != q:
+        raise ValueError(f"cannot mix Q(sqrt({q})) and Q(sqrt({q2}))")
+    return _reduced(
+        (A1 * A2 + B1 * B2 * q) * num, (A1 * B2 + B1 * A2) * num, D1 * D2 * den, q
+    )
 
 
 def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
@@ -638,4 +659,4 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
             D *= t
         g = gcd(D, A, B)
         s.append((A // g, B // g, D // g))
-    return _series([_quad(A, B, D, q) for A, B, D in s], q)
+    return TruncatedSeries([_quad(A, B, D, q) for A, B, D in s], q)

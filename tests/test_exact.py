@@ -56,6 +56,18 @@ class TestQuadCoeff:
         with pytest.raises(ValueError):
             QuadCoeff(1, 1, 2) + QuadCoeff(1, 1, 3)
 
+    def test_hash_agrees_with_equality(self):
+        """A rational element equals the int or Fraction it holds, so it
+        hashes like it: sets and dict lookups see one value."""
+        for x, plain in ((QuadCoeff(3, 0, 5), 3), (QuadCoeff(rat(-7, 4), 0, 3), rat(-7, 4))):
+            assert x == plain
+            assert hash(x) == hash(plain)
+            assert len({x, plain}) == 1
+            assert {plain: "x"}.get(x) == "x"
+        irrational = QuadCoeff(rat(1, 2), 1, 5)
+        assert hash(irrational) == hash(QuadCoeff(rat(1, 2), 1, 5))
+        assert len({irrational, QuadCoeff(rat(1, 2), 0, 5), rat(1, 2)}) == 2
+
     def test_int_coercion(self):
         assert 1 + QuadCoeff(1, 2, 5) == QuadCoeff(2, 2, 5)
         assert 2 * QuadCoeff(1, 2, 5) == QuadCoeff(2, 4, 5)
@@ -128,6 +140,10 @@ class TestPoly:
         p = Poly([1, 2, 0, 0], 2)
         assert p.degree == 1
 
+    def test_foreign_quadcoeff_rejected(self):
+        with pytest.raises(ValueError, match="mixed ground fields"):
+            Poly([QuadCoeff(1, 1, 3)], 5)
+
     def test_zero_poly(self):
         assert Poly([], 2).degree == -1
         assert not Poly([0, 0], 2)
@@ -151,6 +167,14 @@ class TestPoly:
         assert p.to_str() == "1 - (1/2*sqrt(2))*t^2"
 
 
+def product_of_factors(coeffs, q, power=1):
+    """The product of 1 - c*t^power built factor by factor from whole Polys."""
+    product = Poly.one(q)
+    for c in coeffs:
+        product = product * Poly([1, *[0] * (power - 1), -c], q)
+    return product
+
+
 class TestFactorProduct:
     def test_equals_explicit_products(self):
         q = 3
@@ -164,6 +188,35 @@ class TestFactorProduct:
     def test_no_factors_is_one(self):
         assert factor_product([], 5) == Poly.one(5)
         assert factor_product([], 5, power=2) == Poly.one(5)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 4, -3])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_triples_match_the_product_of_factors(self, q, power):
+        """Zero, rational and irrational entries, up to eight factors.  At
+        q = 4, (2 + X)(2 - X) = 0 makes leading coefficients vanish."""
+        pool = [
+            0,
+            rat(1, 2),
+            QuadCoeff(rat(1, 3), rat(-2, 5), q),
+            rat(-7),
+            QuadCoeff(2, 1, q),
+            QuadCoeff(0, rat(3, 4), q),
+            QuadCoeff(2, -1, q),
+            QuadCoeff(0, 0, q),
+            rat(5, 9),
+        ]
+        for length in range(9):
+            for shift in range(len(pool)):
+                cs = [pool[(shift + 2 * i) % len(pool)] for i in range(length)]
+                got = factor_product(cs, q, power)
+                want = product_of_factors(cs, q, power)
+                assert [c._v for c in got.coefficients] == [
+                    c._v for c in want.coefficients
+                ], (q, power, cs)
+
+    def test_foreign_field_rejected(self):
+        with pytest.raises(ValueError):
+            factor_product([rat(1, 2), QuadCoeff(0, 1, 3)], 5)
 
 
 class TestRationalFunction:
@@ -277,6 +330,8 @@ class TestSeries:
         assert all(isinstance(c, QuadCoeff) and c.q == 5 for c in s.coefficients)
         with pytest.raises(ValueError, match="mixed ground fields"):
             TruncatedSeries([1, QuadCoeff(0, 1, 3)], 5)
+        with pytest.raises(ValueError, match="mixed ground fields"):
+            TruncatedSeries([QuadCoeff(1, 1, 3)], 5)
         with pytest.raises(ValueError, match="order-0"):
             TruncatedSeries([], 5)
 

@@ -6,9 +6,10 @@ import pytest
 
 from localzeta import batteries, cli
 from localzeta.exact import Poly, QuadCoeff, RationalFunction, TruncatedSeries, q_half_power, rat, series_of
-from localzeta.localfield import LocalQuadData, SplittingSymbol
+from localzeta.localfield import LocalQuadData, SplittingSymbol, volume_V1
 from localzeta.rng import SplitMix64, draw_scenario, draw_tau_satake, scenario_stream
 from localzeta.satake import SatakeParams, SteinbergData
+from localzeta.sugano import bessel_values, sugano_polys
 from localzeta import zeta
 from localzeta.zeta import (
     ScenarioData,
@@ -234,6 +235,91 @@ class TestDeepOrder:
         assert deep.first_difference == shallow.first_difference
         assert deep.direct_coefficient == shallow.direct_coefficient
         assert deep.closed_coefficient == shallow.closed_coefficient
+
+
+def m_zero_term_by_term(sc, n):
+    """The m = 0 series with each coefficient formed as
+    bessel[l] * (char * (W_diag(l) V1(l, 0))) in QuadCoeff arithmetic."""
+    q = sc.q
+    bessel = bessel_values(sugano_polys(sc.local, sc.sat), n)
+    step = q_half_power(q, -3) * (1 / (sc.sat.omega_pi_piF * sc.st.omega_piF**2))
+    char = QuadCoeff.rational(q - 1, q)
+    coeffs = []
+    for l in range(n + 1):
+        scalar = steinberg_whittaker_diag(l, sc.st, q) * volume_V1(sc.local, l, 0)
+        coeffs.append(bessel[l] * (char * scalar))
+        char = char * step
+    return TruncatedSeries(coeffs, sc.q)
+
+
+def report_term_by_term(sc, n):
+    """verify_theorem1's report with the direct side as m0 + partial always."""
+    partial = z_series_m_positive(sc, n)
+    direct = m_zero_term_by_term(sc, n) + partial
+    closed = series_of(z_closed_form(sc), n)
+    vanishes = not any(partial.coefficients)
+    cell = None
+    if not vanishes:
+        cell = next(((l, m) for l, m, _ in zeta._nonzero_brackets(sc, n)), None)
+    idx = direct.first_difference(closed)
+    return Theorem1Report(
+        ok=(idx is None and vanishes),
+        order=n,
+        series_match=idx is None,
+        m_positive_vanishes=vanishes,
+        first_difference=idx,
+        direct_coefficient=None if idx is None else str(direct[idx]),
+        closed_coefficient=None if idx is None else str(closed[idx]),
+        first_nonzero_cell=cell,
+    )
+
+
+def tampered(sc, kind):
+    """Double one stored value after construction, as the controls do."""
+    if kind == "gamma":
+        g = sc.sat.gamma
+        object.__setattr__(sc.sat, "gamma", (2 * g[0],) + g[1:])
+    elif kind == "omega":
+        object.__setattr__(sc.st, "omega_piF", 2 * sc.st.omega_piF)
+    elif kind is not None:
+        object.__setattr__(sc.local, kind, 2 * getattr(sc.local, kind))
+    return sc
+
+
+class TestReportMatchesTermByTermSum:
+    """The m = 0 series, reduced once per coefficient, holds the same
+    triples as the term-by-term product, and every report field (the
+    coefficient strings included) is the one the plain sum m0 + partial
+    gives."""
+
+    @pytest.mark.parametrize("n", [25, 80])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("symbol", list(SplittingSymbol))
+    def test_every_cell(self, q, symbol, n):
+        kinds = [None, "gamma", "omega", "lambda_piF"]
+        if symbol is not SplittingSymbol.INERT:
+            kinds.append("lambda_piL")
+        stream = scenario_stream(90 + n, symbol, q, len(kinds))
+        failed = 0
+        for kind, sc in zip(kinds, stream):
+            sc = tampered(sc, kind)
+            got = zeta._z_series_m_zero(sc, n)
+            want = m_zero_term_by_term(sc, n)
+            assert [c._v for c in got.coefficients] == [
+                c._v for c in want.coefficients
+            ], kind
+            report = verify_theorem1(sc, n)
+            assert report == report_term_by_term(sc, n), kind
+            failed += not report.ok
+        # Doubled gamma and Omega always break the identity.
+        assert failed >= 2
+
+    def test_non_vanishing_m_positive_sum(self, wrong_v2_at_3_2):
+        for symbol in SplittingSymbol:
+            sc = draw_scenario(SplitMix64(33), symbol, 3)
+            report = verify_theorem1(sc, n=25)
+            assert not report.m_positive_vanishes
+            assert report == report_term_by_term(sc, 25)
 
 
 class TestNegativeControls:
