@@ -277,12 +277,14 @@ def _count_polynomial_check() -> Tuple[bool, Witness]:
 
 def _identity_check(which: str, trials: int, seed: int) -> Tuple[bool, Witness]:
     from . import cosets
-    return cosets.verify_matrix_identity(which, trials=trials, seed=seed), None
+    witness = cosets.matrix_identity_witness(which, trials=trials, seed=seed)
+    return witness is None, witness
 
 
 def coset_checks(p: int, seed: int, trials: int) -> List[Check]:
     """The exhaustive coset audit at p (2 or 3), the count polynomial, and
-    ``trials`` exact random substitutions into each matrix identity."""
+    ``trials`` random substitutions mod 2^31 - 1 into each matrix identity,
+    a failure naming the trial, its residues and the first differing entry."""
     from .cosets import IDENTITY_NAMES
     return [
         (f"cosets/p{p}/audit", partial(_audit_check, p)),

@@ -6,12 +6,10 @@ integer q, written a + b*sqrt(q) and stored as integer triples
 normal form is unique for every such q, because it is just the rational
 pair (a, b).  The algebra is the field Q(sqrt(q)) exactly when q is not a
 square; otherwise it has zero divisors, and inverting one raises
-ZeroDivisionError.  The local identities use a prime q; the etale matrix
-identities in cosets use the discriminant of a datum.  On top of the
-scalars sit dense
-univariate polynomials, rational functions, and truncated power series in
-one formal variable; degrees in this problem never exceed 8, so nothing
-clever is needed.
+ZeroDivisionError.  The local identities use a prime q.  On top of the
+scalars sit dense univariate polynomials, rational functions, and
+truncated power series in one formal variable; degrees in this problem
+never exceed 8, so nothing clever is needed.
 
 No floating point enters this module.  The scalar arithmetic runs on
 Python integers alone.  Rational values elsewhere in the package (and the

@@ -86,8 +86,8 @@ def test_criterion_3_exhaustive_coset_audit():
 
 
 def test_criterion_4_matrix_identities_and_support_table():
-    """All five support-matrix identities over 50 exact random-substitution
-    trials each, and the case table on all 8 families x m in {0,1,2}."""
+    """All five support-matrix identities over 50 random-substitution trials
+    each in F_p[X]/(X^2 - d), p = 2^31 - 1, and the case table on all 8 families x m in {0,1,2}."""
     for which in IDENTITY_NAMES:
         assert verify_matrix_identity(which, trials=50, seed=SEED), which
 

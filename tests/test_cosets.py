@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from localzeta import cosets, kernels
+from localzeta import batteries, cosets, kernels
 from localzeta.exact import QuadCoeff, rat
 from localzeta.kernels import IDENTITY, group_closure, mark_products, mat_mul_mod
 from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
 from localzeta.rng import SplitMix64
 from localzeta.cosets import (
+    P,
+    RESIDUES,
+    Batch,
     CosetAuditReport,
-    DegenerateDraw,
-    EtaleMatrix,
     IDENTITY_NAMES,
     bruhat_reps,
     coset_audit,
@@ -21,9 +22,10 @@ from localzeta.cosets import (
     ediag,
     eta_matrix,
     expected_rep_count,
+    identity_sides,
     ksharp_mod_p,
     ksharp_mod_p_member,
-    matrix_identity_trial,
+    matrix_identity_witness,
     sp4_order,
     support_classify,
     verify_matrix_identity,
@@ -82,67 +84,62 @@ class TestEtaleNum:
         assert (a * b).norm == a.norm * b.norm
 
 
-def _schoolbook(x, y):
-    """The 4x4 product entry by entry, every term included."""
-    zero = QuadCoeff(0, 0, x.d)
-    return [
-        [sum((x[i, k] * y[k, j] for k in range(4)), zero) for j in range(4)]
-        for i in range(4)
-    ]
+def _entries(m, t):
+    """Trial t of a MatrixBatch as rows of (x0, x1) integer pairs."""
+    return [[(int(m.x0[t, i, j]), int(m.x1[t, i, j])) for j in range(4)] for i in range(4)]
+
+
+def _schoolbook(x, y, t):
+    """Trial t of the product in F_P[X]/(X^2 - d), entry by entry on Python ints."""
+    d, left, right = int(x.d[t, 0, 0]), _entries(x, t), _entries(y, t)
+    out = [[[0, 0] for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            for k in range(4):
+                (a0, a1), (b0, b1) = left[i][k], right[k][j]
+                out[i][j][0] += a0 * b0 + d * a1 * b1
+                out[i][j][1] += a0 * b1 + a1 * b0
+    return [[(e0 % P, e1 % P) for e0, e1 in row] for row in out]
 
 
 def _sparse_matrix(rng, d):
-    """A seeded matrix with about half its entries zero."""
-    def entry():
-        if rng.random() < 0.5:
-            return 0
-        return QuadCoeff(rat(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-3, 3), d)
+    """A seeded batch of matrices, about half the entries zero and many at
+    the extremes 1 and P - 1 of the residues."""
+    def residues():
+        return np.array([rng.choice((1, P - 1, rng.randrange(P))) for _ in d])
 
-    return EtaleMatrix([[entry() for _ in range(4)] for _ in range(4)], d)
+    def entry():
+        return 0 if rng.random() < 0.5 else Batch(residues(), residues(), d)
+
+    return cosets.matrix([[entry() for _ in range(4)] for _ in range(4)], d)
 
 
 class TestEtaleMatrixProduct:
     @pytest.mark.parametrize("d", [-4, -3, 5, 8, 4, 9])  # 4 and 9: zero divisors
     def test_matches_schoolbook_product(self, d):
         rng = random.Random(1000 + d)
-        for _ in range(40):
-            x, y = _sparse_matrix(rng, d), _sparse_matrix(rng, d)
+        trials = np.full(6, d % P)
+        for _ in range(10):
+            x, y = _sparse_matrix(rng, trials), _sparse_matrix(rng, trials)
             product = x * y
-            want = _schoolbook(x, y)
-            assert product.d == d
-            assert [list(row) for row in product.rows] == want
-            assert product == EtaleMatrix(want, d)
-            assert hash(product) == hash(EtaleMatrix(want, d))
-            assert all(e.q == d for row in product.rows for e in row)
+            for t in range(len(trials)):
+                assert _entries(product, t) == _schoolbook(x, y, t)
 
     def test_zero_divisor_terms_cancel_to_zero(self):
-        # over d = 4, (2 + sqrt 4)(2 - sqrt 4) = 0 although neither factor is
-        u, v = QuadCoeff(2, 1, 4), QuadCoeff(2, -1, 4)
-        x = ediag(u, 1, u, 1, 4)
-        y = ediag(v, 1, 1, v, 4)
-        product = x * y
-        assert product == ediag(0, 1, u, v, 4)
-        assert product[0, 0] == QuadCoeff(0, 0, 4) and not product[0, 0]
-        assert [list(row) for row in product.rows] == _schoolbook(x, y)
-
-    def test_mixed_algebras_rejected(self):
-        with pytest.raises(ValueError, match="mixed etale algebras"):
-            ediag(1, 2, 3, 4, 5) * ediag(1, 2, 3, 4, -3)
-        with pytest.raises(ValueError, match="mixed etale algebras"):
-            EtaleMatrix([[QuadCoeff(1, 1, 5), 0, 0, 0]] + [[0] * 4] * 3, -3)
-
-    def test_product_is_immutable(self):
-        product = ediag(1, 2, 3, 4, 5) * ediag(1, rat(1, 2), 3, 4, 5)
-        with pytest.raises(AttributeError):
-            product.rows = ()
-        with pytest.raises(AttributeError):
-            product.d = 7
+        # over d = 4, (2 + X)(2 - X) = 0 although neither factor is
+        d = np.array([4])
+        u, v = Batch(2, 1, d), Batch(2, P - 1, d)
+        x, y = ediag(u, 1, u, 1, d), ediag(v, 1, 1, v, d)
+        assert _entries(x * y, 0) == _entries(ediag(0, 1, u, v, d), 0) == _schoolbook(x, y, 0)
+        assert _entries(x * y, 0)[0][0] == (0, 0)
 
     def test_plain_scalars_are_coerced_like_quadcoeffs(self):
-        row = [0, 1, rat(1, 2), "-3/4"]
-        m = EtaleMatrix([row] * 4, 5)
-        assert m.rows[0] == tuple(QuadCoeff(e, 0, 5) for e in row)
-        assert m == EtaleMatrix([[QuadCoeff(e, 0, 5) for e in row]] * 4, 5)
+        d = np.array([5, 7])
+        row = [0, 1, -3, P + 5]
+        plain = cosets.matrix([row] * 4, d)
+        lifted = cosets.matrix([[Batch(np.full(2, e % P), 0, d) for e in row]] * 4, d)
+        for t in range(2):
+            assert _entries(plain, t) == _entries(lifted, t) == [[(0, 0), (1, 0), (P - 3, 0), (5, 0)]] * 4
 
 
 class TestBruhatReps:
@@ -418,22 +415,6 @@ class TestKernels:
         assert kernels.preserves_form(mats, cosets.J4, p)[::2].all()
 
 
-class _QueueRng:
-    """Deterministic stand-in for random.Random driven by preset values."""
-
-    def __init__(self, ints):
-        self.ints = list(ints)
-
-    def randint(self, lo, hi):
-        return self.ints.pop(0)
-
-    def choice(self, seq):
-        return seq[0]
-
-    def random(self):
-        return 0.9
-
-
 def _readme_splitmix64(seed):
     """SplitMix64 written from README "The seeded generator" alone."""
     state = seed % 2**64
@@ -445,21 +426,32 @@ def _readme_splitmix64(seed):
         yield z ^ (z >> 31)
 
 
-class _SpyRng:
-    """Passes draws through to an rng and logs each with its arguments."""
+def _patch_draws(monkeypatch, change):
+    """Pass each chunk of draws through ``change`` before the route sees it;
+    returns the list of chunk sizes drawn."""
+    sizes = []
+    draw = cosets.draw_residues
 
-    def __init__(self, rng, log):
-        self.rng, self.log = rng, log
+    def patched(rng, n):
+        draws = draw(rng, n)
+        change(draws)
+        sizes.append(n)
+        return draws
 
-    def randint(self, lo, hi):
-        value = self.rng.randint(lo, hi)
-        self.log.append(("randint", (lo, hi), value))
-        return value
+    monkeypatch.setattr(cosets, "draw_residues", patched)
+    return sizes
 
-    def choice(self, seq):
-        value = self.rng.choice(seq)
-        self.log.append(("choice", tuple(seq), value))
-        return value
+
+def _add_one(monkeypatch, i, j, where=lambda draws: True):
+    """The one-entry control: 1 added to rhs entry (i, j) wherever ``where``."""
+    sides = cosets.identity_sides
+
+    def patched(which, draws):
+        lhs, rhs, valid = sides(which, draws)
+        rhs.x0[:, i, j] = (rhs.x0[:, i, j] + np.asarray(where(draws), dtype=np.uint64)) % P
+        return lhs, rhs, valid
+
+    monkeypatch.setattr(cosets, "identity_sides", patched)
 
 
 class TestMatrixIdentities:
@@ -468,19 +460,38 @@ class TestMatrixIdentities:
         assert verify_matrix_identity(which, trials=15, seed=7)
 
     def test_identity_i_by_hand(self):
-        # (a, b, c) = (1, 0, 1): d = -4 and alpha = (b + sqrt(d))/(2c) = sqrt(-4)/2
-        alpha = QuadCoeff(0, rat(1, 2), -4)
-        assert alpha * alpha + 1 == 0  # c alpha^2 - b alpha + a = 0
-        torus = ediag(1, 1, 1, 1, -4)
-        eta = eta_matrix(alpha, rat(1))
-        assert eta[1, 0] == alpha and eta[2, 3] == -alpha.conjugate()
-        assert eta * torus == torus * eta
+        # (a, b, c) = (1, 0, 1): d = -4 and alpha = (b + X)/(2c) = X/2, with u = 3
+        d = np.array([-4 % P])
+        alpha, u = Batch(0, 1, d) / 2, Batch(3, 0, d)
+        root = alpha * alpha + 1  # c alpha^2 - b alpha + a
+        assert (root.x0, root.x1) == (0, 0)
+        torus = ediag(1, u, 1, 1 / u, d)
+        lhs = eta_matrix(alpha, 1) * torus
+        rhs = torus * eta_matrix(alpha, 1 / u)
+        assert (lhs.x0 == rhs.x0).all() and (lhs.x1 == rhs.x1).all()
+        # entry (1, 0) is alpha = X/2, entry (2, 3) is -conj(alpha)/u = X/6
+        assert (lhs.x0[0, 1, 0], lhs.x1[0, 1, 0]) == (0, pow(2, -1, P))
+        assert (lhs.x0[0, 2, 3], lhs.x1[0, 2, 3]) == (0, pow(6, -1, P))
 
-    def test_degenerate_draw_raised(self):
-        # a=-2, b=1, c=1, u=1, w=1 makes v = a + b uw + c (uw)^2 vanish
-        rng = _QueueRng([-2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])
-        with pytest.raises(DegenerateDraw):
-            matrix_identity_trial("m0-equiv", rng)
+    def test_degenerate_draw_raised(self, monkeypatch):
+        chunks = []
+
+        def v_vanishes_first(draws):
+            if not chunks:
+                # a = -2 and b = c = u = w = 1: v = a + b uw + c (uw)^2 = 0, d = 9
+                for name, value in dict(a=P - 2, b=1, c=1, u=1, w=1, d=9).items():
+                    draws[name][0] = value
+            chunks.append(draws)
+
+        sizes = _patch_draws(monkeypatch, v_vanishes_first)
+        assert verify_matrix_identity("m0-equiv", trials=5, seed=7)
+        assert sizes == [5, 1]
+        assert identity_sides("m0-equiv", chunks[0])[2].tolist() == [False] + [True] * 4
+
+        sizes = _patch_draws(monkeypatch, lambda draws: draws["c"].fill(0))
+        with pytest.raises(RuntimeError, match="too many degenerate draws"):
+            verify_matrix_identity("i", trials=3, seed=7)
+        assert sum(sizes) == 40 * 3
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(ValueError):
@@ -499,8 +510,8 @@ class TestMatrixIdentities:
     def test_eta_without_conjugate_fails_ii_and_vi(self, monkeypatch):
         def eta_unconjugated(alpha, scale):
             a = alpha * scale
-            return EtaleMatrix(
-                [[1, 0, 0, 0], [a, 1, 0, 0], [0, 0, 1, -a], [0, 0, 0, 1]], alpha.q
+            return cosets.matrix(
+                [[1, 0, 0, 0], [a, 1, 0, 0], [0, 0, 1, -a], [0, 0, 0, 1]], alpha.d
             )
 
         monkeypatch.setattr(cosets, "eta_matrix", eta_unconjugated)
@@ -510,46 +521,65 @@ class TestMatrixIdentities:
         for which in ("i", "m0-equiv", "mpos-equiv"):
             assert verify_matrix_identity(which, trials=5, seed=7), which
 
+    def test_one_entry_control_fails_with_its_witness(self, monkeypatch):
+        checks = dict(batteries.coset_checks(2, seed=7, trials=5))
+        for which in IDENTITY_NAMES:
+            assert checks[f"cosets/identity/{which}"]() == (True, None)
+        _add_one(monkeypatch, 2, 3)
+        for k, which in enumerate(IDENTITY_NAMES):
+            first = cosets.draw_residues(SplitMix64(7 ^ ((k + 1) * 0x9E3779B97F4A7C15)), 1)
+            assert checks[f"cosets/identity/{which}"]() == (False, {
+                "identity": which,
+                "trial": 0,
+                "residues": {name: int(values[0]) for name, values in first.items()},
+                "entry": [2, 3],
+            })
+
+    def test_chunk_size_changes_no_verdict_or_witness(self, monkeypatch):
+        def run(chunk):
+            monkeypatch.setattr(cosets, "CHUNK", chunk)
+            return [matrix_identity_witness(which, trials=60, seed=1) for which in IDENTITY_NAMES]
+
+        # a quarter of the attempts degenerate (c = 0), so trials cross chunks
+        _patch_draws(monkeypatch, lambda draws: draws["c"].__setitem__(draws["b"] % 4 == 0, 0))
+        default = cosets.CHUNK
+        assert run(default) == run(3) == [None] * 5
+        # a control that fails only where a = 0 mod 8
+        _add_one(monkeypatch, 1, 0, lambda draws: draws["a"] % 8 == 0)
+        witnesses = run(default)
+        assert run(3) == witnesses
+        assert max(witness["trial"] for witness in witnesses) > 3 * 3
+
     def test_draws_follow_the_readme_definition(self, monkeypatch):
         which, seed = "ii", 1
-        log, calls = [], []
-        trial = cosets.matrix_identity_trial
-
-        def spied_trial(name, rng):
-            calls.append(name)
-            return trial(name, _SpyRng(rng, log))
-
-        monkeypatch.setattr(cosets, "matrix_identity_trial", spied_trial)
+        chunks = []
+        _patch_draws(monkeypatch, lambda draws: chunks.append({k: v.copy() for k, v in draws.items()}))
         assert verify_matrix_identity(which, 5, seed)
-        assert len(calls) > 5  # a degenerate draw was redrawn
-        assert {kind for kind, _, _ in log} == {"randint", "choice"}
 
         # key: seed XOR ((k + 1) * 0x9E3779B97F4A7C15) mod 2^64, k = the
-        # identity's position; randint(lo, hi) = lo + output mod (hi - lo + 1)
-        # and choice(seq) = seq[output mod len(seq)]
+        # identity's position; below(n) = output mod n, seven residues
+        # below P, then l = below(3) and m = 1 + below(2) per attempt
         stream = _readme_splitmix64(seed ^ ((IDENTITY_NAMES.index(which) + 1) * 0x9E3779B97F4A7C15))
-        expected = []
-        for kind, args, _ in log:
-            output = next(stream)
-            if kind == "randint":
-                lo, hi = args
-                expected.append(lo + output % (hi - lo + 1))
-            else:
-                expected.append(args[output % len(args)])
-        assert [value for _, _, value in log] == expected
+        for draws in chunks:
+            for t in range(len(draws["a"])):
+                want = [next(stream) % P for _ in RESIDUES] + [next(stream) % 3, 1 + next(stream) % 2]
+                assert [int(draws[name][t]) for name in (*RESIDUES, "l", "m")] == want
+                a, b, c = want[:3]
+                assert draws["d"][t] == (b * b - 4 * a * c) % P
 
-    def test_drawn_alpha_solves_its_quadratic_over_integer_d(self):
-        rng = random.Random(20260816)
-        drawn = 0
-        while drawn < 300:
-            try:
-                a, b, c, d, alpha = cosets._draw_datum(rng)
-            except DegenerateDraw:
-                continue
-            assert type(d) is int and d != 0
-            assert alpha.q == d
-            assert c * alpha * alpha - b * alpha + a == 0
-            drawn += 1
+    def test_drawn_alpha_solves_its_quadratic_over_integer_d(self, monkeypatch):
+        chunks, alphas = [], []
+        _patch_draws(monkeypatch, chunks.append)
+        eta = cosets.eta_matrix
+        monkeypatch.setattr(
+            cosets, "eta_matrix", lambda alpha, scale: alphas.append(alpha) or eta(alpha, scale)
+        )
+        assert verify_matrix_identity("i", trials=300, seed=20260816)
+        draws, alpha = chunks[0], alphas[0]
+        assert len(draws["a"]) == 300
+        a, b, c = (Batch(draws[name], 0, draws["d"]) for name in "abc")
+        root = c * alpha * alpha - b * alpha + a  # in F_P[X]/(X^2 - d)
+        assert not root.x0.any() and not root.x1.any()
 
 
 class TestSupportClassify:

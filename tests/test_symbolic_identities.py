@@ -1,17 +1,26 @@
-"""Symbolic proof of the five support-matrix identities.
+"""Symbolic proof of the five support-matrix identities, and the oracle of
+their route over a prime field.
 
-``cosets.matrix_identity_trial`` checks each identity on random exact
-draws.  Here both sides are restated with symbolic entries: the datum
+``cosets.identity_sides`` evaluates each identity mod P = 2^31 - 1 at
+random draws.  Here both sides are restated with symbolic entries: the datum
 a, b, c, the torus and unipotent parameters u, w, the uniformizer-power
 marker pm, the uniformizer varpi, and s = sqrt(d) with d = b^2 - 4ac.
 Every entry of lhs - rhs is brought over one denominator and its numerator
 is reduced modulo s^2 - d; the identity holds in the etale algebra exactly
-when every remainder is zero.
+when every remainder is zero.  The same restatement, evaluated at the
+route's own draws and mapped to F_P, must give the route's every entry,
+and its cross-multiplied numerator degrees are the D of the route's
+Schwartz-Zippel bound.
 """
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
+
+from localzeta import cosets  # noqa: E402
+from localzeta.rng import SplitMix64  # noqa: E402
+
+P = cosets.P
 
 a, b, c, u, w, pm, varpi, s = sympy.symbols("a b c u w pm varpi s")
 DISC = b**2 - 4 * a * c
@@ -42,7 +51,7 @@ def block_embed(g11, g12, g21, g22):
 
 
 def sides(which, m=0, l=0, diag=sympy.diag):
-    """(lhs, rhs) of the named identity, as ``matrix_identity_trial`` builds them."""
+    """(lhs, rhs) of the named identity, as ``cosets.identity_sides`` builds them."""
     if which == "i":
         torus = diag(1, u, 1, 1 / u)
         return eta(pm) * torus, torus * eta(pm / u)
@@ -130,3 +139,61 @@ def test_doubled_torus_entry_breaks_identity_i():
         return sympy.diag(t1, t2, t3, 2 * t4)
 
     assert not reduces_to_zero(*sides("i", diag=diag_fourth_doubled))
+
+
+def _degree(x) -> int:
+    x = sympy.expand(x)
+    return sympy.Poly(x, a, b, c, u, w, pm, varpi, s).total_degree() if x != 0 else -1
+
+
+def test_cross_multiplied_degrees_are_the_quoted_bound():
+    # An entry compares L = nL/dL with R = nR/dR through nL dR - nR dL,
+    # whose degree stays put when s^2 is replaced by b^2 - 4ac.
+    degree = {}
+    for which, m, l in CASES:
+        for lhs_entry, rhs_entry in zip(*sides(which, m, l)):
+            nL, dL = sympy.fraction(sympy.together(lhs_entry))
+            nR, dR = sympy.fraction(sympy.together(rhs_entry))
+            cross = max(_degree(nL) + _degree(dR), _degree(nR) + _degree(dL))
+            degree[which, m] = max(degree.get((which, m), 0), cross)
+    assert degree == {
+        ("i", 0): 4, ("ii", 0): 5, ("vi", 0): 5, ("m0-equiv", 0): 10,
+        ("mpos-equiv", 1): 8, ("mpos-equiv", 2): 10,
+    }
+    worst = {which: max(D for (name, _), D in degree.items() if name == which) for which, _ in degree}
+    table = ", ".join(f"{which} {worst[which]}" for which in cosets.IDENTITY_NAMES)
+    assert f"The degree D: {table} (8 at m = 1)." in " ".join(cosets.verify_matrix_identity.__doc__.split())
+
+
+def _residue(x) -> int:
+    x = sympy.Rational(x)
+    return x.p * pow(x.q, -1, P) % P
+
+
+def _value_mod_p(entry, values, disc):
+    """``entry`` at integer ``values`` as (x0, x1) in F_P[X]/(X^2 - disc):
+    over one denominator, each side reduced mod s^2 - disc and mapped to F_P."""
+    modulus = sympy.Poly(s**2 - disc, s)
+    num, den = (
+        sympy.Poly(part, s).rem(modulus)
+        for part in sympy.fraction(sympy.together(entry.subs(values)))
+    )
+    n0, n1, e0, e1 = (_residue(poly.coeff_monomial(x)) for poly in (num, den) for x in (1, s))
+    d = disc % P
+    inverse_norm = pow((e0 * e0 - d * e1 * e1) % P, -1, P)
+    return (n0 * e0 - d * n1 * e1) * inverse_norm % P, (n1 * e0 - n0 * e1) * inverse_norm % P
+
+
+@pytest.mark.parametrize("which,m,l", CASES)
+def test_prime_field_route_matches_the_symbolic_sides(which, m, l):
+    draws = cosets.draw_residues(SplitMix64(CASES.index((which, m, l))), 2)
+    draws["l"][:], draws["m"][:] = l, m
+    route = cosets.identity_sides(which, draws)
+    assert route[2].all()
+    for t in range(2):
+        values = dict(zip((a, b, c, u, w, pm, varpi), (int(draws[name][t]) for name in cosets.RESIDUES)))
+        disc = int(DISC.subs(values))
+        for symbolic, batch in zip(sides(which, m, l), route):
+            for k, entry in enumerate(symbolic):
+                i, j = divmod(k, 4)
+                assert _value_mod_p(entry, values, disc) == (int(batch.x0[t, i, j]), int(batch.x1[t, i, j]))
