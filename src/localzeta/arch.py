@@ -14,9 +14,10 @@ to its own tolerance, evaluating them once per round on every new node.
 The lambda-integrals at all the u-nodes of a u-round are one pass; with
 lambda scaled by u, their Whittaker arguments 4 pi sqrt(D) u lambda do
 not depend on u, so every row of the pass shares each W evaluation.
-Every numerical route raises GaussKronrodError, with a witness, instead
-of returning an unconverged value, except the confluent-U grid below,
-which has no error estimate yet.
+The rule alone decides convergence: where a row misses its tolerance it
+raises QuadratureError, with a witness, instead of returning a value.
+No route checks convergence itself, and only the confluent-U grid below,
+which has no error estimate yet, returns a value unchecked.
 
 Whittaker evaluation is written here from scratch: a tanh-sinh quadrature
 of the confluent-U integral representation where it converges, and an
@@ -54,8 +55,8 @@ class QuadratureError(DomainError):
     """A numerical route stopped short of its tolerance.
 
     ``witness`` says where and by how much, so a failed check can report
-    it as is.  Every quadrature route raises it as GaussKronrodError.
-    Each witness entry is also an attribute.
+    it as is; the Gauss-Kronrod rule raises it for every integral in this
+    module.  Each witness entry is also an attribute.
     """
 
     def __init__(self, route: str, **witness):
@@ -272,27 +273,15 @@ _GAUSS_WEIGHTS = np.array(_WG + _WG[::-1])
 _EVAL_CHUNK = 3072
 
 
-class GaussKronrodError(QuadratureError):
-    """A Gauss-Kronrod integral that did not converge: it reached its
-    interval cap above tolerance, or its value could not be sized.
-
-    Its witness is the segment (in the integration variable), the
-    intervals reached, the error estimate and the tolerance it missed
-    (nan for a value that could not be sized), after any ``where``
-    entries that place the integral, such as the lambda-integral's outer
-    node ``u``.
-    """
-
-    def __init__(self, route: str, segment: Tuple[float, float], quad: "_Quadrature", **where):
-        witness = dict(intervals=quad.intervals, abserr=quad.abserr, tolerance=quad.tolerance)
-        super().__init__(route, **where, segment=segment, **witness)
+#: Most intervals the rule uses on one integral.
+_LIMIT = 200
 
 
 @dataclass(frozen=True)
 class _Quadrature:
-    """One adaptive Gauss-Kronrod integral: its value, the error estimate
-    (the sum of |Kronrod - Gauss| over the final intervals), the tolerance
-    it was held to, and the intervals and integrand values it used."""
+    """One converged adaptive Gauss-Kronrod integral: its value, the error
+    estimate (the sum of |Kronrod - Gauss| over the final intervals), the
+    tolerance it met, and the intervals and integrand values it used."""
 
     value: complex
     abserr: float
@@ -300,14 +289,11 @@ class _Quadrature:
     intervals: int
     evaluations: int
 
-    @property
-    def converged(self) -> bool:
-        return self.abserr <= self.tolerance
-
 
 def _g10k21(f, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Kronrod values and |Kronrod - Gauss| of each row of f on each
-    interval [lo_i, hi_i], from one pass of f over all their nodes.
+    interval [lo_i, hi_i], from one pass of f over all their nodes; an f
+    with one row may return it as a 1-D array.
 
     The rule calls it with overflow silenced: a value past the float range
     reaches the rule as inf or nan, which fails it with a witness.
@@ -315,7 +301,7 @@ def _g10k21(f, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (centre[:, None] + half[:, None] * _KRONROD_NODES[None, :]).ravel()
-    fx = np.concatenate([f(x[i : i + _EVAL_CHUNK]) for i in range(0, x.size, _EVAL_CHUNK)], axis=1)
+    fx = np.concatenate([f(x[i : i + _EVAL_CHUNK]) for i in range(0, x.size, _EVAL_CHUNK)], axis=-1)
     fx = fx.reshape(-1, lo.size, _KRONROD_NODES.size)
     kronrod = half * (fx @ _KRONROD_WEIGHTS)
     gauss = half * (fx[:, :, 1::2] @ _GAUSS_WEIGHTS)
@@ -323,20 +309,25 @@ def _g10k21(f, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_kronrod_rows(
-    f, a: float, b: float, epsabs: float, epsrel: float, limit: int
+    f, a: float, b: float, epsabs: float, epsrel: float, route: str, **where
 ) -> List[_Quadrature]:
     """Globally adaptive G10K21 quadrature on [a, b] of each row of f(x).
 
-    f maps an array of nodes to a (rows, nodes) array.  The rows share
-    intervals; each has its own value, error estimate and tolerance
-    max(epsabs, epsrel * |value|).  Each round bisects every interval some
-    row would split (its largest estimates, down to where the rest fit
-    under half its tolerance; at the ``limit`` cap, those of largest
-    estimate/tolerance) and evaluates f on all new nodes together, until
-    every row meets its tolerance or ``limit`` intervals are in use; the
-    caller reads ``converged``.  A value that cannot be sized (inf, nan, or
-    a modulus past the float range) stops the rule at once with a nan
-    tolerance for its row, which no error estimate meets.
+    f maps an array of nodes to a (rows, nodes) array, or to a 1-D array
+    for one row.  The rows share intervals; each has its own value, error
+    estimate and tolerance max(epsabs, epsrel * |value|).  Each round
+    bisects every interval some row would split (its largest estimates,
+    down to where the rest fit under half its tolerance; at the _LIMIT
+    cap, those of largest estimate/tolerance) and evaluates f on all new
+    nodes together, until every row meets its tolerance.
+
+    Raises QuadratureError for ``route`` when a value cannot be sized (inf,
+    nan, or a modulus past the float range), at once, or when a row is
+    above its tolerance on _LIMIT intervals.  The witness names the
+    unsized row, else the first row that missed: each ``where`` entry
+    gives one value per row, of which it takes that row's as a float,
+    then come the segment (a, b), the intervals in use, the row's error
+    estimate and its tolerance (nan for an unsized row).
     """
     lo = np.array([a], dtype=float)
     hi = np.array([b], dtype=float)
@@ -349,19 +340,31 @@ def _gauss_kronrod_rows(
             abserr = err.sum(axis=1)
             size = np.abs(value)
             tolerance = np.maximum(epsabs, epsrel * size)
-            if not size.max() < math.inf or (abserr <= tolerance).all() or lo.size >= limit:
-                tolerance[~(size < math.inf)] = math.nan  # "not <" also takes nan
+            met = abserr <= tolerance
+            sized = size.max() < math.inf
+            if sized and met.all():
                 return [
                     _Quadrature(complex(v), float(e), float(t), lo.size, evaluations)
                     for v, e, t in zip(value, abserr, tolerance)
                 ]
+            if not sized or lo.size >= _LIMIT:
+                # the first row that missed, or that cannot be sized ("not <" takes nan)
+                r = int(np.argmax(~met if sized else ~(size < math.inf)))
+                raise QuadratureError(
+                    route,
+                    **{key: float(values[r]) for key, values in where.items()},
+                    segment=(a, b),
+                    intervals=lo.size,
+                    abserr=float(abserr[r]),
+                    tolerance=float(tolerance[r]) if sized else math.nan,
+                )
             column = tolerance[:, None]
             order = err.argsort(axis=1)
             wanted = np.empty(err.shape, dtype=bool)
             wanted[rows, order] = err[rows, order].cumsum(axis=1) > 0.5 * column
             ranked = (err / column).max(axis=0).argsort()
             split = ranked[wanted.any(axis=0)[ranked]]
-            split = split[max(0, split.size - (limit - lo.size)) :]
+            split = split[max(0, split.size - (_LIMIT - lo.size)) :]
             keep = np.ones(lo.size, dtype=bool)
             keep[split] = False
             mid = 0.5 * (lo[split] + hi[split])
@@ -375,43 +378,6 @@ def _gauss_kronrod_rows(
             err = np.concatenate([err[:, keep], new_err], axis=1)
 
 
-def _gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> _Quadrature:
-    """The rule above on a vectorised f with one row of values."""
-    return _gauss_kronrod_rows(lambda x: f(x)[None], a, b, epsabs, epsrel, limit)[0]
-
-
-def _mellin_segments(
-    kappa: complex, mu: complex, sigma: complex
-) -> Tuple[_Quadrature, _Quadrature]:
-    """The Mellin integral of e^(-x/2) W_{kappa,mu}(x) on x in [0, 1] (in
-    y, with x = y^2 to soften the endpoint power) and on [1, 120].
-
-    Raises DomainError when the integral diverges at 0, before any W is
-    evaluated, and GaussKronrodError when a segment reaches 200 intervals
-    above its tolerance.
-    """
-    if sigma.real <= abs(mu.real) - 0.5:
-        raise DomainError(
-            "Mellin integral diverges: need Re(sigma) > |Re(mu)| - 1/2"
-        )
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        w = _whittaker_w_array(kappa, mu, x)
-        return np.exp(-x / 2) * np.exp((sigma - 1) * np.log(x)) * w
-
-    segments = []
-    # y = sqrt(x) runs over the same [0, 1] as x on the head
-    for lo, hi, f in (
-        (0.0, 1.0, lambda y: 2 * y * integrand(y * y)),
-        (1.0, 120.0, integrand),
-    ):
-        seg = _gauss_kronrod(f, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200)
-        if not seg.converged:
-            raise GaussKronrodError("Mellin integral", (lo, hi), seg)
-        segments.append(seg)
-    return segments[0], segments[1]
-
-
 def mellin_whittaker(
     kappa: complex, mu: complex, sigma: complex
 ) -> Tuple[complex, complex]:
@@ -421,16 +387,30 @@ def mellin_whittaker(
         = Gamma(sigma+mu+1/2) Gamma(sigma-mu+1/2) / Gamma(sigma-kappa+1).
 
     Returns (numeric, closed).  The numeric value is the Gauss-Kronrod
-    rule's on [0, 1] (with x = y^2) and [1, 120], each segment held to
-    max(1e-12, 1e-11 * |value|) by its own error estimate, and the closed
-    value is the Gamma product.  Convergence at 0 requires Re(sigma) >
-    |Re(mu)| - 1/2 (DomainError otherwise); a segment that reaches 200
-    intervals above its tolerance raises GaussKronrodError.
+    rule's on [0, 1] (in y, with x = y^2 to soften the endpoint power)
+    and on [1, 120], each segment held to max(1e-12, 1e-11 * |value|) by
+    its own error estimate, and the closed value is the Gamma product.
+    Convergence at 0 requires Re(sigma) > |Re(mu)| - 1/2 (DomainError
+    otherwise, before any W is evaluated); a segment that misses its
+    tolerance raises the rule's QuadratureError, naming that segment.
     """
     kappa = complex(kappa)
     mu = complex(mu)
     sigma = complex(sigma)
-    head, tail = _mellin_segments(kappa, mu, sigma)
+    if sigma.real <= abs(mu.real) - 0.5:
+        raise DomainError(
+            "Mellin integral diverges: need Re(sigma) > |Re(mu)| - 1/2"
+        )
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        w = _whittaker_w_array(kappa, mu, x)
+        return np.exp(-x / 2) * np.exp((sigma - 1) * np.log(x)) * w
+
+    # y = sqrt(x) runs over the same [0, 1] as x on the head
+    (head,) = _gauss_kronrod_rows(
+        lambda y: 2 * y * integrand(y * y), 0.0, 1.0, 1e-12, 1e-11, "Mellin integral"
+    )
+    (tail,) = _gauss_kronrod_rows(integrand, 1.0, 120.0, 1e-12, 1e-11, "Mellin integral")
     numeric = head.value + tail.value
     closed = (
         gamma_fn(sigma + mu + 0.5)
@@ -572,11 +552,11 @@ def _lambda_integral(sc: ArchScenario, us: np.ndarray) -> np.ndarray:
     """int_0^inf lambda^(3s-3/2+l-q/2) W_{l/2,ir/2}(4 pi lam sqrt(D) u)
     e^(-2 pi lam sqrt(D) u) dlam/lam, cut at lam_max, for each u in ``us``
     as one row of the Gauss-Kronrod rule over x = lam / lam_max in [0, 1],
-    to 1e-9 relative within 200 intervals.  Its rows share each W call:
-    W is taken at reach * x, which does not depend on u.
+    to 1e-9 relative.  Its rows share each W call: W is taken at
+    reach * x, which does not depend on u.
 
-    Raises GaussKronrodError naming the ``u`` of a row that did not
-    converge: one that could not be sized (nan tolerance), else the first.
+    A row that misses its tolerance raises the rule's QuadratureError,
+    whose witness names that row's ``u``.
     """
     power = 3 * complex(sc.s) - 1.5 + sc.l - complex(sc.q_c) / 2  # exponent of lambda
     # The integrand decays like e^(-2 * scale * lam) with polynomial growth
@@ -591,13 +571,9 @@ def _lambda_integral(sc: ArchScenario, us: np.ndarray) -> np.ndarray:
         w_vals = _whittaker_w_array(sc.l / 2, sc.ir / 2, reach * x)  # = W(2 * scale * lam)
         return np.exp((power - 1) * np.log(lam) - scale[:, None] * lam) * w_vals
 
-    quads = _gauss_kronrod_rows(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-9, limit=200)
-    missed = [r for r, quad in enumerate(quads) if not quad.converged]
-    if missed:  # an unsized row (nan tolerance) before the others
-        r = min(missed, key=lambda r: not math.isnan(quads[r].tolerance))
-        raise GaussKronrodError(
-            "lambda-integral in x = lam / lam_max", (0.0, 1.0), quads[r], u=float(us[r])
-        )
+    quads = _gauss_kronrod_rows(
+        integrand, 0.0, 1.0, 0.0, 1e-9, "lambda-integral in x = lam / lam_max", u=us
+    )
     return lam_max * np.array([quad.value for quad in quads])
 
 
@@ -612,14 +588,14 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
     The u-integral is done numerically even though its closed value is
     elementary, so this route shares no algebra with z_inf_closed: the
     Mellin route's Gauss-Kronrod rule takes it over t = 1/u in (0, 1], to
-    max(1e-13, 1e-9 * |value|) within 200 intervals.  Each of its rounds
-    takes the lambda-integrals at all its u-nodes in one row-wise pass of
-    the same rule, whose rows share their W evaluations (see
-    _lambda_integral).
+    max(1e-13, 1e-9 * |value|).  Each of its rounds takes the
+    lambda-integrals at all its u-nodes in one row-wise pass of the same
+    rule, whose rows share their W evaluations (see _lambda_integral).
 
-    Raises GaussKronrodError when the lambda-integral at some u-node
-    (witness entry ``u``, segment (0, 1) in lambda / lambda_max) or the
-    u-integral (segment (0, 1) in t) does not converge.
+    The rule's QuadratureError propagates unchanged when the
+    lambda-integral at some u-node (witness entry ``u``, segment (0, 1) in
+    lambda / lambda_max) or the u-integral (segment (0, 1) in t) misses
+    its tolerance.
     """
     _require_convergence(sc)
     s = complex(sc.s)
@@ -631,9 +607,7 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
         u = 1.0 / t
         return np.exp(u_power * np.log(u)) * _lambda_integral(sc, u) / (t * t)
 
-    quad = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-9, limit=200)
-    if not quad.converged:
-        raise GaussKronrodError("u-integral in t = 1/u", (0.0, 1.0), quad)
+    (quad,) = _gauss_kronrod_rows(integrand, 0.0, 1.0, 1e-13, 1e-9, "u-integral in t = 1/u")
     front = (
         sc.a_plus
         * math.pi

@@ -41,7 +41,7 @@ import numpy as np
 
 from .arch import _gamma_quotient, c1_coefficient
 from .exact import Rational, rat
-from .localfield import check_character_slots
+from .localfield import check_character_slots, is_prime
 from .zeta import UNRAMIFIED_FACTOR_NOTE
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "special_value_ratio",
     "v_N",
     "primes_up_to",
-    "is_prime",
 ]
 
 ALGEBRAICITY_NOTE = (
@@ -94,20 +93,6 @@ def primes_up_to(n: int) -> list:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [p for p in range(2, n + 1) if sieve[p]]
-
-
-def is_prime(n: int) -> bool:
-    """Whether n is prime; exact below 3,825,123,056,546,413,051, the least
-    composite that is a strong probable prime to the first nine prime bases."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
-    for b in bases:
-        x = pow(b, (n - 1) >> twos, n)
-        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(twos)):
-            return False
-    return True
 
 
 def v_N(n: int) -> Rational:

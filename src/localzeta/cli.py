@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Text
 
 from . import batteries
 from .exact import Rational, rat
-from .localfield import LocalQuadData, SplittingSymbol
+from .localfield import LocalQuadData, SplittingSymbol, is_prime
 from .satake import SatakeParams, SteinbergData
 from .zeta import ScenarioData
 
@@ -262,9 +262,24 @@ def _lambda_slots(lam: Dict[str, object], piF: object, where: str, parse) -> tup
     return tuple(slots)
 
 
+def _is_input_prime(p: int) -> bool:
+    """Whether p is a prime below 2**53, the rule for every prime an input
+    names: past it, floats, in which the Euler factors are evaluated, no
+    longer hold every integer.  The bound comes first, as is_prime is slow
+    on a long integer."""
+    return p < 2**53 and is_prime(p)
+
+
+def _shown(text: str) -> str:
+    """text, or its first 20 characters and its length once it is long."""
+    return text if len(text) < 30 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def _local_scenario_from(value: object, where: str) -> ScenarioData:
     obj = _as_object(value, where)
     q = _parse_int(_field(obj, "q", where), f"{where}.q")
+    if not _is_input_prime(q):
+        raise InputError(f"{where}.q: must be a prime below 2**53, got {_shown(str(q))}")
     symbol = _parse_symbol(_field(obj, "symbol", where), f"{where}.symbol")
 
     lam = _as_object(_field(obj, "lambda", where), f"{where}.lambda")
@@ -336,18 +351,15 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
 
 
 def _prime_table(value: object, where: str) -> Dict[int, object]:
-    """A table keyed by primes below 2**53, past which floats, in which the
-    Euler factors are evaluated, no longer hold every integer."""
-    from .assembly import is_prime
+    """A table keyed by primes below 2**53 (see _is_input_prime)."""
     obj = _as_object(value, where)
     table: Dict[int, object] = {}
     for key, entry in obj.items():
         p = int(key) if _PRIME_KEY_RE.fullmatch(key) and len(key) < 17 else 0
-        if not (p < 2**53 and is_prime(p)):
-            shown = key if len(key) < 30 else f"{key[:20]}... ({len(key)} characters)"
+        if not _is_input_prime(p):
             raise InputError(
                 f"{where}: table keys must be primes below 2**53 written in plain "
-                f"decimal, got {shown!r}"
+                f"decimal, got {_shown(key)!r}"
             )
         table[p] = entry
     return table

@@ -236,6 +236,16 @@ IDENTITY_NAMES = ("i", "ii", "vi", "m0-equiv", "mpos-equiv")
 P = 2**31 - 1  # prime; residues lie below 2^31, so any product of two is below 2^62
 CHUNK = 512  # attempts drawn and evaluated together, which bounds the memory
 RESIDUES = ("a", "b", "c", "u", "w", "pm", "varpi")  # draw order of one attempt
+# The draws each identity's sides depend on, d included, in draw order: a
+# failing trial's witness names only these.  sqrt(d) stands for a, b and c;
+# l cancels from h^-1 g h, and at m = 0 so does varpi.
+IDENTITY_READS = {
+    "i": ("a", "b", "c", "u", "pm", "d"),
+    "ii": ("a", "b", "c", "u", "w", "pm", "d"),
+    "vi": ("a", "b", "c", "u", "w", "pm", "d"),
+    "m0-equiv": ("a", "b", "c", "u", "w", "d"),
+    "mpos-equiv": ("a", "b", "c", "u", "w", "varpi", "m", "d"),
+}
 
 
 def _inverse_mod_p(x):
@@ -472,8 +482,8 @@ def matrix_identity_witness(
 ) -> Optional[Dict[str, object]]:
     """None when the named identity holds at ``trials`` trials, else the
     first failing one: the identity, the trial's index (counted from 0 over
-    trials, not attempts), its residues, and the first differing (i, j) entry
-    (counted from 0, row by row).
+    trials, not attempts), the residues the identity reads (IDENTITY_READS),
+    and the first differing (i, j) entry (counted from 0, row by row).
 
     The draws come from SplitMix64 seeded with seed XOR ((k + 1) *
     0x9E3779B97F4A7C15) mod 2^64, k the identity's position in
@@ -501,7 +511,7 @@ def matrix_identity_witness(
             return {
                 "identity": which,
                 "trial": done + int(valid[:t].sum()),
-                "residues": {name: int(values[t]) for name, values in draws.items()},
+                "residues": {name: int(draws[name][t]) for name in IDENTITY_READS[which]},
                 "entry": [int(i), int(j)],
             }
         done += int(valid.sum())

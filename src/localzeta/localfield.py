@@ -31,6 +31,20 @@ class SplittingSymbol(enum.IntEnum):
     SPLIT = 1
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime; exact below 3,825,123,056,546,413,051, the least
+    composite that is a strong probable prime to the first nine prime bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
+    for b in bases:
+        x = pow(b, (n - 1) >> twos, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(twos)):
+            return False
+    return True
+
+
 def splitting_symbol(d: int, p: int) -> SplittingSymbol:
     """Classify the quadratic algebra F(sqrt(d)) over Q_p.
 
@@ -113,7 +127,7 @@ class LocalQuadData:
     lambda_piF_over_piL: Optional[Rational] = None
 
     def __post_init__(self):
-        if self.p < 2:
+        if not is_prime(self.p):
             raise ValueError("p must be a prime")
         check_character_slots(
             self.symbol,

@@ -49,16 +49,14 @@ class SatakeParams:
 
 @dataclass(frozen=True)
 class SteinbergData:
-    """An unramified-twist-of-Steinberg local datum: the twist value at a uniformizer."""
+    """An unramified-twist-of-Steinberg local datum: the twist value at a
+    uniformizer.  Its conductor exponent is 1, as the level is square-free."""
 
     omega_piF: Rational
-    conductor_exponent: int = 1
 
     def __post_init__(self):
         if not self.omega_piF:
             raise ValueError("omega_piF must be nonzero")
-        if self.conductor_exponent != 1:
-            raise ValueError("conductor exponent is fixed at 1")
 
     @property
     def omega_tau_piF(self) -> Rational:

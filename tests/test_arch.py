@@ -4,6 +4,7 @@ identity, and quadrature against the closed Gamma-product form."""
 import cmath
 import math
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,6 @@ from localzeta.arch import (
     ArchScenario,
     DomainError,
     GammaPoleError,
-    GaussKronrodError,
     QuadratureError,
     WhittakerQuery,
     c1_coefficient,
@@ -290,10 +290,19 @@ class TestMellinWhittaker:
         assert max(calls) <= arch._EVAL_CHUNK
 
     @pytest.mark.parametrize("point", batteries.MELLIN_POINTS, ids=str)
-    def test_converges_within_reported_error(self, point):
+    def test_converges_within_reported_error(self, point, monkeypatch):
         kappa, mu, sigma = (complex(v) for v in point)
-        head, tail = arch._mellin_segments(kappa, mu, sigma)
-        assert head.converged and tail.converged
+        segments = []
+        rule = arch._gauss_kronrod_rows
+
+        def recorded(*args):
+            segments.extend(rule(*args))
+            return segments[-1:]
+
+        monkeypatch.setattr(arch, "_gauss_kronrod_rows", recorded)
+        mellin_whittaker(kappa, mu, sigma)
+        head, tail = segments
+        assert head.abserr <= head.tolerance and tail.abserr <= tail.tolerance
         closed = (
             gamma_fn(sigma + mu + 0.5)
             * gamma_fn(sigma - mu + 0.5)
@@ -303,10 +312,9 @@ class TestMellinWhittaker:
 
     def test_non_convergence_raises_with_segment(self, monkeypatch):
         monkeypatch.setattr(arch, "_whittaker_w_array", _noise_w)
-        with pytest.raises(GaussKronrodError) as info:
+        with pytest.raises(QuadratureError) as info:
             mellin_whittaker(0.0, 0.0, 1.0)
         err = info.value
-        assert isinstance(err, QuadratureError)
         assert err.segment == (0.0, 1.0)
         assert err.intervals == 200
         assert err.abserr > err.tolerance
@@ -314,27 +322,40 @@ class TestMellinWhittaker:
 
 class TestGaussKronrod:
     @pytest.mark.parametrize("k", range(32))
-    def test_constants_integrate_monomials_exactly(self, k):
+    def test_constants_integrate_monomials_exactly(self, k, monkeypatch):
         # Kronrod is exact to degree 31, Gauss to degree 19, so |K - G|
         # vanishes up to 19 and not beyond
-        q = arch._gauss_kronrod(lambda x: x**k, 0.0, 1.0, 0.0, 0.0, limit=1)
-        assert (q.intervals, q.evaluations) == (1, 21)
-        assert abs(q.value - 1 / (k + 1)) <= 1e-14
+        def f(x):
+            return x**k
+
+        (kronrod,), (err,) = arch._g10k21(f, np.array([0.0]), np.array([1.0]))
+        assert abs(kronrod[0] - 1 / (k + 1)) <= 1e-14
+        monkeypatch.setattr(arch, "_LIMIT", 1)
         if k <= 19:
-            assert q.abserr <= 1e-14
+            assert err[0] <= 1e-14
+            (q,) = arch._gauss_kronrod_rows(f, 0.0, 1.0, 1e-14, 0.0, "monomial")
+            assert (q.intervals, q.evaluations) == (1, 21)
+            assert q.value == kronrod[0]
         else:
-            assert q.abserr > 1e-13
+            assert err[0] > 1e-13
+            with pytest.raises(QuadratureError) as info:
+                arch._gauss_kronrod_rows(f, 0.0, 1.0, 1e-14, 0.0, "monomial")
+            assert (info.value.intervals, info.value.abserr) == (1, err[0])
 
     def test_bisects_to_tolerance(self):
-        q = arch._gauss_kronrod(np.sqrt, 0.0, 1.0, 1e-12, 1e-11, limit=200)
-        assert q.converged and q.intervals > 1
+        (q,) = arch._gauss_kronrod_rows(np.sqrt, 0.0, 1.0, 1e-12, 1e-11, "sqrt")
+        assert q.intervals > 1
         assert q.evaluations == 21 * (2 * q.intervals - 1)
         assert abs(q.value - 2 / 3) <= q.abserr <= q.tolerance
 
-    def test_interval_cap_reports_non_convergence(self):
-        q = arch._gauss_kronrod(np.sqrt, 0.0, 1.0, 1e-15, 0.0, limit=5)
-        assert q.intervals == 5
-        assert not q.converged
+    def test_interval_cap_reports_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(arch, "_LIMIT", 5)
+        with pytest.raises(QuadratureError, match="^sqrt did not converge: segment = ") as info:
+            arch._gauss_kronrod_rows(np.sqrt, 0.0, 1.0, 1e-15, 0.0, "sqrt")
+        err = info.value
+        assert (err.segment, err.intervals, err.tolerance) == ((0.0, 1.0), 5, 1e-15)
+        assert err.abserr > err.tolerance
+        assert list(err.witness) == ["segment", "intervals", "abserr", "tolerance"]
 
     @pytest.mark.parametrize(
         "height", [1e308, 1e308 + 1e308j, math.nan], ids=["inf", "modulus", "nan"]
@@ -343,58 +364,62 @@ class TestGaussKronrod:
         # 1e308 over [0, 10] overflows to inf; the complex one has finite
         # parts, but its modulus is past the float range
         with np.errstate(over="ignore", invalid="ignore"):
-            q = arch._gauss_kronrod(lambda x: np.full(x.shape, height), 0.0, 10.0, 0.0, 1e-9, 200)
-        assert not q.converged
-        assert q.intervals == 1 and math.isnan(q.tolerance)
+            with pytest.raises(QuadratureError) as info:
+                arch._gauss_kronrod_rows(lambda x: np.full(x.shape, height), 0.0, 10.0, 0.0, 1e-9, "flat")
+        assert info.value.intervals == 1 and math.isnan(info.value.tolerance)
 
     def test_proportional_rows_split_as_one(self):
         def g(x):
             return np.sqrt(x) * np.cos(3 * x)
 
         both = arch._gauss_kronrod_rows(
-            lambda x: np.stack([g(x), 3.7 * g(x)]), 0.0, 1.0, 0.0, 1e-11, 200
+            lambda x: np.stack([g(x), 3.7 * g(x)]), 0.0, 1.0, 0.0, 1e-11, "both"
         )
         for row, f in zip(both, (g, lambda x: 3.7 * g(x))):
-            alone = arch._gauss_kronrod(f, 0.0, 1.0, 0.0, 1e-11, 200)
-            assert alone.intervals > 1 and row.converged
+            (alone,) = arch._gauss_kronrod_rows(f, 0.0, 1.0, 0.0, 1e-11, "alone")
+            assert alone.intervals > 1
             assert (row.intervals, row.evaluations) == (alone.intervals, alone.evaluations)
             # equal to rounding: the products behind them differ in shape
             assert abs(row.value - alone.value) <= 1e-15 * abs(alone.value)
 
     def test_rows_share_the_intervals_of_the_hardest(self):
-        alone = arch._gauss_kronrod(np.sqrt, 0.0, 1.0, 1e-12, 1e-11, 200)
+        (alone,) = arch._gauss_kronrod_rows(np.sqrt, 0.0, 1.0, 1e-12, 1e-11, "alone")
         square, root = arch._gauss_kronrod_rows(
-            lambda x: np.stack([x * x, np.sqrt(x)]), 0.0, 1.0, 1e-12, 1e-11, 200
+            lambda x: np.stack([x * x, np.sqrt(x)]), 0.0, 1.0, 1e-12, 1e-11, "both"
         )
-        assert root.converged and square.converged
         assert root.intervals == square.intervals >= alone.intervals > 1
         assert abs(root.value - 2 / 3) <= root.abserr
         assert abs(square.value - 1 / 3) <= 1e-15
 
-    def test_cap_keeps_the_largest_error_over_tolerance(self):
+    def test_cap_keeps_the_largest_error_over_tolerance(self, monkeypatch):
         # Both rows want both halves of [0, 1], and the cap allows one more
         # interval.  sqrt(x) has the larger error relative to its value,
         # on [0, 1/2]; the other row's errors are larger in absolute terms.
-        def f(x):
-            return np.stack([np.sqrt(x), 1e6 * (1 - x) ** 0.75])
+        # Both rows miss, so the witness names the first: take each first.
+        monkeypatch.setattr(arch, "_LIMIT", 3)
+        for first in (0, 1):
+            def f(x):
+                return np.stack([np.sqrt(x), 1e6 * (1 - x) ** 0.75])[[first, 1 - first]]
 
-        rows = arch._gauss_kronrod_rows(f, 0.0, 1.0, 0.0, 1e-15, limit=3)
-        _, err = arch._g10k21(f, np.array([0.0, 0.25, 0.5]), np.array([0.25, 0.5, 1.0]))
-        for row, want in zip(rows, err.sum(axis=1)):
-            assert row.intervals == 3 and not row.converged
-            # |Kronrod - Gauss| of row 2 cancels to about 3e-5 of its terms, whose
-            # last bits depend on how many intervals share the product
-            assert row.abserr == pytest.approx(want, rel=1e-9)
+            with pytest.raises(QuadratureError) as info:
+                arch._gauss_kronrod_rows(f, 0.0, 1.0, 0.0, 1e-15, "rows", row=[first, 1 - first])
+            _, err = arch._g10k21(f, np.array([0.0, 0.25, 0.5]), np.array([0.25, 0.5, 1.0]))
+            assert info.value.row == first and info.value.intervals == 3
+            # |Kronrod - Gauss| of the second row cancels to about 3e-5 of its
+            # terms, whose last bits depend on how many intervals share the product
+            assert info.value.abserr == pytest.approx(err[0].sum(), rel=1e-9)
 
     def test_only_the_row_that_cannot_be_sized_gets_a_nan_tolerance(self):
+        # the first row misses its tolerance too, but the unsized row is named
         with np.errstate(over="ignore"):
-            one, huge = arch._gauss_kronrod_rows(
-                lambda x: np.stack([np.ones_like(x), np.full(x.shape, 1e308)]),
-                0.0, 10.0, 0.0, 1e-9, 200,
-            )
-        assert one.converged and one.tolerance == 1e-8
-        assert not huge.converged and math.isnan(huge.tolerance)
-        assert one.intervals == huge.intervals == 1
+            with pytest.raises(QuadratureError) as info:
+                arch._gauss_kronrod_rows(
+                    lambda x: np.stack([np.sqrt(x), np.full(x.shape, 1e308)]),
+                    0.0, 10.0, 0.0, 1e-15, "rows", row=[0, 1],
+                )
+        err = info.value
+        assert (err.row, err.intervals) == (1.0, 1) and math.isnan(err.tolerance)
+        assert list(err.witness) == ["row", "segment", "intervals", "abserr", "tolerance"]
 
 
 class TestArchScenario:
@@ -511,10 +536,9 @@ class TestZInfQuadrature:
             return (1e6 * np.sin(1e6 * us)).astype(complex)
 
         monkeypatch.setattr(arch, "_lambda_integral", swinging)
-        with pytest.raises(arch.GaussKronrodError) as info:
+        with pytest.raises(QuadratureError) as info:
             z_inf_quadrature(ArchScenario.discrete_series(12, 12, 0, 4, 1.5, 1))
         err = info.value
-        assert isinstance(err, QuadratureError)
         # reported in t = 1/u, so the segment stays finite
         assert err.segment == (0.0, 1.0)
         assert err.intervals == 200
@@ -568,8 +592,7 @@ def _lambda_integral_alone(sc, u):
         w_vals = _whittaker_w_array(sc.l / 2, sc.ir / 2, reach * x)
         return np.exp((power - 1) * np.log(lam) - scale * lam) * w_vals
 
-    quad = arch._gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-9, limit=200)
-    assert quad.converged
+    (quad,) = arch._gauss_kronrod_rows(integrand, 0.0, 1.0, 0.0, 1e-9, "lambda-integral")
     return lam_max * quad.value
 
 
@@ -598,16 +621,63 @@ class TestLambdaRule:
 
     def test_non_convergence_raises_with_witness(self, monkeypatch):
         monkeypatch.setattr(arch, "_whittaker_w_array", _noise_w)
-        with pytest.raises(GaussKronrodError) as info:
+        with pytest.raises(QuadratureError) as info:
             z_inf_quadrature(self.SCENARIOS[0])
         err = info.value
-        assert isinstance(err, QuadratureError)
         assert err.u >= 1.0
         # reported in x = lam / lam_max
         assert err.segment == (0.0, 1.0)
         assert err.intervals == 200
         assert err.abserr > err.tolerance
         assert list(err.witness) == ["u", "segment", "intervals", "abserr", "tolerance"]
+
+
+def _noise_above_one(kappa, mu, xs):
+    """A stand-in for W that is 1 up to x = 1, the Mellin head, and noise
+    on the tail."""
+    return np.where(xs > 1, _noise_w(kappa, mu, xs), 1.0)
+
+
+def _swinging_lambda_integral(sc, us):
+    return (1e6 * np.sin(1e6 * us)).astype(complex)
+
+
+_CAPPED_SCENARIO = ArchScenario.discrete_series(12, 12, 0, 4, 1.5, 1)
+_CAPPED_RUNS = {
+    "zinf": (
+        lambda: z_inf_quadrature(_CAPPED_SCENARIO),
+        lambda: batteries._zinf_check(_CAPPED_SCENARIO, batteries.ZINF_TOLERANCE),
+    ),
+    "mellin": (
+        lambda: mellin_whittaker(0.0, 0.0, 1.0),
+        lambda: batteries._mellin_check(0.0, 0.0, 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "stand_in, run, route, where, segment",
+    [
+        (("_lambda_integral", _swinging_lambda_integral), "zinf", "u-integral in t = 1/u", [], (0.0, 1.0)),
+        (("_whittaker_w_array", _noise_w), "zinf", "lambda-integral in x = lam / lam_max", ["u"], (0.0, 1.0)),
+        (("_whittaker_w_array", _noise_w), "mellin", "Mellin integral", [], (0.0, 1.0)),
+        (("_whittaker_w_array", _noise_above_one), "mellin", "Mellin integral", [], (1.0, 120.0)),
+    ],
+    ids=["u-integral", "lambda-integral", "mellin-head", "mellin-tail"],
+)
+def test_each_route_stops_at_the_cap(monkeypatch, stand_in, run, route, where, segment):
+    # the battery record carries the rule's witness, keys in the order the
+    # table format prints them
+    monkeypatch.setattr(arch, "_LIMIT", 6)
+    monkeypatch.setattr(arch, *stand_in)
+    raising, check = _CAPPED_RUNS[run]
+    with pytest.raises(QuadratureError, match=f"^{re.escape(route)} did not converge: ") as info:
+        raising()
+    ok, witness = check()
+    assert not ok and witness == info.value.witness
+    assert list(witness) == where + ["segment", "intervals", "abserr", "tolerance"]
+    assert (witness["segment"], witness["intervals"]) == (segment, 6)
+    assert witness["abserr"] > witness["tolerance"]
 
 
 class TestC1Coefficient:

@@ -32,7 +32,7 @@ from localzeta.assembly import (
     v_N,
 )
 from localzeta.exact import rat
-from localzeta.localfield import LocalQuadData, SplittingSymbol
+from localzeta.localfield import LocalQuadData, SplittingSymbol, is_prime
 from localzeta.rng import SplitMix64
 from localzeta.satake import SatakeParams, SteinbergData
 from localzeta.zeta import (
@@ -198,7 +198,7 @@ class TestHelpers:
 
     def test_is_prime_against_the_sieve(self):
         primes = set(primes_up_to(20000))
-        assert [n for n in range(-3, 20001) if assembly.is_prime(n)] == sorted(primes)
+        assert [n for n in range(-3, 20001) if is_prime(n)] == sorted(primes)
 
     @pytest.mark.parametrize(
         "n",
@@ -208,13 +208,13 @@ class TestHelpers:
          341550071728321, 561],
     )
     def test_is_prime_rejects_strong_pseudoprimes(self, n):
-        assert not assembly.is_prime(n)
+        assert not is_prime(n)
 
     def test_is_prime_large(self):
-        assert assembly.is_prime(10**18 + 3) and assembly.is_prime(2**61 - 1)
-        assert not assembly.is_prime((2**31 - 1) * (2**61 - 1))
+        assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+        assert not is_prime((2**31 - 1) * (2**61 - 1))
         # the least composite passing all nine bases, past 2**53
-        assert assembly.is_prime(3825123056546413051)
+        assert is_prime(3825123056546413051)
 
     def test_v_N_level_two(self):
         assert v_N(2) == Fraction(1, 45)

@@ -267,6 +267,18 @@ class TestVerifyLocal:
         assert "local_scenarios[1].lambda.piF" in err
         assert "num/den" in err
 
+    @pytest.mark.parametrize("command", ["verify-local", "lfactor"])
+    @pytest.mark.parametrize("q", [4, 9, 10**18, 10**300], ids=["4", "9", "1e18", "1e300"])
+    def test_q_not_a_prime_below_2_53_is_exit_two(self, write_doc, capsys, command, q):
+        doc = valid_local_doc()
+        doc["local_scenarios"][1]["q"] = q
+        path = write_doc(doc)
+        assert main([command, "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: local_scenarios[1].q: must be a prime below 2**53, got ")
+        assert "Traceback" not in err
+
     def test_empty_scenario_list_is_rejected(self, write_doc):
         path = write_doc({"local_scenarios": []})
         with pytest.raises(InputError, match="non-empty"):

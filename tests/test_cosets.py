@@ -531,7 +531,7 @@ class TestMatrixIdentities:
             assert checks[f"cosets/identity/{which}"]() == (False, {
                 "identity": which,
                 "trial": 0,
-                "residues": {name: int(values[0]) for name, values in first.items()},
+                "residues": {name: int(first[name][0]) for name in cosets.IDENTITY_READS[which]},
                 "entry": [2, 3],
             })
 

@@ -127,6 +127,13 @@ class TestLocalQuadData:
                 lambda_piF_over_piL=rat(1),
             )
 
+    @pytest.mark.parametrize(
+        "p", [-3, 0, 1, 4, 9, 561, 10**18, 10**300], ids=["-3", "0", "1", "4", "9", "561", "1e18", "1e300"]
+    )
+    def test_composite_or_unit_p_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            LocalQuadData(p, SplittingSymbol.INERT, rat(1))
+
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError):
             LocalQuadData(5, SplittingSymbol.RAMIFIED, rat(4))

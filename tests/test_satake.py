@@ -48,11 +48,6 @@ class TestSteinbergData:
         with pytest.raises(ValueError):
             SteinbergData(rat(0))
 
-    def test_conductor_pinned(self):
-        assert SteinbergData(rat(1)).conductor_exponent == 1
-        with pytest.raises(ValueError):
-            SteinbergData(rat(1), conductor_exponent=2)
-
 
 class TestChiPiF:
     def test_trivial(self):

@@ -113,6 +113,20 @@ def sides(which, m=0, l=0, diag=sympy.diag):
     return lhs, rhs
 
 
+def read_set(which):
+    """The draws the named identity reads: the free symbols of its sides,
+    with s standing for a, b and c through d, and l or m where the sides
+    change with them; d is read by every identity."""
+    cases = {(m, l): sides(which, m, l) for name, m, l in CASES if name == which}
+    symbols = set().union(*(lhs.free_symbols | rhs.free_symbols for lhs, rhs in cases.values()))
+    names = {str(x) for x in symbols - {s}} | ({"a", "b", "c"} if s in symbols else set()) | {"d"}
+    for k, name in enumerate(("m", "l")):
+        # two cases that differ in this parameter alone, with different sides
+        if any(x[1 - k] == y[1 - k] and cases[x] != cases[y] for x in cases for y in cases):
+            names.add(name)
+    return names
+
+
 def reduces_to_zero(lhs, rhs) -> bool:
     modulus = sympy.Poly(s**2 - DISC, s)
     for entry in lhs - rhs:
@@ -132,6 +146,14 @@ CASES = (
 @pytest.mark.parametrize("which,m,l", CASES)
 def test_identity_is_a_polynomial_identity(which, m, l):
     assert reduces_to_zero(*sides(which, m, l))
+
+
+@pytest.mark.parametrize("which", cosets.IDENTITY_NAMES)
+def test_witness_names_the_draws_the_identity_reads(which):
+    reads = cosets.IDENTITY_READS[which]
+    assert set(reads) == read_set(which)
+    order = (*cosets.RESIDUES, "l", "m", "d")
+    assert list(reads) == sorted(reads, key=order.index)
 
 
 def test_doubled_torus_entry_breaks_identity_i():
