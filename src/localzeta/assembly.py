@@ -55,7 +55,6 @@ __all__ = [
     "a_lambda",
     "kappa_infinity",
     "kappa_N",
-    "global_z",
     "global_z_report",
     "theorem3_constant",
     "theorem3_rel_error",
@@ -264,8 +263,7 @@ class EulerTable:
     quotient exactly as the formulas of _c_prod and _c_quot do, and
     numpy's +, -, * and / round each element as IEEE 754 prescribes.
     Only t = p^(-3s) itself is left to Python's pow, whose bits and
-    errors numpy's pow need not reproduce.  Iterating over the table
-    yields its primes.
+    errors numpy's pow need not reproduce.
     """
 
     primes: Tuple[int, ...]
@@ -278,9 +276,6 @@ class EulerTable:
     prefix_used: np.ndarray  # (4, n)
     denominator: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts, (4, n)
     prime: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts of p, (n,)
-
-    def __iter__(self):
-        return iter(self.primes)
 
     @classmethod
     def from_rows(cls, primes, rows) -> "EulerTable":
@@ -675,11 +670,6 @@ def global_z_report(gi: GlobalInput, s, p_max: int) -> GlobalZReport:
         in_convergence_region=in_region,
         notes=(UNRAMIFIED_FACTOR_NOTE, CONVENTION_NOTE),
     )
-
-
-def global_z(gi: GlobalInput, s, p_max: int) -> complex:
-    """The truncated global value; see global_z_report for the bookkeeping."""
-    return global_z_report(gi, s, p_max).value
 
 
 def _theorem3_front(gi: GlobalInput, a_bar: complex) -> complex:

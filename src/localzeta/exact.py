@@ -6,14 +6,20 @@ integer q, written a + b*sqrt(q) and stored as integer triples
 normal form is unique for every such q, because it is just the rational
 pair (a, b).  The algebra is the field Q(sqrt(q)) exactly when q is not a
 square; otherwise it has zero divisors, and inverting one raises
-ZeroDivisionError.  The local identities use a prime q.  On top of the
-scalars sit dense univariate polynomials, rational functions, and
-truncated power series in one formal variable; degrees in this problem
-never exceed 8, so nothing clever is needed.
+ZeroDivisionError.  The local identities use a prime q.
 
-No floating point enters this module.  The scalar arithmetic runs on
-Python integers alone.  Rational values elsewhere in the package (and the
-.a, .b parts of a scalar) are the stdlib fractions.Fraction.
+The local check needs only what is here: scalar sums, differences,
+products and inverses; products of polynomials in one formal variable
+(built from their factors by factor_product); a rational function
+normalised so that its denominator has constant term 1; and its Taylor
+series through a fixed order (series_of), compared coefficient by
+coefficient.  Degrees in this problem never exceed 8, so nothing clever
+is needed.
+
+The arithmetic runs on Python integers alone; floating point appears only
+where __complex__ and eval_complex leave the algebra.  Rational values
+elsewhere in the package (and the .a, .b parts of a scalar) are the stdlib
+fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ class QuadCoeff:
     divisors (nonzero elements of norm 0), and inverse() raises
     ZeroDivisionError on them as it does on zero.
 
-    Arithmetic mixes freely with ints and rationals (coerced into the
-    rational part).  Elements attached to different q never mix;
+    The operations are +, -, * (each mixing freely with ints and
+    rationals, which are coerced into the rational part), unary -,
+    inverse(), == and hash.  Elements attached to different q never mix;
     attempting to combine them raises ValueError rather than guessing.
     """
 
@@ -94,23 +101,9 @@ class QuadCoeff:
     def rational(cls, x: RationalLike, q: int) -> "QuadCoeff":
         return cls(x, 0, q)
 
-    @classmethod
-    def sqrt_q(cls, q: int) -> "QuadCoeff":
-        return _quad(0, 1, 1, q)
-
-    @property
-    def norm(self) -> Rational:
-        """a^2 - b^2*q, zero exactly when the element is not invertible."""
-        A, B, D, q = self._v
-        return Rational(A * A - B * B * q, D * D)
-
     @property
     def is_rational(self) -> bool:
         return self._v[1] == 0
-
-    def conjugate(self) -> "QuadCoeff":
-        A, B, D, q = self._v
-        return _quad(A, -B, D, q)
 
     def _triple(self, other) -> "tuple | None":
         """other as a reduced (A, B, D) over this field, or None if foreign."""
@@ -142,13 +135,6 @@ class QuadCoeff:
         A1, B1, D1, q = self._v
         return _add(A1, B1, D1, -o[0], -o[1], o[2], q)
 
-    def __rsub__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        A1, B1, D1, q = self._v
-        return _add(o[0], o[1], o[2], -A1, -B1, D1, q)
-
     def __mul__(self, other):
         o = self._triple(other)
         if o is None:
@@ -167,32 +153,6 @@ class QuadCoeff:
         if norm < 0:
             return _reduced(-D * A, D * B, -norm, q)
         return _reduced(D * A, -D * B, norm, q)
-
-    def __truediv__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        return self * _quad(*o, self._v[3]).inverse()
-
-    def __rtruediv__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        return _quad(*o, self._v[3]) * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = _quad(1, 0, 1, self._v[3])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __neg__(self):
         A, B, D, q = self._v
@@ -289,7 +249,8 @@ class Poly:
     """Dense polynomial over Q(sqrt(q)); coefficients[i] is the t^i term.
 
     Trailing zeros are stripped; the zero polynomial has no coefficients
-    and degree -1.
+    and degree -1.  The operations are * (by a Poly or a scalar), ==,
+    truncate() to a series, and complex evaluation.
     """
 
     __slots__ = ("coefficients", "q")
@@ -332,32 +293,6 @@ class Poly:
         if other.q != self.q:
             raise ValueError("mixed ground fields")
 
-    def __add__(self, other):
-        if isinstance(other, Poly):
-            self._check(other)
-            n = max(len(self.coefficients), len(other.coefficients))
-            return Poly(
-                [self.coefficient(i) + other.coefficient(i) for i in range(n)], self.q
-            )
-        if isinstance(other, (int, Rational, QuadCoeff)):
-            return self + Poly([other], self.q)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (Poly, int, Rational, QuadCoeff)):
-            return self + (-other if isinstance(other, Poly) else Poly([other], self.q) * -1)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Rational, QuadCoeff)):
-            return Poly([other], self.q) - self
-        return NotImplemented
-
-    def __neg__(self):
-        return Poly([-c for c in self.coefficients], self.q)
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
@@ -379,12 +314,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __call__(self, x: QuadCoeff) -> QuadCoeff:
-        acc = QuadCoeff(0, 0, self.q)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def eval_complex(self, t: complex) -> complex:
         acc = 0j
         for c in reversed(self.coefficients):
@@ -395,9 +324,6 @@ class Poly:
         if isinstance(other, Poly):
             return self.q == other.q and self.coefficients == other.coefficients
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coefficients, self.q))
 
     def __bool__(self):
         return bool(self.coefficients)
@@ -466,6 +392,8 @@ class RationalFunction:
 
     When den(0) != 0 the pair is normalized so that den has constant term
     1; all L-factor denominators in this package satisfy den(0) != 0.
+    Equality is cross-multiplicative, so the type is unhashable; series_of
+    expands it, and eval_complex evaluates it in floating point.
     """
 
     __slots__ = ("num", "den")
@@ -489,25 +417,10 @@ class RationalFunction:
     def q(self) -> int:
         return self.num.q
 
-    def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.num, self.den * other.den)
-        if isinstance(other, (Poly, int, Rational, QuadCoeff)):
-            return RationalFunction(self.num * other, self.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
             return self.num * other.den == other.num * self.den
         return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("unhashable (equality is cross-multiplicative)")
-
-    def __call__(self, x: QuadCoeff) -> QuadCoeff:
-        return self.num(x) / self.den(x)
 
     def eval_complex(self, t: complex) -> complex:
         return self.num.eval_complex(t) / self.den.eval_complex(t)
@@ -517,7 +430,11 @@ class RationalFunction:
 
 
 class TruncatedSeries:
-    """Power series through a fixed order N: exactly N+1 coefficients."""
+    """Power series through a fixed order N: exactly N+1 coefficients.
+
+    The operations are + and * (by a series of the same order or a
+    scalar), ==, and first_difference.
+    """
 
     __slots__ = ("coefficients", "q")
 
@@ -555,14 +472,6 @@ class TruncatedSeries:
             )
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            return TruncatedSeries(
-                [a - b for a, b in zip(self.coefficients, other.coefficients)], self.q
-            )
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
@@ -592,9 +501,6 @@ class TruncatedSeries:
                 and self.coefficients == other.coefficients
             )
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coefficients, self.q))
 
     def first_difference(self, other: "TruncatedSeries") -> int | None:
         """Index of the first coefficient where the two series disagree."""

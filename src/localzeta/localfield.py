@@ -40,7 +40,13 @@ def is_prime(n: int) -> bool:
     twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
     for b in bases:
         x = pow(b, (n - 1) >> twos, n)
-        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(twos)):
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -255,8 +261,6 @@ def volume_V1(local: LocalQuadData, l: int, m: int) -> Rational:
 
 def volume_V2(local: LocalQuadData, l: int, m: int) -> Rational:
     """Volume sum over the long-Weyl-family double coset, reduced; needs m > 0."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
     if m < 1:
         raise ValueError("the long-Weyl family only occurs for m > 0")
     _, n2, den = volume_numerators(local, l, m)

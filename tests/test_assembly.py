@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+import time
 import warnings
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from localzeta.assembly import (
     PrimeQuadData,
     TruncationWarning,
     a_lambda,
-    global_z,
     global_z_report,
     kappa_infinity,
     kappa_N,
@@ -215,6 +215,17 @@ class TestHelpers:
         assert not is_prime((2**31 - 1) * (2**61 - 1))
         # the least composite passing all nine bases, past 2**53
         assert is_prime(3825123056546413051)
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        # n - 1 divisible by 2^1000 and by 2^500: each base squares once per
+        # step, not once per step for every earlier step.  sympy agrees.
+        [(13 * 2**1000 + 1, True), (10**500 + 1, False)],
+    )
+    def test_is_prime_is_linear_in_the_power_of_two(self, n, prime):
+        start = time.perf_counter()
+        assert is_prime(n) is prime
+        assert time.perf_counter() - start < 1.0
 
     def test_v_N_level_two(self):
         assert v_N(2) == Fraction(1, 45)
@@ -617,11 +628,11 @@ class TestGlobalZ:
                 (rat(1), rat(1)),
             )
             expected *= factor.eval_complex(complex(g) ** (-3 * complex(s)))
-        assert global_z(gi, s, p) == pytest.approx(expected, rel=1e-10)
+        assert global_z_report(gi, s, p).value == pytest.approx(expected, rel=1e-10)
 
     def test_truncation_cauchy_convergence(self):
         gi = make_synthetic_gi(40)
-        values = {pm: global_z(gi, 1.0, pm) for pm in (10, 20, 40)}
+        values = {pm: global_z_report(gi, 1.0, pm).value for pm in (10, 20, 40)}
         d1 = abs(values[20] - values[10])
         d2 = abs(values[40] - values[20])
         assert d2 < d1
@@ -648,11 +659,11 @@ class TestGlobalZ:
 
     def test_level_prime_beyond_truncation(self):
         with pytest.raises(ValueError, match="level prime"):
-            global_z(make_gi(), 1.0, 1)
+            global_z_report(make_gi(), 1.0, 1)
 
     def test_missing_prime_data(self):
         with pytest.raises(ValueError, match="missing"):
-            global_z(make_gi(), 1.0, 3)  # nothing known at p = 3
+            global_z_report(make_gi(), 1.0, 3)  # nothing known at p = 3
 
     def test_report_notes(self):
         report = global_z_report(make_gi(), 1.0, 2)
@@ -694,7 +705,7 @@ class TestEulerTable:
         gi = seeded_unitary_gi(5000)
         rows, faults = gi.euler_table
         assert len(primes_up_to(5000)) == 669
-        assert sorted(rows) == primes_up_to(5000) and faults == {}
+        assert list(rows.primes) == primes_up_to(5000) and faults == {}
         assert gi.level_primes == (2, 3, 5)
         assert [gi.local_table[p].symbol for p in gi.level_primes] == [-1, 0, 1]
 
@@ -756,7 +767,7 @@ class TestEulerTable:
         local[7] = PrimeQuadData(0, 1.0, -1.0)
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
         assert assembly._factor_row(7, local[7], gl2[7], gi.gamma(7), gi.omega_pi(7), False)[1][2] == 0
-        assert 7 in gi.euler_table[0]
+        assert 7 in gi.euler_table[0].primes
         assert global_z_report(gi, 1.0, 5).euler_product == reference_euler_product(gi, 1.0, 5)
         if missing is not None:
             del local[missing]
@@ -775,13 +786,13 @@ class TestEulerTable:
         del local[5]  # a composite key past a missing prime stays harmless
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
         table, faults = gi.euler_table
-        assert list(table) == [2, 3, 7, 11, 13, 17, 19, 23, 25, 29] and faults == {}
+        assert table.primes == (2, 3, 7, 11, 13, 17, 19, 23, 25, 29) and faults == {}
         assert global_z_report(gi, 0.7, 3).euler_product == reference_euler_product(gi, 0.7, 3)
         with pytest.raises(ValueError, match="missing local data for p = 5"):
             global_z_report(gi, 0.7, 30)
         local[5] = PrimeQuadData(-1, 1.0)
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
-        assert 25 not in gi.euler_table[0]
+        assert 25 not in gi.euler_table[0].primes
         assert global_z_report(gi, 0.7, 30).euler_product == reference_euler_product(gi, 0.7, 30)
 
 
@@ -843,7 +854,7 @@ class TestEulerTable:
         local[19] = PrimeQuadData(-1, 1e-12)
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
         rows, faults = gi.euler_table
-        assert 19 in faults and 19 not in rows
+        assert 19 in faults and 19 not in rows.primes
         assert global_z_report(gi, 1.0, 17).euler_product == reference_euler_product(gi, 1.0, 17)
         with pytest.raises(ZeroDivisionError) as want:
             reference_euler_product(gi, 1.0, 19)

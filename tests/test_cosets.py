@@ -2,11 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from localzeta import batteries, cosets, kernels
-from localzeta.exact import QuadCoeff, rat
+from localzeta.exact import rat
 from localzeta.kernels import IDENTITY, group_closure, mark_products, mat_mul_mod
 from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
 from localzeta.rng import SplitMix64
@@ -46,42 +44,6 @@ def twisted_local(q, symbol):
     if symbol is SplittingSymbol.RAMIFIED:
         return LocalQuadData(q, symbol, rat(9), lambda_piL=rat(3))
     return LocalQuadData(q, symbol, rat(2), lambda_piL=rat(1), lambda_piF_over_piL=rat(2))
-
-
-class TestEtaleNum:
-    def test_sqrt_square(self):
-        root = QuadCoeff(0, 1, 5)
-        assert root * root == QuadCoeff(5, 0, 5)
-
-    def test_conjugation_is_ring_map(self):
-        x = QuadCoeff(rat(1, 2), rat(3), -4)
-        y = QuadCoeff(rat(2), rat(-1, 3), -4)
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-        assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-
-    def test_inverse_roundtrip(self):
-        x = QuadCoeff(rat(3, 2), rat(-1, 5), 7)
-        assert x * x.inverse() == QuadCoeff(1, 0, 7)
-
-    def test_zero_divisor_raises(self):
-        # with d = 4 a square, 2 + sqrt(d) has norm zero
-        x = QuadCoeff(2, 1, 4)
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
-
-    def test_mixed_algebras_rejected(self):
-        with pytest.raises(ValueError):
-            QuadCoeff(1, 1, 3) + QuadCoeff(1, 1, 5)
-
-    @given(
-        x=st.integers(-9, 9),
-        y=st.integers(-9, 9),
-        d=st.sampled_from([-4, -3, 5, 8]),
-    )
-    def test_norm_is_multiplicative(self, x, y, d):
-        a = QuadCoeff(x, y, d)
-        b = QuadCoeff(y - 2, x + 1, d)
-        assert (a * b).norm == a.norm * b.norm
 
 
 def _entries(m, t):
