@@ -432,8 +432,10 @@ class ArchScenario:
     l: even weight >= 2.  q_c: central-character exponent (omega(y) = y^q).
     r: spectral parameter (the Casimir eigenvalue is -(1/4 + (r/2)^2)).
     D: positive integer congruent to 0 or 3 mod 4.  s: the complex
-    variable.  a_plus: the normalization constant (an input, not derived;
-    globally it equals the first Fourier coefficient c(1)).
+    variable, where the integral converges: Re(6s + l - q_c) > 0
+    (DomainError otherwise).  a_plus: the normalization constant (an
+    input, not derived; globally it equals the first Fourier coefficient
+    c(1)).
     """
 
     l: int
@@ -448,6 +450,9 @@ class ArchScenario:
             raise ValueError("l must be an even integer >= 2")
         if self.D <= 0 or self.D % 4 not in (0, 3):
             raise ValueError("D must be a positive integer = 0 or 3 mod 4")
+        margin = (6 * complex(self.s) + self.l - complex(self.q_c)).real
+        if margin <= 0:
+            raise DomainError(f"requires Re(6s + l - q_c) > 0; got {margin:g}")
 
     @property
     def ir(self) -> complex:
@@ -470,14 +475,6 @@ class ArchScenario:
         """tau = the (limit of) discrete series of lowest weight l1: ir = l1-1."""
         return cls(
             l=l, q_c=q_c, r=-1j * (l1 - 1), D=D, s=s, a_plus=a_plus
-        )
-
-
-def _require_convergence(sc: ArchScenario):
-    margin = (6 * complex(sc.s) + sc.l - complex(sc.q_c)).real
-    if margin <= 0:
-        raise DomainError(
-            f"requires Re(6s + l - q_c) > 0; got {margin:g}"
         )
 
 
@@ -504,48 +501,7 @@ def z_inf_closed(sc: ArchScenario) -> complex:
     (a+/2) pi D^(-3s-l/2+q/2) (4 pi)^(-3s+3/2-l+q)
         Gamma(3s+l-1+ir/2-q/2) Gamma(3s+l-1-ir/2-q/2) / Gamma(3s+(l+1-q)/2)
     """
-    _require_convergence(sc)
     return _gamma_quotient(sc.l, sc.D, sc.q_c, sc.ir, sc.s, sc.a_plus)
-
-
-def z_inf_closed_ps(l, s1, s2, D, s, a_plus) -> complex:
-    """Principal-series specialization, written exactly as printed:
-
-    (a+/2) pi D^(-3s-l/2+(s1+s2)/2) (4 pi)^(-3s+3/2-l+s1+s2)
-        Gamma(3s+l-1-s1) Gamma(3s+l-1-s2) / Gamma(3s+(l+1-s1-s2)/2)
-    """
-    s = complex(s)
-    s1 = complex(s1)
-    s2 = complex(s2)
-    front = (
-        (a_plus / 2)
-        * math.pi
-        * complex(D) ** (-3 * s - l / 2 + (s1 + s2) / 2)
-        * (4 * math.pi) ** (-3 * s + 1.5 - l + s1 + s2)
-    )
-    num = gamma_fn(3 * s + l - 1 - s1) * gamma_fn(3 * s + l - 1 - s2)
-    return front * num * _reciprocal_gamma(3 * s + (l + 1 - s1 - s2) / 2)
-
-
-def z_inf_closed_ds(l, l1, q_c, D, s, a_plus) -> complex:
-    """Discrete-series specialization, written exactly as printed:
-
-    (a+/2) pi D^(-3s-l/2+q/2) (4 pi)^(-3s+3/2-l+q)
-        Gamma(3s+l-1+(l1-1)/2-q/2) Gamma(3s+l-1-(l1-1)/2-q/2)
-            / Gamma(3s+(l+1-q)/2)
-    """
-    s = complex(s)
-    q = complex(q_c)
-    front = (
-        (a_plus / 2)
-        * math.pi
-        * complex(D) ** (-3 * s - l / 2 + q / 2)
-        * (4 * math.pi) ** (-3 * s + 1.5 - l + q)
-    )
-    num = gamma_fn(3 * s + l - 1 + (l1 - 1) / 2 - q / 2) * gamma_fn(
-        3 * s + l - 1 - (l1 - 1) / 2 - q / 2
-    )
-    return front * num * _reciprocal_gamma(3 * s + (l + 1 - q) / 2)
 
 
 def _lambda_integral(sc: ArchScenario, us: np.ndarray) -> np.ndarray:
@@ -597,7 +553,6 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
     lambda / lambda_max) or the u-integral (segment (0, 1) in t) misses
     its tolerance.
     """
-    _require_convergence(sc)
     s = complex(sc.s)
     q = complex(sc.q_c)
     u_power = -3 * s - 1.5 + q / 2

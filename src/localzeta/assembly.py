@@ -41,7 +41,7 @@ import numpy as np
 
 from .arch import _gamma_quotient, c1_coefficient
 from .exact import Rational, rat
-from .localfield import check_character_slots, is_prime
+from .localfield import check_character_slots, is_prime, uniformizer_values, vol_k_sharp
 from .zeta import UNRAMIFIED_FACTOR_NOTE
 
 __all__ = [
@@ -106,7 +106,7 @@ def v_N(n: int) -> Rational:
             m //= p
             if m % p == 0:
                 raise ValueError(f"{n} is not square-free")
-            value *= rat(1, (p * p - 1) * (p**4 - 1))
+            value *= vol_k_sharp(p)
         d += 1
     return value
 
@@ -182,9 +182,7 @@ def _factor_row(
         if data.symbol == -1:
             return complex(p), divisors, (), ((chi, float(p**3)),)
         chi_omega = chi * omega
-        deltas = (data.lambda_piL,) if data.symbol == 0 else (
-            data.lambda_piL, data.lambda_piF_over_piL
-        )
+        deltas = uniformizer_values(data)
         return complex(p), divisors, tuple((d * chi_omega, p**1.5) for d in deltas), ()
     beta = tuple(complex(b) for b in gl2)
     chi = 1 / (omega_pi * beta[0] * beta[1])
@@ -194,9 +192,7 @@ def _factor_row(
         return complex(p), divisors, (), tuple(
             (data.lambda_piF * (chi * b) ** 2, float(p**2)) for b in beta
         )
-    deltas = (data.lambda_piL,) if data.symbol == 0 else (
-        data.lambda_piL, data.lambda_piF_over_piL
-    )
+    deltas = uniformizer_values(data)
     return complex(p), divisors, tuple((d * chi * b, float(p)) for b in beta for d in deltas), ()
 
 
@@ -535,11 +531,15 @@ def _primes_through(p_max: int) -> Tuple[int, ...]:
 
 
 def _truncation_primes(gi: GlobalInput, p_max: int) -> Tuple[int, ...]:
-    """The primes up to p_max, which must reach every level prime."""
+    """The primes up to p_max, which must reach every level prime, and
+    none past 2K + 2, with K the largest prime of the Euler table: by
+    Bertrand's postulate the table lacks a prime in (K, 2K + 2], and a
+    report stops at the first prime it lacks."""
     level = gi.level_primes
     if level and p_max < max(level):
         raise ValueError(f"p_max = {p_max} omits the level prime {max(level)}")
-    return _primes_through(p_max)
+    covered = gi.euler_table[0].primes  # ascending
+    return _primes_through(min(p_max, 2 * covered[-1] + 2 if covered else 2))
 
 
 def _euler_planes(gi: GlobalInput, s: complex, primes: Tuple[int, ...]):

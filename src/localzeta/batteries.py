@@ -369,14 +369,17 @@ def _global_z_check(gi: GlobalInput, s: complex, p_max: int) -> Tuple[bool, Witn
 
 def _special_value_report(gi: GlobalInput, p_max: int) -> Tuple[bool, Witness]:
     from . import assembly
-    ratio = assembly.special_value_ratio(gi, p_max)
-    return True, {"ratio": ratio, "note": assembly.ALGEBRAICITY_NOTE}
+    try:
+        ratio = assembly.special_value_ratio(gi, p_max)
+    except ArithmeticError as exc:  # the ratio cannot be formed in floats
+        return False, {"p_max": p_max, "error": str(exc)}
+    return cmath.isfinite(ratio), {"ratio": ratio, "note": assembly.ALGEBRAICITY_NOTE}
 
 
 def global_checks(gi: GlobalInput, s: complex, p_max: int) -> List[Check]:
-    """The truncated global value at s, which fails when it is not finite,
-    and, given both Petersson norms at the holomorphic point, the special
-    value ratio.  A thunk raises ValueError when the input cannot be
+    """The truncated global value at s, and, given both Petersson norms at
+    the holomorphic point, the special value ratio; each fails when it is
+    not finite.  A thunk raises ValueError when the input cannot be
     evaluated at all (a missing prime, a pole, p_max below a level prime)."""
     checks = [("global/z", partial(_global_z_check, gi, s, p_max))]
     has_norms = gi.petersson_phi is not None and gi.petersson_psi is not None

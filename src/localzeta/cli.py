@@ -310,7 +310,7 @@ def _local_scenario_from(value: object, where: str) -> ScenarioData:
 
 
 def _arch_scenario_from(value: object, where: str) -> ArchScenario:
-    from .arch import ArchScenario
+    from .arch import ArchScenario, z_inf_closed
     obj = _as_object(value, where)
     l = _parse_int(_field(obj, "l", where), f"{where}.l")
     D = _parse_int(_field(obj, "D", where), f"{where}.D")
@@ -345,9 +345,11 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
             "weight l1, or a spectral parameter r"
         )
     try:
-        return build()
+        sc = build()
+        z_inf_closed(sc)  # a Gamma pole of the closed form raises GammaPoleError
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
+    return sc
 
 
 def _prime_table(value: object, where: str) -> Dict[int, object]:
@@ -433,10 +435,11 @@ def _global_input_from(value: object, where: str) -> Tuple[GlobalInput, complex]
         if raw is None:
             return None
         v = _parse_complex(raw, f"{where}.{key}")
-        if v.imag:
-            raise InputError(f"{where}.{key}: a Petersson norm is a real number")
+        if v.imag or not v.real > 0:
+            raise InputError(f"{where}.{key}: a Petersson norm is a positive real number")
         return v.real
 
+    norms = {key: norm(key) for key in ("petersson_phi", "petersson_psi")}
     try:
         gi = GlobalInput(
             l=l,
@@ -450,8 +453,7 @@ def _global_input_from(value: object, where: str) -> Tuple[GlobalInput, complex]
             gl2_table=gl2_table,
             local_table=local_table,
             l1=l1,
-            petersson_phi=norm("petersson_phi"),
-            petersson_psi=norm("petersson_psi"),
+            **norms,
         )
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc

@@ -150,6 +150,18 @@ class LocalQuadData:
         return self.p
 
 
+def uniformizer_values(data) -> tuple:
+    """The character values on the uniformizer classes of L that the
+    splitting class carries: () inert, (lambda_piL,) ramified and
+    (lambda_piL, lambda_piF_over_piL) split, read from a LocalQuadData or
+    an assembly.PrimeQuadData as it is when called."""
+    if data.symbol == -1:
+        return ()
+    if data.symbol == 0:
+        return (data.lambda_piL,)
+    return (data.lambda_piL, data.lambda_piF_over_piL)
+
+
 def unit_index(data: LocalQuadData, m: int) -> Rational:
     """The index (o_L^x : o_m^x) = (1 - symbol/q) q^m, with o_0 = o_L.
 

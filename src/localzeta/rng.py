@@ -110,8 +110,3 @@ def scenario_stream(
     rng = SplitMix64(seed ^ (q * 0x9E3779B9) ^ (int(symbol) & 0xFF))
     for _ in range(count):
         yield draw_scenario(rng, symbol, q)
-
-
-def draw_tau_satake(rng: SplitMix64) -> tuple:
-    """A nonzero Satake pair for an unramified GL(2) input."""
-    return (rng.nonzero_rational(), rng.nonzero_rational())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact import Poly, Rational, factor_product, q_half_power, rat
-from .localfield import LocalQuadData, SplittingSymbol
+from .localfield import LocalQuadData, SplittingSymbol, uniformizer_values
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,8 @@ class SatakeParams:
     """Unramified principal-series parameters (u0, u1, u2) = (sigma, chi1, chi2) at a uniformizer.
 
     gamma holds the four Satake values (u1 u2 u0, u1 u0, u0, u2 u0); the
-    central character value omega_pi_piF = gamma[0] * gamma[2] coincides with
-    gamma[1] * gamma[3], and that coincidence is checked.
+    central character value omega_pi_piF = gamma[0] * gamma[2] equals
+    gamma[1] * gamma[3], both being u0^2 u1 u2.
     """
 
     u0: Rational
@@ -39,8 +39,6 @@ class SatakeParams:
             self.u2 * self.u0,
         )
         object.__setattr__(self, "gamma", gamma)
-        if gamma[0] * gamma[2] != gamma[1] * gamma[3]:
-            raise ValueError("central character mismatch among Satake values")
 
     @property
     def omega_pi_piF(self) -> Rational:
@@ -93,12 +91,5 @@ def l_tau_ai_chi_inverse(
     q = local.q
     if local.symbol is SplittingSymbol.INERT:
         return factor_product([chi_piF * rat(1, q**3)], q, power=2)
-    if local.lambda_piL is None:
-        raise ValueError("missing lambda_piL for a non-inert class")
-    slots = [local.lambda_piL]
-    if local.symbol is SplittingSymbol.SPLIT:
-        if local.lambda_piF_over_piL is None:
-            raise ValueError("missing lambda_piF_over_piL for the split class")
-        slots.append(local.lambda_piF_over_piL)
     scale = q_half_power(q, -3) * (chi_piF * st.omega_piF)
-    return factor_product([scale * lam for lam in slots], q)
+    return factor_product([scale * lam for lam in uniformizer_values(local)], q)

@@ -25,7 +25,7 @@ from .exact import (
     scaled_product,
     series_of,
 )
-from .localfield import LocalQuadData, SplittingSymbol, volume_numerators
+from .localfield import LocalQuadData, SplittingSymbol, uniformizer_values, volume_numerators
 from .satake import SatakeParams, SteinbergData, chi_piF_from, l8_inverse, l_tau_ai_chi_inverse
 from .sugano import bessel_values, sugano_polys
 
@@ -253,9 +253,7 @@ def unramified_local_factor(
     if local.symbol is SplittingSymbol.INERT:
         ai = factor_product([local.lambda_piF * (chi * b) ** 2 / q**2 for b in betas], q, power=2)
     else:
-        deltas = [local.lambda_piL]
-        if local.symbol is SplittingSymbol.SPLIT:
-            deltas.append(local.lambda_piF_over_piL)
+        deltas = uniformizer_values(local)
         ai = factor_product([d * chi * b * rat(1, q) for b in betas for d in deltas], q)
 
     half_inv = q_half_power(q, -1)

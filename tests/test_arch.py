@@ -26,9 +26,8 @@ from localzeta.arch import (
     mellin_whittaker,
     whittaker_w,
     z_inf_closed,
-    z_inf_closed_ds,
-    z_inf_closed_ps,
     z_inf_quadrature,
+    _reciprocal_gamma,
     _whittaker_w_array,
 )
 
@@ -446,6 +445,50 @@ class TestArchScenario:
         assert abs(sc.ir - 0.2) < 1e-14
 
 
+# The closed form's two specializations as printed, the references
+# z_inf_closed is compared with below.
+
+
+def z_inf_closed_ps(l, s1, s2, D, s, a_plus) -> complex:
+    """Principal-series specialization, written exactly as printed:
+
+    (a+/2) pi D^(-3s-l/2+(s1+s2)/2) (4 pi)^(-3s+3/2-l+s1+s2)
+        Gamma(3s+l-1-s1) Gamma(3s+l-1-s2) / Gamma(3s+(l+1-s1-s2)/2)
+    """
+    s = complex(s)
+    s1 = complex(s1)
+    s2 = complex(s2)
+    front = (
+        (a_plus / 2)
+        * math.pi
+        * complex(D) ** (-3 * s - l / 2 + (s1 + s2) / 2)
+        * (4 * math.pi) ** (-3 * s + 1.5 - l + s1 + s2)
+    )
+    num = gamma_fn(3 * s + l - 1 - s1) * gamma_fn(3 * s + l - 1 - s2)
+    return front * num * _reciprocal_gamma(3 * s + (l + 1 - s1 - s2) / 2)
+
+
+def z_inf_closed_ds(l, l1, q_c, D, s, a_plus) -> complex:
+    """Discrete-series specialization, written exactly as printed:
+
+    (a+/2) pi D^(-3s-l/2+q/2) (4 pi)^(-3s+3/2-l+q)
+        Gamma(3s+l-1+(l1-1)/2-q/2) Gamma(3s+l-1-(l1-1)/2-q/2)
+            / Gamma(3s+(l+1-q)/2)
+    """
+    s = complex(s)
+    q = complex(q_c)
+    front = (
+        (a_plus / 2)
+        * math.pi
+        * complex(D) ** (-3 * s - l / 2 + q / 2)
+        * (4 * math.pi) ** (-3 * s + 1.5 - l + q)
+    )
+    num = gamma_fn(3 * s + l - 1 + (l1 - 1) / 2 - q / 2) * gamma_fn(
+        3 * s + l - 1 - (l1 - 1) / 2 - q / 2
+    )
+    return front * num * _reciprocal_gamma(3 * s + (l + 1 - q) / 2)
+
+
 class TestZInfClosed:
     def test_regression_value(self):
         # l=12, q=0, ir=11, D=4, s=3/2, a+=1: the Gamma values collapse to
@@ -485,9 +528,9 @@ class TestZInfClosed:
             assert abs(general - special) <= 1e-12 * abs(general)
 
     def test_convergence_guard(self):
-        sc = ArchScenario(l=2, q_c=0.0, r=1.0, D=4, s=-1.0, a_plus=1.0)
+        # a scenario outside convergence cannot be built
         with pytest.raises(DomainError, match="6s"):
-            z_inf_closed(sc)
+            ArchScenario(l=2, q_c=0.0, r=1.0, D=4, s=-1.0, a_plus=1.0)
 
 
 class TestZInfQuadrature:
@@ -507,9 +550,9 @@ class TestZInfQuadrature:
         assert abs(quad - closed) <= 1e-6 * abs(closed)
 
     def test_convergence_guard(self):
-        sc = ArchScenario(l=2, q_c=0.0, r=1.0, D=4, s=-1.0, a_plus=1.0)
+        # at the boundary Re(6s + l - q_c) = 0 as well, for either route
         with pytest.raises(DomainError, match="6s"):
-            z_inf_quadrature(sc)
+            ArchScenario(l=2, q_c=2.0, r=1.0, D=4, s=0.0, a_plus=1.0)
 
     def test_whittaker_evaluated_once_per_node_set(self, monkeypatch):
         # the rows of a lambda-pass share each W call

@@ -459,6 +459,21 @@ class TestVerifyArch:
         assert main(["verify-arch", "--input", path]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"l": 12, "l1": 12, "D": 4, "s": -3}, "requires Re(6s + l - q_c) > 0; got -6"),
+            ({"l": 12, "r": [0, 1e300], "D": 4, "s": 1.5}, "gamma pole at z = -5e+299"),
+        ],
+        ids=["outside-convergence", "gamma-pole"],
+    )
+    def test_scenario_without_a_closed_value_is_exit_two(self, write_doc, capsys, entry, message):
+        path = write_doc({"arch_scenarios": [entry]})
+        assert main(["verify-arch", "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: arch_scenarios[0]: {message}\n" and "Traceback" not in err
+
     def test_builtin_grid_constructs(self):
         grid = batteries.arch_grid()
         assert len(grid) == 13
@@ -686,6 +701,53 @@ class TestGlobal:
         )
         by_name = {r["name"]: r for r in records_of(out)}
         assert "not certified" in by_name["global/special-value"]["witness"]["note"]
+
+    @pytest.mark.parametrize(
+        "phi, psi, key",
+        [(0, 1, "petersson_phi"), (-1, 1, "petersson_phi"), (1, 0, "petersson_psi"), (1, -2.5, "petersson_psi")],
+    )
+    def test_petersson_norm_must_be_positive(self, write_doc, capsys, phi, psi, key):
+        path = write_doc(valid_global_doc(petersson_phi=phi, petersson_psi=psi))
+        assert main(["global", "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: global_input.{key}: a Petersson norm is a positive real number\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "psi, witness",
+        [
+            # the norms' product underflows to 0
+            (1e-300, {"p_max": 3, "error": "complex division by zero"}),
+            # pi^52 (Phi,Phi)(Psi,Psi) is about 1e-310, and the ratio past the float range
+            (1e-36, None),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_special_value_that_is_not_finite_fails(self, write_doc, capsys, psi, witness):
+        path = write_doc(valid_global_doc(petersson_phi=1e-300, petersson_psi=psi))
+        assert main(["global", "--input", path, "--pmax", "3", "--format", "machine"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        records = {r["name"]: r for r in strict_records_of(out)}
+        assert records["global/z"]["status"] == "pass"
+        record = records["global/special-value"]
+        assert record["status"] == "fail"
+        if witness is None:
+            assert "inf" in record["witness"]["ratio"]
+        else:
+            assert record["witness"] == witness
+
+    @pytest.mark.parametrize("p_max", ["17", "100000000", "1000000000000"])
+    def test_pmax_past_the_table_stops_at_the_first_missing_prime(self, capsys, p_max):
+        # the committed table covers the primes through 13
+        path = str(ROOT / "perfbench" / "inputs" / "global.json")
+        with within(1):
+            code = main(["global", "--input", path, "--pmax", p_max])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: missing local data for p = 17\n" and "Traceback" not in err
 
     def test_missing_input_is_exit_two(self, capsys):
         assert main(["global"]) == 2

@@ -9,6 +9,7 @@ from localzeta.localfield import (
     PrecisionError,
     SplittingSymbol,
     splitting_symbol,
+    uniformizer_values,
     unit_index,
     unit_index_oracle,
 )
@@ -139,6 +140,31 @@ class TestLocalQuadData:
             LocalQuadData(5, SplittingSymbol.RAMIFIED, rat(4))
         with pytest.raises(ValueError):
             LocalQuadData(5, SplittingSymbol.SPLIT, rat(4), lambda_piL=rat(2))
+
+
+class TestUniformizerValues:
+    def test_each_class_of_both_data_types(self):
+        from localzeta.assembly import PrimeQuadData
+
+        assert uniformizer_values(LocalQuadData(3, SplittingSymbol.INERT, rat(4))) == ()
+        assert uniformizer_values(
+            LocalQuadData(3, SplittingSymbol.RAMIFIED, rat(4), lambda_piL=rat(-2))
+        ) == (rat(-2),)
+        assert uniformizer_values(
+            LocalQuadData(3, SplittingSymbol.SPLIT, rat(4), lambda_piL=rat(8), lambda_piF_over_piL=rat(1, 2))
+        ) == (rat(8), rat(1, 2))
+        assert uniformizer_values(PrimeQuadData(symbol=-1, lambda_piF=1j)) == ()
+        assert uniformizer_values(PrimeQuadData(symbol=0, lambda_piF=-1.0, lambda_piL=1j)) == (1j,)
+        assert uniformizer_values(
+            PrimeQuadData(symbol=1, lambda_piF=1.0, lambda_piL=2.0, lambda_piF_over_piL=0.5)
+        ) == (2.0, 0.5)
+
+    def test_reads_the_fields_when_called(self):
+        # criterion 8 corrupts lambda_piL after construction, and both sides
+        # of the identity must see the corrupted value
+        data = LocalQuadData(3, SplittingSymbol.RAMIFIED, rat(4), lambda_piL=rat(2))
+        object.__setattr__(data, "lambda_piL", rat(5))
+        assert uniformizer_values(data) == (rat(5),)
 
 
 class TestUnitIndex:

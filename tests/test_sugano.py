@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from localzeta.exact import Poly, QuadCoeff, q_half_power, rat
 from localzeta.localfield import LocalQuadData, SplittingSymbol
 from localzeta.satake import SatakeParams
-from localzeta.sugano import SuganoPolys, bessel_values, sugano_polys
+from localzeta.sugano import bessel_values, sugano_polys
 
 units = st.fractions(min_value=-8, max_value=8, max_denominator=5).filter(bool).map(
     lambda f: rat(f.numerator) / rat(f.denominator)
@@ -57,12 +57,6 @@ class TestSuganoPolys:
             expected = expected * Poly([1, -(q_half_power(2, -3) * g)], 2)
         assert sp.Q == expected
         assert sp.Q.degree == 4
-
-    def test_h_shape_enforced(self):
-        local = LocalQuadData(3, SplittingSymbol.INERT, rat(1))
-        sp = sugano_polys(local, SatakeParams(rat(1), rat(1), rat(1)))
-        with pytest.raises(ValueError):
-            SuganoPolys(H=sp.Q, Q=sp.Q, A2=sp.A2, A4=sp.A4, A5=sp.A5)
 
 
 class TestBesselValues:

@@ -7,7 +7,7 @@ import pytest
 from localzeta import batteries, cli
 from localzeta.exact import Poly, QuadCoeff, RationalFunction, TruncatedSeries, q_half_power, rat, series_of
 from localzeta.localfield import LocalQuadData, SplittingSymbol, volume_V1
-from localzeta.rng import SplitMix64, draw_scenario, draw_tau_satake, scenario_stream
+from localzeta.rng import SplitMix64, draw_scenario, scenario_stream
 from localzeta.satake import SatakeParams, SteinbergData
 from localzeta.sugano import bessel_values, sugano_polys
 from localzeta import zeta
@@ -23,6 +23,11 @@ from localzeta.zeta import (
     z_series_direct,
     z_series_m_positive,
 )
+
+
+def draw_tau_satake(rng: SplitMix64) -> tuple:
+    """A nonzero Satake pair for an unramified GL(2) input."""
+    return (rng.nonzero_rational(), rng.nonzero_rational())
 
 
 def trivial_inert_scenario(q=2):
