@@ -5,8 +5,8 @@ identities (a non-archimedean closed form for a Bessel-model zeta
 integral, an archimedean Gamma-product evaluation) and assembles the
 corresponding global quantities, checking every closed form against an
 oracle: formal series against rational functions, the coset
-representatives' products counted against the order of Sp4(F_p),
-numerical quadrature against Gamma products.
+representatives' distinct keys times the level subgroup's order against
+the order of Sp4(F_p), numerical quadrature against Gamma products.
 """
 
 from __future__ import annotations

@@ -347,7 +347,7 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
     try:
         sc = build()
         z_inf_closed(sc)  # a Gamma pole of the closed form raises GammaPoleError
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"{where}: {exc}") from exc
     return sc
 

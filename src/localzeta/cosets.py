@@ -1,7 +1,7 @@
 """Coset geometry for the paramodular-style congruence subgroup at level p.
 
 Three jobs live here: the Bruhat-cell representatives of the quotient of
-the hyperspecial maximal compact by the level subgroup, a finite counting
+the hyperspecial maximal compact by the level subgroup, a finite key
 audit that those representatives are a disjoint cover, and randomized
 verification over a prime field of the 4x4 matrix identities that drive
 the support classification of the degenerate Whittaker function.  The closed volume
@@ -182,42 +182,55 @@ class CosetAuditReport:
 
 
 def ksharp_mod_p(p: int) -> np.ndarray:
-    """The mod-p reduction of the level subgroup, code-sorted: the members
-    among the p**10 matrices zero at ``_KSHARP_ZEROS`` (free entries in
-    flat-index order) that preserve the symplectic form."""
-    free = [i for i in range(16) if i not in _KSHARP_ZEROS]
-    candidates = np.zeros((p ** len(free), 16), dtype=np.uint8)
-    candidates[:, free] = np.indices((p,) * len(free), dtype=np.uint8).reshape(len(free), -1).T
-    candidates = candidates[ksharp_mod_p_member(candidates, p)]
-    return candidates[kernels.preserves_form(candidates, J4, p)]
+    """The mod-p reduction of the level subgroup, code-sorted: the closure,
+    of order p**4, of four root-subgroup generators, each the identity
+    changed at the flat indices given."""
+    gens = [
+        tuple(change.get(i, e) for i, e in enumerate(kernels.IDENTITY))
+        for change in ({2: 1}, {7: 1}, {3: 1, 6: 1}, {4: 1, 11: -1})
+    ]
+    return kernels.group_closure(gens, p, max_size=p**4)
+
+
+def coset_keys(mats, p: int) -> np.ndarray:
+    """One int64 key per matrix g: column 2 of g and the six Plücker
+    coordinates of columns 1 and 2, g e2 and g e1 ^ g e2 mod p, packed by
+    ``kernels._codes``.  Every k in the level subgroup K has column 2 e2
+    and column 1 e1 + c e2, so the key is constant on each coset gK."""
+    g = kernels._batch(mats, p).astype(np.int16).reshape(-1, 4, 4)
+    a, b = g[:, :, 0], g[:, :, 1]
+    i, j = np.triu_indices(4, 1)
+    plucker = (a[:, i] * b[:, j] - a[:, j] * b[:, i]) % p
+    return kernels._codes(np.concatenate([b, plucker], axis=1), p)
 
 
 def coset_audit(p: int) -> CosetAuditReport:
-    """Counting audit that the representatives are a disjoint cover.
+    """Key audit that the representatives are a disjoint cover.
 
-    Closes the level subgroup K of ``ksharp_mod_p``, multiplies every
-    representative by every element of K, and demands that the products be
-    pairwise distinct and as many as |Sp4(F_p)|.  The representatives
-    (``bruhat_reps`` checks it) and K are symplectic, so the products lie
-    in Sp4(F_p), and that many distinct ones cover it.
+    Every element of the level subgroup K of ``ksharp_mod_p`` must be a
+    symplectic member with the identity's key (``coset_keys``), so that
+    representatives with pairwise distinct keys have pairwise disjoint
+    translates rK of |K| symplectic matrices; |Sp4(F_p)| / |K| of them
+    cover Sp4(F_p).  The witness is the first representative whose key
+    an earlier one has.
     """
     reps = bruhat_reps(p)
     subgroup = ksharp_mod_p(p)
-    try:
-        kernels.group_closure(subgroup, p, max_size=len(subgroup))
-        closed = True
-    except RuntimeError:
-        closed = False
-    distinct, duplicate = kernels.mark_products(reps, subgroup, p)
+    closed = bool(
+        (ksharp_mod_p_member(subgroup, p) & kernels.preserves_form(subgroup, J4, p)).all()
+        and (coset_keys(subgroup, p) == coset_keys(kernels.IDENTITY, p)).all()
+    )
+    keys = coset_keys(reps, p)
+    repeated = np.setdiff1d(np.arange(len(keys)), kernels._unique_first(keys)[1])
     return CosetAuditReport(
         p=p,
         group_order=sp4_order(p),
         subgroup_order=len(subgroup),
         rep_count=len(reps),
         subgroup_closed=closed,
-        pairwise_distinct=(distinct == len(reps) * len(subgroup) and duplicate is None),
-        covers_group=(distinct == sp4_order(p)),
-        witness=duplicate,
+        pairwise_distinct=not len(repeated),
+        covers_group=((len(reps) - len(repeated)) * len(subgroup) == sp4_order(p)),
+        witness=tuple(reps[repeated[0]].tolist()) if len(repeated) else None,
     )
 
 

@@ -1,17 +1,17 @@
-"""Mod-p arithmetic on 4x4 matrices: the hot loops of the coset audit.
+"""Mod-p arithmetic on 4x4 matrices for the coset audit.
 
 A single matrix is a flat row-major 16-tuple of ints.  A batch is an
 (n, 16) uint8 array of entries in [0, p); the batch functions reduce any
 input that reshapes to (n, 16) to one.  ``products`` multiplies all pairs
 of two batches with ``np.matmul`` on int16 views, ``preserves_form`` masks
-the rows g with g^T F g = F, and the audit closes the level subgroup with
-``group_closure`` and counts its products with ``mark_products``.  Each
-matrix has one int64 code, sum(entry_i * p**(15 - i)); the code is
-big-endian, so code order is the lexicographic order of the tuples, and
-deduplication is a stable ``np.argsort`` of codes and ``np.searchsorted``
-into the sorted codes already known (numpy's ``np.unique`` and ``np.isin``
-give the same answers, many times slower at the audit's sizes).  The
-scalar ``mat_mul_mod`` is only a reference.
+the rows g with g^T F g = F, ``group_closure`` builds the level subgroup,
+and ``mark_products`` counts every product rep*k (the tests' oracle for
+the audit).  Each matrix has one int64 code, sum(entry_i * p**(15 - i));
+the code is big-endian, so code order is the lexicographic order of the
+tuples, and deduplication is a stable ``np.argsort`` of codes and
+``np.searchsorted`` into the sorted codes already known (numpy's
+``np.unique`` and ``np.isin`` give the same answers, many times slower at
+the audit's sizes).  The scalar ``mat_mul_mod`` is only a reference.
 """
 
 from __future__ import annotations

@@ -464,8 +464,12 @@ class TestVerifyArch:
         [
             ({"l": 12, "l1": 12, "D": 4, "s": -3}, "requires Re(6s + l - q_c) > 0; got -6"),
             ({"l": 12, "r": [0, 1e300], "D": 4, "s": 1.5}, "gamma pole at z = -5e+299"),
+            # integers past the float range, which the closed form cannot evaluate
+            ({"l": 10**400, "l1": 12, "D": 4, "s": 1.5}, "int too large to convert to float"),
+            ({"l": 12, "l1": 10**400, "D": 4, "s": 1.5}, "int too large to convert to float"),
+            ({"l": 12, "l1": 12, "D": 10**400, "s": 1.5}, "int too large to convert to float"),
         ],
-        ids=["outside-convergence", "gamma-pole"],
+        ids=["outside-convergence", "gamma-pole", "huge-l", "huge-l1", "huge-D"],
     )
     def test_scenario_without_a_closed_value_is_exit_two(self, write_doc, capsys, entry, message):
         path = write_doc({"arch_scenarios": [entry]})

@@ -16,6 +16,7 @@ from localzeta.cosets import (
     IDENTITY_NAMES,
     bruhat_reps,
     coset_audit,
+    coset_keys,
     count_polynomial_identity,
     ediag,
     eta_matrix,
@@ -194,6 +195,72 @@ class TestCosetAudit:
         assert ksharp_mod_p_member(IDENTITY, 2)
         assert ksharp_mod_p_member(IDENTITY, 3)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("control", ["real", "duplicated", "missing"])
+    def test_key_verdict_agrees_with_the_counting_oracle(self, monkeypatch, p, control):
+        reps = bruhat_reps(p)
+        if control == "duplicated":
+            reps = reps.copy()
+            reps[1] = reps[0]
+        elif control == "missing":
+            reps = reps[:-1]
+        monkeypatch.setattr(cosets, "bruhat_reps", lambda p, *args: reps)
+        report = coset_audit(p)
+        subgroup = ksharp_mod_p(p)
+        distinct, duplicate = mark_products(reps, subgroup, p)
+        assert report.passed == (control == "real")
+        assert report.passed == (distinct == sp4_order(p) and duplicate is None)
+        assert len(np.unique(coset_keys(reps, p))) * len(subgroup) == distinct
+        assert report.pairwise_distinct == (duplicate is None)
+        assert (report.witness is None) == (duplicate is None)
+        if duplicate is not None:
+            # the repeated product lies in the witness's coset
+            assert report.witness == tuple(reps[1].tolist())
+            assert coset_keys(duplicate, p) == coset_keys(report.witness, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_carved_subgroup_fixes_the_key(self, p):
+        # the shape the key rests on: middle entry 1, column 2 e2 and
+        # column 1 e1 + c e2, so every k has the identity's key
+        carved = _audit_subgroup(p)
+        assert (carved[:, 5] == 1).all()
+        assert (coset_keys(carved, p) == coset_keys(IDENTITY, p)).all()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_subgroup_without_a_generator_fails_the_cover(self, monkeypatch, p):
+        # ksharp_mod_p's generators but the one with a 1 at flat index 2
+        gens = [
+            (1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1),
+            (1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+            (1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 1),
+        ]
+
+        def smaller(p):
+            return group_closure(gens, p, max_size=p**4)
+
+        assert len(smaller(p)) == p**3
+        monkeypatch.setattr(cosets, "ksharp_mod_p", smaller)
+        report = coset_audit(p)
+        assert not report.passed
+        assert report.covers_group is False and report.subgroup_order == p**3
+        assert report.subgroup_closed and report.pairwise_distinct
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_non_member_in_the_subgroup_fails_closure(self, monkeypatch, p):
+        subgroup = ksharp_mod_p(p).copy()
+        subgroup[-1] = _flat(cosets.S1)  # symplectic, but not a member
+        monkeypatch.setattr(cosets, "ksharp_mod_p", lambda p: subgroup)
+        report = coset_audit(p)
+        assert not report.passed
+        assert report.subgroup_closed is False
+
+    def test_audit_forms_no_products_with_the_subgroup(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the audit multiplied rep * k")
+
+        monkeypatch.setattr(kernels, "mark_products", refuse)
+        assert coset_audit(3).passed
+
 
 def _sp4_generators(p: int) -> list:
     """Flat generators of Sp4(F_p) for p in {2, 3}."""
@@ -211,7 +278,7 @@ def _sp4_generators(p: int) -> list:
 
 def _audit_group(p):
     """All of Sp4(F_p), by closure from generators: the test oracle for the
-    counting audit, which never builds the group."""
+    level subgroup and the key audit, which never builds the group."""
     return group_closure(_sp4_generators(p), p, max_size=sp4_order(p))
 
 
