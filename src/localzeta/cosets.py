@@ -17,7 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from . import kernels
-from .localfield import vol_k_sharp, volume_numerators, volume_V1, volume_V2
+from .localfield import vol_k_sharp, volume_V1, volume_V2
 from .rng import SplitMix64
 
 

@@ -25,7 +25,7 @@ fractions.Fraction.
 from __future__ import annotations
 
 from fractions import Fraction as Rational
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, "Rational"]
@@ -250,12 +250,14 @@ class Poly:
 
     Trailing zeros are stripped; the zero polynomial has no coefficients
     and degree -1.  The operations are * (by a Poly or a scalar), ==,
-    truncate() to a series, and complex evaluation.
+    truncate() to a series, and complex evaluation.  delta, if not None, is
+    an integer with delta^j c_j in Z[sqrt(q)] for j >= 1, for series_of;
+    factor_product sets it, and arithmetic does not carry it.
     """
 
-    __slots__ = ("coefficients", "q")
+    __slots__ = ("coefficients", "q", "delta")
 
-    def __init__(self, coefficients: Iterable, q: int):
+    def __init__(self, coefficients: Iterable, q: int, delta: int | None = None):
         coeffs = [
             c if type(c) is QuadCoeff and c._v[3] == q else _as_quad(c, q)
             for c in coefficients
@@ -264,6 +266,7 @@ class Poly:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "delta", delta)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -271,10 +274,6 @@ class Poly:
     @classmethod
     def one(cls, q: int) -> "Poly":
         return cls([QuadCoeff(1, 0, q)], q)
-
-    @classmethod
-    def zero(cls, q: int) -> "Poly":
-        return cls([], q)
 
     @property
     def degree(self) -> int:
@@ -296,8 +295,6 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            if not self.coefficients or not other.coefficients:
-                return Poly.zero(self.q)
             out = [QuadCoeff(0, 0, self.q)] * (
                 len(self.coefficients) + len(other.coefficients) - 1
             )
@@ -374,17 +371,20 @@ def factor_product(coeffs: Iterable, q: int, power: int = 1) -> Poly:
 
     Its coefficients are the signed elementary symmetric functions e_k of
     the c's in every power-th slot.  Each c updates them in place, from the
-    top down: e_k <- e_k - c e_(k-1).  No intermediate Poly is built.
+    top down: e_k <- e_k - c e_(k-1).  No intermediate Poly is built.  Its
+    delta, the lcm of the c's denominators, makes delta^k e_k integral.
     """
     e = [_quad(1, 0, 1, q)]
+    delta = 1
     for c in coeffs:
         c = _as_quad(c, q)
+        delta = lcm(delta, c._v[2])
         e.append(-(c * e[-1]))
         for k in range(len(e) - 2, 0, -1):
             e[k] = e[k] - c * e[k - 1]
     spread = [_quad(0, 0, 1, q)] * (power * (len(e) - 1) + 1)
     spread[::power] = e
-    return Poly(spread, q)
+    return Poly(spread, q, delta)
 
 
 class RationalFunction:
@@ -533,10 +533,12 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
     satisfies s_k = c_k - sum_{j>=1} d_j s_{k-j}: RationalFunction already
     scales a nonzero d_0 to exactly 1, so there is nothing to divide by.
 
-    The recurrence runs on the (A, B, D) triples themselves.  Each s_k is
-    accumulated over one running denominator, the lcm of its terms'
-    denominators, and reduced once, by gcd(D, A, B): the normal form is
-    unique, so every coefficient is the triple QuadCoeff arithmetic gives.
+    The recurrence runs fraction-free in Z[sqrt(q)].  With N the lcm of the
+    denominators of c_0 ... c_n and delta = den.delta (from factor_product)
+    or else the lcm of the d_j's, E_j = delta^j d_j is integral (checked),
+    and S_k = N delta^k s_k = N delta^k c_k - sum_{j>=1} E_j S_{k-j}.  Each
+    s_k is reduced once, by gcd(N delta^k, A, B), to the normal form that
+    QuadCoeff arithmetic gives.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -544,23 +546,30 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
         raise PoleAtOriginError("pole at origin: denominator vanishes at t = 0")
     q = rf.q
     num = [c._v[:3] for c in rf.num.coefficients[: n + 1]]
-    num += [(0, 0, 1)] * (n + 1 - len(num))
-    den = [(j, d._v[:3]) for j, d in enumerate(rf.den.coefficients) if j and d]
-    s: list[tuple] = []
+    dens = rf.den.coefficients[1 : n + 1]
+    delta = rf.den.delta or lcm(*(d._v[2] for d in dens))
+    scaled = []  # E_j as (j, A, B q, B), for the nonzero d_j only
+    for j, d in enumerate(dens, 1):
+        dA, dB, dD = d._v[:3]
+        f, r = divmod(delta**j, dD)
+        if r:
+            raise ValueError(f"delta = {delta} leaves delta^{j} d_{j} outside Z[sqrt({q})]")
+        if dA or dB:
+            scaled.append((j, dA * f, dB * f * q, dB * f))
+    scale = lcm(*(D for _, _, D in num))  # N delta^k, advanced by delta each k
+    S, out = [], []
     for k in range(n + 1):
-        A, B, D = num[k]
-        for j, (dA, dB, dD) in den:
+        A, B, D = num[k] if k < len(num) else (0, 0, scale)
+        f = scale // D
+        A, B = A * f, B * f
+        for j, eA, eBq, eB in scaled:
             if j > k:
                 break
-            sA, sB, sD = s[k - j]
-            # Subtract d_j s_{k-j} = (pA + pB sqrt(q))/pD over lcm(D, pD).
-            pD = dD * sD
-            g = gcd(D, pD)
-            t = pD // g
-            u = D // g
-            A = A * t - (dA * sA + dB * sB * q) * u
-            B = B * t - (dA * sB + dB * sA) * u
-            D *= t
-        g = gcd(D, A, B)
-        s.append((A // g, B // g, D // g))
-    return TruncatedSeries([_quad(A, B, D, q) for A, B, D in s], q)
+            sA, sB = S[k - j]
+            A -= eA * sA + eBq * sB
+            B -= eA * sB + eB * sA
+        S.append((A, B))
+        g = gcd(scale, A, B)
+        out.append(_quad(A // g, B // g, scale // g, q))
+        scale *= delta
+    return TruncatedSeries(out, q)

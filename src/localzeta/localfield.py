@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from .exact import Rational, rat
 
@@ -263,6 +263,16 @@ def volume_numerators(local: LocalQuadData, l: int, m: int) -> Tuple[int, int, i
     q = local.p  # local.q, read once per (l, m) cell without the property
     n1 = (q - local.symbol) * q ** (4 * m + 3 * l)
     return n1, (n1 * q if m else 0), (q + 1) * (q**4 - 1)
+
+
+def volume_row(local: LocalQuadData, l: int, m_max: int) -> Iterator[Tuple[int, int, int]]:
+    """volume_numerators(local, l, m) for m = 1 ... m_max in turn: the first
+    from the volume formula, each next by the factor q^4 of a step in m."""
+    n1, n2, den = volume_numerators(local, l, 1)
+    step = local.p**4
+    for _ in range(m_max):
+        yield n1, n2, den
+        n1, n2 = n1 * step, n2 * step
 
 
 def volume_V1(local: LocalQuadData, l: int, m: int) -> Rational:

@@ -25,7 +25,7 @@ from .exact import (
     scaled_product,
     series_of,
 )
-from .localfield import LocalQuadData, SplittingSymbol, uniformizer_values, volume_numerators
+from .localfield import LocalQuadData, SplittingSymbol, uniformizer_values, volume_numerators, volume_row
 from .satake import SatakeParams, SteinbergData, chi_piF_from, l8_inverse, l_tau_ai_chi_inverse
 from .sugano import bessel_values, sugano_polys
 
@@ -64,22 +64,6 @@ class ScenarioData:
         return self.local.q
 
 
-def steinberg_whittaker_diag(l: int, st: SteinbergData, q: int) -> Rational:
-    """Newform value on diag(varpi^l, 1): Omega(varpi)^l q^(-l), zero for l < 0."""
-    if l < 0:
-        return rat(0)
-    w = st.omega_piF
-    return Rational(w.numerator**l, w.denominator**l * q**l)
-
-
-def steinberg_whittaker_al(l: int, st: SteinbergData, q: int) -> Rational:
-    """Newform value on antidiag(varpi^l; 1): -Omega(varpi)^l q^(-l-1)."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    w = st.omega_piF
-    return Rational(-(w.numerator**l), w.denominator**l * q ** (l + 1))
-
-
 def prefactor(local: LocalQuadData) -> Rational:
     """q(q-1)/((q+1)(q^4-1)) times the splitting correction 1 - (L/p)/q."""
     q = local.q
@@ -90,26 +74,23 @@ def _nonzero_brackets(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, Rati
     """(l, m, W_diag V1 + W_al V2) for each cell, in loop order, whose bracket
     is non-zero.
 
-    Every cell 0 <= l <= n - 2, 1 <= m <= (n - l)/2 is evaluated from the
-    newform values and the volume numerators; none is skipped because the
-    algebra says it vanishes.  V1 = n1/den and V2 = n2/den share den, so
-    the bracket is zero exactly when the integer
-    W_diag.num W_al.den n1 + W_al.num W_diag.den n2 is, and a Rational is
-    built only when it is not.
+    Every cell 0 <= l <= n - 2, 1 <= m <= (n - l)/2 is evaluated; none is
+    skipped because the algebra says it vanishes.  Row l has the newform
+    values W_diag = Omega(varpi)^l q^(-l) = P/R and W_al = -P/(R q), with
+    P = Omega.num^l and R = (Omega.den q)^l running integers, and its volume
+    numerators V1 = n1/den, V2 = n2/den from localfield.volume_row.  Over
+    R q den the bracket is the integer c1 n1 + c2 n2, c1 = P q and c2 = -P,
+    and a Rational is built only when it is not zero.
     """
-    q = sc.q
-    local = sc.local
+    q, local, omega = sc.q, sc.local, sc.st.omega_piF
+    p, r = 1, 1
     for l in range(0, n - 1):
-        w_diag = steinberg_whittaker_diag(l, sc.st, q)
-        w_al = steinberg_whittaker_al(l, sc.st, q)
-        c1 = w_diag.numerator * w_al.denominator
-        c2 = w_al.numerator * w_diag.denominator
-        w_den = w_diag.denominator * w_al.denominator
-        for m in range(1, (n - l) // 2 + 1):
-            n1, n2, v_den = volume_numerators(local, l, m)
+        c1, c2, w_den = p * q, -p, r * q
+        for m, (n1, n2, v_den) in enumerate(volume_row(local, l, (n - l) // 2), 1):
             num = c1 * n1 + c2 * n2
             if num:
                 yield l, m, Rational(num, w_den * v_den)
+        p, r = p * omega.numerator, r * omega.denominator * q
 
 
 def z_series_m_positive(sc: ScenarioData, n: int) -> TruncatedSeries:

@@ -279,6 +279,30 @@ class TestVerifyLocal:
         assert err.startswith("error: local_scenarios[1].q: must be a prime below 2**53, got ")
         assert "Traceback" not in err
 
+    def test_81_digit_denominators_pass_at_order_80_without_factoring(self, write_doc, capsys):
+        """Satake values and Omega over the 81-digit D = 10^80 + 129: the
+        series' denominator bound comes from the roots' denominators as they
+        stand, so no denominator is factored and the check ends in seconds."""
+        d = 10**80 + 129
+        doc = {
+            "local_scenarios": [
+                {
+                    "q": 3,
+                    "symbol": "split",
+                    "lambda": {"piF": f"6/{d * d}", "piL": f"2/{d}", "piF_over_piL": f"3/{d}"},
+                    "satake": {"u0": 1, "u1": f"2/{d}", "u2": f"3/{d}"},
+                    "omega": f"5/{d}",
+                }
+            ]
+        }
+        path = write_doc(doc)
+        with within(10):
+            code = main(["verify-local", "--input", path, "--order", "80", "--format", "machine"])
+        assert code == 0
+        assert records_of(capsys.readouterr().out) == [
+            {"name": "local/input/000", "status": "pass", "witness": None}
+        ]
+
     def test_empty_scenario_list_is_rejected(self, write_doc):
         path = write_doc({"local_scenarios": []})
         with pytest.raises(InputError, match="non-empty"):

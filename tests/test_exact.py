@@ -16,6 +16,10 @@ from localzeta.exact import (
     rat,
     series_of,
 )
+from localzeta.localfield import SplittingSymbol
+from localzeta.rng import scenario_stream
+from localzeta.satake import l8_inverse
+from localzeta.sugano import sugano_polys
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12).map(
     lambda f: rat(f.numerator) / rat(f.denominator)
@@ -209,6 +213,19 @@ class TestFactorProduct:
         with pytest.raises(ValueError):
             factor_product([rat(1, 2), QuadCoeff(0, 1, 3)], 5)
 
+    def test_delta_is_the_lcm_of_the_factor_denominators(self):
+        q = 3
+        cs = [rat(1, 4), QuadCoeff(rat(1, 6), rat(-2, 5), q), rat(-7), QuadCoeff(0, rat(3, 10), q)]
+        assert factor_product(cs, q).delta == 60
+        assert factor_product(cs, q, power=2).delta == 60
+        assert factor_product([], q).delta == 1
+
+    def test_arithmetic_carries_no_delta(self):
+        p = factor_product([rat(1, 2), rat(1, 3)], 5)
+        assert p.delta == 6
+        for made in (p * p, p * Poly.one(5), p * 2, 3 * p, Poly(p.coefficients, 5)):
+            assert made.delta is None
+
 
 class TestRationalFunction:
     def test_denominator_normalized(self):
@@ -297,6 +314,32 @@ class TestSeries:
         for c in s.coefficients:
             A, B, D, _ = c._v
             assert D > 0 and gcd(A, B, D) == 1
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("symbol", list(SplittingSymbol))
+    def test_carried_delta_matches_the_recurrence_at_order_80(self, q, symbol):
+        """The Bessel and closed-form denominators, with the delta that
+        factor_product records from their roots."""
+        n = 80
+        for sc in scenario_stream(3280, symbol, q, 2):
+            sp = sugano_polys(sc.local, sc.sat)
+            den8 = l8_inverse(sc.sat, sc.st, q)
+            for rf in (RationalFunction(sp.H, sp.Q), RationalFunction(Poly.one(q), den8)):
+                assert rf.den.delta is not None and rf.den.delta > 1
+                got = series_of(rf, n)
+                assert [c._v for c in got.coefficients] == [
+                    c._v for c in series_by_dispatch(rf, n)
+                ]
+
+    def test_delta_that_does_not_divide_raises(self):
+        den = Poly([1, rat(-1, 3), rat(1, 9)], 5, delta=2)
+        with pytest.raises(ValueError, match="delta = 2"):
+            series_of(RationalFunction(Poly.one(5), den), 4)
+        # 3 clears d_1 = -1/3 and, squared, d_2 = 1/9: the same series as
+        # with no delta at all.
+        good = RationalFunction(Poly.one(5), Poly(den.coefficients, 5, delta=3))
+        plain = RationalFunction(Poly.one(5), Poly(den.coefficients, 5))
+        assert series_of(good, 12) == series_of(plain, 12)
 
     def test_long_division_oracle_degree_2(self):
         # independent hand long division for a degree-2 case:

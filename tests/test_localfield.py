@@ -12,6 +12,8 @@ from localzeta.localfield import (
     uniformizer_values,
     unit_index,
     unit_index_oracle,
+    volume_numerators,
+    volume_row,
 )
 
 # One (a, b, c) triple per prime and splitting class, with d = b^2 - 4ac
@@ -165,6 +167,17 @@ class TestUniformizerValues:
         data = LocalQuadData(3, SplittingSymbol.RAMIFIED, rat(4), lambda_piL=rat(2))
         object.__setattr__(data, "lambda_piL", rat(5))
         assert uniformizer_values(data) == (rat(5),)
+
+
+class TestVolumeRow:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("symbol", list(SplittingSymbol))
+    def test_equals_the_volume_formula_cell_by_cell(self, p, symbol):
+        data = make_data(p, symbol)
+        for l in range(13):
+            want = [volume_numerators(data, l, m) for m in range(1, 13)]
+            assert list(volume_row(data, l, 12)) == want, l
+            assert list(volume_row(data, l, 0)) == []
 
 
 class TestUnitIndex:

@@ -6,7 +6,7 @@ import pytest
 
 from localzeta import batteries, cli
 from localzeta.exact import Poly, QuadCoeff, RationalFunction, TruncatedSeries, q_half_power, rat, series_of
-from localzeta.localfield import LocalQuadData, SplittingSymbol, volume_V1
+from localzeta.localfield import LocalQuadData, SplittingSymbol, volume_numerators, volume_V1
 from localzeta.rng import SplitMix64, draw_scenario, scenario_stream
 from localzeta.satake import SatakeParams, SteinbergData
 from localzeta.sugano import bessel_values, sugano_polys
@@ -15,8 +15,6 @@ from localzeta.zeta import (
     ScenarioData,
     Theorem1Report,
     prefactor,
-    steinberg_whittaker_al,
-    steinberg_whittaker_diag,
     unramified_local_factor,
     verify_theorem1,
     z_closed_form,
@@ -36,6 +34,23 @@ def trivial_inert_scenario(q=2):
     sat = SatakeParams(rat(1), rat(1), rat(1))
     st = SteinbergData(omega_piF=rat(1))
     return ScenarioData(local=local, sat=sat, st=st)
+
+
+def steinberg_whittaker_diag(l: int, st: SteinbergData, q: int):
+    """Newform value on diag(varpi^l, 1): Omega(varpi)^l q^(-l), zero for l < 0.
+    The reference for the running products of zeta._nonzero_brackets."""
+    if l < 0:
+        return rat(0)
+    w = st.omega_piF
+    return rat(w.numerator**l, w.denominator**l * q**l)
+
+
+def steinberg_whittaker_al(l: int, st: SteinbergData, q: int):
+    """Newform value on antidiag(varpi^l; 1): -Omega(varpi)^l q^(-l-1)."""
+    if l < 0:
+        raise ValueError("l must be non-negative")
+    w = st.omega_piF
+    return rat(-(w.numerator**l), w.denominator**l * q ** (l + 1))
 
 
 def poly_power(base, n):
@@ -182,14 +197,40 @@ class TestTheorem1:
 
 @pytest.fixture
 def wrong_v2_at_3_2(monkeypatch):
-    """Volume numerators with V2 off by one at (l, m) = (3, 2) only."""
-    real = zeta.volume_numerators
+    """Volume rows with V2 off by one at (l, m) = (3, 2) only."""
+    real = zeta.volume_row
 
-    def patched(local, l, m):
-        n1, n2, den = real(local, l, m)
-        return n1, n2 + ((l, m) == (3, 2)), den
+    def patched(local, l, m_max):
+        for m, (n1, n2, den) in enumerate(real(local, l, m_max), 1):
+            yield n1, n2 + ((l, m) == (3, 2)), den
 
-    monkeypatch.setattr(zeta, "volume_numerators", patched)
+    monkeypatch.setattr(zeta, "volume_row", patched)
+
+
+def test_brackets_match_the_reference_newform_values(monkeypatch):
+    """With V2 one over its volume in every m > 0 cell, every bracket is
+    non-zero, and each is W_diag(l) V1 + W_al(l) V2 from the Rational newform
+    values, so the running products of _nonzero_brackets are checked cell by
+    cell and not only through zero tests."""
+    real = zeta.volume_row
+
+    def shifted(local, l, m_max):
+        for n1, n2, den in real(local, l, m_max):
+            yield n1, n2 + 1, den
+
+    monkeypatch.setattr(zeta, "volume_row", shifted)
+    n = 14
+    for q in (2, 3, 5):
+        for symbol in SplittingSymbol:
+            sc = draw_scenario(SplitMix64(34), symbol, q)
+            want = []
+            for l in range(n - 1):
+                w_diag = steinberg_whittaker_diag(l, sc.st, q)
+                w_al = steinberg_whittaker_al(l, sc.st, q)
+                for m in range(1, (n - l) // 2 + 1):
+                    n1, n2, den = volume_numerators(sc.local, l, m)
+                    want.append((l, m, w_diag * rat(n1, den) + w_al * rat(n2 + 1, den)))
+            assert list(zeta._nonzero_brackets(sc, n)) == want, (q, symbol)
 
 
 class TestFirstNonzeroCell:
