@@ -266,6 +266,8 @@ def _audit_check(p: int) -> Tuple[bool, Witness]:
             pairwise_distinct=rep.pairwise_distinct,
             covers_group=rep.covers_group,
             witness=rep.witness,
+            positions=rep.positions,
+            families=rep.families,
         )
     return rep.passed, witness
 

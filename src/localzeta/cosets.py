@@ -2,16 +2,17 @@
 
 Three jobs live here: the Bruhat-cell representatives of the quotient of
 the hyperspecial maximal compact by the level subgroup, a finite key
-audit that those representatives are a disjoint cover, and randomized
-verification over a prime field of the 4x4 matrix identities that drive
-the support classification of the degenerate Whittaker function.  The closed volume
-formulas for the surviving double cosets are defined in ``localfield``,
-which imports no numpy, and re-exported here.
+audit that they are a disjoint cover, and randomized verification over a
+prime field of the 4x4 matrix identities that drive the support
+classification of the degenerate Whittaker function.  The volume formulas
+of the surviving double cosets live in ``localfield`` (no numpy) and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, Optional
 
 import numpy as np
@@ -34,67 +35,33 @@ def _torus(a1: int, a2: int, p: int):
     return ((a1, 0, 0, 0), (0, a2, 0, 0), (0, 0, i1, 0), (0, 0, 0, i2))
 
 
-_WORDS = {
-    1: (),
-    2: (S1,),
-    3: (S2,),
-    4: (S1, S2),
-    5: (S2, S1),
-    6: (S1, S2, S1),
-    7: (S2, S1, S2),
-    8: (S1, S2, S1, S2),
+def _unipotent(w, x, y, z):
+    """L(w)*U(x, y, z): the Siegel Levi's lower root group, I + w(E21 - E34),
+    times the abelian radical, [[x, y], [y, z]] in the upper right block.
+    The entries may be ints or ``Batch`` elements."""
+    return ((1, 0, x, y), (w, 1, w * x + y, w * y + z), (0, 0, 1, -w), (0, 0, 0, 1))
+
+
+# family: (Weyl word, free coordinates of L(w)*U(x, y, z), the others 0)
+_CELLS = {
+    1: ((), ""),
+    2: ((S1,), "w"),
+    3: ((S2,), "x"),
+    4: ((S1, S2), "wz"),
+    5: ((S2, S1), "xy"),
+    6: ((S1, S2, S1), "wyz"),
+    7: ((S2, S1, S2), "xyz"),
+    8: ((S1, S2, S1, S2), "wxyz"),
 }
 
 
-def _family_unipotents(family: int, p: int):
-    rng = range(p)
-    if family == 1:
-        yield ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    elif family == 2:
-        for x in rng:
-            yield ((1, 0, 0, 0), (x, 1, 0, 0), (0, 0, 1, -x), (0, 0, 0, 1))
-    elif family == 3:
-        for x in rng:
-            yield ((1, 0, x, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    elif family == 4:
-        for x in rng:
-            for y in rng:
-                yield ((1, 0, 0, 0), (x, 1, 0, y), (0, 0, 1, -x), (0, 0, 0, 1))
-    elif family == 5:
-        for x in rng:
-            for y in rng:
-                yield ((1, 0, x, y), (0, 1, y, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    elif family == 6:
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    yield (
-                        (1, 0, 0, y),
-                        (x, 1, y, x * y + z),
-                        (0, 0, 1, -x),
-                        (0, 0, 0, 1),
-                    )
-    elif family == 7:
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    yield ((1, 0, x, y), (0, 1, y, z), (0, 0, 1, 0), (0, 0, 0, 1))
-    elif family == 8:
-        for w in rng:
-            for x in rng:
-                for y in rng:
-                    for z in rng:
-                        yield (
-                            (1, 0, x, y),
-                            (w, 1, w * x + y, w * y + z),
-                            (0, 0, 1, -w),
-                            (0, 0, 0, 1),
-                        )
-    else:
-        raise ValueError("family must be 1..8")
+def _unipotents(free: str, p: int) -> list:
+    """``_unipotent`` at each value mod p of the free coordinates, w outermost."""
+    ranges = (range(p) if name in free else (0,) for name in "wxyz")
+    return [_unipotent(*coords) for coords in product(*ranges)]
 
 
-def bruhat_reps(p: int, families=range(1, 9)) -> np.ndarray:
+def bruhat_reps(p: int) -> np.ndarray:
     """All Bruhat-cell representatives of the level-p quotient, mod p, as one
     batch of torus * unipotent * Weyl word in family, torus, unipotent order.
     Raises ValueError if one of them is not symplectic mod p."""
@@ -102,12 +69,13 @@ def bruhat_reps(p: int, families=range(1, 9)) -> np.ndarray:
         raise ValueError("exhaustive representative lists are kept to p in {2, 3}")
     units = range(1, p)
     tori = [_torus(a1, a2, p) for a1 in units for a2 in units]
-    reps = np.empty((0, 16), dtype=np.uint8)
-    for family in families:
-        g = kernels.products(tori, list(_family_unipotents(family, p)), p)
-        for s in _WORDS[family]:
+    cells = []
+    for word, free in _CELLS.values():
+        g = kernels.products(tori, _unipotents(free, p), p)
+        for s in word:
             g = kernels.products(g, s, p)
-        reps = np.concatenate([reps, g])
+        cells.append(g)
+    reps = np.concatenate(cells)
     if not kernels.preserves_form(reps, J4, p).all():
         raise ValueError("a representative does not preserve the symplectic form")
     return reps
@@ -123,17 +91,9 @@ def sp4_order(p: int) -> int:
 
 def count_polynomial_identity() -> bool:
     """(q-1)^2 (1+2q+2q^2+2q^3+q^4) = (q^2-1)(q^4-1) as integer polynomials."""
-
-    def mul(f, g):
-        out = [0] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                out[i + j] += fi * gj
-        return out
-
-    lhs = mul(mul([-1, 1], [-1, 1]), [1, 2, 2, 2, 1])
-    rhs = mul([-1, 0, 1], [-1, 0, 0, 0, 1])
-    return lhs == rhs
+    lhs = np.convolve(np.convolve([-1, 1], [-1, 1]), [1, 2, 2, 2, 1])
+    rhs = np.convolve([-1, 0, 1], [-1, 0, 0, 0, 1])
+    return lhs.tolist() == rhs.tolist()
 
 
 # flat indices of the positions (1,2), (3,1), (3,2), (4,1), (4,2), (4,3)
@@ -145,8 +105,9 @@ def ksharp_mod_p_member(flat, p: int):
 
     The reduction consists of symplectic matrices vanishing at the six
     positions (1,2), (3,1), (3,2), (4,1), (4,2), (4,3) with corner diagonal
-    entries 1 and equal nonzero middle diagonal entries.  Takes one flat
-    matrix (returns a bool) or an (n, 16) batch (returns a boolean mask).
+    entries 1 and equal nonzero middle diagonal entries mu; with the form,
+    mu is forced to 1.  Takes one flat matrix (returns a bool) or an
+    (n, 16) batch (returns a boolean mask).
     """
     m = np.asarray(flat) % p
     mu = m[..., 5]
@@ -170,6 +131,8 @@ class CosetAuditReport:
     pairwise_distinct: bool
     covers_group: bool
     witness: Optional[tuple]
+    positions: Optional[tuple]  # (i, j): the first two representatives sharing a key
+    families: Optional[tuple]  # the family of each of them
 
     @property
     def passed(self) -> bool:
@@ -183,12 +146,9 @@ class CosetAuditReport:
 
 def ksharp_mod_p(p: int) -> np.ndarray:
     """The mod-p reduction of the level subgroup, code-sorted: the closure,
-    of order p**4, of four root-subgroup generators, each the identity
-    changed at the flat indices given."""
-    gens = [
-        tuple(change.get(i, e) for i, e in enumerate(kernels.IDENTITY))
-        for change in ({2: 1}, {7: 1}, {3: 1, 6: 1}, {4: 1, 11: -1})
-    ]
+    of order p**4, of L(w)*U(x, y, z) at the four unit vectors (w, x, y, z),
+    which is the unipotent part of family 8 as a set."""
+    gens = [_unipotent(*unit) for unit in np.eye(4, dtype=np.int64).tolist()]
     return kernels.group_closure(gens, p, max_size=p**4)
 
 
@@ -212,7 +172,8 @@ def coset_audit(p: int) -> CosetAuditReport:
     representatives with pairwise distinct keys have pairwise disjoint
     translates rK of |K| symplectic matrices; |Sp4(F_p)| / |K| of them
     cover Sp4(F_p).  The witness is the first representative whose key
-    an earlier one has.
+    an earlier one has, at positions (i, j) of ``bruhat_reps`` in families
+    read off the cells' sizes (p - 1)**2 * p**len(free).
     """
     reps = bruhat_reps(p)
     subgroup = ksharp_mod_p(p)
@@ -222,6 +183,11 @@ def coset_audit(p: int) -> CosetAuditReport:
     )
     keys = coset_keys(reps, p)
     repeated = np.setdiff1d(np.arange(len(keys)), kernels._unique_first(keys)[1])
+    positions = families = None
+    if len(repeated):
+        positions = (int(np.argmax(keys == keys[repeated[0]])), int(repeated[0]))
+        ends = np.cumsum([(p - 1) ** 2 * p ** len(free) for _, free in _CELLS.values()])
+        families = tuple(list(_CELLS)[k] for k in np.searchsorted(ends, positions, "right"))
     return CosetAuditReport(
         p=p,
         group_order=sp4_order(p),
@@ -231,6 +197,8 @@ def coset_audit(p: int) -> CosetAuditReport:
         pairwise_distinct=not len(repeated),
         covers_group=((len(reps) - len(repeated)) * len(subgroup) == sp4_order(p)),
         witness=tuple(reps[repeated[0]].tolist()) if len(repeated) else None,
+        positions=positions,
+        families=families,
     )
 
 
@@ -381,11 +349,6 @@ def eta_matrix(alpha: Batch, scale) -> MatrixBatch:
     return matrix([[1, 0, 0, 0], [a, 1, 0, 0], [0, 0, 1, -abar], [0, 0, 0, 1]], alpha.d)
 
 
-def lower_unipotent(w, d) -> MatrixBatch:
-    """The L(w) block unipotent appearing in families two and six."""
-    return matrix([[1, 0, 0, 0], [w, 1, 0, 0], [0, 0, 1, -w], [0, 0, 0, 1]], d)
-
-
 def _block_embed(g11, g12, g21, g22, d) -> MatrixBatch:
     """blockdiag(g, det(g) * transpose-inverse) on rows (1,2) and (3,4)."""
     z = 0
@@ -426,7 +389,7 @@ def identity_sides(which: str, draws: Dict[str, np.ndarray]):
         beta = alpha * pm + u * w
         valid &= beta.norm != 0
         bbar = beta.conjugate()
-        r = ediag(1, u, 1, 1 / u, d) * lower_unipotent(w, d) * s1
+        r = ediag(1, u, 1, 1 / u, d) * matrix(_unipotent(w, 0, 0, 0), d) * s1
         lhs = eta_matrix(alpha, pm) * r
         z = 0
         torus = ediag(-u / beta, beta, -bbar / u, 1 / bbar, d)
@@ -441,7 +404,7 @@ def identity_sides(which: str, draws: Dict[str, np.ndarray]):
     if which == "vi":
         beta = alpha * pm + u * w
         bbar = beta.conjugate()
-        r = ediag(1, u, 1, 1 / u, d) * lower_unipotent(w, d) * s1 * matrix(S2, d) * s1
+        r = ediag(1, u, 1, 1 / u, d) * matrix(_unipotent(w, 0, 0, 0), d) * s1 * matrix(S2, d) * s1
         lhs = eta_matrix(alpha, pm) * r
         z = 0
         left = matrix([[1, z, z, z], [z, z, z, u], [z, z, 1, z], [z, -(1 / u), z, z]], d)
@@ -484,7 +447,7 @@ def identity_sides(which: str, draws: Dict[str, np.ndarray]):
         h = ediag(varpi ** (2 * m + l), varpi ** (m + l), 1, varpi**m, d)
         h_inv = ediag(varpi ** -(2 * m + l), varpi ** -(m + l), 1, varpi**-m, d)
         lhs = h_inv * _block_embed(g11, g12, g21, g22, d) * h * ediag(1, -u, 1, -(1 / u), d)
-        rhs = ediag(1, u, 1, 1 / u, d) * lower_unipotent(w, d) * s1 * matrix(corner, d)
+        rhs = ediag(1, u, 1, 1 / u, d) * matrix(_unipotent(w, 0, 0, 0), d) * s1 * matrix(corner, d)
         return lhs, rhs, valid
 
     raise ValueError(f"unknown identity {which!r}; expected one of {IDENTITY_NAMES}")

@@ -526,8 +526,8 @@ class TestVerifyCosets:
     def test_duplicated_representative_fails_the_audit(self, monkeypatch, capsys):
         reps = cosets.bruhat_reps
 
-        def first_twice(p, *args):
-            out = reps(p, *args).copy()
+        def first_twice(p):
+            out = reps(p).copy()
             out[1] = out[0]
             return out
 
@@ -537,6 +537,8 @@ class TestVerifyCosets:
         assert [r["name"] for r in failed] == ["cosets/p2/audit"]
         witness = failed[0]["witness"]
         assert witness["pairwise_distinct"] is False
+        # rows 0 and 1 at p = 2: the one torus of family 1, then family 2's first
+        assert witness["positions"] == [0, 1] and witness["families"] == [1, 2]
         # the witness is g k for the doubled representative g and a k in
         # the level subgroup: g^-1 = -J g^T J for a symplectic g
         g = reps(2)[0].reshape(4, 4).astype(np.int64)
@@ -546,13 +548,14 @@ class TestVerifyCosets:
 
     def test_missing_representative_fails_the_count(self, monkeypatch, capsys):
         reps = cosets.bruhat_reps
-        monkeypatch.setattr(cosets, "bruhat_reps", lambda p, *args: reps(p, *args)[:-1])
+        monkeypatch.setattr(cosets, "bruhat_reps", lambda p: reps(p)[:-1])
         assert main(["verify-cosets", "--trials", "2", "--format", "machine"]) == 1
         failed = [r for r in strict_records_of(capsys.readouterr().out) if r["status"] != "pass"]
         assert [r["name"] for r in failed] == ["cosets/p2/audit"]
         witness = failed[0]["witness"]
         assert witness["covers_group"] is False
         assert witness["pairwise_distinct"] is True
+        assert witness["positions"] is None and witness["families"] is None
         assert witness["cosets"] == 44 and witness["group_order"] == 720
 
     def test_large_characteristic_is_rejected(self, capsys):

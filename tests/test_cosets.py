@@ -105,6 +105,67 @@ class TestEtaleMatrixProduct:
             assert _entries(plain, t) == _entries(lifted, t) == [[(0, 0), (1, 0), (P - 3, 0), (5, 0)]] * 4
 
 
+# The eight cells' unipotent parts as explicit loops, the first loop
+# outermost, and their Weyl words: the reference that the table
+# ``cosets._CELLS`` and the formula ``cosets._unipotent`` must reproduce.
+_REFERENCE_WORDS = {
+    1: (),
+    2: (cosets.S1,),
+    3: (cosets.S2,),
+    4: (cosets.S1, cosets.S2),
+    5: (cosets.S2, cosets.S1),
+    6: (cosets.S1, cosets.S2, cosets.S1),
+    7: (cosets.S2, cosets.S1, cosets.S2),
+    8: (cosets.S1, cosets.S2, cosets.S1, cosets.S2),
+}
+
+
+def _reference_unipotents(family: int, p: int):
+    rng = range(p)
+    if family == 1:
+        yield ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    elif family == 2:
+        for x in rng:
+            yield ((1, 0, 0, 0), (x, 1, 0, 0), (0, 0, 1, -x), (0, 0, 0, 1))
+    elif family == 3:
+        for x in rng:
+            yield ((1, 0, x, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    elif family == 4:
+        for x in rng:
+            for y in rng:
+                yield ((1, 0, 0, 0), (x, 1, 0, y), (0, 0, 1, -x), (0, 0, 0, 1))
+    elif family == 5:
+        for x in rng:
+            for y in rng:
+                yield ((1, 0, x, y), (0, 1, y, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    elif family == 6:
+        for x in rng:
+            for y in rng:
+                for z in rng:
+                    yield (
+                        (1, 0, 0, y),
+                        (x, 1, y, x * y + z),
+                        (0, 0, 1, -x),
+                        (0, 0, 0, 1),
+                    )
+    elif family == 7:
+        for x in rng:
+            for y in rng:
+                for z in rng:
+                    yield ((1, 0, x, y), (0, 1, y, z), (0, 0, 1, 0), (0, 0, 0, 1))
+    elif family == 8:
+        for w in rng:
+            for x in rng:
+                for y in rng:
+                    for z in rng:
+                        yield (
+                            (1, 0, x, y),
+                            (w, 1, w * x + y, w * y + z),
+                            (0, 0, 1, -w),
+                            (0, 0, 0, 1),
+                        )
+
+
 class TestBruhatReps:
     def test_count_p2(self):
         assert len(bruhat_reps(2)) == 45
@@ -116,9 +177,10 @@ class TestBruhatReps:
         for p in (2, 3):
             assert expected_rep_count(p) == (p**2 - 1) * (p**4 - 1)
 
-    def test_torus_family_alone(self):
+    def test_torus_family_alone(self, monkeypatch):
+        monkeypatch.setattr(cosets, "_CELLS", {1: cosets._CELLS[1]})
         for p in (2, 3):
-            assert len(bruhat_reps(p, families=[1])) == (p - 1) ** 2
+            assert len(bruhat_reps(p)) == (p - 1) ** 2
 
     def test_count_polynomial_identity(self):
         assert count_polynomial_identity()
@@ -131,35 +193,43 @@ class TestBruhatReps:
         bad = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         assert kernels.preserves_form([_flat(bad), IDENTITY], cosets.J4, 3).tolist() == [False, True]
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_table_reproduces_the_reference_families(self, p):
+        assert list(cosets._CELLS) == list(_REFERENCE_WORDS)
+        for family, (word, free) in cosets._CELLS.items():
+            assert word == _REFERENCE_WORDS[family]
+            assert cosets._unipotents(free, p) == list(_reference_unipotents(family, p))
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_batch_equals_scalar_construction(self, p):
         # The representatives one scalar product at a time: torus * unipotent,
         # then one product per letter of the Weyl word, in family, torus,
         # unipotent order.
         reference = []
-        for family in range(1, 9):
+        for family, word in _REFERENCE_WORDS.items():
             for a1 in range(1, p):
                 for a2 in range(1, p):
                     t = _flat(cosets._torus(a1, a2, p))
-                    for u in cosets._family_unipotents(family, p):
+                    for u in _reference_unipotents(family, p):
                         g = mat_mul_mod(t, _flat(u), p)
-                        for s in cosets._WORDS[family]:
+                        for s in word:
                             g = mat_mul_mod(g, _flat(s), p)
                         reference.append(g)
         reps = bruhat_reps(p)
         assert reps.dtype == np.uint8 and reps.shape == (len(reference), 16)
         assert [tuple(r) for r in reps.tolist()] == reference
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_family_8_unipotents_are_the_level_subgroup(self, p):
+        family8 = kernels._batch(cosets._unipotents(cosets._CELLS[8][1], p), p)
+        assert len(family8) == p**4
+        assert sorted(family8.tolist()) == ksharp_mod_p(p).tolist()
+
     def test_non_symplectic_representative_raises(self, monkeypatch):
         bad = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        monkeypatch.setattr(cosets, "_family_unipotents", lambda family, p: iter([bad]))
+        monkeypatch.setattr(cosets, "_CELLS", {2: ((bad,), "w")})
         with pytest.raises(ValueError, match="symplectic"):
-            bruhat_reps(3, families=[2])
-
-    def test_unknown_family_rejected(self):
-        for family in (0, 9):
-            with pytest.raises(ValueError, match="family"):
-                bruhat_reps(2, families=[1, family])
+            bruhat_reps(3)
 
 
 class TestCosetAudit:
@@ -180,12 +250,13 @@ class TestCosetAudit:
     @pytest.mark.parametrize("p", [2, 3])
     def test_missing_representative_fails_the_count(self, monkeypatch, p):
         reps = cosets.bruhat_reps
-        monkeypatch.setattr(cosets, "bruhat_reps", lambda p, *args: reps(p, *args)[:-1])
+        monkeypatch.setattr(cosets, "bruhat_reps", lambda p: reps(p)[:-1])
         report = coset_audit(p)
         assert not report.passed
         assert report.covers_group is False
         assert report.rep_count == expected_rep_count(p) - 1
         assert report.pairwise_distinct and report.witness is None
+        assert report.positions is None and report.families is None
 
     def test_large_p_rejected_by_the_representative_guard(self):
         with pytest.raises(ValueError, match="p in {2, 3}"):
@@ -204,7 +275,7 @@ class TestCosetAudit:
             reps[1] = reps[0]
         elif control == "missing":
             reps = reps[:-1]
-        monkeypatch.setattr(cosets, "bruhat_reps", lambda p, *args: reps)
+        monkeypatch.setattr(cosets, "bruhat_reps", lambda p: reps)
         report = coset_audit(p)
         subgroup = ksharp_mod_p(p)
         distinct, duplicate = mark_products(reps, subgroup, p)
@@ -217,6 +288,26 @@ class TestCosetAudit:
             # the repeated product lies in the witness's coset
             assert report.witness == tuple(reps[1].tolist())
             assert coset_keys(duplicate, p) == coset_keys(report.witness, p)
+            # family 1 holds the (p - 1)**2 tori, one row at p = 2
+            assert report.positions == (0, 1)
+            assert report.families == ((1, 1) if p == 3 else (1, 2))
+        else:
+            assert report.positions is None and report.families is None
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("free", ["wxz", "wxy", "xyz", "wxyz", "xz"])
+    def test_misstated_cell_fails_the_audit(self, monkeypatch, p, free):
+        # family 6's free coordinates are "wyz"; with x free, or y or z
+        # fixed at 0, two of its representatives share a coset
+        cells = dict(cosets._CELLS)
+        cells[6] = (cells[6][0], free)
+        monkeypatch.setattr(cosets, "_CELLS", cells)
+        report = coset_audit(p)
+        assert not report.passed and report.pairwise_distinct is False
+        i, j = report.positions
+        assert i < j and report.families == (6, 6)
+        assert report.witness == tuple(bruhat_reps(p)[j].tolist())
+        assert coset_keys(bruhat_reps(p)[i], p) == coset_keys(report.witness, p)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_carved_subgroup_fixes_the_key(self, p):
