@@ -182,7 +182,7 @@ def coset_audit(p: int) -> CosetAuditReport:
         and (coset_keys(subgroup, p) == coset_keys(kernels.IDENTITY, p)).all()
     )
     keys = coset_keys(reps, p)
-    repeated = np.setdiff1d(np.arange(len(keys)), kernels._unique_first(keys)[1])
+    repeated = np.setdiff1d(np.arange(len(keys)), np.unique(keys, return_index=True)[1])
     positions = families = None
     if len(repeated):
         positions = (int(np.argmax(keys == keys[repeated[0]])), int(repeated[0]))
@@ -377,80 +377,75 @@ def identity_sides(which: str, draws: Dict[str, np.ndarray]):
     valid = d != 0
     for name in ("c", "u", "w", "varpi"):
         valid &= draws[name] != 0
-    s1 = matrix(S1, d)
+    torus = ediag(1, u, 1, 1 / u, d)
 
     if which == "i":
-        torus = ediag(1, u, 1, 1 / u, d)
         lhs = eta_matrix(alpha, pm) * torus
         rhs = torus * eta_matrix(alpha, pm / u)
         return lhs, rhs, valid
+    if which not in IDENTITY_NAMES:
+        raise ValueError(f"unknown identity {which!r}; expected one of {IDENTITY_NAMES}")
 
-    if which == "ii":
-        beta = alpha * pm + u * w
-        valid &= beta.norm != 0
-        bbar = beta.conjugate()
-        r = ediag(1, u, 1, 1 / u, d) * matrix(_unipotent(w, 0, 0, 0), d) * s1
-        lhs = eta_matrix(alpha, pm) * r
-        z = 0
-        torus = ediag(-u / beta, beta, -bbar / u, 1 / bbar, d)
-        upper = matrix(
-            [[1, -beta / u, z, z], [z, 1, z, z], [z, z, 1, z], [z, z, bbar / u, 1]], d
-        )
-        lower = matrix(
-            [[1, z, z, z], [u / beta, 1, z, z], [z, z, 1, -(u / bbar)], [z, z, z, 1]], d
-        )
-        return lhs, torus * upper * lower, valid
+    # the other four start from torus * L(w) * S1
+    s1 = matrix(S1, d)
+    head = torus * matrix(_unipotent(w, 0, 0, 0), d) * s1
+    z = 0
 
-    if which == "vi":
+    if which in ("ii", "vi"):
         beta = alpha * pm + u * w
         bbar = beta.conjugate()
-        r = ediag(1, u, 1, 1 / u, d) * matrix(_unipotent(w, 0, 0, 0), d) * s1 * matrix(S2, d) * s1
-        lhs = eta_matrix(alpha, pm) * r
-        z = 0
+        if which == "ii":
+            valid &= beta.norm != 0
+            lhs = eta_matrix(alpha, pm) * head
+            diagonal = ediag(-u / beta, beta, -bbar / u, 1 / bbar, d)
+            upper = matrix(
+                [[1, -beta / u, z, z], [z, 1, z, z], [z, z, 1, z], [z, z, bbar / u, 1]], d
+            )
+            lower = matrix(
+                [[1, z, z, z], [u / beta, 1, z, z], [z, z, 1, -(u / bbar)], [z, z, z, 1]], d
+            )
+            return lhs, diagonal * upper * lower, valid
+        lhs = eta_matrix(alpha, pm) * (head * matrix(S2, d) * s1)
         left = matrix([[1, z, z, z], [z, z, z, u], [z, z, 1, z], [z, -(1 / u), z, z]], d)
         right = matrix(
             [[1, z, z, z], [z, 1, z, z], [z, bbar / u, 1, z], [beta / u, z, z, 1]], d
         )
         return lhs, left * right, valid
 
-    if which in ("m0-equiv", "mpos-equiv"):
-        l = draws["l"]
-        if which == "m0-equiv":
-            m = 0
-            v = a + b * (u * w) + c * (u * w) ** 2
-            valid &= v.x0 != 0
-            y = -u / v
-            x = -(u / v) * (c * w * u + b / 2)
-            corner = [
-                [1, 0, 0, 0],
-                [-u * (b + c * u * w) / v, c * u * u / v, 0, 0],
-                [0, 0, c * u * u / v, u * (b + c * u * w) / v],
-                [0, 0, 0, 1],
-            ]
-        else:
-            m = draws["m"]
-            pm = varpi**m
-            x = b * pm / (2 * c * w * w * u) - 1 / w
-            y = -pm / (c * w * w * u)
-            top = 1 + pm * pm * a / (c * w * w * u * u)
-            off = b * pm / (c * w * w * u)
-            corner = [
-                [top, -off, 0, 0],
-                [-1 / w, 1 / (w * w), 0, 0],
-                [0, 0, 1 / (w * w), 1 / w],
-                [0, 0, off, top],
-            ]
-        g11 = x + y * b / 2
-        g12 = y * c
-        g21 = -y * a
-        g22 = x - y * b / 2
-        h = ediag(varpi ** (2 * m + l), varpi ** (m + l), 1, varpi**m, d)
-        h_inv = ediag(varpi ** -(2 * m + l), varpi ** -(m + l), 1, varpi**-m, d)
-        lhs = h_inv * _block_embed(g11, g12, g21, g22, d) * h * ediag(1, -u, 1, -(1 / u), d)
-        rhs = ediag(1, u, 1, 1 / u, d) * matrix(_unipotent(w, 0, 0, 0), d) * s1 * matrix(corner, d)
-        return lhs, rhs, valid
-
-    raise ValueError(f"unknown identity {which!r}; expected one of {IDENTITY_NAMES}")
+    l = draws["l"]
+    if which == "m0-equiv":
+        m = 0
+        v = a + b * (u * w) + c * (u * w) ** 2
+        valid &= v.x0 != 0
+        y = -u / v
+        x = -(u / v) * (c * w * u + b / 2)
+        corner = [
+            [1, 0, 0, 0],
+            [-u * (b + c * u * w) / v, c * u * u / v, 0, 0],
+            [0, 0, c * u * u / v, u * (b + c * u * w) / v],
+            [0, 0, 0, 1],
+        ]
+    else:
+        m = draws["m"]
+        pm = varpi**m
+        x = b * pm / (2 * c * w * w * u) - 1 / w
+        y = -pm / (c * w * w * u)
+        top = 1 + pm * pm * a / (c * w * w * u * u)
+        off = b * pm / (c * w * w * u)
+        corner = [
+            [top, -off, 0, 0],
+            [-1 / w, 1 / (w * w), 0, 0],
+            [0, 0, 1 / (w * w), 1 / w],
+            [0, 0, off, top],
+        ]
+    g11 = x + y * b / 2
+    g12 = y * c
+    g21 = -y * a
+    g22 = x - y * b / 2
+    h = ediag(varpi ** (2 * m + l), varpi ** (m + l), 1, varpi**m, d)
+    h_inv = ediag(varpi ** -(2 * m + l), varpi ** -(m + l), 1, varpi**-m, d)
+    lhs = h_inv * _block_embed(g11, g12, g21, g22, d) * h * ediag(1, -u, 1, -(1 / u), d)
+    return lhs, head * matrix(corner, d), valid
 
 
 def matrix_identity_witness(
@@ -505,34 +500,3 @@ def verify_matrix_identity(which: str, trials: int = 50, seed: int = 20260816) -
     (8 at m = 1).
     """
     return matrix_identity_witness(which, trials, seed) is None
-
-
-# --------------------------------------------------------------------------
-# support classification
-
-_FAMILIES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
-
-
-def support_classify(family: str, m: int, beta_class: Optional[str] = None) -> bool:
-    """Whether a double coset from the given family meets the support.
-
-    Families iii, iv, v, vii, viii never do (coefficient obstructions);
-    family i always does; family ii exactly when beta is a unit; family vi
-    exactly when beta has positive valuation, which cannot happen at m = 0.
-    """
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {_FAMILIES}")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if family in ("ii", "vi"):
-        if beta_class not in ("unit", "in_P", "other"):
-            raise ValueError("families ii and vi need beta_class")
-    elif beta_class is not None:
-        raise ValueError("beta_class is meaningful only for families ii and vi")
-    if family == "i":
-        return True
-    if family == "ii":
-        return beta_class == "unit"
-    if family == "vi":
-        return m > 0 and beta_class == "in_P"
-    return False

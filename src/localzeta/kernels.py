@@ -8,10 +8,9 @@ the rows g with g^T F g = F, ``group_closure`` builds the level subgroup,
 and ``mark_products`` counts every product rep*k (the tests' oracle for
 the audit).  Each matrix has one int64 code, sum(entry_i * p**(15 - i));
 the code is big-endian, so code order is the lexicographic order of the
-tuples, and deduplication is a stable ``np.argsort`` of codes and
-``np.searchsorted`` into the sorted codes already known (numpy's
-``np.unique`` and ``np.isin`` give the same answers, many times slower at
-the audit's sizes).  The scalar ``mat_mul_mod`` is only a reference.
+tuples, and ``np.unique(codes, return_index=True)`` deduplicates a batch,
+keeping each code's first occurrence.  The scalar ``mat_mul_mod`` is only
+a reference.
 """
 
 from __future__ import annotations
@@ -56,16 +55,6 @@ def _codes(batch: np.ndarray, p: int) -> np.ndarray:
     return codes
 
 
-def _unique_first(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct codes in ascending order and the index of each one's
-    first occurrence: ``np.unique(codes, return_index=True)``."""
-    order = np.argsort(codes, kind="stable")  # equal codes keep their index order
-    ranked = codes[order]
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    return ranked[first], order[first]
-
-
 def products(left, right, p: int) -> np.ndarray:
     """All products l * r mod p, left-major, as an (len(left) * len(right), 16) batch."""
     a = _batch(left, p).astype(np.int16).reshape(-1, 1, 4, 4)
@@ -91,17 +80,13 @@ def group_closure(gens, p: int, max_size: int) -> np.ndarray:
     RuntimeError if the closure exceeds max_size.
     """
     gens = _batch(gens, p)
-    group = _batch(IDENTITY, p)
-    group_codes = _codes(group, p)  # ascending, row for row with group
-    frontier = group
+    group = frontier = _batch(IDENTITY, p)
     while len(frontier):
-        prods = products(frontier, gens, p)
-        codes, first = _unique_first(_codes(prods, p))
-        at = np.searchsorted(group_codes, codes)
-        fresh = group_codes[np.minimum(at, len(group_codes) - 1)] != codes
-        frontier = prods[first[fresh]]
-        group = np.insert(group, at[fresh], frontier, axis=0)
-        group_codes = np.insert(group_codes, at[fresh], codes[fresh])
+        both = np.concatenate([group, products(frontier, gens, p)])
+        first = np.unique(_codes(both, p), return_index=True)[1]
+        # the group's rows come first, so a first occurrence past them is new
+        frontier = both[first[first >= len(group)]]
+        group = both[first]
         if len(group) > max_size:
             raise RuntimeError(f"group closure exceeded {max_size} elements")
     return group
@@ -117,10 +102,9 @@ def mark_products(reps, subgroup, p: int) -> tuple[int, tuple[int, ...] | None]:
     len(reps)*len(subgroup).
     """
     prods = products(reps, subgroup, p)
-    codes = _codes(prods, p)
-    first = _unique_first(codes)[1]
-    if len(first) == len(codes):
+    first = np.unique(_codes(prods, p), return_index=True)[1]
+    if len(first) == len(prods):
         return len(first), None
-    repeated = np.ones(len(codes), dtype=bool)
+    repeated = np.ones(len(prods), dtype=bool)
     repeated[first] = False
     return len(first), tuple(prods[np.argmax(repeated)].tolist())

@@ -26,7 +26,6 @@ from localzeta.cosets import (
     ksharp_mod_p_member,
     matrix_identity_witness,
     sp4_order,
-    support_classify,
     verify_matrix_identity,
     vol_k_sharp,
     volume_V1,
@@ -454,11 +453,14 @@ class TestKernels:
             seen.add(prod)
         assert mark_products(reps, subgroup, p) == (len(seen), duplicate)
 
+    @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sorted_codes_match_the_numpy_set_operations(self, seed):
-        # The kernels' stable sort and searchsorted against np.unique and
-        # np.isin, on SplitMix64-drawn p = 3 batches with planted duplicates.
-        p, mix = 3, SplitMix64(seed)
+    def test_sorted_codes_match_the_numpy_set_operations(self, seed, p):
+        # The np.unique closure and marks against a reference that grows
+        # the group by np.isin of each round's codes in the codes known and
+        # sorts it once at the end, on SplitMix64-drawn batches with planted
+        # duplicates at both audited primes.
+        mix = SplitMix64(seed)
         codes = kernels._codes
 
         def unique_closure(gens, max_size):
@@ -700,38 +702,6 @@ class TestMatrixIdentities:
         a, b, c = (Batch(draws[name], 0, draws["d"]) for name in "abc")
         root = c * alpha * alpha - b * alpha + a  # in F_P[X]/(X^2 - d)
         assert not root.x0.any() and not root.x1.any()
-
-
-class TestSupportClassify:
-    def test_torus_family_always_supported(self):
-        for m in (0, 1, 5):
-            assert support_classify("i", m)
-
-    def test_family_ii_needs_unit_beta(self):
-        assert support_classify("ii", 0, "unit")
-        assert not support_classify("ii", 2, "in_P")
-        assert not support_classify("ii", 2, "other")
-
-    def test_family_vi_needs_positive_m_and_small_beta(self):
-        assert support_classify("vi", 1, "in_P")
-        assert support_classify("vi", 2, "in_P")
-        assert not support_classify("vi", 0, "in_P")
-        assert not support_classify("vi", 1, "unit")
-
-    def test_obstructed_families(self):
-        for family in ("iii", "iv", "v", "vii", "viii"):
-            for m in (0, 1, 3):
-                assert not support_classify(family, m)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            support_classify("ii", 1)
-        with pytest.raises(ValueError):
-            support_classify("iii", 1, "unit")
-        with pytest.raises(ValueError):
-            support_classify("ix", 1)
-        with pytest.raises(ValueError):
-            support_classify("i", -1)
 
 
 class TestVolumes:
