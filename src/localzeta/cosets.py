@@ -173,7 +173,7 @@ def coset_audit(p: int) -> CosetAuditReport:
     translates rK of |K| symplectic matrices; |Sp4(F_p)| / |K| of them
     cover Sp4(F_p).  The witness is the first representative whose key
     an earlier one has, at positions (i, j) of ``bruhat_reps`` in families
-    read off the cells' sizes (p - 1)**2 * p**len(free).
+    read off the cells' sizes (p - 1)**2 * p**len(free), or None past them.
     """
     reps = bruhat_reps(p)
     subgroup = ksharp_mod_p(p)
@@ -187,7 +187,7 @@ def coset_audit(p: int) -> CosetAuditReport:
     if len(repeated):
         positions = (int(np.argmax(keys == keys[repeated[0]])), int(repeated[0]))
         ends = np.cumsum([(p - 1) ** 2 * p ** len(free) for _, free in _CELLS.values()])
-        families = tuple(list(_CELLS)[k] for k in np.searchsorted(ends, positions, "right"))
+        families = tuple((*_CELLS, None)[k] for k in np.searchsorted(ends, positions, "right"))
     return CosetAuditReport(
         p=p,
         group_order=sp4_order(p),

@@ -12,9 +12,9 @@ The local check needs only what is here: scalar sums, differences,
 products and inverses; products of polynomials in one formal variable
 (built from their factors by factor_product); a rational function
 normalised so that its denominator has constant term 1; and its Taylor
-series through a fixed order (series_of), compared coefficient by
-coefficient.  Degrees in this problem never exceed 8, so nothing clever
-is needed.
+coefficients through a fixed order as unreduced triples (series_terms),
+compared by cross-multiplication (terms_equal), with only a witness
+reduced (series_of is the reduced view).  Degrees never exceed 8.
 
 The arithmetic runs on Python integers alone; floating point appears only
 where __complex__ and eval_complex leave the algebra.  Rational values
@@ -251,7 +251,7 @@ class Poly:
     Trailing zeros are stripped; the zero polynomial has no coefficients
     and degree -1.  The operations are * (by a Poly or a scalar), ==,
     truncate() to a series, and complex evaluation.  delta, if not None, is
-    an integer with delta^j c_j in Z[sqrt(q)] for j >= 1, for series_of;
+    an integer with delta^j c_j in Z[sqrt(q)] for j >= 1, for series_terms;
     factor_product sets it, and arithmetic does not carry it.
     """
 
@@ -514,20 +514,9 @@ class TruncatedSeries:
         return f"TruncatedSeries({[str(c) for c in self.coefficients]})"
 
 
-def scaled_product(x: QuadCoeff, y: QuadCoeff, num: int, den: int) -> QuadCoeff:
-    """x * y * num/den for integers num and den > 0, reduced once: the
-    triple of x * (y * Rational(num, den)), from one gcd instead of three."""
-    A1, B1, D1, q = x._v
-    A2, B2, D2, q2 = y._v
-    if q2 != q:
-        raise ValueError(f"cannot mix Q(sqrt({q})) and Q(sqrt({q2}))")
-    return _reduced(
-        (A1 * A2 + B1 * B2 * q) * num, (A1 * B2 + B1 * A2) * num, D1 * D2 * den, q
-    )
-
-
-def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
-    """Taylor expansion of rf at t = 0 through order n, by long division.
+def series_terms(rf: RationalFunction, n: int) -> list:
+    """Taylor coefficients of rf at t = 0 through order n, by long division,
+    as unreduced triples (A, B, D) = (A + B*sqrt(q))/D with D > 0.
 
     With num = sum c_k t^k and den = sum d_k t^k, the expansion s
     satisfies s_k = c_k - sum_{j>=1} d_j s_{k-j}: RationalFunction already
@@ -536,9 +525,8 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
     The recurrence runs fraction-free in Z[sqrt(q)].  With N the lcm of the
     denominators of c_0 ... c_n and delta = den.delta (from factor_product)
     or else the lcm of the d_j's, E_j = delta^j d_j is integral (checked),
-    and S_k = N delta^k s_k = N delta^k c_k - sum_{j>=1} E_j S_{k-j}.  Each
-    s_k is reduced once, by gcd(N delta^k, A, B), to the normal form that
-    QuadCoeff arithmetic gives.
+    and S_k = N delta^k s_k = N delta^k c_k - sum_{j>=1} E_j S_{k-j}.  Term
+    k is (A, B, N delta^k) with S_k = A + B sqrt(q); nothing is reduced.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -557,7 +545,7 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
         if dA or dB:
             scaled.append((j, dA * f, dB * f * q, dB * f))
     scale = lcm(*(D for _, _, D in num))  # N delta^k, advanced by delta each k
-    S, out = [], []
+    out = []
     for k in range(n + 1):
         A, B, D = num[k] if k < len(num) else (0, 0, scale)
         f = scale // D
@@ -565,11 +553,22 @@ def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
         for j, eA, eBq, eB in scaled:
             if j > k:
                 break
-            sA, sB = S[k - j]
+            sA, sB, _ = out[k - j]
             A -= eA * sA + eBq * sB
             B -= eA * sB + eB * sA
-        S.append((A, B))
-        g = gcd(scale, A, B)
-        out.append(_quad(A // g, B // g, scale // g, q))
+        out.append((A, B, scale))
         scale *= delta
-    return TruncatedSeries(out, q)
+    return out
+
+
+def series_of(rf: RationalFunction, n: int) -> TruncatedSeries:
+    """series_terms with each term reduced once, by gcd(D, A, B), to the
+    normal form of QuadCoeff arithmetic.  The local check compares the
+    unreduced terms instead (terms_equal) and reduces only a witness."""
+    return TruncatedSeries([_reduced(*t, rf.q) for t in series_terms(rf, n)], rf.q)
+
+
+def terms_equal(x: tuple, y: tuple) -> bool:
+    """Equality of unreduced triples (A, B, D), D > 0, by cross-multiplication:
+    the test of equal pairs (a, b), so of equal normal forms, with no gcd."""
+    return x[0] * y[2] == y[0] * x[2] and x[1] * y[2] == y[1] * x[2]

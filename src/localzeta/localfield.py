@@ -261,7 +261,7 @@ def volume_numerators(local: LocalQuadData, l: int, m: int) -> Tuple[int, int, i
     if l < 0 or m < 0:
         raise ValueError("l and m must be non-negative")
     # local.q without the property: volume_row calls this once per row of
-    # m > 0 cells and zeta._z_series_m_zero once per l
+    # m > 0 cells and zeta._m_zero_terms once per l
     q = local.p
     n1 = (q - local.symbol) * q ** (4 * m + 3 * l)
     return n1, (n1 * q if m else 0), (q + 1) * (q**4 - 1)

@@ -15,19 +15,12 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 from .exact import (
-    QuadCoeff,
-    Rational,
-    RationalFunction,
-    TruncatedSeries,
-    factor_product,
-    q_half_power,
-    rat,
-    scaled_product,
-    series_of,
+    QuadCoeff, Rational, RationalFunction, TruncatedSeries, _reduced, factor_product, q_half_power, rat,
+    series_terms, terms_equal,
 )
 from .localfield import LocalQuadData, SplittingSymbol, uniformizer_values, volume_numerators, volume_row
 from .satake import SatakeParams, SteinbergData, chi_piF_from, l8_inverse, l_tau_ai_chi_inverse
-from .sugano import bessel_values, sugano_polys
+from .sugano import sugano_polys
 
 #: The unramified factor below is assembled as the unique quotient shape
 #: consistent with the global product; the underlying general formula is
@@ -79,17 +72,17 @@ def _nonzero_brackets(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, Rati
     values W_diag = Omega(varpi)^l q^(-l) = P/R and W_al = -P/(R q), with
     P = Omega.num^l and R = (Omega.den q)^l running integers, and its volume
     numerators V1 = n1/den, V2 = n2/den from localfield.volume_row.  Over
-    R q den the bracket is the integer c1 n1 + c2 n2, c1 = P q and c2 = -P,
-    and a Rational is built only when it is not zero.
+    R q den the bracket is the integer P (q n1 - n2), P != 0; q n1 - n2 is
+    tested, and multiplied by P into a Rational only where it is non-zero.
     """
     q, local, omega = sc.q, sc.local, sc.st.omega_piF
     p, r = 1, 1
     for l in range(0, n - 1):
-        c1, c2, w_den = p * q, -p, r * q
+        w_den = r * q
         for m, (n1, n2, v_den) in enumerate(volume_row(local, l, (n - l) // 2), 1):
-            num = c1 * n1 + c2 * n2
-            if num:
-                yield l, m, Rational(num, w_den * v_den)
+            d = q * n1 - n2
+            if d:
+                yield l, m, Rational(p * d, w_den * v_den)
         p, r = p * omega.numerator, r * omega.denominator * q
 
 
@@ -123,28 +116,30 @@ def z_series_m_positive(sc: ScenarioData, n: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, q)
 
 
-def _z_series_m_zero(sc: ScenarioData, n: int) -> TruncatedSeries:
-    """The m = 0 part of the coset sum: every term of z_series_direct but
-    the m > 0 families.  Coefficient l is the Bessel value times the running
-    character factor times W_diag(l) V1(l, 0), the last two kept as one
-    integer fraction (Omega/q)^l n1/den, and is reduced once."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
+def _m_zero_terms(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, int]]:
+    """The m = 0 part of the coset sum, every term of z_series_direct but
+    the m > 0 families, as unreduced triples (A, B, D) = (A + B sqrt(q))/D.
+
+    Term l is the Bessel triple of exact.series_terms(H/Q) times the
+    character factor (q - 1) (sqrt(q)/(omega_pi Omega^2 q^2))^l times
+    W_diag(l) V1(l, 0) = (Omega/q)^l n1/den.  The rational steps run as one
+    integer fraction c/d, sqrt(q)^l puts q^(l // 2) into c, and an odd l
+    swaps (A, B) to (B q, A).  series_terms rejects a negative order."""
     q = sc.q
-    bessel = bessel_values(sugano_polys(sc.local, sc.sat), n)
-    # (1/omega_pi)^l (1/omega)^(2l) q^(-3l/2), advanced one l at a time.
-    step = q_half_power(q, -3) * (1 / (sc.sat.omega_pi_piF * sc.st.omega_piF**2))
-    char = QuadCoeff.rational(q - 1, q)
-    omega = sc.st.omega_piF
-    w_num, w_den = 1, 1
-    coeffs = []
-    for l in range(n + 1):
+    sp = sugano_polys(sc.local, sc.sat)
+    step = 1 / (sc.sat.omega_pi_piF * sc.st.omega_piF**2 * q**2) * (sc.st.omega_piF / q)
+    c, d = q - 1, 1
+    for l, (A, B, D) in enumerate(series_terms(RationalFunction(sp.H, sp.Q), n)):
         n1, _, v_den = volume_numerators(sc.local, l, 0)
-        coeffs.append(scaled_product(bessel[l], char, w_num * n1, w_den * v_den))
-        char = char * step
-        w_num *= omega.numerator
-        w_den *= omega.denominator * q
-    return TruncatedSeries(coeffs, q)
+        f = c * n1
+        A, B, D = A * f, B * f, D * d * v_den
+        yield (B * q, A, D) if l % 2 else (A, B, D)
+        c, d = c * step.numerator * (q if l % 2 else 1), d * step.denominator
+
+
+def _z_series_m_zero(sc: ScenarioData, n: int) -> TruncatedSeries:
+    """The m = 0 part of the coset sum, each term of _m_zero_terms reduced."""
+    return TruncatedSeries([_reduced(*t, sc.q) for t in _m_zero_terms(sc, n)], sc.q)
 
 
 def z_series_direct(sc: ScenarioData, n: int) -> TruncatedSeries:
@@ -188,25 +183,28 @@ class Theorem1Report:
 def verify_theorem1(sc: ScenarioData, n: int = 25) -> Theorem1Report:
     """Compare the direct coset sum against the closed form through order n.
 
-    The m > 0 series must vanish.  It joins the direct side only when it
-    does not, since in normal form x + 0 is x."""
+    Both sides are unreduced triples (A + B sqrt(q))/D, from _m_zero_terms
+    and series_terms, compared by cross-multiplication (terms_equal); only
+    the two at the first difference are reduced, for the witness.  The m > 0
+    series must vanish; it joins the direct triples only when it does not."""
     partial = z_series_m_positive(sc, n)
     vanishes = not any(partial.coefficients)
-    direct = _z_series_m_zero(sc, n)
-    closed = series_of(z_closed_form(sc), n)
+    direct = list(_m_zero_terms(sc, n))
+    closed = series_terms(z_closed_form(sc), n)
     cell = None
     if not vanishes:
-        direct = direct + partial
+        pairs = zip(direct, (c._v for c in partial.coefficients))
+        direct = [(A * pD + pA * D, B * pD + pB * D, D * pD) for (A, B, D), (pA, pB, pD, _) in pairs]
         cell = next(((l, m) for l, m, _ in _nonzero_brackets(sc, n)), None)
-    idx = direct.first_difference(closed)
+    idx = next((k for k, (x, y) in enumerate(zip(direct, closed)) if not terms_equal(x, y)), None)
     return Theorem1Report(
         ok=(idx is None and vanishes),
         order=n,
         series_match=idx is None,
         m_positive_vanishes=vanishes,
         first_difference=idx,
-        direct_coefficient=None if idx is None else str(direct[idx]),
-        closed_coefficient=None if idx is None else str(closed[idx]),
+        direct_coefficient=None if idx is None else str(_reduced(*direct[idx], sc.q)),
+        closed_coefficient=None if idx is None else str(_reduced(*closed[idx], sc.q)),
         first_nonzero_cell=cell,
     )
 

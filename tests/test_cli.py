@@ -296,7 +296,7 @@ class TestVerifyLocal:
             ]
         }
         path = write_doc(doc)
-        with within(10):
+        with within(3):
             code = main(["verify-local", "--input", path, "--order", "80", "--format", "machine"])
         assert code == 0
         assert records_of(capsys.readouterr().out) == [

@@ -257,6 +257,21 @@ class TestCosetAudit:
         assert report.pairwise_distinct and report.witness is None
         assert report.positions is None and report.families is None
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_extra_row_past_the_cells_fails_with_no_family(self, monkeypatch, p):
+        """A copy of row 3 appended after the last cell: a failing report
+        whose second position has no family, not an IndexError."""
+        reps = cosets.bruhat_reps
+        monkeypatch.setattr(cosets, "bruhat_reps", lambda p: np.concatenate([reps(p), reps(p)[3:4]]))
+        report = coset_audit(p)
+        n = expected_rep_count(p)
+        assert not report.passed
+        assert report.pairwise_distinct is False
+        assert report.rep_count == n + 1
+        assert report.positions == (3, n)
+        assert report.families[1] is None and report.families[0] is not None
+        assert report.witness == tuple(reps(p)[3].tolist())
+
     def test_large_p_rejected_by_the_representative_guard(self):
         with pytest.raises(ValueError, match="p in {2, 3}"):
             coset_audit(5)

@@ -13,13 +13,17 @@ from localzeta.exact import (
     TruncatedSeries,
     factor_product,
     q_half_power,
+    _reduced,
     rat,
     series_of,
+    series_terms,
+    terms_equal,
 )
 from localzeta.localfield import SplittingSymbol
 from localzeta.rng import scenario_stream
 from localzeta.satake import l8_inverse
 from localzeta.sugano import sugano_polys
+from localzeta.zeta import z_closed_form
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12).map(
     lambda f: rat(f.numerator) / rat(f.denominator)
@@ -331,6 +335,26 @@ class TestSeries:
                     c._v for c in series_by_dispatch(rf, n)
                 ]
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("symbol", list(SplittingSymbol))
+    def test_series_of_is_the_reduced_terms_at_order_80(self, q, symbol):
+        """On the Bessel and closed sides of the identity, each unreduced
+        term of series_terms is the series_of coefficient: the same value
+        as Fraction reduces it, and equal to it by cross-multiplication."""
+        n = 80
+        for sc in scenario_stream(3281, symbol, q, 2):
+            sp = sugano_polys(sc.local, sc.sat)
+            for rf in (RationalFunction(sp.H, sp.Q), z_closed_form(sc)):
+                terms = series_terms(rf, n)
+                reduced = series_of(rf, n).coefficients
+                assert len(terms) == len(reduced) == n + 1
+                for (A, B, D), c in zip(terms, reduced):
+                    assert D > 0
+                    assert c == QuadCoeff(rat(A, D), rat(B, D), q)
+                    assert terms_equal((A, B, D), c._v[:3])
+                # Unreduced: the denominators are N delta^k as they stand.
+                assert len({D for _, _, D in terms}) == n + 1
+
     def test_delta_that_does_not_divide_raises(self):
         den = Poly([1, rat(-1, 3), rat(1, 9)], 5, delta=2)
         with pytest.raises(ValueError, match="delta = 2"):
@@ -388,3 +412,44 @@ class TestSeries:
     def test_rational_backend_exact(self):
         assert Rational(1, 3) + Rational(1, 6) == Rational(1, 2)
         assert rat("3/4") == rat(3, 4)
+
+
+ints = st.integers(min_value=-30, max_value=30)
+triples = st.tuples(ints, ints, st.integers(min_value=1, max_value=30))
+factors = st.integers(min_value=1, max_value=12)
+
+
+class TestTermsEqual:
+    """Cross-multiplied equality of unreduced triples (A + B sqrt(q))/D is
+    equality of their normal forms."""
+
+    @given(
+        st.one_of(
+            # Random pairs, mostly unequal.
+            st.tuples(triples, triples),
+            # One value with two different common factors.
+            st.tuples(triples, factors, factors).map(
+                lambda t: (tuple(x * t[1] for x in t[0]), tuple(x * t[2] for x in t[0]))
+            ),
+            # Scaled copies with one part nudged.
+            st.tuples(triples, factors, st.sampled_from([0, 1])).map(
+                lambda t: (
+                    tuple(x * t[1] for x in t[0]),
+                    tuple(x + (i == t[2]) for i, x in enumerate(t[0])),
+                )
+            ),
+        ),
+        st.sampled_from([2, 3, 5, 4, -3]),
+    )
+    @settings(max_examples=300)
+    def test_agrees_with_normal_form_equality(self, pair, q):
+        x, y = pair
+        assert terms_equal(x, y) == (_reduced(*x, q) == _reduced(*y, q))
+        assert terms_equal(x, y) == terms_equal(y, x)
+
+    def test_zero_signs_and_common_factors(self):
+        assert terms_equal((0, 0, 1), (0, 0, 7))
+        assert terms_equal((-2, 4, 6), (-1, 2, 3))
+        assert not terms_equal((-2, 4, 6), (2, -4, 6))
+        assert not terms_equal((1, 2, 3), (2, 1, 3))
+        assert not terms_equal((0, 1, 2), (0, 0, 2))

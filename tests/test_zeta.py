@@ -367,6 +367,27 @@ class TestReportMatchesTermByTermSum:
             assert not report.m_positive_vanishes
             assert report == report_term_by_term(sc, 25)
 
+    @pytest.mark.parametrize("kind", [None, "gamma"])
+    def test_81_digit_denominators_at_order_80(self, kind):
+        """The 81-digit scenario of the CLI test (Satake values and Omega
+        over D = 10^80 + 129), passing and with a value doubled: the same
+        report, witness strings included, as the term-by-term sum."""
+        d = 10**80 + 129
+        sc = ScenarioData(
+            local=LocalQuadData(
+                p=3,
+                symbol=SplittingSymbol.SPLIT,
+                lambda_piF=rat(6, d * d),
+                lambda_piL=rat(2, d),
+                lambda_piF_over_piL=rat(3, d),
+            ),
+            sat=SatakeParams(rat(1), rat(2, d), rat(3, d)),
+            st=SteinbergData(rat(5, d)),
+        )
+        report = verify_theorem1(tampered(sc, kind), 80)
+        assert report.ok is (kind is None)
+        assert report == report_term_by_term(sc, 80)
+
 
 class TestNegativeControls:
     def test_corrupted_split_lambda(self):
