@@ -11,9 +11,9 @@ from localzeta.exact import (
     Rational,
     RationalFunction,
     TruncatedSeries,
+    _reduced,
     factor_product,
     q_half_power,
-    _reduced,
     rat,
     series_of,
     series_terms,
