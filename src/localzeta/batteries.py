@@ -182,16 +182,18 @@ def local_checks(
 
 def _lfactor_report(sc: ScenarioData) -> Tuple[bool, Witness]:
     rf = zeta.z_closed_form(sc)
-    return True, {
-        "q": sc.local.q,
-        "symbol": SYMBOL_NAMES[sc.local.symbol],
-        "factor": f"({rf.num.to_str()}) / ({rf.den.to_str()})",
-    }
+    witness = {"q": sc.local.q, "symbol": SYMBOL_NAMES[sc.local.symbol]}
+    try:
+        witness["factor"] = f"({rf.num.to_str()}) / ({rf.den.to_str()})"
+    except ValueError:  # a coefficient past int()'s limit on decimal digits
+        witness["error"] = "a coefficient has too many digits to print"
+    return "factor" in witness, witness
 
 
 def lfactor_checks(scenarios: Optional[Sequence[ScenarioData]] = None) -> List[Check]:
     """The closed-form local factor of each scenario (default: the trivial
-    one at q = 2, inert); these records always pass and carry the factor."""
+    one at q = 2, inert); these records carry the factor, and fail only when
+    it has a coefficient too long to print."""
     if scenarios is None:
         one = rat(1)
         scenarios = [ScenarioData(trivial_local(2, SplittingSymbol.INERT), SatakeParams(one, one, one), SteinbergData(one))]

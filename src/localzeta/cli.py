@@ -208,7 +208,10 @@ def _parse_rational(value: object, where: str):
         m = _RATIONAL_RE.match(value)
         if not m:
             raise InputError(f"{where}: expected 'num/den', got {value!r}")
-        num, den = int(m.group(1)), int(m.group(2) or 1)
+        try:
+            num, den = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError as exc:  # past int()'s limit on decimal digits
+            raise InputError(f"{where}: {_shown(value)} has too many digits to read") from exc
         if den == 0:
             raise InputError(f"{where}: zero denominator in {value!r}")
         return rat(num, den)

@@ -5,14 +5,13 @@ integer q, written a + b*sqrt(q) and stored as integer triples
 (A, B, D) = (A + B*sqrt(q))/D with D > 0 and gcd(A, B, D) = 1.  That
 normal form is unique for every such q, because it is just the rational
 pair (a, b).  The algebra is the field Q(sqrt(q)) exactly when q is not a
-square; otherwise it has zero divisors, and inverting one raises
-ZeroDivisionError.  The local identities use a prime q.
+square; otherwise it has zero divisors.  The local identities use a prime q.
 
-The local check needs only what is here: scalar sums, differences,
-products and inverses; products of polynomials in one formal variable
-(built from their factors by factor_product); a rational function
-normalised so that its denominator has constant term 1; and its Taylor
-coefficients through a fixed order as unreduced triples (series_terms),
+The local check needs only what is here: scalar sums, differences and
+products; products of polynomials in one formal variable (built from
+their factors by factor_product); a rational function whose denominator
+has constant term 1, as every product of factors 1 - c t has; and its
+Taylor coefficients through a fixed order as unreduced triples (series_terms),
 compared by cross-multiplication (terms_equal), with only a witness
 reduced (series_of is the reduced view).  Degrees never exceed 8.
 
@@ -58,13 +57,12 @@ class QuadCoeff:
     (A + B*sqrt(q))/D, with D > 0 and gcd(A, B, D) = 1, so equality is
     equality of triples.  The rational parts a = A/D and b = B/D are
     available as properties.  When q is a square the algebra has zero
-    divisors (nonzero elements of norm 0), and inverse() raises
-    ZeroDivisionError on them as it does on zero.
+    divisors (nonzero elements of norm 0).
 
     The operations are +, -, * (each mixing freely with ints and
-    rationals, which are coerced into the rational part), unary -,
-    inverse(), == and hash.  Elements attached to different q never mix;
-    attempting to combine them raises ValueError rather than guessing.
+    rationals, which are coerced into the rational part), unary -, == and
+    hash.  Elements attached to different q never mix; attempting to
+    combine them raises ValueError rather than guessing.
     """
 
     # One tuple (A, B, D, q): a single slot keeps construction cheap while
@@ -144,15 +142,6 @@ class QuadCoeff:
         return _reduced(A1 * A2 + B1 * B2 * q, A1 * B2 + B1 * A2, D1 * D2, q)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "QuadCoeff":
-        A, B, D, q = self._v
-        norm = A * A - B * B * q
-        if norm == 0:
-            raise ZeroDivisionError("inverse of a zero divisor in Q[X]/(X^2 - q)")
-        if norm < 0:
-            return _reduced(-D * A, D * B, -norm, q)
-        return _reduced(D * A, -D * B, norm, q)
 
     def __neg__(self):
         A, B, D, q = self._v
@@ -249,10 +238,10 @@ class Poly:
     """Dense polynomial over Q(sqrt(q)); coefficients[i] is the t^i term.
 
     Trailing zeros are stripped; the zero polynomial has no coefficients
-    and degree -1.  The operations are * (by a Poly or a scalar), ==,
-    truncate() to a series, and complex evaluation.  delta, if not None, is
-    an integer with delta^j c_j in Z[sqrt(q)] for j >= 1, for series_terms;
-    factor_product sets it, and arithmetic does not carry it.
+    and degree -1.  The operations are * (by a Poly or a scalar), ==, and
+    complex evaluation.  delta, if not None, is an integer with delta^j c_j
+    in Z[sqrt(q)] for j >= 1, for series_terms; factor_product sets it, and
+    arithmetic does not carry it.
     """
 
     __slots__ = ("coefficients", "q", "delta")
@@ -357,10 +346,6 @@ class Poly:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
 
-    def truncate(self, n: int) -> "TruncatedSeries":
-        """This polynomial viewed as a power series through order n."""
-        return TruncatedSeries([self.coefficient(i) for i in range(n + 1)], self.q)
-
     def __repr__(self):
         return f"Poly({self.to_str()})"
 
@@ -390,10 +375,11 @@ def factor_product(coeffs: Iterable, q: int, power: int = 1) -> Poly:
 class RationalFunction:
     """Quotient num/den of polynomials, den != 0.
 
-    When den(0) != 0 the pair is normalized so that den has constant term
-    1; all L-factor denominators in this package satisfy den(0) != 0.
-    Equality is cross-multiplicative, so the type is unhashable; series_of
-    expands it, and eval_complex evaluates it in floating point.
+    den has constant term 1, as every factor_product has, or 0, a pole at
+    the origin that series_terms refuses; any other constant term raises
+    ValueError rather than being scaled to 1.  Equality is
+    cross-multiplicative, so the type is unhashable; series_of expands it,
+    and eval_complex evaluates it in floating point.
     """
 
     __slots__ = ("num", "den")
@@ -402,11 +388,8 @@ class RationalFunction:
         if not den:
             raise ZeroDivisionError("zero denominator")
         num._check(den)
-        d0 = den.constant_term
-        if d0 and d0 != 1:
-            inv = d0.inverse()
-            num = num * inv
-            den = den * inv
+        if den.constant_term not in (0, 1):
+            raise ValueError("the denominator's constant term must be 1, or 0 at a pole")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -432,8 +415,9 @@ class RationalFunction:
 class TruncatedSeries:
     """Power series through a fixed order N: exactly N+1 coefficients.
 
-    The operations are + and * (by a series of the same order or a
-    scalar), ==, and first_difference.
+    A reduced view of unreduced triples, for the callers that read
+    coefficients (series_of, the Bessel values and the direct side); the
+    operations are indexing and ==.
     """
 
     __slots__ = ("coefficients", "q")
@@ -458,41 +442,6 @@ class TruncatedSeries:
     def __getitem__(self, i: int) -> QuadCoeff:
         return self.coefficients[i]
 
-    def _check(self, other: "TruncatedSeries"):
-        if other.q != self.q:
-            raise ValueError("mixed ground fields")
-        if other.order != self.order:
-            raise ValueError("mixed truncation orders")
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            return TruncatedSeries(
-                [a + b for a, b in zip(self.coefficients, other.coefficients)], self.q
-            )
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            n = self.order
-            zero = QuadCoeff(0, 0, self.q)
-            out = [zero] * (n + 1)
-            for i, ci in enumerate(self.coefficients):
-                if not ci:
-                    continue
-                for j in range(n + 1 - i):
-                    cj = other.coefficients[j]
-                    if cj:
-                        out[i + j] = out[i + j] + ci * cj
-            return TruncatedSeries(out, self.q)
-        if isinstance(other, (int, Rational, QuadCoeff)):
-            s = _as_quad(other, self.q)
-            return TruncatedSeries([c * s for c in self.coefficients], self.q)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
             return (
@@ -501,14 +450,6 @@ class TruncatedSeries:
                 and self.coefficients == other.coefficients
             )
         return NotImplemented
-
-    def first_difference(self, other: "TruncatedSeries") -> int | None:
-        """Index of the first coefficient where the two series disagree."""
-        self._check(other)
-        for i, (a, b) in enumerate(zip(self.coefficients, other.coefficients)):
-            if a != b:
-                return i
-        return None
 
     def __repr__(self):
         return f"TruncatedSeries({[str(c) for c in self.coefficients]})"
@@ -519,8 +460,8 @@ def series_terms(rf: RationalFunction, n: int) -> list:
     as unreduced triples (A, B, D) = (A + B*sqrt(q))/D with D > 0.
 
     With num = sum c_k t^k and den = sum d_k t^k, the expansion s
-    satisfies s_k = c_k - sum_{j>=1} d_j s_{k-j}: RationalFunction already
-    scales a nonzero d_0 to exactly 1, so there is nothing to divide by.
+    satisfies s_k = c_k - sum_{j>=1} d_j s_{k-j}: RationalFunction admits
+    a nonzero d_0 only when it is exactly 1, so there is nothing to divide by.
 
     The recurrence runs fraction-free in Z[sqrt(q)].  With N the lcm of the
     denominators of c_0 ... c_n and delta = den.delta (from factor_product)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 from .exact import (
-    QuadCoeff, Rational, RationalFunction, TruncatedSeries, _reduced, factor_product, q_half_power, rat,
-    series_terms, terms_equal,
+    Rational, RationalFunction, TruncatedSeries, _reduced, factor_product, q_half_power, rat, series_terms,
+    terms_equal,
 )
 from .localfield import LocalQuadData, SplittingSymbol, uniformizer_values, volume_numerators, volume_row
 from .satake import SatakeParams, SteinbergData, chi_piF_from, l8_inverse, l_tau_ai_chi_inverse
@@ -86,34 +86,46 @@ def _nonzero_brackets(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, Rati
         p, r = p * omega.numerator, r * omega.denominator * q
 
 
-def z_series_m_positive(sc: ScenarioData, n: int) -> TruncatedSeries:
-    """The m > 0 part of the coset sum through order n in t.
+def _add_terms(x: Tuple[int, int, int], y: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """The sum of two unreduced triples (A, B, D), over D1 D2."""
+    return x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2], x[2] * y[2]
+
+
+def _m_positive_terms(sc: ScenarioData, n: int) -> Tuple[Optional[Tuple[int, int]], list]:
+    """The m > 0 part of the coset sum through order n in t, in one walk of
+    _nonzero_brackets: the first (l, m) whose bracket is non-zero, or None,
+    and the n + 1 coefficients as unreduced triples (A, B, D).
 
     Both coset families at each (l, m) are summed with their own newform
     value and volume.  The Bessel factor B(h(l, m)) is common to the two
     terms, so the volume cancellation V1 = q^(-1) V2 makes every term
     vanish before the Bessel value can matter; it is therefore carried as
-    the neutral placeholder 1.  The result must be identically zero, and
-    callers assert exactly that.
+    the neutral placeholder 1.  The sum must be identically zero, and
+    verify_theorem1 checks exactly that.
 
-    Each cell's bracket W_diag V1 + W_al V2 is tested for zero on integers
-    (see _nonzero_brackets); the character and absolute-value factors
-    multiply in only where it is non-zero (an exact zero times anything is
-    zero).
+    A non-zero bracket enters coefficient k = 2m + l as the rational
+    (q - 1) char bracket times q^(-3k/2), whose sqrt(q), for an odd k, goes
+    into B; the character factors multiply in only there.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     q = sc.q
-    coeffs = [QuadCoeff.rational(0, q)] * (n + 1)
     omega_pi = sc.sat.omega_pi_piF
     omega = sc.st.omega_piF
-    units = q - 1
+    terms = [(0, 0, 1)] * (n + 1)
+    cell = None
     for l, m, bracket in _nonzero_brackets(sc, n):
+        cell = cell or (l, m)
         k = 2 * m + l
-        char = (1 / omega_pi) ** k * (1 / omega) ** (2 * k) * omega ** (2 * m)
-        term = q_half_power(q, -3 * k) * (units * char * bracket)
-        coeffs[k] = coeffs[k] + term
-    return TruncatedSeries(coeffs, q)
+        x = (q - 1) * (1 / omega_pi) ** k * (1 / omega) ** (2 * k) * omega ** (2 * m) * bracket
+        d = x.denominator * q ** ((3 * k + 1) // 2)
+        terms[k] = _add_terms(terms[k], (0, x.numerator, d) if k % 2 else (x.numerator, 0, d))
+    return cell, terms
+
+
+def z_series_m_positive(sc: ScenarioData, n: int) -> TruncatedSeries:
+    """The m > 0 part of the coset sum, each term of _m_positive_terms reduced."""
+    return TruncatedSeries([_reduced(*t, sc.q) for t in _m_positive_terms(sc, n)[1]], sc.q)
 
 
 def _m_zero_terms(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, int]]:
@@ -124,7 +136,8 @@ def _m_zero_terms(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, int]]:
     character factor (q - 1) (sqrt(q)/(omega_pi Omega^2 q^2))^l times
     W_diag(l) V1(l, 0) = (Omega/q)^l n1/den.  The rational steps run as one
     integer fraction c/d, sqrt(q)^l puts q^(l // 2) into c, and an odd l
-    swaps (A, B) to (B q, A).  series_terms rejects a negative order."""
+    swaps (A, B) to (B q, A).  series_terms rejects a negative order, and
+    _direct_terms adds the m > 0 triples in."""
     q = sc.q
     sp = sugano_polys(sc.local, sc.sat)
     step = 1 / (sc.sat.omega_pi_piF * sc.st.omega_piF**2 * q**2) * (sc.st.omega_piF / q)
@@ -137,9 +150,15 @@ def _m_zero_terms(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, int]]:
         c, d = c * step.numerator * (q if l % 2 else 1), d * step.denominator
 
 
-def _z_series_m_zero(sc: ScenarioData, n: int) -> TruncatedSeries:
-    """The m = 0 part of the coset sum, each term of _m_zero_terms reduced."""
-    return TruncatedSeries([_reduced(*t, sc.q) for t in _m_zero_terms(sc, n)], sc.q)
+def _direct_terms(sc: ScenarioData, n: int) -> Tuple[bool, Optional[Tuple[int, int]], list]:
+    """(whether the m > 0 sum vanishes, its first non-zero cell if it does
+    not, the direct side's n + 1 unreduced triples).  The m > 0 triples are
+    added into the m = 0 ones only when they do not vanish."""
+    cell, partial = _m_positive_terms(sc, n)
+    direct = list(_m_zero_terms(sc, n))
+    if not any(A or B for A, B, _ in partial):
+        return True, None, direct
+    return False, cell, [_add_terms(x, y) for x, y in zip(direct, partial)]
 
 
 def z_series_direct(sc: ScenarioData, n: int) -> TruncatedSeries:
@@ -147,10 +166,10 @@ def z_series_direct(sc: ScenarioData, n: int) -> TruncatedSeries:
 
     Term by term: Bessel value, unit-torus count q - 1, the absolute-value
     factor |varpi^l|^(3(s+1/2)) = t^l q^(-3l/2), the central-character
-    factors, the newform value on diag(varpi^l, 1), and the volume.  The
-    m > 0 families are included via z_series_m_positive.
+    factors, the newform value on diag(varpi^l, 1), and the volume, with
+    the m > 0 families: each triple of _direct_terms reduced.
     """
-    return _z_series_m_zero(sc, n) + z_series_m_positive(sc, n)
+    return TruncatedSeries([_reduced(*t, sc.q) for t in _direct_terms(sc, n)[2]], sc.q)
 
 
 def z_closed_form(sc: ScenarioData) -> RationalFunction:
@@ -166,8 +185,8 @@ class Theorem1Report:
     """Outcome of one exact scenario comparison, with a witness on failure.
 
     first_nonzero_cell is the first (l, m), in loop order, whose bracket
-    W_diag V1 + W_al V2 is non-zero.  It is looked up only when the m > 0
-    sum does not vanish, and is None otherwise.
+    W_diag V1 + W_al V2 is non-zero, from the same walk as the m > 0 sum.
+    It is None when that sum vanishes.
     """
 
     ok: bool
@@ -183,19 +202,12 @@ class Theorem1Report:
 def verify_theorem1(sc: ScenarioData, n: int = 25) -> Theorem1Report:
     """Compare the direct coset sum against the closed form through order n.
 
-    Both sides are unreduced triples (A + B sqrt(q))/D, from _m_zero_terms
+    Both sides are unreduced triples (A + B sqrt(q))/D, from _direct_terms
     and series_terms, compared by cross-multiplication (terms_equal); only
     the two at the first difference are reduced, for the witness.  The m > 0
-    series must vanish; it joins the direct triples only when it does not."""
-    partial = z_series_m_positive(sc, n)
-    vanishes = not any(partial.coefficients)
-    direct = list(_m_zero_terms(sc, n))
+    sum must vanish; its one walk also gives the witness cell."""
+    vanishes, cell, direct = _direct_terms(sc, n)
     closed = series_terms(z_closed_form(sc), n)
-    cell = None
-    if not vanishes:
-        pairs = zip(direct, (c._v for c in partial.coefficients))
-        direct = [(A * pD + pA * D, B * pD + pB * D, D * pD) for (A, B, D), (pA, pB, pD, _) in pairs]
-        cell = next(((l, m) for l, m, _ in _nonzero_brackets(sc, n)), None)
     idx = next((k for k, (x, y) in enumerate(zip(direct, closed)) if not terms_equal(x, y)), None)
     return Theorem1Report(
         ok=(idx is None and vanishes),

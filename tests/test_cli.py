@@ -659,6 +659,22 @@ class TestLfactor:
         assert [r["name"] for r in records] == ["lfactor/000", "lfactor/001"]
         assert all("/" in r["witness"]["factor"] for r in records)
 
+    def test_factor_too_long_to_print_fails_its_record(self, write_doc):
+        # Omega of 4000 digits is readable, but the factor holds its square,
+        # past int()'s limit on printing decimal digits.
+        doc = valid_local_doc()
+        doc["local_scenarios"][1]["omega"] = int("9" * 4000)
+        code, out = run_capture(
+            RunConfig(command="lfactor", input_path=write_doc(doc), output_format="machine")
+        )
+        assert code == 1
+        passed, failed = records_of(out)
+        assert passed["status"] == "pass" and "factor" in passed["witness"]
+        assert failed["status"] == "fail"
+        assert failed["witness"] == {
+            "q": 2, "symbol": "inert", "error": "a coefficient has too many digits to print",
+        }
+
 
 class TestGlobal:
     def test_report_record(self, write_doc):
@@ -974,6 +990,93 @@ class TestLargeIntegers:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+# A numerator or denominator past int()'s 4,300-digit limit on decimal strings.
+LONG_NUMERATOR = "1" + "0" * 4999 + "/3"
+LONG_DENOMINATOR = "3/1" + "0" * 4999
+
+# Each replaces every leaf of an input in turn.
+HOSTILE_VALUES = [
+    LONG_NUMERATOR, LONG_DENOMINATOR, "1/0", [1, 2, 3], True, None, {}, 1e308, -1e308,
+    int("9" * 4000), "x", -1, 0, 2**61 - 1,
+]
+
+
+def leaf_paths(value, path=()):
+    """The key path of every non-container value in a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from leaf_paths(child, path + (key,))
+
+
+def with_leaf(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestHostileInputs:
+    """Malformed or extreme values in any slot of an input file end in an
+    exit status: 0 or 1 when the value is readable, 2 with the JSON path
+    when it is not, and never an escaping exception."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, where",
+        [
+            (["verify-local"], valid_local_doc(), ("local_scenarios", 0, "omega")),
+            (["lfactor"], valid_local_doc(), ("local_scenarios", 1, "satake", "u1")),
+            (["global", "--pmax", "13"], committed_global_doc(), ("global_input", "s")),
+            (["verify-arch"], {"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]},
+             ("arch_scenarios", 0, "s")),
+        ],
+        ids=["verify-local", "lfactor", "global", "verify-arch"],
+    )
+    @pytest.mark.parametrize("value", [LONG_NUMERATOR, LONG_DENOMINATOR], ids=["num", "den"])
+    def test_long_rational_string_is_exit_two(self, write_doc, capsys, argv, doc, where, value):
+        path = write_doc(with_leaf(doc, where, value))
+        assert main(argv + ["--input", path]) == 2
+        out, err = capsys.readouterr()
+        shown = where[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where[1:])
+        assert out == ""
+        assert err.startswith(f"error: {shown}: ") and "too many digits" in err
+        assert "Traceback" not in err
+
+    def test_every_leaf_of_the_local_and_global_inputs(self, tmp_path, capsys, monkeypatch):
+        # One argument parser for all runs: building it is most of a run
+        # that ends in exit status 2.
+        parser = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+        runs = [
+            (argv, doc)
+            for template, commands in (
+                (valid_local_doc(), (["verify-local", "--order", "8"], ["lfactor"])),
+                (committed_global_doc(), (["global", "--pmax", "13"],)),
+            )
+            for leaf in leaf_paths(template)
+            for value in HOSTILE_VALUES
+            for doc in [with_leaf(template, leaf, value)]
+            for argv in commands
+        ]
+        path = tmp_path / "hostile.json"
+        codes = []
+        with within(30), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for argv, doc in runs:
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                codes.append(main(argv + ["--input", str(path), "--format", "machine"]))
+                capsys.readouterr()
+        assert set(codes) <= {0, 1, 2}
+        assert 0 in codes and 2 in codes
 
 
 class TestConsistency:

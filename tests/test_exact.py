@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localzeta.exact import (
@@ -41,20 +41,18 @@ def polys(q, max_degree=4):
     )
 
 
+def denominators(q, max_degree=4):
+    """Polynomials with constant term 1, the denominators RationalFunction admits."""
+    return st.lists(quads(q), min_size=0, max_size=max_degree).map(
+        lambda cs: Poly([1, *cs], q)
+    )
+
+
 class TestQuadCoeff:
     def test_norm_form(self):
         x = QuadCoeff(1, 1, 2) * QuadCoeff(1, -1, 2)
         assert x == QuadCoeff(-1, 0, 2)
         assert QuadCoeff(0, 1, 5) * QuadCoeff(0, 1, 5) == QuadCoeff(5, 0, 5)
-
-    def test_sqrt3_inverse(self):
-        x = QuadCoeff(0, 1, 3).inverse()
-        assert x == QuadCoeff(0, rat(1, 3), 3)
-
-    @given(primes.flatmap(quads))
-    def test_mul_inverse_is_one(self, x):
-        if x:
-            assert x * x.inverse() == QuadCoeff(1, 0, x.q)
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -75,7 +73,6 @@ class TestQuadCoeff:
     def test_int_coercion(self):
         assert 1 + QuadCoeff(1, 2, 5) == QuadCoeff(2, 2, 5)
         assert 2 * QuadCoeff(1, 2, 5) == QuadCoeff(2, 4, 5)
-        assert QuadCoeff(0, 1, 5).inverse() == QuadCoeff(0, rat(1, 5), 5)
 
     def test_q_half_power(self):
         assert q_half_power(3, 4) == QuadCoeff(9, 0, 3)
@@ -93,8 +90,7 @@ class TestQuadCoeff:
         assert str(QuadCoeff(rat(-1, 2), rat(-1, 3), 2)) == "-1/2 - 1/3*sqrt(2)"
         assert str(QuadCoeff(0, rat(5, 2), 5)) == "5/2*sqrt(5)"
         assert str(QuadCoeff(0, rat(-5, 2), 5)) == "-5/2*sqrt(5)"
-        # norm 1 - 2^2 * 5 = -19 < 0
-        assert str(QuadCoeff(1, 2, 5).inverse()) == "-1/19 + 2/19*sqrt(5)"
+        assert str(QuadCoeff(rat(-1, 19), rat(2, 19), 5)) == "-1/19 + 2/19*sqrt(5)"
         assert str(q_half_power(3, -3)) == "1/9*sqrt(3)"
         assert repr(q_half_power(3, -3)) == "QuadCoeff(0, 1/9, q=3)"
         assert str(QuadCoeff(rat(6, 4), rat(3, 6), 2)) == "3/2 + 1/2*sqrt(2)"
@@ -120,18 +116,12 @@ class TestQuadCoeff:
         y = QuadCoeff(x.a, x.b, q)
         norm = y * QuadCoeff(y.a, -y.b, q)
         assert norm == y.a * y.a - y.b * y.b * q
-        if norm:
-            assert y * y.inverse() == 1
-        else:
-            with pytest.raises(ZeroDivisionError):
-                y.inverse()
 
     def test_zero_divisor_has_norm_zero_and_no_inverse(self):
-        # (3 + sqrt(9)) * (3 - sqrt(9)) = 0 although neither factor is zero
-        x = QuadCoeff(3, 1, 9)
-        assert x and x * QuadCoeff(3, -1, 9) == 0
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
+        # (3 + sqrt(9)) * (3 - sqrt(9)) = 0 although neither factor is zero,
+        # so x y = 1 has no solution: it would give 3 - sqrt(9) = 0.
+        x, conjugate = QuadCoeff(3, 1, 9), QuadCoeff(3, -1, 9)
+        assert x and conjugate and x * conjugate == 0
 
 
 class TestPoly:
@@ -232,24 +222,15 @@ class TestFactorProduct:
 
 
 class TestRationalFunction:
-    def test_denominator_normalized(self):
-        rf = RationalFunction(Poly([2], 2), Poly([2, -1], 2))
-        assert rf.den.constant_term == QuadCoeff(1, 0, 2)
-        assert rf.num.constant_term == QuadCoeff(1, 0, 2)
-
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Poly([1], 2), Poly([], 2))
 
-    @given(primes.flatmap(lambda q: st.tuples(polys(q), polys(q))))
+    @given(primes.flatmap(lambda q: st.tuples(polys(q), denominators(q), denominators(q))))
     @settings(max_examples=40)
-    def test_equality_cross_multiplicative(self, ab):
-        a, b = ab
-        if not b or b.constant_term == QuadCoeff(0, 0, b.q):
-            return
-        rf = RationalFunction(a, b)
-        doubled = RationalFunction(a * 2, b * 2)
-        assert rf == doubled
+    def test_equality_cross_multiplicative(self, abc):
+        a, b, c = abc
+        assert RationalFunction(a, b) == RationalFunction(a * c, b * c)
 
 
 def series_by_dispatch(rf, n):
@@ -283,14 +264,12 @@ class TestSeries:
 
     @given(
         primes.flatmap(
-            lambda q: st.tuples(polys(q), polys(q), st.integers(min_value=0, max_value=12))
+            lambda q: st.tuples(polys(q), denominators(q), st.integers(min_value=0, max_value=12))
         )
     )
     @settings(max_examples=60)
     def test_recompose(self, args):
         num, den, n = args
-        if den.constant_term == QuadCoeff(0, 0, den.q):
-            return
         rf = RationalFunction(num, den)
         s = series_of(rf, n)
         # num === series * den  (mod t^(n+1)), exactly
@@ -301,17 +280,13 @@ class TestSeries:
     # q = 4 is a square (zero divisors) and q = -3 is negative.
     @given(
         st.sampled_from([2, 3, 5, 4, -3]).flatmap(
-            lambda q: st.tuples(polys(q), polys(q), st.integers(min_value=0, max_value=25))
+            lambda q: st.tuples(polys(q), denominators(q), st.integers(min_value=0, max_value=25))
         )
     )
     @settings(max_examples=100)
     def test_matches_quadcoeff_recurrence_in_normal_form(self, args):
         num, den, n = args
-        assume(den.constant_term)
-        try:
-            rf = RationalFunction(num, den)
-        except ZeroDivisionError:  # at q = 4 a nonzero den(0) may not invert
-            reject()
+        rf = RationalFunction(num, den)
         s = series_of(rf, n)
         assert s.q == rf.q and s.order == n
         assert list(s.coefficients) == series_by_dispatch(rf, n)
@@ -372,13 +347,6 @@ class TestSeries:
         rf = RationalFunction(Poly([1, 1], 3), Poly([1, -2, 1], 3))
         assert series_of(rf, 4) == TruncatedSeries([1, 3, 5, 7, 9], 3)
 
-    def test_series_arithmetic(self):
-        a = TruncatedSeries([1, 1, 1], 5)
-        b = TruncatedSeries([1, -1, 0], 5)
-        assert a + b == TruncatedSeries([2, 0, 1], 5)
-        assert a * b == TruncatedSeries([1, 0, 0], 5)
-        assert (a * 2)[0] == QuadCoeff(2, 0, 5)
-
     def test_public_constructor_coerces_and_checks_the_field(self):
         s = TruncatedSeries([2, rat(1, 3), QuadCoeff(0, 1, 5)], 5)
         assert s.coefficients == (
@@ -395,19 +363,11 @@ class TestSeries:
             TruncatedSeries([], 5)
 
     def test_arithmetic_results_hold_quadcoeffs_of_the_field(self):
-        a = TruncatedSeries([1, QuadCoeff(0, 1, 5), rat(1, 2)], 5)
-        b = TruncatedSeries([rat(-1, 3), 2, QuadCoeff(1, 1, 5)], 5)
-        rf = RationalFunction(Poly([1, 1], 5), Poly([1, -2, 1], 5))
-        for s in (a + b, a * b, a * 3, a * rat(1, 7), series_of(rf, 2)):
-            assert s.q == 5
-            assert all(isinstance(c, QuadCoeff) and c.q == 5 for c in s.coefficients)
-            assert s == TruncatedSeries(s.coefficients, 5)
-
-    def test_first_difference(self):
-        a = TruncatedSeries([1, 1, 1], 5)
-        b = TruncatedSeries([1, 1, 2], 5)
-        assert a.first_difference(b) == 2
-        assert a.first_difference(a) is None
+        rf = RationalFunction(Poly([1, QuadCoeff(0, 1, 5)], 5), Poly([1, -2, rat(1, 3)], 5))
+        s = series_of(rf, 4)
+        assert s.q == 5
+        assert all(isinstance(c, QuadCoeff) and c.q == 5 for c in s.coefficients)
+        assert s == TruncatedSeries(s.coefficients, 5)
 
     def test_rational_backend_exact(self):
         assert Rational(1, 3) + Rational(1, 6) == Rational(1, 2)

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from localzeta import batteries, cli
-from localzeta.exact import Poly, QuadCoeff, RationalFunction, TruncatedSeries, q_half_power, rat, series_of
+from localzeta.exact import (
+    PoleAtOriginError, Poly, QuadCoeff, RationalFunction, TruncatedSeries, _reduced, q_half_power, rat, series_of,
+    series_terms,
+)
 from localzeta.localfield import LocalQuadData, SplittingSymbol, volume_numerators, volume_V1
 from localzeta.rng import SplitMix64, draw_scenario, scenario_stream
 from localzeta.satake import SatakeParams, SteinbergData
@@ -174,17 +177,18 @@ class TestTheorem1:
         assert direct == closed
 
     def test_nonvanishing_m_positive_sum_fails(self, monkeypatch):
-        """verify_theorem1 builds the m > 0 sum once and still checks that it
-        vanishes: a single nonzero coefficient there must fail the report."""
+        """verify_theorem1 walks the m > 0 cells once and still checks that
+        the sum vanishes: a single nonzero coefficient there must fail the
+        report, whose cell comes from that same walk."""
         sc = trivial_inert_scenario()
         n = 8
-        stray = TruncatedSeries([0] * (n - 1) + [rat(1, 7), 0], sc.q)
-        monkeypatch.setattr(zeta, "z_series_m_positive", lambda sc, n: stray)
+        stray = [(0, 0, 1)] * (n - 1) + [(1, 0, 7), (0, 0, 3)]
+        monkeypatch.setattr(zeta, "_m_positive_terms", lambda sc, n: ((2, 3), stray))
         report = verify_theorem1(sc, n)
         assert not report.ok
         assert not report.m_positive_vanishes
-        # Every bracket of the real volumes still vanishes.
-        assert report.first_nonzero_cell is None
+        assert report.first_nonzero_cell == (2, 3)
+        assert report.first_difference == n - 1
 
     def test_report_fields_on_success(self):
         report = verify_theorem1(trivial_inert_scenario(), n=8)
@@ -299,15 +303,16 @@ def m_zero_term_by_term(sc, n):
 
 
 def report_term_by_term(sc, n):
-    """verify_theorem1's report with the direct side as m0 + partial always."""
-    partial = z_series_m_positive(sc, n)
-    direct = m_zero_term_by_term(sc, n) + partial
-    closed = series_of(z_closed_form(sc), n)
-    vanishes = not any(partial.coefficients)
+    """verify_theorem1's report with the direct side as m0 + partial always,
+    added and compared coefficient by coefficient in QuadCoeff arithmetic."""
+    partial = z_series_m_positive(sc, n).coefficients
+    direct = [a + b for a, b in zip(m_zero_term_by_term(sc, n).coefficients, partial)]
+    closed = series_of(z_closed_form(sc), n).coefficients
+    vanishes = not any(partial)
     cell = None
     if not vanishes:
         cell = next(((l, m) for l, m, _ in zeta._nonzero_brackets(sc, n)), None)
-    idx = direct.first_difference(closed)
+    idx = next((k for k, (a, b) in enumerate(zip(direct, closed)) if a != b), None)
     return Theorem1Report(
         ok=(idx is None and vanishes),
         order=n,
@@ -349,11 +354,9 @@ class TestReportMatchesTermByTermSum:
         failed = 0
         for kind, sc in zip(kinds, stream):
             sc = tampered(sc, kind)
-            got = zeta._z_series_m_zero(sc, n)
+            got = [_reduced(*t, q)._v for t in zeta._m_zero_terms(sc, n)]
             want = m_zero_term_by_term(sc, n)
-            assert [c._v for c in got.coefficients] == [
-                c._v for c in want.coefficients
-            ], kind
+            assert got == [c._v for c in want.coefficients], kind
             report = verify_theorem1(sc, n)
             assert report == report_term_by_term(sc, n), kind
             failed += not report.ok
@@ -387,6 +390,63 @@ class TestReportMatchesTermByTermSum:
         report = verify_theorem1(tampered(sc, kind), 80)
         assert report.ok is (kind is None)
         assert report == report_term_by_term(sc, 80)
+
+
+def assert_views_are_the_compared_triples(sc, n):
+    """Each coefficient of the four reduced views the benchmark reads is the
+    reduced form of the triple the check compares, or series_terms yields."""
+    q = sc.q
+    vanishes, _, direct = zeta._direct_terms(sc, n)
+    sp = sugano_polys(sc.local, sc.sat)
+    pairs = [
+        (z_series_direct(sc, n), direct),
+        (z_series_m_positive(sc, n), zeta._m_positive_terms(sc, n)[1]),
+        (series_of(z_closed_form(sc), n), series_terms(z_closed_form(sc), n)),
+        (bessel_values(sp, n), series_terms(RationalFunction(sp.H, sp.Q), n)),
+    ]
+    for view, terms in pairs:
+        assert view.order == n and len(terms) == n + 1
+        assert [c._v for c in view.coefficients] == [_reduced(*t, q)._v for t in terms]
+    return vanishes
+
+
+class TestReducedViews:
+    """z_series_direct, z_series_m_positive, series_of and bessel_values are
+    reduced views of the unreduced triples; they must not drift from what
+    verify_theorem1 compares."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("symbol", list(SplittingSymbol))
+    def test_every_cell_at_order_80(self, q, symbol):
+        assert assert_views_are_the_compared_triples(draw_scenario(SplitMix64(36), symbol, q), 80)
+
+    def test_non_vanishing_m_positive_sum(self, wrong_v2_at_3_2):
+        for q in (2, 3, 5):
+            for symbol in SplittingSymbol:
+                sc = draw_scenario(SplitMix64(37), symbol, q)
+                assert not assert_views_are_the_compared_triples(sc, 80)
+
+    def test_every_built_denominator_has_constant_term_one(self):
+        rng = SplitMix64(38)
+        for symbol in SplittingSymbol:
+            sc = draw_scenario(rng, symbol, 3)
+            sp = sugano_polys(sc.local, sc.sat)
+            for rf in (
+                z_closed_form(sc),
+                RationalFunction(sp.H, sp.Q),
+                unramified_local_factor(sc.local, sc.sat, draw_tau_satake(rng)),
+            ):
+                assert rf.den.constant_term == 1
+
+    @pytest.mark.parametrize("d0", [2, rat(1, 2), -1, QuadCoeff(1, 1, 3), QuadCoeff(0, 1, 3)])
+    def test_other_denominator_constant_terms_are_refused(self, d0):
+        """RationalFunction no longer scales den to constant term 1; it
+        refuses any constant term but 1, or 0 at a pole of the expansion."""
+        with pytest.raises(ValueError, match="constant term must be 1"):
+            RationalFunction(Poly([1], 3), Poly([d0, 1], 3))
+        pole = RationalFunction(Poly([1], 3), Poly([0, d0], 3))
+        with pytest.raises(PoleAtOriginError):
+            series_terms(pole, 4)
 
 
 class TestNegativeControls:
