@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .exact import Rational, rat
 
@@ -250,31 +250,21 @@ def vol_k_sharp(q: int) -> Rational:
 
 
 def volume_numerators(local: LocalQuadData, l: int, m: int) -> Tuple[int, int, int]:
-    """The volume formula: V1 and V2 at (l, m) as integers over one denominator.
+    """The volume formulas: V1 and V2 at (l, m) as integers over one denominator.
 
     Returns (n1, n2, den) with V1 = n1/den and V2 = n2/den, where
-    den = (q + 1)(q^4 - 1), n1 = (q - symbol) q^(4m + 3l) and
-    n2 = (q - symbol) q^(4m + 3l + 1).  The long-Weyl family is empty at
-    m = 0, so n2 is 0 there.  The fractions are not reduced; callers that
-    only test a combination of V1 and V2 for zero never need them to be.
+    den = (q + 1)(q^4 - 1), the torus family has n1 = (q - symbol) q^(4m + 3l)
+    and the long-Weyl family n2 = (q - symbol) q^(4m + 3l + 1), 0 at m = 0
+    where it is empty.  Each is stated on its own, so the checks of
+    V2 = q V1 compare two formulas.  The fractions are not reduced; callers
+    that only test a combination of V1 and V2 for zero never need them to be.
     """
     if l < 0 or m < 0:
         raise ValueError("l and m must be non-negative")
-    # local.q without the property: volume_row calls this once per row of
-    # m > 0 cells and zeta._m_zero_terms once per l
     q = local.p
     n1 = (q - local.symbol) * q ** (4 * m + 3 * l)
-    return n1, (n1 * q if m else 0), (q + 1) * (q**4 - 1)
-
-
-def volume_row(local: LocalQuadData, l: int, m_max: int) -> Iterator[Tuple[int, int, int]]:
-    """volume_numerators(local, l, m) for m = 1 ... m_max in turn: the first
-    from the volume formula, each next by the factor q^4 of a step in m."""
-    n1, n2, den = volume_numerators(local, l, 1)
-    step = local.p**4
-    for _ in range(m_max):
-        yield n1, n2, den
-        n1, n2 = n1 * step, n2 * step
+    n2 = (q - local.symbol) * q ** (4 * m + 3 * l + 1) if m else 0
+    return n1, n2, (q + 1) * (q**4 - 1)
 
 
 def volume_V1(local: LocalQuadData, l: int, m: int) -> Rational:

@@ -18,7 +18,7 @@ from .exact import (
     Rational, RationalFunction, TruncatedSeries, _reduced, factor_product, q_half_power, rat, series_terms,
     terms_equal,
 )
-from .localfield import LocalQuadData, SplittingSymbol, uniformizer_values, volume_numerators, volume_row
+from .localfield import LocalQuadData, SplittingSymbol, uniformizer_values, volume_numerators
 from .satake import SatakeParams, SteinbergData, chi_piF_from, l8_inverse, l_tau_ai_chi_inverse
 from .sugano import sugano_polys
 
@@ -64,26 +64,31 @@ def prefactor(local: LocalQuadData) -> Rational:
 
 
 def _nonzero_brackets(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, Rational]]:
-    """(l, m, W_diag V1 + W_al V2) for each cell, in loop order, whose bracket
-    is non-zero.
+    """(l, m, W_diag V1 + W_al V2) for each walked cell, in loop order, whose
+    bracket is non-zero.
 
-    Every cell 0 <= l <= n - 2, 1 <= m <= (n - l)/2 is evaluated; none is
-    skipped because the algebra says it vanishes.  Row l has the newform
-    values W_diag = Omega(varpi)^l q^(-l) = P/R and W_al = -P/(R q), with
-    P = Omega.num^l and R = (Omega.den q)^l running integers, and its volume
-    numerators V1 = n1/den, V2 = n2/den from localfield.volume_row.  Over
-    R q den the bracket is the integer P (q n1 - n2), P != 0; q n1 - n2 is
-    tested, and multiplied by P into a Rational only where it is non-zero.
+    Row l <= n - 2 has the cells 1 <= m <= (n - l)/2, newform values
+    W_diag = Omega(varpi)^l q^(-l) = p/r and W_al = -Omega(varpi)^l q^(-l-1)
+    = pa/ra as running integers, and volumes V1 = n1/den, V2 = n2/den from
+    localfield.volume_numerators.  The premise: both volumes and both newform
+    values are geometric in m, so the bracket is c1 r1^m + c2 r2^m.  If it
+    vanishes at m = 1 and m = 2 it vanishes at every m; if not, its first
+    non-zero cell is at m = 1 or 2.  So a row walks m = 1, 2 and its last m
+    only, or all of its cells if it has at most 2.  Over r ra den the bracket
+    is the integer p ra n1 + pa r n2, made a Rational only when non-zero.
     """
-    q, local, omega = sc.q, sc.local, sc.st.omega_piF
-    p, r = 1, 1
+    q, omega = sc.q, sc.st.omega_piF
+    p, r = 1, 1  # W_diag = p/r
+    pa, ra = -1, q  # W_al = pa/ra
     for l in range(0, n - 1):
-        w_den = r * q
-        for m, (n1, n2, v_den) in enumerate(volume_row(local, l, (n - l) // 2), 1):
-            d = q * n1 - n2
-            if d:
-                yield l, m, Rational(p * d, w_den * v_den)
+        a, b, last = p * ra, pa * r, (n - l) // 2
+        for m in (1, 2, last) if last > 2 else range(1, last + 1):
+            n1, n2, v_den = volume_numerators(sc.local, l, m)
+            x = a * n1 + b * n2
+            if x:
+                yield l, m, Rational(x, r * ra * v_den)
         p, r = p * omega.numerator, r * omega.denominator * q
+        pa, ra = pa * omega.numerator, ra * omega.denominator * q
 
 
 def _add_terms(x: Tuple[int, int, int], y: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -92,16 +97,17 @@ def _add_terms(x: Tuple[int, int, int], y: Tuple[int, int, int]) -> Tuple[int, i
 
 
 def _m_positive_terms(sc: ScenarioData, n: int) -> Tuple[Optional[Tuple[int, int]], list]:
-    """The m > 0 part of the coset sum through order n in t, in one walk of
-    _nonzero_brackets: the first (l, m) whose bracket is non-zero, or None,
-    and the n + 1 coefficients as unreduced triples (A, B, D).
+    """The m > 0 part of the coset sum through order n in t, from the cells
+    that _nonzero_brackets walks (m = 1, 2 and the last of each row, under
+    its premise): the first (l, m) whose bracket is non-zero, or None, and
+    the n + 1 coefficients as unreduced triples (A, B, D).
 
     Both coset families at each (l, m) are summed with their own newform
     value and volume.  The Bessel factor B(h(l, m)) is common to the two
-    terms, so the volume cancellation V1 = q^(-1) V2 makes every term
-    vanish before the Bessel value can matter; it is therefore carried as
-    the neutral placeholder 1.  The sum must be identically zero, and
-    verify_theorem1 checks exactly that.
+    terms, so the volume cancellation V2 = q V1, between two stated
+    formulas, makes every term vanish before the Bessel value can matter;
+    it is therefore carried as the neutral placeholder 1.  The sum must be
+    identically zero, and verify_theorem1 checks exactly that.
 
     A non-zero bracket enters coefficient k = 2m + l as the rational
     (q - 1) char bracket times q^(-3k/2), whose sqrt(q), for an odd k, goes

@@ -9,7 +9,7 @@ from localzeta.exact import (
     PoleAtOriginError, Poly, QuadCoeff, RationalFunction, TruncatedSeries, _reduced, q_half_power, rat, series_of,
     series_terms,
 )
-from localzeta.localfield import LocalQuadData, SplittingSymbol, volume_numerators, volume_V1
+from localzeta.localfield import LocalQuadData, SplittingSymbol, volume_V1
 from localzeta.rng import SplitMix64, draw_scenario, scenario_stream
 from localzeta.satake import SatakeParams, SteinbergData
 from localzeta.sugano import bessel_values, sugano_polys
@@ -201,40 +201,103 @@ class TestTheorem1:
 
 @pytest.fixture
 def wrong_v2_at_3_2(monkeypatch):
-    """Volume rows with V2 off by one at (l, m) = (3, 2) only."""
-    real = zeta.volume_row
+    """The volume formula with V2 off by one at (l, m) = (3, 2) only, a cell
+    that the m > 0 walk reads."""
+    real = zeta.volume_numerators
 
-    def patched(local, l, m_max):
-        for m, (n1, n2, den) in enumerate(real(local, l, m_max), 1):
-            yield n1, n2 + ((l, m) == (3, 2)), den
+    def patched(local, l, m):
+        n1, n2, den = real(local, l, m)
+        return n1, n2 + ((l, m) == (3, 2)), den
 
-    monkeypatch.setattr(zeta, "volume_row", patched)
+    monkeypatch.setattr(zeta, "volume_numerators", patched)
+
+
+def walked_cells(n):
+    """The (l, m) cells that zeta._nonzero_brackets reads, in loop order:
+    m = 1, 2 and the row's last m, or every m of a row with at most 2."""
+    for l in range(n - 1):
+        last = (n - l) // 2
+        yield from ((l, m) for m in sorted({1, 2, last}) if m <= last)
+
+
+def every_cell_brackets(sc, n):
+    """(l, m, W_diag V1 + W_al V2) at every m > 0 cell, in loop order, from
+    the reference newform values and zeta.volume_numerators as it is when
+    called, so a patched volume formula shows in every cell."""
+    q = sc.q
+    for l in range(n - 1):
+        w_diag = steinberg_whittaker_diag(l, sc.st, q)
+        w_al = steinberg_whittaker_al(l, sc.st, q)
+        for m in range(1, (n - l) // 2 + 1):
+            n1, n2, den = zeta.volume_numerators(sc.local, l, m)
+            yield l, m, w_diag * rat(n1, den) + w_al * rat(n2, den)
+
+
+def test_walked_cells():
+    assert list(walked_cells(6)) == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)]
+    assert list(walked_cells(9))[:3] == [(0, 1), (0, 2), (0, 4)]
 
 
 def test_brackets_match_the_reference_newform_values(monkeypatch):
     """With V2 one over its volume in every m > 0 cell, every bracket is
-    non-zero, and each is W_diag(l) V1 + W_al(l) V2 from the Rational newform
-    values, so the running products of _nonzero_brackets are checked cell by
-    cell and not only through zero tests."""
-    real = zeta.volume_row
+    non-zero, so _nonzero_brackets yields exactly the walked cells, each
+    W_diag(l) V1 + W_al(l) V2 from the Rational newform values: its two
+    running products are checked cell by cell, not only through zero tests."""
+    real = zeta.volume_numerators
 
-    def shifted(local, l, m_max):
-        for n1, n2, den in real(local, l, m_max):
-            yield n1, n2 + 1, den
+    def shifted(local, l, m):
+        n1, n2, den = real(local, l, m)
+        return n1, n2 + (m > 0), den
 
-    monkeypatch.setattr(zeta, "volume_row", shifted)
+    monkeypatch.setattr(zeta, "volume_numerators", shifted)
     n = 14
     for q in (2, 3, 5):
         for symbol in SplittingSymbol:
             sc = draw_scenario(SplitMix64(34), symbol, q)
-            want = []
-            for l in range(n - 1):
-                w_diag = steinberg_whittaker_diag(l, sc.st, q)
-                w_al = steinberg_whittaker_al(l, sc.st, q)
-                for m in range(1, (n - l) // 2 + 1):
-                    n1, n2, den = volume_numerators(sc.local, l, m)
-                    want.append((l, m, w_diag * rat(n1, den) + w_al * rat(n2 + 1, den)))
+            every = {(l, m): b for l, m, b in every_cell_brackets(sc, n)}
+            want = [(l, m, every[l, m]) for l, m in walked_cells(n)]
             assert list(zeta._nonzero_brackets(sc, n)) == want, (q, symbol)
+
+
+class TestEveryCellReference:
+    """The walk reads a few cells per row under the premise that each row's
+    bracket is geometric in m; a walk of every cell, from the reference
+    newform values, agrees with it."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("symbol", list(SplittingSymbol))
+    def test_vanishes_in_every_cell_at_order_80(self, q, symbol):
+        sc = draw_scenario(SplitMix64(39), symbol, q)
+        assert not any(b for _, _, b in every_cell_brackets(sc, 80))
+        assert verify_theorem1(sc, 80).first_nonzero_cell is None
+
+    @pytest.mark.parametrize("from_row", [0, 5])
+    def test_geometric_fault_names_the_same_cell(self, monkeypatch, from_row):
+        """V2 times (q + 1)/q in every cell of the rows l >= from_row: still
+        geometric in m, and the first non-zero cell of every cell's walk,
+        (from_row, 1), is the report's."""
+        real = zeta.volume_numerators
+
+        def scaled(local, l, m):
+            n1, n2, den = real(local, l, m)
+            if l < from_row:
+                return n1, n2, den
+            return n1 * local.p, n2 * (local.p + 1), den * local.p
+
+        monkeypatch.setattr(zeta, "volume_numerators", scaled)
+        for q in (2, 3, 5):
+            for symbol in SplittingSymbol:
+                sc = draw_scenario(SplitMix64(40), symbol, q)
+                first = next((l, m) for l, m, b in every_cell_brackets(sc, 25) if b)
+                assert first == (from_row, 1)
+                assert verify_theorem1(sc, 25).first_nonzero_cell == first, (q, symbol)
+
+    def test_fault_at_3_2_names_the_same_cell(self, wrong_v2_at_3_2):
+        for symbol in SplittingSymbol:
+            sc = draw_scenario(SplitMix64(41), symbol, 3)
+            first = next((l, m) for l, m, b in every_cell_brackets(sc, 25) if b)
+            assert first == (3, 2)
+            assert verify_theorem1(sc, 25).first_nonzero_cell == first
 
 
 class TestFirstNonzeroCell:
