@@ -216,10 +216,11 @@ IDENTITY_NAMES = ("i", "ii", "vi", "m0-equiv", "mpos-equiv")
 
 P = 2**31 - 1  # prime; residues lie below 2^31, so any product of two is below 2^62
 CHUNK = 512  # attempts drawn and evaluated together, which bounds the memory
-RESIDUES = ("a", "b", "c", "u", "w", "pm", "varpi")  # draw order of one attempt
-# The draws each identity's sides depend on, d included, in draw order: a
-# failing trial's witness names only these.  sqrt(d) stands for a, b and c;
-# l cancels from h^-1 g h, and at m = 0 so does varpi.
+# What each identity is computed from, in draw order, d last: an attempt
+# draws these names but d, and a failing trial's witness names them all.
+# sqrt(d) stands for a, b and c.  No l: the varpi^l of h(l, m) is a scalar
+# on the conjugated upper block, so it cancels, and at m = 0 h(l, 0) changes
+# nothing, so m0-equiv reads no varpi either.
 IDENTITY_READS = {
     "i": ("a", "b", "c", "u", "pm", "d"),
     "ii": ("a", "b", "c", "u", "w", "pm", "d"),
@@ -291,19 +292,6 @@ class Batch:
     def __rtruediv__(self, other):
         return self._lift(other) * self.inverse()
 
-    def _where(self, mask, other: "Batch") -> "Batch":
-        return Batch(np.where(mask, other.x0, self.x0), np.where(mask, other.x1, self.x1), self.d)
-
-    def __pow__(self, e):
-        """Integer powers, one exponent per trial or one for all."""
-        e = np.asarray(e)
-        base = self._where(e < 0, self.inverse()) if (e < 0).any() else self
-        out, e = Batch(1, 0, self.d), np.abs(e)
-        while e.any():
-            out = out._where(e & 1, out * base)
-            base, e = base * base, e >> 1
-        return out
-
 
 class MatrixBatch:
     """One 4x4 matrix over F_P[X]/(X^2 - d) per trial: x0 and x1 are
@@ -357,29 +345,34 @@ def _block_embed(g11, g12, g21, g22, d) -> MatrixBatch:
     )
 
 
-def draw_residues(rng: SplitMix64, n: int) -> Dict[str, np.ndarray]:
-    """The draws of n attempts as int64 arrays keyed by name.  Each attempt
-    draws the RESIDUES in order with ``below(P)``, then l = below(3) and
-    m = 1 + below(2); d = b^2 - 4ac mod P is derived."""
-    draws = [[rng.below(P) for _ in RESIDUES] + [rng.below(3), 1 + rng.below(2)] for _ in range(n)]
-    r = dict(zip(RESIDUES + ("l", "m"), np.array(draws, dtype=np.int64).T))
+def draw_residues(rng: SplitMix64, which: str, n: int) -> Dict[str, np.ndarray]:
+    """The draws of n attempts at the named identity as int64 arrays keyed
+    by name.  Each attempt draws the names of IDENTITY_READS[which] but d,
+    in order, each with ``below(P)`` but m = 1 + below(2); d = b^2 - 4ac
+    mod P is derived."""
+    names = [name for name in IDENTITY_READS[which] if name != "d"]
+    draws = [[1 + rng.below(2) if name == "m" else rng.below(P) for name in names] for _ in range(n)]
+    r = dict(zip(names, np.array(draws, dtype=np.int64).T))
     r["d"] = (r["b"] * r["b"] % P - 4 * (r["a"] * r["c"] % P)) % P
     return r
 
 
 def identity_sides(which: str, draws: Dict[str, np.ndarray]):
     """(lhs, rhs, valid) of the named identity at each attempt of
-    ``draws``: valid marks the attempts where c, d, u, w and varpi, and beta
+    ``draws``, which hold the names of IDENTITY_READS[which]: valid marks
+    the attempts where d and the drawn ones of c, u, w and varpi, and beta
     (ii) or v (m0-equiv), are units, and only those are trials."""
     d = draws["d"]
-    a, b, c, u, w, pm, varpi = (Batch(draws[k], 0, d) for k in RESIDUES)
-    alpha = Batch(draws["b"], 1, d) / (2 * c)
     valid = d != 0
     for name in ("c", "u", "w", "varpi"):
-        valid &= draws[name] != 0
+        if name in draws:
+            valid &= draws[name] != 0
+    a, b, c, u = (Batch(draws[name], 0, d) for name in "abcu")
+    alpha = Batch(draws["b"], 1, d) / (2 * c)
     torus = ediag(1, u, 1, 1 / u, d)
 
     if which == "i":
+        pm = Batch(draws["pm"], 0, d)
         lhs = eta_matrix(alpha, pm) * torus
         rhs = torus * eta_matrix(alpha, pm / u)
         return lhs, rhs, valid
@@ -387,11 +380,13 @@ def identity_sides(which: str, draws: Dict[str, np.ndarray]):
         raise ValueError(f"unknown identity {which!r}; expected one of {IDENTITY_NAMES}")
 
     # the other four start from torus * L(w) * S1
+    w = Batch(draws["w"], 0, d)
     s1 = matrix(S1, d)
     head = torus * matrix(_unipotent(w, 0, 0, 0), d) * s1
     z = 0
 
     if which in ("ii", "vi"):
+        pm = Batch(draws["pm"], 0, d)
         beta = alpha * pm + u * w
         bbar = beta.conjugate()
         if which == "ii":
@@ -412,10 +407,9 @@ def identity_sides(which: str, draws: Dict[str, np.ndarray]):
         )
         return lhs, left * right, valid
 
-    l = draws["l"]
     if which == "m0-equiv":
-        m = 0
-        v = a + b * (u * w) + c * (u * w) ** 2
+        uw = u * w
+        v = a + b * uw + c * uw * uw
         valid &= v.x0 != 0
         y = -u / v
         x = -(u / v) * (c * w * u + b / 2)
@@ -426,8 +420,8 @@ def identity_sides(which: str, draws: Dict[str, np.ndarray]):
             [0, 0, 0, 1],
         ]
     else:
-        m = draws["m"]
-        pm = varpi**m
+        varpi = draws["varpi"]
+        pm = Batch(np.where(draws["m"] == 2, varpi * varpi % P, varpi), 0, d)  # varpi^m
         x = b * pm / (2 * c * w * w * u) - 1 / w
         y = -pm / (c * w * w * u)
         top = 1 + pm * pm * a / (c * w * w * u * u)
@@ -438,13 +432,12 @@ def identity_sides(which: str, draws: Dict[str, np.ndarray]):
             [0, 0, 1 / (w * w), 1 / w],
             [0, 0, off, top],
         ]
-    g11 = x + y * b / 2
-    g12 = y * c
-    g21 = -y * a
-    g22 = x - y * b / 2
-    h = ediag(varpi ** (2 * m + l), varpi ** (m + l), 1, varpi**m, d)
-    h_inv = ediag(varpi ** -(2 * m + l), varpi ** -(m + l), 1, varpi**-m, d)
-    lhs = h_inv * _block_embed(g11, g12, g21, g22, d) * h * ediag(1, -u, 1, -(1 / u), d)
+    g = _block_embed(x + y * b / 2, y * c, -y * a, x - y * b / 2, d)
+    if which == "mpos-equiv":
+        # h(0, m)^-1 g h(0, m), h(0, m) = diag(varpi^2m, varpi^m, 1, varpi^m);
+        # h(l, 0) conjugates g by scalars, so m0-equiv forms no h
+        g = ediag(1 / (pm * pm), 1 / pm, 1, 1 / pm, d) * g * ediag(pm * pm, pm, 1, pm, d)
+    lhs = g * ediag(1, -u, 1, -(1 / u), d)
     return lhs, head * matrix(corner, d), valid
 
 
@@ -473,7 +466,7 @@ def matrix_identity_witness(
         if n == 0:
             raise RuntimeError("too many degenerate draws; check the sampler")
         attempts += n
-        draws = draw_residues(rng, n)
+        draws = draw_residues(rng, which, n)
         lhs, rhs, valid = identity_sides(which, draws)
         differs = ((lhs.x0 != rhs.x0) | (lhs.x1 != rhs.x1)) & valid[:, None, None]
         if differs.any():

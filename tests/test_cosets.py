@@ -10,10 +10,10 @@ from localzeta.localfield import LocalQuadData, SplittingSymbol, unit_index
 from localzeta.rng import SplitMix64
 from localzeta.cosets import (
     P,
-    RESIDUES,
     Batch,
     CosetAuditReport,
     IDENTITY_NAMES,
+    IDENTITY_READS,
     bruhat_reps,
     coset_audit,
     coset_keys,
@@ -569,8 +569,8 @@ def _patch_draws(monkeypatch, change):
     sizes = []
     draw = cosets.draw_residues
 
-    def patched(rng, n):
-        draws = draw(rng, n)
+    def patched(rng, which, n):
+        draws = draw(rng, which, n)
         change(draws)
         sizes.append(n)
         return draws
@@ -664,7 +664,7 @@ class TestMatrixIdentities:
             assert checks[f"cosets/identity/{which}"]() == (True, None)
         _add_one(monkeypatch, 2, 3)
         for k, which in enumerate(IDENTITY_NAMES):
-            first = cosets.draw_residues(SplitMix64(7 ^ ((k + 1) * 0x9E3779B97F4A7C15)), 1)
+            first = cosets.draw_residues(SplitMix64(7 ^ ((k + 1) * 0x9E3779B97F4A7C15)), which, 1)
             assert checks[f"cosets/identity/{which}"]() == (False, {
                 "identity": which,
                 "trial": 0,
@@ -688,21 +688,34 @@ class TestMatrixIdentities:
         assert max(witness["trial"] for witness in witnesses) > 3 * 3
 
     def test_draws_follow_the_readme_definition(self, monkeypatch):
-        which, seed = "ii", 1
-        chunks = []
-        _patch_draws(monkeypatch, lambda draws: chunks.append({k: v.copy() for k, v in draws.items()}))
-        assert verify_matrix_identity(which, 5, seed)
+        seed, chunks, rngs = 1, [], []
+        draw = cosets.draw_residues
 
-        # key: seed XOR ((k + 1) * 0x9E3779B97F4A7C15) mod 2^64, k = the
-        # identity's position; below(n) = output mod n, seven residues
-        # below P, then l = below(3) and m = 1 + below(2) per attempt
-        stream = _readme_splitmix64(seed ^ ((IDENTITY_NAMES.index(which) + 1) * 0x9E3779B97F4A7C15))
-        for draws in chunks:
-            for t in range(len(draws["a"])):
-                want = [next(stream) % P for _ in RESIDUES] + [next(stream) % 3, 1 + next(stream) % 2]
-                assert [int(draws[name][t]) for name in (*RESIDUES, "l", "m")] == want
-                a, b, c = want[:3]
-                assert draws["d"][t] == (b * b - 4 * a * c) % P
+        def recorded(rng, which, n):
+            rngs.append(rng)
+            draws = draw(rng, which, n)
+            chunks.append({k: v.copy() for k, v in draws.items()})
+            return draws
+
+        monkeypatch.setattr(cosets, "draw_residues", recorded)
+        for k, which in enumerate(IDENTITY_NAMES):
+            chunks.clear()
+            assert verify_matrix_identity(which, 5, seed)
+
+            # key: seed XOR ((k + 1) * 0x9E3779B97F4A7C15) mod 2^64; below(n)
+            # = output mod n; each attempt draws the identity's names but d,
+            # in order, m = 1 + below(2) and the rest below P, and no more
+            names = IDENTITY_READS[which][:-1]
+            stream = _readme_splitmix64(seed ^ ((k + 1) * 0x9E3779B97F4A7C15))
+            for draws in chunks:
+                assert list(draws) == [*names, "d"]
+                for t in range(len(draws["a"])):
+                    want = [1 + next(stream) % 2 if name == "m" else next(stream) % P for name in names]
+                    assert [int(draws[name][t]) for name in names] == want, which
+                    a, b, c = want[:3]
+                    assert draws["d"][t] == (b * b - 4 * a * c) % P
+            assert rngs[-1].next_u64() == next(stream), which
+        assert set(draw(SplitMix64(seed), "i", 3)) == {"a", "b", "c", "u", "pm", "d"}
 
     def test_drawn_alpha_solves_its_quadratic_over_integer_d(self, monkeypatch):
         chunks, alphas = [], []
