@@ -111,8 +111,8 @@ def v_N(n: int) -> Rational:
     return value
 
 
-def _close(x: complex, y: complex, tol: float = _PAIRING_TOL) -> bool:
-    return abs(complex(x) - complex(y)) <= tol * max(1.0, abs(complex(y)))
+def _close(x: complex, y: complex) -> bool:
+    return abs(complex(x) - complex(y)) <= _PAIRING_TOL * max(1.0, abs(complex(y)))
 
 
 @dataclass(frozen=True)

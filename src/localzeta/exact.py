@@ -4,14 +4,17 @@ Scalars live in the quadratic algebra Q[X]/(X^2 - q) for a nonzero
 integer q, written a + b*sqrt(q) and stored as integer triples
 (A, B, D) = (A + B*sqrt(q))/D with D > 0 and gcd(A, B, D) = 1.  That
 normal form is unique for every such q, because it is just the rational
-pair (a, b).  The algebra is the field Q(sqrt(q)) exactly when q is not a
-square; otherwise it has zero divisors.  The local identities use a prime q.
+pair (a, b).  Every scalar operation forms its triple unreduced and
+divides it once by gcd(D, A, B) (_reduced).  The algebra is the field
+Q(sqrt(q)) exactly when q is not a square; otherwise it has zero divisors.
+The local identities use a prime q.
 
 The local check needs only what is here: scalar sums, differences and
 products; products of polynomials in one formal variable (built from
-their factors by factor_product); a rational function whose denominator
-has constant term 1, as every product of factors 1 - c t has; and its
-Taylor coefficients through a fixed order as unreduced triples (series_terms),
+their factors by factor_product, fraction-free, each coefficient reduced
+once at the end); a rational function whose denominator has constant
+term 1, as every product of factors 1 - c t has; and its Taylor
+coefficients through a fixed order as unreduced triples (series_terms),
 compared by cross-multiplication (terms_equal), with only a witness
 reduced (series_of is the reduced view).  Degrees never exceed 8.
 
@@ -72,13 +75,7 @@ class QuadCoeff:
     def __init__(self, a: RationalLike, b: RationalLike, q: int):
         na, da = _int_pair(a)
         nb, db = _int_pair(b)
-        if da == db:
-            _set(self, (na, nb, da, q))
-        else:
-            # Over the lcm of two reduced denominators no prime divides
-            # all of A, B and D, so the triple is already reduced.
-            d = da // gcd(da, db) * db
-            _set(self, (na * (d // da), nb * (d // db), d, q))
+        _set(self, _normal(na * db, nb * da, da * db, q))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadCoeff is immutable")
@@ -122,7 +119,8 @@ class QuadCoeff:
         if o is None:
             return NotImplemented
         A1, B1, D1, q = self._v
-        return _add(A1, B1, D1, o[0], o[1], o[2], q)
+        A2, B2, D2 = o
+        return _reduced(A1 * D2 + A2 * D1, B1 * D2 + B2 * D1, D1 * D2, q)
 
     __radd__ = __add__
 
@@ -131,7 +129,8 @@ class QuadCoeff:
         if o is None:
             return NotImplemented
         A1, B1, D1, q = self._v
-        return _add(A1, B1, D1, -o[0], -o[1], o[2], q)
+        A2, B2, D2 = o
+        return _reduced(A1 * D2 - A2 * D1, B1 * D2 - B2 * D1, D1 * D2, q)
 
     def __mul__(self, other):
         o = self._triple(other)
@@ -145,7 +144,7 @@ class QuadCoeff:
 
     def __neg__(self):
         A, B, D, q = self._v
-        return _quad(-A, -B, D, q)
+        return _reduced(-A, -B, D, q)
 
     def __eq__(self, other):
         try:
@@ -185,45 +184,26 @@ class QuadCoeff:
 _set = QuadCoeff._v.__set__
 
 
-def _quad(A: int, B: int, D: int, q: int) -> QuadCoeff:
-    """A QuadCoeff from a triple the caller knows to be reduced."""
-    x = object.__new__(QuadCoeff)
-    _set(x, (A, B, D, q))
-    return x
+def _normal(A: int, B: int, D: int, q: int) -> tuple:
+    """The stored (A, B, D, q) of (A + B*sqrt(q))/D, D > 0: the triple
+    divided by gcd(D, A, B), its one normal form."""
+    g = gcd(D, A, B)
+    return (A, B, D, q) if g == 1 else (A // g, B // g, D // g, q)
 
 
 def _reduced(A: int, B: int, D: int, q: int) -> QuadCoeff:
-    """A QuadCoeff from any triple with D > 0."""
-    g = gcd(D, A, B)
-    if g != 1:
-        A //= g
-        B //= g
-        D //= g
-    return _quad(A, B, D, q)
-
-
-def _add(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, q: int) -> QuadCoeff:
-    """Sum of two reduced triples, reduced the way Fraction adds (Knuth
-    4.5.1): a common factor of the new numerator and the lcm of the
-    denominators can only come from g = gcd(D1, D2)."""
-    g = gcd(D1, D2)
-    if g == 1:
-        return _quad(A1 * D2 + A2 * D1, B1 * D2 + B2 * D1, D1 * D2, q)
-    s = D1 // g
-    t = D2 // g
-    A = A1 * t + A2 * s
-    B = B1 * t + B2 * s
-    g2 = gcd(g, A, B)
-    return _quad(A // g2, B // g2, s * (D2 // g2), q)
+    """The QuadCoeff (A + B*sqrt(q))/D, from any integer triple with D > 0;
+    every operation of QuadCoeff ends here."""
+    x = object.__new__(QuadCoeff)
+    _set(x, _normal(A, B, D, q))
+    return x
 
 
 def q_half_power(q: int, n: int) -> QuadCoeff:
     """q**(n/2) as an element of Q(sqrt(q)), for any integer n."""
     if n % 2 == 0:
-        h = n // 2
-        return _quad(q**h, 0, 1, q) if h >= 0 else _quad(1, 0, q**-h, q)
-    h = (n - 1) // 2
-    return _quad(0, q**h, 1, q) if h >= 0 else _quad(0, 1, q**-h, q)
+        return QuadCoeff(rat(q) ** (n // 2), 0, q)
+    return QuadCoeff(0, rat(q) ** ((n - 1) // 2), q)
 
 
 def _as_quad(value, q: int) -> QuadCoeff:
@@ -314,7 +294,7 @@ class Poly:
     def __bool__(self):
         return bool(self.coefficients)
 
-    def to_str(self, var: str = "t") -> str:
+    def to_str(self) -> str:
         if not self.coefficients:
             return "0"
         parts = []
@@ -333,7 +313,7 @@ class Poly:
             if i == 0:
                 parts.append(cs)
             else:
-                power = var if i == 1 else f"{var}^{i}"
+                power = "t" if i == 1 else f"t^{i}"
                 if cs == "1":
                     term = power
                 elif cs == "-1":
@@ -355,20 +335,24 @@ def factor_product(coeffs: Iterable, q: int, power: int = 1) -> Poly:
     L-factor in t, from its roots' reciprocals.  No coefficients give 1.
 
     Its coefficients are the signed elementary symmetric functions e_k of
-    the c's in every power-th slot.  Each c updates them in place, from the
-    top down: e_k <- e_k - c e_(k-1).  No intermediate Poly is built.  Its
-    delta, the lcm of the c's denominators, makes delta^k e_k integral.
+    the c's in every power-th slot, built fraction-free, as series_terms
+    runs.  Its delta, the lcm of the c's denominators, makes each
+    delta^k e_k an integer pair E_k = A + B*sqrt(q), and each c updates the
+    pairs in place, from the top down: E_k <- E_k - (delta c) E_(k-1).  Each
+    e_k is reduced once, at the end, to (A + B*sqrt(q))/delta^k.
     """
-    e = [_quad(1, 0, 1, q)]
-    delta = 1
-    for c in coeffs:
-        c = _as_quad(c, q)
-        delta = lcm(delta, c._v[2])
-        e.append(-(c * e[-1]))
-        for k in range(len(e) - 2, 0, -1):
-            e[k] = e[k] - c * e[k - 1]
-    spread = [_quad(0, 0, 1, q)] * (power * (len(e) - 1) + 1)
-    spread[::power] = e
+    roots = [_as_quad(c, q)._v for c in coeffs]
+    delta = lcm(*(D for _, _, D, _ in roots))
+    E = [(1, 0)]
+    for A, B, D, _ in roots:
+        f = delta // D
+        cA, cB = A * f, B * f
+        E.append((0, 0))
+        for k in range(len(E) - 1, 0, -1):
+            (eA, eB), (pA, pB) = E[k], E[k - 1]
+            E[k] = (eA - cA * pA - cB * pB * q, eB - cA * pB - cB * pA)
+    spread = [_reduced(0, 0, 1, q)] * (power * (len(E) - 1) + 1)
+    spread[::power] = [_reduced(A, B, delta**k, q) for k, (A, B) in enumerate(E)]
     return Poly(spread, q, delta)
 
 

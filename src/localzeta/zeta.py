@@ -73,16 +73,16 @@ def _nonzero_brackets(sc: ScenarioData, n: int) -> Iterator[Tuple[int, int, Rati
     localfield.volume_numerators.  The premise: both volumes and both newform
     values are geometric in m, so the bracket is c1 r1^m + c2 r2^m.  If it
     vanishes at m = 1 and m = 2 it vanishes at every m; if not, its first
-    non-zero cell is at m = 1 or 2.  So a row walks m = 1, 2 and its last m
-    only, or all of its cells if it has at most 2.  Over r ra den the bracket
-    is the integer p ra n1 + pa r n2, made a Rational only when non-zero.
+    non-zero cell is at m = 1 or 2.  So a row walks m = 1 and 2 only, or
+    m = 1 if that is its one cell.  Over r ra den the bracket is the integer
+    p ra n1 + pa r n2, made a Rational only when non-zero.
     """
     q, omega = sc.q, sc.st.omega_piF
     p, r = 1, 1  # W_diag = p/r
     pa, ra = -1, q  # W_al = pa/ra
     for l in range(0, n - 1):
-        a, b, last = p * ra, pa * r, (n - l) // 2
-        for m in (1, 2, last) if last > 2 else range(1, last + 1):
+        a, b = p * ra, pa * r
+        for m in range(1, min((n - l) // 2, 2) + 1):
             n1, n2, v_den = volume_numerators(sc.local, l, m)
             x = a * n1 + b * n2
             if x:
@@ -98,9 +98,9 @@ def _add_terms(x: Tuple[int, int, int], y: Tuple[int, int, int]) -> Tuple[int, i
 
 def _m_positive_terms(sc: ScenarioData, n: int) -> Tuple[Optional[Tuple[int, int]], list]:
     """The m > 0 part of the coset sum through order n in t, from the cells
-    that _nonzero_brackets walks (m = 1, 2 and the last of each row, under
-    its premise): the first (l, m) whose bracket is non-zero, or None, and
-    the n + 1 coefficients as unreduced triples (A, B, D).
+    that _nonzero_brackets walks (m = 1 and 2 of each row, which decide it
+    under its premise): the first (l, m) whose bracket is non-zero, or None,
+    and the n + 1 coefficients as unreduced triples (A, B, D).
 
     Both coset families at each (l, m) are summed with their own newform
     value and volume.  The Bessel factor B(h(l, m)) is common to the two

@@ -634,12 +634,14 @@ class TestVerifyVolumes:
             assert sorted(visited) == [(l, m) for l in (2, 4, 6) for m in range(1, 5)], name
 
 
+DEFAULT_FACTOR = "(1/15 - 1/120*t^2) / (1 - 2*t + 3/2*t^2 - 1/2*t^3 + 1/16*t^4)"
+
+
 class TestLfactor:
     def test_default_prints_the_trivial_factor(self, capsys):
         assert main(["lfactor"]) == 0
         out = capsys.readouterr().out
-        assert "1/15 - 1/120*t^2" in out
-        assert "1 - 2*t + 3/2*t^2 - 1/2*t^3 + 1/16*t^4" in out
+        assert f"factor: {DEFAULT_FACTOR}\n" in out
 
     def test_machine_record_carries_the_factor(self):
         code, out = run_capture(RunConfig(command="lfactor", output_format="machine"))
@@ -647,7 +649,39 @@ class TestLfactor:
         (record,) = records_of(out)
         assert record["name"] == "lfactor/000"
         assert record["witness"]["q"] == 2
-        assert record["witness"]["factor"].startswith("(1/15")
+        assert record["witness"]["factor"] == DEFAULT_FACTOR
+
+    def test_factors_of_the_two_scenario_input(self, write_doc):
+        # CI's local input: split at q = 3, with sqrt(3) in the numerator,
+        # and inert at q = 5.  The whole strings pin every coefficient, the
+        # top one of each degree-4 denominator too.
+        doc = {
+            "local_scenarios": [
+                {
+                    "q": 3,
+                    "symbol": "split",
+                    "lambda": {"piF": 1, "piL": 2, "piF_over_piL": "1/2"},
+                    "satake": {"u0": 1, "u1": "2/3", "u2": "3/2"},
+                    "omega": -1,
+                },
+                {
+                    "q": 5,
+                    "symbol": "inert",
+                    "lambda": {"piF": 4},
+                    "satake": {"u0": 2, "u1": 1, "u2": 1},
+                    "omega": "1/2",
+                },
+            ]
+        }
+        code, out = run_capture(
+            RunConfig(command="lfactor", input_path=write_doc(doc), output_format="machine")
+        )
+        assert code == 0
+        assert [r["witness"]["factor"] for r in records_of(out)] == [
+            "(1/80 + (1/288*sqrt(3))*t + 1/2160*t^2)"
+            " / (1 + 25/18*t + 19/27*t^2 + 25/162*t^3 + 1/81*t^4)",
+            "(1/156 - 1/19500*t^2) / (1 - 4/5*t + 6/25*t^2 - 4/125*t^3 + 1/625*t^4)",
+        ]
 
     def test_input_scenarios_each_get_a_record(self, write_doc):
         path = write_doc(valid_local_doc())

@@ -28,6 +28,7 @@ from localzeta.zeta import z_closed_form
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12).map(
     lambda f: rat(f.numerator) / rat(f.denominator)
 )
+scalars = st.one_of(st.integers(-60, 60), rationals)
 primes = st.sampled_from([2, 3, 5])
 
 
@@ -79,6 +80,9 @@ class TestQuadCoeff:
         assert q_half_power(3, 1) == QuadCoeff(0, 1, 3)
         assert q_half_power(3, -3) == QuadCoeff(0, rat(1, 9), 3)
         assert q_half_power(3, -3) * q_half_power(3, 3) == QuadCoeff(1, 0, 3)
+        # a negative q keeps D > 0: (-3)^(-1) is -1/3, not 1/(-3)
+        assert q_half_power(-3, -2) == QuadCoeff(rat(-1, 3), 0, -3)
+        assert q_half_power(-3, -1)._v == (0, -1, 3, -3)
 
     def test_str_of_normalised_forms(self):
         # The reduced triple (A, B, D) must print exactly as the pair of
@@ -116,6 +120,36 @@ class TestQuadCoeff:
         y = QuadCoeff(x.a, x.b, q)
         norm = y * QuadCoeff(y.a, -y.b, q)
         assert norm == y.a * y.a - y.b * y.b * q
+
+    @given(
+        q=st.sampled_from([-7, -4, -1, 2, 3, 4, 9]),
+        x=st.tuples(scalars, scalars),
+        y=st.tuples(scalars, scalars),
+        plain=scalars,
+    )
+    def test_every_operation_returns_the_normal_form(self, q, x, y, plain):
+        # == compares triples, so the constructor, +, -, * and unary - must
+        # each return (A, B, D) with D > 0 and gcd(A, B, D) = 1, equal to
+        # Fraction arithmetic on the pairs (a, b), also with an int or
+        # Fraction on either side, for square and negative q as well.
+        (a, b), (c, d) = x, y
+        X, Y = QuadCoeff(a, b, q), QuadCoeff(c, d, q)
+        cases = [
+            (X, (a, b)),
+            (X + Y, (a + c, b + d)),
+            (X - Y, (a - c, b - d)),
+            (X * Y, (a * c + b * d * q, a * d + b * c)),
+            (-X, (-a, -b)),
+            (X + plain, (a + plain, b)),
+            (plain + X, (a + plain, b)),
+            (X - plain, (a - plain, b)),
+            (X * plain, (a * plain, b * plain)),
+            (plain * X, (a * plain, b * plain)),
+        ]
+        for z, pair in cases:
+            A, B, D, zq = z._v
+            assert zq == q and D > 0 and gcd(A, B, D) == 1
+            assert (Rational(A, D), Rational(B, D)) == pair
 
     def test_zero_divisor_has_norm_zero_and_no_inverse(self):
         # (3 + sqrt(9)) * (3 - sqrt(9)) = 0 although neither factor is zero,

@@ -170,8 +170,8 @@ class TestUniformizerValues:
 
 class TestVolumeRow:
     """Each row of the volume formulas is geometric in m, the premise under
-    which zeta._nonzero_brackets reads only m = 1, 2 and the last m of a
-    row: from m = 1 on, a step in m multiplies n1 and n2 by q^4."""
+    which zeta._nonzero_brackets reads only m = 1 and 2 of a row: from
+    m = 1 on, a step in m multiplies n1 and n2 by q^4."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("symbol", list(SplittingSymbol))

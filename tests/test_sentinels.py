@@ -63,16 +63,27 @@ SENTINELS = {
     # d_k s_0 dropped from every expansion; both sides of Theorem 1 expand
     # the one rational function, so the fault cancels between them
     "series-terms-j-ge-k": ("exact.py", "if j > k:", "if j >= k:", {LOCAL: EVERY_LOCAL}),
+    # sqrt(q) sqrt(q) taken as 1 in the fraction-free update of factor_product
+    "factor-product-sqrt-cross-term": ("exact.py", "cB * pB * q", "cB * pB", {LOCAL: EVERY_LOCAL}),
+    # every product truncated at degree 3: the top e_4 of Sugano's Q and of
+    # L8^-1 goes alike, so the fault cancels between the two sides
+    "factor-product-top-coefficient": (
+        "exact.py",
+        "in enumerate(E)]",
+        "in enumerate(E[:4])]",
+        {LOCAL: EVERY_LOCAL},
+    ),
 }
 
 KNOWN_BLIND = {
     "series-terms-j-ge-k": "ROADMAP item 21: the direct side's Bessel values expand by the same route",
+    "factor-product-top-coefficient": "ROADMAP item 21: Sugano's Q and L8^-1 are built by the same route",
 }
 
 
 def witness_is_minimal(command: str, witness) -> bool:
-    if command == "verify-local":  # the first non-zero cell of the m > 0 half
-        return witness["first_nonzero_cell"][1] <= 2
+    if command == "verify-local":  # the first non-zero cell of the m > 0 half, if any
+        return witness["m_positive_vanishes"] or witness["first_nonzero_cell"][1] <= 2
     if command == "verify-cosets":
         reads = set(IDENTITY_READS[witness["identity"]])
         return set(witness) == {"identity", "trial", "residues", "entry"} and set(witness["residues"]) == reads
