@@ -22,11 +22,11 @@ which has no error estimate yet, returns a value unchecked.
 Whittaker evaluation is written here from scratch: a tanh-sinh quadrature
 of the confluent-U integral representation where it converges, and an
 upward recurrence in the first index from two safely-convergent seeds
-otherwise.  Where U is a polynomial, the same recurrence walks up from
-U(0, b, x) = 1, at every degree.  The tanh-sinh rule runs on one grid
-with a fixed step, as one real exponential over the (argument, node)
-grid and one matrix product; its accuracy is pinned in the test suite
-against mpmath, which is used only there, as an independent oracle.
+otherwise (from U(0, b, x) = 1, where U is a polynomial).  An integral
+builds its W route, with the node table that depends on (kappa, mu)
+alone, once; each round then pays one real exponential over the
+(argument, node) grid and one matrix product.  The grid's accuracy is
+pinned in the test suite against mpmath, used only there as an oracle.
 
 Gamma values come from scipy.special, the slowest import of the package.
 It is imported on the first Gamma evaluation, not with this module, so a
@@ -112,18 +112,16 @@ class WhittakerQuery:
             raise ValueError("x must be positive")
 
 
-def _confluent_u_pair(
-    a: complex, b: complex, xs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """U(a, b, x) and U(a+1, b, x) for an array of positive x.
+def _confluent_u_pair(a: complex, b: complex):
+    """The route to U(a, b, x) and U(a+1, b, x) for an array of positive x.
 
     U(a,b,x) = Gamma(a)^-1 * int_0^inf e^(-x t) t^(a-1) (1+t)^(b-a-1) dt,
     valid for Re(a) > 0, summed on one tanh-sinh grid (Takahasi & Mori's
     double-exponential rule) with the fixed step h = 0.05; the nodes
     handle the t -> 0 endpoint.  A term's phase depends on its node only,
-    so the dominant cost is one real exponential over the (x, node) grid;
-    one matrix product with a node table of the phases, bare and times
-    t/(1+t), sums both members at once.
+    so the route builds the node table once, the phases bare and times
+    t/(1+t), with both 1/Gamma factors; each call then pays one real
+    exponential over the (x, node) grid and one matrix product.
 
     The route has no error estimate yet.  Against mpmath.hyperu, on the
     (a, b) pairs the verify-arch battery passes, both members agree to
@@ -146,12 +144,16 @@ def _confluent_u_pair(
     phase = np.exp(1j * log_pow.imag)
     shift = np.exp(log_t - np.log1p(t))  # extra t/(1+t) for the a+1 member
     nodes = np.stack([phase, phase * shift], axis=1).view(float)
-    sums = (np.exp(-np.outer(xs, t) + log_pow.real) @ nodes).view(complex)
-    return sums[:, 0] * _reciprocal_gamma(a), sums[:, 1] * _reciprocal_gamma(a + 1)
+    scale, scale_up = _reciprocal_gamma(a), _reciprocal_gamma(a + 1)
+
+    def pair(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        sums = (np.exp(-np.outer(xs, t) + log_pow.real) @ nodes).view(complex)
+        return sums[:, 0] * scale, sums[:, 1] * scale_up
+    return pair
 
 
-def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarray:
-    """W_{kappa,mu} on an array of positive x, choosing the route per kappa.
+def _whittaker_w_route(kappa: complex, mu: complex):
+    """The route to W_{kappa,mu} for an array of positive x, built once.
 
     W = e^(-x/2) x^(mu+1/2) U(mu-kappa+1/2, 1+2mu, x).  Where the integral
     route for U converges comfortably (Re(mu-kappa+1/2) >= 1) it is used
@@ -171,16 +173,21 @@ def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarra
     """
     kappa = complex(kappa)
     mu = complex(mu)
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
-        raise DomainError("Whittaker argument must be positive")
     a = mu - kappa + 0.5
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and round(a.real) <= 0:
-        n = int(-round(a.real))
-        k0, u_k0, u_below = mu + 0.5, 1, 0  # W_{k0-1} has weight zero in the first step
+        n, guarded = int(-round(a.real)), False
+        k0, seeds = mu + 0.5, lambda xs: (1, 0)  # W_{k0-1} has weight zero in the first step
     else:
         n = 0 if a.real >= 1.0 else int(math.ceil(1.0 - a.real)) + 2
-        if n and mu.real >= 1.0 and float(np.min(xs)) < 1.0:
+        guarded, k0 = n and mu.real >= 1.0, kappa - n
+        # a(k0) = a + n and a(k0 - 1) = a + n + 1: one node grid, both seeds
+        seeds = _confluent_u_pair(a + n, 1 + 2 * mu)
+
+    def w(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if np.any(xs <= 0):
+            raise DomainError("Whittaker argument must be positive")
+        if guarded and float(np.min(xs)) < 1.0:
             # The value is dominated by cancellation between the x^(1/2-mu)
             # and x^(1/2+mu) branches, which the upward recurrence cannot
             # resolve in double precision.
@@ -188,24 +195,27 @@ def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarra
                 "unsupported domain: first index too large for the integral "
                 "route while Re(mu) >= 1 at small argument"
             )
-        k0 = kappa - n
-        # a(k0) = a + n and a(k0 - 1) = a + n + 1 share the same second
-        # parameter, so both seeds come from a single node grid.
-        u_k0, u_below = _confluent_u_pair(a + n, 1 + 2 * mu, xs)
-    envelope = np.exp(-xs / 2 + (mu + 0.5) * np.log(xs))
-    w_prev = envelope * u_below  # W_{k0-1}
-    w_curr = envelope * u_k0  # W_{k0}
-    k = k0
-    for step in range(1, n + 1):
-        w_next = (xs - 2 * k) * w_curr - (k - mu - 0.5) * (k + mu - 0.5) * w_prev
-        w_prev, w_curr = w_curr, w_next
-        k = k + 1
-        # After 1, 2, 4, 8, ... steps, once the sum is 0 or not finite: stop
-        # if no value can come back from past the float range, or leave 0.
-        if not step & (step - 1) and not 0 < abs(w_curr.sum()) < math.inf:
-            if not (np.isfinite(w_curr) & ((w_curr != 0) | (w_prev != 0))).any():
-                break
-    return w_curr
+        u_k0, u_below = seeds(xs)
+        envelope = np.exp(-xs / 2 + (mu + 0.5) * np.log(xs))
+        w_prev = envelope * u_below  # W_{k0-1}
+        w_curr = envelope * u_k0  # W_{k0}
+        k = k0
+        for step in range(1, n + 1):
+            w_next = (xs - 2 * k) * w_curr - (k - mu - 0.5) * (k + mu - 0.5) * w_prev
+            w_prev, w_curr = w_curr, w_next
+            k = k + 1
+            # After 1, 2, 4, 8, ... steps, once the sum is 0 or not finite: stop
+            # if no value can come back from past the float range, or leave 0.
+            if not step & (step - 1) and not 0 < abs(w_curr.sum()) < math.inf:
+                if not (np.isfinite(w_curr) & ((w_curr != 0) | (w_prev != 0))).any():
+                    break
+        return w_curr
+    return w
+
+
+def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarray:
+    """W_{kappa,mu} on an array of positive x: its route, called once."""
+    return _whittaker_w_route(kappa, mu)(xs)
 
 
 def whittaker_w(wq: WhittakerQuery) -> complex:
@@ -402,9 +412,10 @@ def mellin_whittaker(
             "Mellin integral diverges: need Re(sigma) > |Re(mu)| - 1/2"
         )
 
+    w = _whittaker_w_route(kappa, mu)  # one route for both segments
+
     def integrand(x: np.ndarray) -> np.ndarray:
-        w = _whittaker_w_array(kappa, mu, x)
-        return np.exp(-x / 2) * np.exp((sigma - 1) * np.log(x)) * w
+        return np.exp(-x / 2) * np.exp((sigma - 1) * np.log(x)) * w(x)
 
     # y = sqrt(x) runs over the same [0, 1] as x on the head
     (head,) = _gauss_kronrod_rows(
@@ -521,10 +532,11 @@ def _lambda_integral(sc: ArchScenario, us: np.ndarray) -> np.ndarray:
     reach = max(power.real + sc.l / 2, 1.0) + 60.0
     scale = 2 * math.pi * math.sqrt(sc.D) * us
     lam_max = reach / (2 * scale)
+    w = _whittaker_w_route(sc.l / 2, sc.ir / 2)  # one route for every round
 
     def integrand(x: np.ndarray) -> np.ndarray:
         lam = np.outer(lam_max, x)
-        w_vals = _whittaker_w_array(sc.l / 2, sc.ir / 2, reach * x)  # = W(2 * scale * lam)
+        w_vals = w(reach * x)  # = W(2 * scale * lam)
         return np.exp((power - 1) * np.log(lam) - scale[:, None] * lam) * w_vals
 
     quads = _gauss_kronrod_rows(

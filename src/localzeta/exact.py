@@ -132,6 +132,9 @@ class QuadCoeff:
         A2, B2, D2 = o
         return _reduced(A1 * D2 - A2 * D1, B1 * D2 - B2 * D1, D1 * D2, q)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
         o = self._triple(other)
         if o is None:

@@ -190,7 +190,7 @@ class TestConfluentU:
     @pytest.mark.parametrize("a,b", PAIRS)
     def test_fixed_grid_against_hyperu(self, a, b):
         a, b = complex(a), complex(b)
-        members = arch._confluent_u_pair(a, b, np.array(self.XS))
+        members = arch._confluent_u_pair(a, b)(np.array(self.XS))
         with mpmath.workdps(30):
             for shift, values in enumerate(members):
                 for x, got in zip(self.XS, values):
@@ -221,7 +221,7 @@ class TestConfluentU:
     def test_real_grid_matches_the_complex_sum(self, a, b):
         a, b = complex(a), complex(b)
         xs = np.array((1e-4, 1e-3, *self.XS))
-        members = arch._confluent_u_pair(a, b, xs)
+        members = arch._confluent_u_pair(a, b)(xs)
         sums, moduli = self.complex_sum(a, b, xs)
         eps = np.finfo(float).eps
         for shift, (got, ref, size) in enumerate(zip(members, sums, moduli)):
@@ -235,7 +235,7 @@ class TestConfluentU:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a, b in self.PAIRS:
-                for values in arch._confluent_u_pair(complex(a), complex(b), xs):
+                for values in arch._confluent_u_pair(complex(a), complex(b))(xs):
                     assert np.all(np.isfinite(values)), (a, b)
 
 
@@ -277,12 +277,7 @@ class TestMellinWhittaker:
 
     def test_whittaker_evaluated_once_per_round(self, monkeypatch):
         calls = []
-
-        def counted(kappa, mu, xs):
-            calls.append(len(xs))
-            return _whittaker_w_array(kappa, mu, xs)
-
-        monkeypatch.setattr(arch, "_whittaker_w_array", counted)
+        monkeypatch.setattr(arch, "_whittaker_w_route", _counted_routes(calls.append, len))
         mellin_whittaker(6, 0.5j, 5)
         # one call per refinement round and segment, not one per x
         assert 1 <= len(calls) <= 40
@@ -310,7 +305,7 @@ class TestMellinWhittaker:
         assert abs(head.value + tail.value - closed) <= head.abserr + tail.abserr
 
     def test_non_convergence_raises_with_segment(self, monkeypatch):
-        monkeypatch.setattr(arch, "_whittaker_w_array", _noise_w)
+        monkeypatch.setattr(arch, "_whittaker_w_route", _noise_w)
         with pytest.raises(QuadratureError) as info:
             mellin_whittaker(0.0, 0.0, 1.0)
         err = info.value
@@ -558,18 +553,13 @@ class TestZInfQuadrature:
         # the rows of a lambda-pass share each W call
         calls = []
         lambda_integrals = []
-
-        def counted(kappa, mu, xs):
-            calls.append(xs.size)
-            return _whittaker_w_array(kappa, mu, xs)
-
         lambda_integral = arch._lambda_integral
 
         def counted_integral(sc, us):
             lambda_integrals.extend(us)  # one lambda-integral per u-node
             return lambda_integral(sc, us)
 
-        monkeypatch.setattr(arch, "_whittaker_w_array", counted)
+        monkeypatch.setattr(arch, "_whittaker_w_route", _counted_routes(calls.append, np.size))
         monkeypatch.setattr(arch, "_lambda_integral", counted_integral)
         z_inf_quadrature(ArchScenario.principal_series(12, 0.25j, -0.25j, 3, 1, 1))
         assert 1 <= len(calls) < len(lambda_integrals)
@@ -594,9 +584,27 @@ class TestZInfQuadrature:
         }
 
 
-def _noise_w(kappa, mu, xs):
-    """Stand-in for W that alternates in sign from node to node."""
-    return np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
+def _counted_routes(record, measure):
+    """Stand-in for the W route builder: the real route, with ``record``
+    given ``measure`` of the arguments of each call."""
+    build = arch._whittaker_w_route
+
+    def route(kappa, mu):
+        w = build(kappa, mu)
+
+        def counted(xs):
+            record(measure(xs))
+            return w(xs)
+
+        return counted
+
+    return route
+
+
+def _noise_w(kappa, mu):
+    """Stand-in for a W route whose values alternate in sign from node to
+    node."""
+    return lambda xs: np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
 
 
 def _fresh_lambda_integral(sc, u):
@@ -663,7 +671,7 @@ class TestLambdaRule:
             assert abs(value - want) <= 1e-15 * abs(want), u
 
     def test_non_convergence_raises_with_witness(self, monkeypatch):
-        monkeypatch.setattr(arch, "_whittaker_w_array", _noise_w)
+        monkeypatch.setattr(arch, "_whittaker_w_route", _noise_w)
         with pytest.raises(QuadratureError) as info:
             z_inf_quadrature(self.SCENARIOS[0])
         err = info.value
@@ -675,10 +683,11 @@ class TestLambdaRule:
         assert list(err.witness) == ["u", "segment", "intervals", "abserr", "tolerance"]
 
 
-def _noise_above_one(kappa, mu, xs):
-    """A stand-in for W that is 1 up to x = 1, the Mellin head, and noise
-    on the tail."""
-    return np.where(xs > 1, _noise_w(kappa, mu, xs), 1.0)
+def _noise_above_one(kappa, mu):
+    """A stand-in for a W route that is 1 up to x = 1, the Mellin head, and
+    noise on the tail."""
+    noise = _noise_w(kappa, mu)
+    return lambda xs: np.where(xs > 1, noise(xs), 1.0)
 
 
 def _swinging_lambda_integral(sc, us):
@@ -702,9 +711,9 @@ _CAPPED_RUNS = {
     "stand_in, run, route, where, segment",
     [
         (("_lambda_integral", _swinging_lambda_integral), "zinf", "u-integral in t = 1/u", [], (0.0, 1.0)),
-        (("_whittaker_w_array", _noise_w), "zinf", "lambda-integral in x = lam / lam_max", ["u"], (0.0, 1.0)),
-        (("_whittaker_w_array", _noise_w), "mellin", "Mellin integral", [], (0.0, 1.0)),
-        (("_whittaker_w_array", _noise_above_one), "mellin", "Mellin integral", [], (1.0, 120.0)),
+        (("_whittaker_w_route", _noise_w), "zinf", "lambda-integral in x = lam / lam_max", ["u"], (0.0, 1.0)),
+        (("_whittaker_w_route", _noise_w), "mellin", "Mellin integral", [], (0.0, 1.0)),
+        (("_whittaker_w_route", _noise_above_one), "mellin", "Mellin integral", [], (1.0, 120.0)),
     ],
     ids=["u-integral", "lambda-integral", "mellin-head", "mellin-tail"],
 )
@@ -721,6 +730,70 @@ def test_each_route_stops_at_the_cap(monkeypatch, stand_in, run, route, where, s
     assert list(witness) == where + ["segment", "intervals", "abserr", "tolerance"]
     assert (witness["segment"], witness["intervals"]) == (segment, 6)
     assert witness["abserr"] > witness["tolerance"]
+
+
+class TestWhittakerRoute:
+    """An integral builds its W route once, and the route's values on each
+    node array are those of a one-shot evaluation there."""
+
+    # Rule-shaped node arrays over (0, 120]: the Mellin head in y = sqrt(x),
+    # the tail, and a spread that the lambda-rule's reach * x covers.
+    NODES = (
+        (0.5 + 0.5 * arch._KRONROD_NODES) ** 2,
+        1.0 + 119.0 * (0.5 + 0.5 * arch._KRONROD_NODES),
+        np.geomspace(1e-4, 90.0, 37),
+    )
+
+    @staticmethod
+    def builds(monkeypatch):
+        built = []
+        build = arch._whittaker_w_route
+
+        def counted(kappa, mu):
+            built.append((kappa, mu))
+            return build(kappa, mu)
+
+        monkeypatch.setattr(arch, "_whittaker_w_route", counted)
+        return built
+
+    def test_each_mellin_integral_builds_one_route(self, monkeypatch):
+        built = self.builds(monkeypatch)
+        for kappa, mu, sigma in batteries.MELLIN_POINTS:
+            built.clear()
+            mellin_whittaker(kappa, mu, sigma)
+            assert built == [(complex(kappa), complex(mu))], (kappa, mu, sigma)
+
+    def test_each_lambda_integral_builds_at_most_one_route(self, monkeypatch):
+        built = self.builds(monkeypatch)
+        lambda_integral = arch._lambda_integral
+        per_call = []
+
+        def counted_integral(sc, us):
+            before = len(built)
+            values = lambda_integral(sc, us)
+            per_call.append(len(built) - before)
+            return values
+
+        monkeypatch.setattr(arch, "_lambda_integral", counted_integral)
+        for tag, sc in batteries.arch_grid():
+            per_call.clear()
+            z_inf_quadrature(sc)
+            assert per_call and max(per_call) <= 1, tag
+        assert built
+
+    @pytest.mark.parametrize(
+        "kappa, mu",
+        sorted(
+            {(complex(k), complex(m)) for k, m, _ in batteries.MELLIN_POINTS}
+            | {(complex(sc.l / 2), sc.ir / 2) for _, sc in batteries.arch_grid()},
+            key=str,
+        ),
+        ids=lambda v: f"{v.real:g}{v.imag:+g}i",
+    )
+    def test_route_called_again_equals_a_fresh_evaluation(self, kappa, mu):
+        w = arch._whittaker_w_route(kappa, mu)
+        for xs in self.NODES + self.NODES[::-1]:
+            assert np.array_equal(w(xs), _whittaker_w_array(kappa, mu, xs)), xs.min()
 
 
 class TestC1Coefficient:

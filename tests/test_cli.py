@@ -361,10 +361,10 @@ class TestVerifyArch:
         assert set(failing[0]["witness"]) == {"closed", "quadrature", "abs_error"}
 
     def test_non_converged_lambda_integral_fails_with_witness(self, write_doc, monkeypatch):
-        def noise(kappa, mu, xs):
-            return np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
+        def noise(kappa, mu):
+            return lambda xs: np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
 
-        monkeypatch.setattr(arch, "_whittaker_w_array", noise)
+        monkeypatch.setattr(arch, "_whittaker_w_route", noise)
         path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
         code, out = run_capture(
             RunConfig(command="verify-arch", input_path=path, output_format="machine")
@@ -398,10 +398,10 @@ class TestVerifyArch:
         assert witness["tolerance"] == "nan"
 
     def test_non_converged_mellin_integral_fails_with_witness(self, write_doc, monkeypatch):
-        def noise(kappa, mu, xs):
-            return np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
+        def noise(kappa, mu):
+            return lambda xs: np.where(np.arange(xs.size) % 2, -1.0, 1.0) * 1e6
 
-        monkeypatch.setattr(arch, "_whittaker_w_array", noise)
+        monkeypatch.setattr(arch, "_whittaker_w_route", noise)
         path = write_doc({"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]})
         code, out = run_capture(
             RunConfig(command="verify-arch", input_path=path, output_format="machine")

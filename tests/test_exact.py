@@ -75,6 +75,12 @@ class TestQuadCoeff:
         assert 1 + QuadCoeff(1, 2, 5) == QuadCoeff(2, 2, 5)
         assert 2 * QuadCoeff(1, 2, 5) == QuadCoeff(2, 4, 5)
 
+    @pytest.mark.parametrize("n", [1, -3, rat(2, 7), rat(-5, 3)], ids=str)
+    def test_plain_minus_quad_is_the_negated_difference(self, n):
+        x = QuadCoeff(1, 2, 5)
+        assert n - x == -(x - n)
+        assert (n - x)._v == (-(x - n))._v
+
     def test_q_half_power(self):
         assert q_half_power(3, 4) == QuadCoeff(9, 0, 3)
         assert q_half_power(3, 1) == QuadCoeff(0, 1, 3)
@@ -143,6 +149,7 @@ class TestQuadCoeff:
             (X + plain, (a + plain, b)),
             (plain + X, (a + plain, b)),
             (X - plain, (a - plain, b)),
+            (plain - X, (plain - a, -b)),
             (X * plain, (a * plain, b * plain)),
             (plain * X, (a * plain, b * plain)),
         ]
