@@ -52,6 +52,9 @@ if TYPE_CHECKING:
 # reports a process killed by that signal.
 EXIT_BROKEN_PIPE = 141
 
+# The largest series truncation order verify-local accepts.
+MAX_ORDER = 1000
+
 _SYMBOLS_BY_NAME = {name: sym for sym, name in batteries.SYMBOL_NAMES.items()}
 
 _RATIONAL_RE = re.compile(r"\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?\Z")
@@ -68,11 +71,14 @@ class RunConfig:
 
     ``seed`` keys the SplitMix64 scenario streams, ``trials`` sizes the
     randomized batteries, ``order`` is the series truncation order for the
-    local identity check, and ``tolerance`` bounds the quadrature-vs-closed
-    comparison of the archimedean battery (the fixed-precision identities
-    keep their own pinned tolerances).  ``p`` selects the residue
-    characteristic for the coset audit and ``p_max`` truncates the Euler
-    product of the ``global`` command.
+    local identity check, at least 8 and at most ``MAX_ORDER`` = 1000 (a
+    check's cost grows faster than the square of the order, so a huge order
+    would run for hours or exhaust memory), and ``tolerance``, a positive
+    finite number, bounds the quadrature-vs-closed comparison of the
+    archimedean battery (the fixed-precision identities keep their own
+    pinned tolerances).  ``p`` selects the residue characteristic for the
+    coset audit and ``p_max`` truncates the Euler product of the ``global``
+    command.
     """
 
     command: str
@@ -99,8 +105,10 @@ class RunConfig:
                 "verify-local needs order >= 8 to see past the degree of the "
                 f"closed-form denominator, got {self.order}"
             )
-        if not self.tolerance > 0:
-            raise InputError(f"tolerance must be positive, got {self.tolerance}")
+        if self.command == "verify-local" and self.order > MAX_ORDER:
+            raise InputError(f"--order must be at most {MAX_ORDER}, got {self.order}")
+        if not 0 < self.tolerance < math.inf:
+            raise InputError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.output_format not in ("table", "machine"):
             raise InputError(
                 f"output format must be 'table' or 'machine', got {self.output_format!r}"
@@ -350,7 +358,7 @@ def _arch_scenario_from(value: object, where: str) -> ArchScenario:
     try:
         sc = build()
         z_inf_closed(sc)  # a Gamma pole of the closed form raises GammaPoleError
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # past the float range, or 0.0 to a complex power
         raise InputError(f"{where}: {exc}") from exc
     return sc
 

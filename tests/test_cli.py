@@ -10,7 +10,9 @@ import signal
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -24,28 +26,14 @@ from localzeta.localfield import SplittingSymbol
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Every CLI output the benchmark checks, and five more outputs recorded at
-# commit 8f6ba32.
-BENCHMARK_DIGESTS = [
-    (entry["argv"], entry["sha256"])
+# Every CLI output the benchmark checks: the sha256 of its stdout by command line.
+BENCHMARK_DIGESTS = {
+    " ".join(entry["argv"]): entry["sha256"]
     for entries in json.loads(
         (ROOT / "perfbench" / "cli_checks.json").read_text(encoding="utf-8")
     ).values()
     for entry in entries
-]
-RECORDED_DIGESTS = [
-    (["verify-arch", "--format", "machine"],
-     "f553f5be60cc30d3e1637a55750dff74bf44f2c50f29291c906c80bdb4c7af24"),
-    (["lfactor", "--format", "machine"],
-     "7042b9721f231bb077cac5ba644f1dcd9b98cd780a260d53b7ffab4369dfaaef"),
-    (["verify-cosets", "--p", "3", "--trials", "5", "--format", "machine"],
-     "57f475ea7c1ea8884fd10d0923033c1e2a46b19cb9cf0d8fc45bc9e84e5c4a29"),
-    (["verify-local", "--format", "machine"],
-     "be4bb3beb13787f34ea71ef1d06e3be9f484a828e8f41d80f423694a62018c56"),
-    (["verify-volumes"],
-     "6c41c005363da9e4937dbb12aa772930d31606fea36b08a7096ed7c350d020d2"),
-]
-
+}
 
 # s for the global command: 0, reals from 1e-300 to 1e308 in size, integers
 # of up to 400 digits, and [re, im] pairs of them.
@@ -62,12 +50,6 @@ def committed_global_doc(**overrides):
     doc = json.loads((ROOT / "perfbench" / "inputs" / "global.json").read_text(encoding="utf-8"))
     doc["global_input"].update(overrides)
     return doc
-
-
-def stdout_digest(argv, capsys):
-    """sha256 of what ``main(argv)`` prints, which must exit 0."""
-    assert main(argv) == 0, argv
-    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
 def run_capture(config):
@@ -127,6 +109,27 @@ def valid_local_doc():
     }
 
 
+# Split at q = 3, with sqrt(3) in the numerator of its factor, and inert at q = 5.
+TWO_SCENARIO_DOC = {
+    "local_scenarios": [
+        {
+            "q": 3,
+            "symbol": "split",
+            "lambda": {"piF": 1, "piL": 2, "piF_over_piL": "1/2"},
+            "satake": {"u0": 1, "u1": "2/3", "u2": "3/2"},
+            "omega": -1,
+        },
+        {
+            "q": 5,
+            "symbol": "inert",
+            "lambda": {"piF": 4},
+            "satake": {"u0": 2, "u1": 1, "u2": 1},
+            "omega": "1/2",
+        },
+    ]
+}
+
+
 def valid_global_doc(**overrides):
     base = {
         "l": 12,
@@ -156,6 +159,118 @@ def write_doc(tmp_path):
         return str(path)
 
     return _write
+
+
+@dataclass(frozen=True)
+class Row:
+    """What one command line must do, run in-process by TestContract.
+
+    The command runs from the repository root with RuntimeWarning an error,
+    given ``--input`` a file that holds ``doc`` when there is one.  It must
+    end within ``seconds`` and exit with ``code``.  Its stderr must be empty
+    when ``stderr`` is, else match the regex ``stderr``, and never hold a
+    traceback.  In ``--format machine`` output, the passing records under
+    each name prefix of ``passes`` ("" for all records) must number as it
+    says.  Its stdout's sha256 must be ``sha256``, or the digest of
+    perfbench/cli_checks.json where the benchmark checks the same command
+    line.  A fresh interpreter running it may load no module of the
+    ``unloaded`` packages (TestEntryPoints).
+    """
+
+    name: str
+    command: str
+    code: int = 0
+    passes: Optional[Dict[str, int]] = None
+    stderr: str = ""
+    sha256: Optional[str] = None
+    seconds: float = 60
+    unloaded: Tuple[str, ...] = ()
+    doc: Optional[dict] = None
+
+
+CONTRACT = [
+    # verify-local: the criterion-1 stream, the kilobit coefficients of
+    # order 80 (three scenarios per (q, class) cell), and the order cap
+    Row("criterion-1", "verify-local --seed 20260816 --trials 100 --order 25 --format machine",
+        passes={"": 900}),
+    Row("order-80", "verify-local --trials 3 --order 80 --format machine", passes={"": 27}),
+    Row("verify-local", "verify-local --trials 2 --order 10 --format machine", passes={"": 18},
+        unloaded=("numpy", "scipy")),
+    Row("local-default", "verify-local --format machine",
+        sha256="be4bb3beb13787f34ea71ef1d06e3be9f484a828e8f41d80f423694a62018c56"),
+    Row("local-exact", "verify-local --trials 2 --order 25 --format machine"),
+    Row("local-deep", "verify-local --trials 1 --order 40 --format machine"),
+    Row("local-input", "verify-local --format machine", passes={"": 2}, doc=TWO_SCENARIO_DOC),
+    Row("order-cap", "verify-local --trials 1 --order 100000000000", code=2,
+        stderr=r"^error: --order must be at most 1000, got 100000000000$"),
+    # lfactor: the default factor, printed whole, and the two-scenario input
+    Row("lfactor", "lfactor --format machine", passes={"": 1}, unloaded=("numpy", "scipy"),
+        sha256="7042b9721f231bb077cac5ba644f1dcd9b98cd780a260d53b7ffab4369dfaaef"),
+    Row("lfactor-input", "lfactor --format machine", passes={"": 2}, doc=TWO_SCENARIO_DOC),
+    # verify-arch: the default battery, the benchmark's input, and a
+    # tolerance that every comparison would meet
+    Row("verify-arch", "verify-arch --format machine", seconds=30,
+        passes={"": 56, "arch/zinf/": 13, "arch/mellin/": 31, "arch/reduction/": 12},
+        sha256="f553f5be60cc30d3e1637a55750dff74bf44f2c50f29291c906c80bdb4c7af24"),
+    Row("arch-quad", "verify-arch --input perfbench/inputs/arch.json --format machine"),
+    Row("tol-inf", "verify-arch --tol inf", code=2, stderr="^error: tolerance must be positive and finite"),
+    Row("tol-1e400", "verify-arch --tol 1e400", code=2, stderr="^error: tolerance must be positive and finite"),
+    # verify-cosets: 500 and 2000 trials per identity over F_p, p = 2^31 - 1
+    # (four chunks of 512 attempts), the 640 representatives of p = 3, and
+    # p = 5, past the audit's representative lists
+    Row("verify-cosets", "verify-cosets --p 2 --trials 5 --format machine", passes={"": 7},
+        unloaded=("scipy",)),
+    Row("cosets-500", "verify-cosets --p 2 --trials 500 --format machine", passes={"": 7}, seconds=30),
+    Row("cosets-2000", "verify-cosets --p 2 --trials 2000 --format machine", passes={"": 7}, seconds=30),
+    Row("cosets-p3", "verify-cosets --p 3 --trials 5 --format machine", passes={"": 7}, seconds=30,
+        unloaded=("scipy",), sha256="57f475ea7c1ea8884fd10d0923033c1e2a46b19cb9cf0d8fc45bc9e84e5c4a29"),
+    Row("cosets-p5", "verify-cosets --p 5", code=2, stderr=r"p in \(2, 3\)"),
+    # verify-volumes: V2 = q V1 between two stated formulas in 9 rows
+    Row("verify-volumes", "verify-volumes --format machine", unloaded=("scipy",),
+        passes={"": 48, "volumes/cancellation/": 9}),
+    Row("volumes-table", "verify-volumes",
+        sha256="6c41c005363da9e4937dbb12aa772930d31606fea36b08a7096ed7c350d020d2"),
+    Row("consistency", "consistency --format machine", passes={"": 40}),
+    # global: the committed input, and the same with both Petersson norms,
+    # so global/special-value runs too
+    Row("global", "global --input perfbench/inputs/global.json --pmax 13 --format machine",
+        passes={"": 1}),
+    Row("petersson", "global --pmax 13 --format machine", passes={"": 2},
+        doc=committed_global_doc(petersson_phi=1.25, petersson_psi=0.5)),
+]
+
+
+class TestContract:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row", CONTRACT, ids=lambda row: row.name)
+    def test_row(self, row, tmp_path, capsys, monkeypatch):
+        argv = row.command.split()
+        if row.doc is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(row.doc), encoding="utf-8")
+            argv += ["--input", str(path)]
+        monkeypatch.chdir(ROOT)  # the benchmark's command lines name repo-relative inputs
+        with within(row.seconds):
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == row.code and "Traceback" not in err, err
+        assert re.search(row.stderr, err, re.MULTILINE) if row.stderr else err == "", err
+        if row.passes is not None:
+            passed = [r["name"] for r in strict_records_of(out) if r["status"] == "pass"]
+            assert {prefix: sum(name.startswith(prefix) for name in passed) for prefix in row.passes} == row.passes
+        sha256 = row.sha256 or BENCHMARK_DIGESTS.get(" ".join(argv))
+        if sha256 is not None:
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+    def test_ci_runs_tier1_and_the_entry_point_only(self):
+        # A new expectation of a command is a row above, not a CI step.
+        workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+        job = re.search(r"^  tests:\n(.*?)(?=^  \S|\Z)", workflow, re.MULTILINE | re.DOTALL).group(1)
+        assert re.findall(r"^ *(?:- )?run: (.*)$", job, re.MULTILINE) == [
+            'pip install -e ".[test]"',
+            "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=10",
+            "localzeta verify-local --trials 2 --order 10 --format machine > /dev/null",
+        ]
 
 
 class TestRunConfig:
@@ -558,10 +673,6 @@ class TestVerifyCosets:
         assert witness["positions"] is None and witness["families"] is None
         assert witness["cosets"] == 44 and witness["group_order"] == 720
 
-    def test_large_characteristic_is_rejected(self, capsys):
-        assert main(["verify-cosets", "--p", "5"]) == 2
-        assert "p in (2, 3)" in capsys.readouterr().err
-
 
 class TestVerifyVolumes:
     def test_full_battery_passes(self):
@@ -652,29 +763,10 @@ class TestLfactor:
         assert record["witness"]["factor"] == DEFAULT_FACTOR
 
     def test_factors_of_the_two_scenario_input(self, write_doc):
-        # CI's local input: split at q = 3, with sqrt(3) in the numerator,
-        # and inert at q = 5.  The whole strings pin every coefficient, the
-        # top one of each degree-4 denominator too.
-        doc = {
-            "local_scenarios": [
-                {
-                    "q": 3,
-                    "symbol": "split",
-                    "lambda": {"piF": 1, "piL": 2, "piF_over_piL": "1/2"},
-                    "satake": {"u0": 1, "u1": "2/3", "u2": "3/2"},
-                    "omega": -1,
-                },
-                {
-                    "q": 5,
-                    "symbol": "inert",
-                    "lambda": {"piF": 4},
-                    "satake": {"u0": 2, "u1": 1, "u2": 1},
-                    "omega": "1/2",
-                },
-            ]
-        }
+        # The whole strings pin every coefficient, the top one of each
+        # degree-4 denominator too.
         code, out = run_capture(
-            RunConfig(command="lfactor", input_path=write_doc(doc), output_format="machine")
+            RunConfig(command="lfactor", input_path=write_doc(TWO_SCENARIO_DOC), output_format="machine")
         )
         assert code == 0
         assert [r["witness"]["factor"] for r in records_of(out)] == [
@@ -866,6 +958,7 @@ class TestGlobal:
         assert proc.returncode == 2
         assert "p = 3" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would reach stderr
     @pytest.mark.parametrize("p_max", ["3", "13"])
     def test_overflowing_s_fails_with_witness(self, write_doc, capsys, p_max):
         # at s = -120, kappa_inf's (4 pi)^(-3s + ...) (and at p_max = 13 the
@@ -894,6 +987,7 @@ class TestGlobal:
         assert record["witness"]["value"] == ["nan", "nan"]
         assert record["witness"]["p_max"] == int(p_max)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would reach stderr
     @pytest.mark.parametrize("p_max", ["3", "13"])
     def test_zero_to_a_complex_power_fails_with_witness(self, write_doc, capsys, p_max):
         # at s = 1/2 + 1e308 i, p^(-3s) raises ZeroDivisionError, not OverflowError
@@ -953,17 +1047,12 @@ class TestGlobal:
         assert main(["global", "--input", path, "--pmax", "3"]) == 2
         assert "global_input.s: past the float range" in capsys.readouterr().err
 
-    def test_committed_input_matches_the_benchmark_digest(self, monkeypatch, capsys):
+    def test_committed_input_matches_the_benchmark_digest(self):
         # Stdout byte for byte: a last-bit move in any printed value, a
-        # renamed or dropped check, or a changed table layout fails here.
+        # renamed or dropped check, or a changed table layout fails the
+        # contract row that runs each of the benchmark's command lines.
         assert len(BENCHMARK_DIGESTS) == 7
-        monkeypatch.chdir(ROOT)  # the benchmark's argv name repo-relative inputs
-        moved = [argv for argv, sha256 in BENCHMARK_DIGESTS if stdout_digest(argv, capsys) != sha256]
-        assert moved == []
-
-    @pytest.mark.parametrize("argv, sha256", RECORDED_DIGESTS, ids=[" ".join(a) for a, _ in RECORDED_DIGESTS])
-    def test_output_matches_the_recorded_digest(self, argv, sha256, capsys):
-        assert stdout_digest(argv, capsys) == sha256
+        assert set(BENCHMARK_DIGESTS) <= {row.command for row in CONTRACT if row.doc is None}
 
 
 class TestLargeIntegers:
@@ -991,6 +1080,7 @@ class TestLargeIntegers:
         assert set(witness) == {"u", "segment", "intervals", "abserr", "tolerance"}
         assert witness["tolerance"] == "nan"  # the lambda-integral could not be sized
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would reach stderr
     def test_large_lowest_weight_fails_with_witness(self, write_doc, capsys):
         path = write_doc(committed_global_doc(l1=10**15))
         with within(5):
@@ -1033,7 +1123,7 @@ LONG_DENOMINATOR = "3/1" + "0" * 4999
 # Each replaces every leaf of an input in turn.
 HOSTILE_VALUES = [
     LONG_NUMERATOR, LONG_DENOMINATOR, "1/0", [1, 2, 3], True, None, {}, 1e308, -1e308,
-    int("9" * 4000), "x", -1, 0, 2**61 - 1,
+    int("9" * 4000), "x", -1, 0, 2**61 - 1, [1.5, 1e308], [0, -1e308],
 ]
 
 
@@ -1069,11 +1159,12 @@ class TestHostileInputs:
         [
             (["verify-local"], valid_local_doc(), ("local_scenarios", 0, "omega")),
             (["lfactor"], valid_local_doc(), ("local_scenarios", 1, "satake", "u1")),
+            (["lfactor"], valid_local_doc(), ("local_scenarios", 0, "omega")),
             (["global", "--pmax", "13"], committed_global_doc(), ("global_input", "s")),
             (["verify-arch"], {"arch_scenarios": [{"l": 12, "l1": 12, "D": 4, "s": 1.5}]},
              ("arch_scenarios", 0, "s")),
         ],
-        ids=["verify-local", "lfactor", "global", "verify-arch"],
+        ids=["verify-local", "lfactor", "lfactor-omega", "global", "verify-arch"],
     )
     @pytest.mark.parametrize("value", [LONG_NUMERATOR, LONG_DENOMINATOR], ids=["num", "den"])
     def test_long_rational_string_is_exit_two(self, write_doc, capsys, argv, doc, where, value):
@@ -1111,6 +1202,18 @@ class TestHostileInputs:
                 capsys.readouterr()
         assert set(codes) <= {0, 1, 2}
         assert 0 in codes and 2 in codes
+
+    def test_every_leaf_of_the_arch_input_parses_or_is_an_input_error(self):
+        # The parse evaluates the closed form, where a full verify-arch
+        # would rerun the Mellin battery for every value.
+        template = json.loads((ROOT / "perfbench" / "inputs" / "arch.json").read_text(encoding="utf-8"))
+        for leaf in leaf_paths(template):
+            for value in HOSTILE_VALUES:
+                where = f"arch_scenarios[{leaf[1]}]"
+                try:
+                    cli._arch_scenario_from(with_leaf(template, leaf, value)[leaf[0]][leaf[1]], where)
+                except InputError as exc:
+                    assert str(exc).startswith(where)
 
 
 class TestConsistency:
@@ -1298,24 +1401,15 @@ class TestEntryPoints:
         # nor any other numpy or scipy module: each command imports its layers
         assert loaded_after("import localzeta.cli") == []
 
-    @pytest.mark.parametrize(
-        "argv, unloaded",
-        [
-            ("verify-local --trials 2 --order 10", ("numpy", "scipy")),
-            ("lfactor", ("numpy", "scipy")),
-            ("verify-cosets --p 2 --trials 5", ("scipy",)),
-            ("verify-volumes", ("scipy",)),
-        ],
-        ids=["verify-local", "lfactor", "verify-cosets", "verify-volumes"],
-    )
-    def test_command_loads_only_the_layers_it_runs(self, argv, unloaded):
+    @pytest.mark.parametrize("row", [row for row in CONTRACT if row.unloaded], ids=lambda row: row.name)
+    def test_command_loads_only_the_layers_it_runs(self, row):
         run_it = (
             "import contextlib, io\n"
             "from localzeta.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv.split()!r}) == 0\n"
+            f"    assert main({row.command.split()!r}) == {row.code}\n"
         )
-        assert loaded_after(run_it, unloaded) == []
+        assert loaded_after(run_it, row.unloaded) == []
 
     def test_closed_stdout_exits_141_without_traceback(self):
         proc = subprocess.Popen(
