@@ -8,17 +8,17 @@ weight-l special-value constant is a level-free front times kappa_N at
 s0 = l/6 - 1/2 (where 6 s0 + 1 = l - 2); and the consistency identity
 checks the closed form at s0 against that same front.
 
-The s-free part of every local factor (its divisors and character
-prefixes) is built once per input, on first use, into
-GlobalInput.euler_table: float64 planes with a column per prime
-(EulerTable).  A report takes t = p^(-3s) from Python's own complex pow,
-one prime at a time, evaluates every local factor at once on the planes
-with CPython's formulas for a complex product and quotient (_c_prod,
-_c_quot), and multiplies the factors in Python complex arithmetic, prime
-by prime.  Each float64 operation is one that the per-prime evaluation
-in Python complex arithmetic performs, on the same operands, and IEEE 754
-rounds it the same in numpy as in C, so the planes change no bit of a
-report.
+The s-free part of every local factor is built once per input, on first
+use, into GlobalInput.euler_table: float64 planes with a column per prime
+and 13 rows of denominators, and the count of leading columns that are
+2, 3, 5, ... (EulerTable).  A report takes t = p^(-3s) from Python's own
+complex pow and evaluates every local factor at once (one quotient over
+the 13 rows, then paired folds) with CPython's formulas for a complex
+product and quotient (_c_prod, _c_quot); _product multiplies the factors
+prime by prime.  Each float64 operation is one that the per-prime
+evaluation in Python complex arithmetic performs, on the same operands,
+and IEEE 754 rounds it the same in numpy as in C, so the planes change no
+bit of a report.
 
 Character data is complex-valued here (unitary class characters), while
 the formal local modules work over exact rationals; the two layers meet
@@ -28,6 +28,7 @@ that meeting point prime by prime.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -234,44 +235,47 @@ def _one_minus(qr, qi):
     return 1.0 - qr, 0.0 - qi
 
 
-def _fold_slots(factors, used):
-    """Per column, the product complex(1) * f * f * ... over its used slots
-    in slot order, a left fold of _c_prod."""
-    fr, fi = factors
-    accr, acci = np.ones(fr.shape[1]), np.zeros(fr.shape[1])
-    for slot_r, slot_i, mask in zip(fr, fi, used):
-        pr, pi = _c_prod(accr, acci, slot_r, slot_i)
-        accr, acci = (pr, pi) if mask.all() else (np.where(mask, pr, accr), np.where(mask, pi, acci))
-    return accr, acci
+def _leading_primes(columns: Tuple[int, ...]) -> int:
+    """How many of the ascending columns, none a multiple of a smaller one,
+    are 2, 3, 5, ... in turn: the run ends at the first prime between two."""
+    if columns[:1] != (2,):
+        return 0
+    wheel, root = 1, 1  # columns[1:root] multiplied: the run's odd primes up to sqrt(m)
+    for run in range(1, len(columns)):
+        for m in range(columns[run - 1] + 1 | 1, columns[run], 2):
+            while columns[root] ** 2 <= m:
+                wheel *= columns[root]
+                root += 1
+            if math.gcd(m, wheel) == 1:  # m is prime
+                return run
+    return len(columns)
 
 
 @dataclass(frozen=True, eq=False)
 class EulerTable:
     """The s-free part of every local factor, as float64 planes.
 
-    A column per prime, in ascending order; a slot axis in front for the
-    eight divisors of the degree-8 inverse factor and the (at most four)
-    auxiliary prefixes, padded and masked where a prime has fewer.  Each
-    divisor and denominator is stored as the s-free half of CPython's
-    complex quotient (_quotient_parts), so evaluating the table at t is
-    the per-prime evaluation's own float64 operations, one plane at a
-    time: Python complex arithmetic rounds each part of a product or a
-    quotient exactly as the formulas of _c_prod and _c_quot do, and
-    numpy's +, -, * and / round each element as IEEE 754 prescribes.
-    Only t = p^(-3s) itself is left to Python's pow, whose bits and
-    errors numpy's pow need not reproduce.
+    A column per prime, in ascending order, and 13 rows: the eight divisors
+    d of the degree-8 inverse factor's 1 - t/d, the (at most four)
+    denominators of the auxiliary 1 - k t/den or 1 - k t^2/den, and p of
+    1 - t^2/p, padded and masked where a prime has fewer.  Each is stored
+    as the s-free half of CPython's complex quotient (_quotient_parts), so
+    evaluating the table at t is the per-prime evaluation's own float64
+    operations: Python complex arithmetic rounds each part of a product or
+    a quotient exactly as _c_prod and _c_quot do, and numpy's +, -, * and
+    / round each element as IEEE 754 prescribes.  Only t = p^(-3s) itself
+    is left to Python's pow, whose bits and errors numpy's need not match.
     """
 
     primes: Tuple[int, ...]
     bases: Tuple[complex, ...]  # complex(p), the base of t = p^(-3s)
-    divisor: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts, (8, n)
-    divisor_used: np.ndarray  # (8, n)
+    leading_primes: int  # primes[:leading_primes] are 2, 3, 5, ... (_leading_primes)
+    quotient: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts, (13, n)
+    padded: np.ndarray  # (12, n): rows 0-11, where the prime has no such slot
+    first_padded: Tuple[int, ...]  # per row 0-11, its first padded column, or n
     zero_divisor: np.ndarray  # (n,): some divisor is 0, so t/d raises
     prefix: Tuple[np.ndarray, np.ndarray]  # real and imaginary parts, (4, n)
-    prefix_squared: np.ndarray  # (4, n): the factor is 1 - k t^2/den
-    prefix_used: np.ndarray  # (4, n)
-    denominator: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts, (4, n)
-    prime: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts of p, (n,)
+    squared: np.ndarray  # (n,): the auxiliary factors are 1 - k t^2/den
 
     @classmethod
     def from_rows(cls, primes, rows) -> "EulerTable":
@@ -288,45 +292,48 @@ class EulerTable:
         pairs = [row[2] + row[3] for row in rows]
         prefixes = planes([[k for k, _ in pair] for pair in pairs], 4)
         dens = planes([[den for _, den in pair] for pair in pairs], 4)
-        bases = np.array([row[0] for row in rows], dtype=complex)
-        divisor_used = np.arange(8)[:, None] < [len(row[1]) for row in rows]
-        slot = np.arange(4)[:, None]
+        dens = np.concatenate([divisors, dens, [[row[0] for row in rows]]])
+        padded = np.arange(12)[:, None] >= [len(row[1]) for row in rows]
+        padded[8:] = np.arange(4)[:, None] >= [len(pair) for pair in pairs]
         with np.errstate(all="ignore"):
             return cls(
                 primes=tuple(primes),
                 bases=tuple(row[0] for row in rows),
-                divisor=_quotient_parts(divisors.real, divisors.imag),
-                divisor_used=divisor_used,
-                zero_divisor=((divisors == 0) & divisor_used).any(axis=0),
+                leading_primes=_leading_primes(tuple(primes)),
+                quotient=_quotient_parts(dens.real, dens.imag),
+                padded=padded,
+                first_padded=tuple(int(row.argmax()) if row.any() else n for row in padded),
+                zero_divisor=((divisors == 0) & ~padded[:8]).any(axis=0),
                 prefix=(np.ascontiguousarray(prefixes.real), np.ascontiguousarray(prefixes.imag)),
-                prefix_squared=slot >= [len(row[2]) for row in rows],
-                prefix_used=slot < [len(pair) for pair in pairs],
-                denominator=_quotient_parts(dens.real, dens.imag),
-                prime=_quotient_parts(bases.real, bases.imag),
+                squared=np.array([not row[2] for row in rows], dtype=bool),
             )
 
-    def degree8_inverse(self, tr, ti):
-        """prod_d (1 - t/d) over each column's divisors, for t over the
-        first len(tr) columns, from complex(1) as the scalar product starts."""
+    def evaluate(self, tr, ti):
+        """(rankin, factor) at t over the first len(tr) columns: the degree-8
+        inverse factor prod_d (1 - t/d) and the local factor (1 - t^2/p) aux
+        / rankin, each product of slots a left fold from complex(1).  Steps
+        0-3 fold rows j and j + 8 into rankin and aux as one (2, k) product."""
         k = len(tr)
-        q = _c_quot(tr, ti, *(part[:, :k] for part in self.divisor))
-        return _fold_slots(_one_minus(*q), self.divisor_used[:, :k])
-
-    def local_factor(self, tr, ti, rankin):
-        """(1 - t^2/p) * aux / rankin for t over the first len(tr) columns,
-        aux the product of the factors 1 - k t/den and 1 - k t^2/den in
-        slot order, and rankin the planes of degree8_inverse."""
-        k = len(tr)
-        ktr, kti = _c_prod(self.prefix[0][:, :k], self.prefix[1][:, :k], tr, ti)
-        kttr, ktti = _c_prod(ktr, kti, tr, ti)  # (k t) t, as k * t * t associates
-        squared = self.prefix_squared[:, :k]
-        q = _c_quot(
-            np.where(squared, kttr, ktr), np.where(squared, ktti, kti),
-            *(part[:, :k] for part in self.denominator),
-        )
-        aux = _fold_slots(_one_minus(*q), self.prefix_used[:, :k])
-        zeta = _one_minus(*_c_quot(*_c_prod(tr, ti, tr, ti), *(part[:k] for part in self.prime)))
-        return _c_quot(*_c_prod(*zeta, *aux), *_quotient_parts(*rankin))
+        kr, ki = _c_prod(self.prefix[0][:, :k], self.prefix[1][:, :k], tr, ti)
+        ktr, kti = _c_prod(kr, ki, tr, ti)  # (k t) t, as k * t * t associates
+        nr, ni = np.empty((13, k)), np.empty((13, k))  # the numerators t, k t^e and t^2
+        nr[:8], ni[:8], nr[8:12], ni[8:12] = tr, ti, kr, ki
+        np.copyto(nr[8:12], ktr, where=self.squared[:k])
+        np.copyto(ni[8:12], kti, where=self.squared[:k])
+        nr[12], ni[12] = _c_prod(tr, ti, tr, ti)
+        fr, fi = _one_minus(*_c_quot(nr, ni, *(part[:, :k] for part in self.quotient)))
+        acc = np.ones((2, k)), np.zeros((2, k))  # rankin and aux
+        for j in range(8):
+            if j == 4:  # aux has folded its four slots
+                aux, acc = (acc[0][1], acc[1][1]), (acc[0][:1], acc[1][:1])
+            rows = slice(j, 12, 8)  # rows j and j + 8 through j = 3, then row j
+            pr, pi = _c_prod(*acc, fr[rows], fi[rows])
+            if min(self.first_padded[rows]) < k:  # keep acc where the slot is padding
+                np.copyto(pr, acc[0], where=self.padded[rows, :k])
+                np.copyto(pi, acc[1], where=self.padded[rows, :k])
+            acc = pr, pi
+        rankin = acc[0][0], acc[1][0]
+        return rankin, _c_quot(*_c_prod(fr[12], fi[12], *aux), *_quotient_parts(*rankin))
 
 
 @dataclass(frozen=True)
@@ -543,9 +550,10 @@ def _truncation_primes(gi: GlobalInput, p_max: int) -> Tuple[int, ...]:
 
 
 def _euler_planes(gi: GlobalInput, s: complex, primes: Tuple[int, ...]):
-    """(table, t, rankin_inverse) over the given primes, in ascending order:
-    t = p^(-3s) as a complex array and the degree-8 inverse factor at t as
-    real and imaginary planes (EulerTable.degree8_inverse).
+    """(rankin, factor) over the given primes 2, 3, 5, ..., ascending: the
+    degree-8 inverse factor and the local factor at t = p^(-3s) as real and
+    imaginary planes, from EulerTable.evaluate's 13-row pass over the
+    table's leading_primes columns, up to the first prime the table lacks.
 
     Each t is Python's own complex pow, so it keeps libm's bits.  The
     first failing prime in ascending order raises, with what a per-prime
@@ -556,22 +564,18 @@ def _euler_planes(gi: GlobalInput, s: complex, primes: Tuple[int, ...]):
     inverse is exactly 0 (ValueError).
     """
     table, faults = gi.euler_table
-    n = len(primes)
-    covered = n  # the table covers primes[:covered], in its first columns
-    if table.primes[:n] != primes:
-        covered = next(
-            i for i, p in enumerate(primes) if i == len(table.primes) or table.primes[i] != p
-        )
+    covered = min(len(primes), table.leading_primes)
     exponent = -3 * s
-    ts, failure = [], None
     try:
-        for base in table.bases[:covered]:
-            ts.append(base ** exponent)
+        ts, failure = [base ** exponent for base in table.bases[:covered]], None
     except ArithmeticError as exc:
-        failure = exc  # at primes[len(ts)]
+        ts, failure = [], exc
+        with contextlib.suppress(ArithmeticError):  # t up to the first failing pow
+            for base in table.bases[:covered]:
+                ts.append(base ** exponent)
     t = np.array(ts, dtype=complex)
     with np.errstate(all="ignore"):
-        rankin = table.degree8_inverse(t.real, t.imag)
+        rankin, factor = table.evaluate(t.real, t.imag)
     zero = table.zero_divisor[: len(ts)]
     bad = np.flatnonzero(zero | ((rankin[0] == 0) & (rankin[1] == 0)))
     if bad.size:
@@ -583,12 +587,12 @@ def _euler_planes(gi: GlobalInput, s: complex, primes: Tuple[int, ...]):
         )
     if failure is not None:
         raise failure
-    if covered < n:
+    if covered < len(primes):
         fault = faults.get(primes[covered])
         if fault is None:
             raise ValueError(f"missing local data for p = {primes[covered]}")
         raise type(fault)(*fault.args)
-    return table, t, rankin
+    return rankin, factor
 
 
 def _product(factors) -> complex:
@@ -597,10 +601,7 @@ def _product(factors) -> complex:
     forms it; a numpy reduction would reassociate it."""
     values = np.empty(factors[0].shape, dtype=complex)
     values.real, values.imag = factors  # the parts, bit for bit
-    product = complex(1)
-    for factor in values.tolist():
-        product *= factor
-    return product
+    return functools.reduce(operator.mul, values.tolist(), complex(1))
 
 
 def _tail_bound(p_max: int, alpha: float) -> float:
@@ -655,9 +656,7 @@ def global_z_report(gi: GlobalInput, s, p_max: int) -> GlobalZReport:
             TruncationWarning,
             stacklevel=2,
         )
-    table, t, rankin = _euler_planes(gi, s_c, primes)
-    with np.errstate(all="ignore"):
-        product = _product(table.local_factor(t.real, t.imag, rankin))
+    product = _product(_euler_planes(gi, s_c, primes)[1])
     k_inf = kappa_infinity(gi, s_c)
     k_level = complex(kappa_N(gi, s_c))
     return GlobalZReport(
@@ -737,7 +736,7 @@ def special_value_ratio(gi: GlobalInput, p_max: int) -> complex:
     if not gi.at_holomorphic_point:
         raise ValueError("the special value lives at the point ir = l - 1")
     s0 = gi.l / 6 - 0.5
-    _, _, rankin = _euler_planes(gi, complex(s0), _truncation_primes(gi, p_max))
+    rankin, _ = _euler_planes(gi, complex(s0), _truncation_primes(gi, p_max))
     with np.errstate(all="ignore"):
         lvalue = _product(_c_quot(1.0, 0.0, *_quotient_parts(*rankin)))
     return lvalue / (

@@ -1,11 +1,11 @@
 """The fixed verification batteries, each check defined once.
 
-A battery is a list of checks, and a check is a ``(name, thunk)`` pair:
-calling the thunk runs one verdict and returns ``(ok, witness)``, where the
-witness is None or a dict that explains the verdict.  The names are the
-record names of the command-line ``--format machine`` output, one function
-per command builds its battery, and nothing runs until a thunk is called,
-so a caller can time each check on its own.
+A battery is an iterable of checks, and a check is a ``(name, thunk)``
+pair: calling the thunk runs one verdict and returns ``(ok, witness)``,
+where the witness is None or a dict that explains the verdict.  The names
+are the record names of the command-line ``--format machine`` output, one
+function per command builds its battery, and nothing runs until a thunk is
+called, so a caller can time each check on its own.
 
 Library functions are looked up through their module when a check runs,
 so a test can replace one with ``monkeypatch`` and see which check fails.
@@ -20,7 +20,7 @@ import cmath
 import math
 import warnings
 from functools import cache, partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import localfield, zeta
 from .exact import rat
@@ -165,19 +165,19 @@ def theorem1_record(sc: ScenarioData, order: int) -> Tuple[bool, Witness]:
 
 def local_checks(
     seed: int, trials: int, order: int, scenarios: Optional[Sequence[ScenarioData]] = None
-) -> List[Check]:
+) -> Iterator[Check]:
     """Theorem 1 on the given scenarios, or on ``trials`` seeded scenarios
-    in each of the nine (q, class) cells."""
+    in each of the nine (q, class) cells, each drawn as its check is taken."""
     if scenarios is not None:
-        named = [(f"local/input/{i:03d}", sc) for i, sc in enumerate(scenarios)]
+        named = ((f"local/input/{i:03d}", sc) for i, sc in enumerate(scenarios))
     else:
-        named = [
+        named = (
             (f"local/q{q}/{SYMBOL_NAMES[symbol]}/{i:04d}", sc)
             for q in (2, 3, 5)
             for symbol in SplittingSymbol
             for i, sc in enumerate(scenario_stream(seed, symbol, q, trials))
-        ]
-    return [(name, partial(theorem1_record, sc, order)) for name, sc in named]
+        )
+    return ((name, partial(theorem1_record, sc, order)) for name, sc in named)
 
 
 def _lfactor_report(sc: ScenarioData) -> Tuple[bool, Witness]:

@@ -160,6 +160,52 @@ def reference_special_value_ratio(gi, p_max):
     return lvalue / (math.pi ** (5 * gi.l - 8) * gi.petersson_phi * gi.petersson_psi)
 
 
+def sweep_outcomes(gi, mix, draws=24):
+    """Global reports and special values at SplitMix64-drawn s and p_max
+    against the per-prime reference, bit for bit, or raising the same
+    exception type and message.  s is real, complex, or a multiple of 1/3,
+    where -3s is an integer and CPython's pow takes its integer-power route
+    for t; p_max runs from 2, or the largest level prime, to 5000.
+    Returns the kinds of outcome seen: bytes for values, type for raises."""
+
+    def unit():
+        return mix.next_u64() / 2**64
+
+    def outcome(fn, *args):
+        try:
+            return [struct.pack("<dd", z.real, z.imag) for z in fn(*args)]
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def report(s, p_max):
+        rep = global_z_report(gi, s, p_max)
+        return rep.euler_product, rep.value
+
+    def reference(s, p_max):
+        product = reference_euler_product(gi, s, p_max)
+        return product, kappa_infinity(gi, complex(s)) * complex(kappa_N(gi, complex(s))) * product
+
+    low = max(gi.level_primes, default=2)
+    kinds = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for draw in range(draws):
+            if draw % 3 == 0:
+                s = -0.3 + 2.5 * unit()
+            elif draw % 3 == 1:
+                s = complex(0.2 + 1.8 * unit(), 40 * unit() - 20)
+            else:
+                s = mix.randint(-3, 9) / 3
+                assert (-3 * s).is_integer()
+            p_max = max(low, round(2 * 2500 ** unit()))  # log-uniform, so short products come up too
+            got = outcome(report, s, p_max)
+            assert got == outcome(reference, s, p_max), (s, p_max)
+            want = outcome(lambda: [reference_special_value_ratio(gi, p_max)])
+            assert outcome(lambda: [special_value_ratio(gi, p_max)]) == want, p_max
+            kinds.add(type(got[0]))
+    return kinds
+
+
 def seeded_unitary_gi(p_max, l=12, N=30, seed=2008):
     """A SplitMix64-drawn unitary table over every prime <= p_max at the
     holomorphic point of weight l.  At level N = 30 the level primes 2, 3
@@ -861,6 +907,20 @@ class TestEulerTable:
         with pytest.raises(ZeroDivisionError) as got:
             global_z_report(gi, 1.0, 19)
         assert str(got.value) == str(want.value)
+
+    def test_seeded_sweep_is_bit_identical(self, gi):
+        sweep_outcomes(gi, SplitMix64(4200 + gi.l))
+
+    def test_seeded_sweep_past_a_missing_prime_is_bit_identical(self):
+        # 2003^2 is a column, past the missing prime 2003; 61 * 67 is no column
+        satake, gl2, local = synthetic_tables(5000)
+        for table in (satake, gl2, local):
+            table[2003**2], table[61 * 67] = table[1999], table[1999]
+        del local[2003]
+        gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local, petersson_phi=1.25, petersson_psi=0.5)
+        assert gi.euler_table[0].primes[-2:] == (4999, 2003**2)
+        kinds = sweep_outcomes(gi, SplitMix64(4203))
+        assert kinds == {bytes, type}  # some reports stop at 2003, some end before it
 
     def test_the_table_is_built_once_per_input(self, monkeypatch):
         gi = make_synthetic_gi(60, petersson_phi=1.0, petersson_psi=1.0)

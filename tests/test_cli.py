@@ -3,12 +3,14 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -236,7 +238,12 @@ CONTRACT = [
     Row("global", "global --input perfbench/inputs/global.json --pmax 13 --format machine",
         passes={"": 1}),
     Row("petersson", "global --pmax 13 --format machine", passes={"": 2},
-        doc=committed_global_doc(petersson_phi=1.25, petersson_psi=0.5)),
+        doc=committed_global_doc(petersson_phi=1.25, petersson_psi=0.5),
+        sha256="359e5e23ab00e37cb5c7f952dc4389e6c91d33f1743f159df5dc57b2dd87caf4"),
+    # the complex path, which the benchmark's s = 3/2 does not reach
+    Row("global-complex", "global --pmax 13 --format machine", passes={"": 1},
+        doc=committed_global_doc(s=[0.9, 0.3]),
+        sha256="10b6647ad91e38594a41b2bfdb05841bf366a90dfe925dd79d42975086d96bf7"),
 ]
 
 
@@ -417,6 +424,18 @@ class TestVerifyLocal:
         assert records_of(capsys.readouterr().out) == [
             {"name": "local/input/000", "status": "pass", "witness": None}
         ]
+
+    def test_checks_are_drawn_as_they_are_taken(self):
+        # 2000 trials are 18,000 checks; built up front they peaked at 24 MiB
+        tracemalloc.start()
+        try:
+            checks = batteries.local_checks(20260816, 2000, 25)
+            first = [name for name, _ in itertools.islice(checks, 3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == ["local/q2/inert/0000", "local/q2/inert/0001", "local/q2/inert/0002"]
+        assert peak < 256 * 1024
 
     def test_empty_scenario_list_is_rejected(self, write_doc):
         path = write_doc({"local_scenarios": []})
