@@ -11,6 +11,10 @@ The lambda-integral, the u-integral and the Mellin identity share one
 globally adaptive, row-wise Gauss-Kronrod rule (QUADPACK's 10/21-point
 pair): one pass integrates several integrands on shared intervals, each
 to its own tolerance, evaluating them once per round on every new node.
+Like QUADPACK's qagp, the rule starts from caller-given breakpoints: the
+Mellin tail from 1, 2, 4, ..., 32, 120 and the lambda-integral from 0,
+1/8, 1/4, 1/2, 1, each graded toward where its integrand varies fastest;
+the Mellin head and the u-integral start from one interval.
 The lambda-integrals at all the u-nodes of a u-round are one pass; with
 lambda scaled by u, their Whittaker arguments 4 pi sqrt(D) u lambda do
 not depend on u, so every row of the pass shares each W evaluation.
@@ -319,29 +323,34 @@ def _g10k21(f, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_kronrod_rows(
-    f, a: float, b: float, epsabs: float, epsrel: float, route: str, **where
+    f, points: Tuple[float, ...], epsabs: float, epsrel: float, route: str, **where
 ) -> List[_Quadrature]:
-    """Globally adaptive G10K21 quadrature on [a, b] of each row of f(x).
+    """Globally adaptive G10K21 quadrature of each row of f(x) over
+    [points[0], points[-1]], starting from the intervals between the
+    ascending breakpoints ``points``, as QUADPACK's qagp does.
 
     f maps an array of nodes to a (rows, nodes) array, or to a 1-D array
     for one row.  The rows share intervals; each has its own value, error
-    estimate and tolerance max(epsabs, epsrel * |value|).  Each round
-    bisects every interval some row would split (its largest estimates,
-    down to where the rest fit under half its tolerance; at the _LIMIT
-    cap, those of largest estimate/tolerance) and evaluates f on all new
-    nodes together, until every row meets its tolerance.
+    estimate and tolerance max(epsabs, epsrel * |value|).  The first round
+    evaluates f on every interval of the mesh; each later round bisects
+    every interval some row would split (its largest estimates, down to
+    where the rest fit under half its tolerance; at the _LIMIT cap, those
+    of largest estimate/tolerance) and evaluates f on all new nodes
+    together, until every row meets its tolerance.  A mesh graded toward
+    where the integrand varies fastest saves the rounds that bisection
+    from one interval would spend reaching it.
 
     Raises QuadratureError for ``route`` when a value cannot be sized (inf,
     nan, or a modulus past the float range), at once, or when a row is
     above its tolerance on _LIMIT intervals.  The witness names the
     unsized row, else the first row that missed: each ``where`` entry
     gives one value per row, of which it takes that row's as a float,
-    then come the segment (a, b), the intervals in use, the row's error
-    estimate and its tolerance (nan for an unsized row).
+    then come the segment (points[0], points[-1]), the intervals in use,
+    the row's error estimate and its tolerance (nan for an unsized row).
     """
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
-    evaluations = _KRONROD_NODES.size
+    mesh = np.array(points, dtype=float)
+    lo, hi = mesh[:-1], mesh[1:]
+    evaluations = lo.size * _KRONROD_NODES.size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         est, err = _g10k21(f, lo, hi)
         rows = np.arange(est.shape[0])[:, None]
@@ -363,7 +372,7 @@ def _gauss_kronrod_rows(
                 raise QuadratureError(
                     route,
                     **{key: float(values[r]) for key, values in where.items()},
-                    segment=(a, b),
+                    segment=(float(mesh[0]), float(mesh[-1])),
                     intervals=lo.size,
                     abserr=float(abserr[r]),
                     tolerance=float(tolerance[r]) if sized else math.nan,
@@ -397,9 +406,12 @@ def mellin_whittaker(
         = Gamma(sigma+mu+1/2) Gamma(sigma-mu+1/2) / Gamma(sigma-kappa+1).
 
     Returns (numeric, closed).  The numeric value is the Gauss-Kronrod
-    rule's on [0, 1] (in y, with x = y^2 to soften the endpoint power)
-    and on [1, 120], each segment held to max(1e-12, 1e-11 * |value|) by
-    its own error estimate, and the closed value is the Gamma product.
+    rule's on [0, 1] (in y, with x = y^2 to soften the endpoint power),
+    from the one interval, and on [1, 120], from the graded first mesh
+    1, 2, 4, 8, 16, 32, 120 (qagp's breakpoints): the integrand decays
+    like e^(-x) x^c, so it varies on a scale that grows with x.  Each
+    segment is held to max(1e-12, 1e-11 * |value|) by its own error
+    estimate, and the closed value is the Gamma product.
     Convergence at 0 requires Re(sigma) > |Re(mu)| - 1/2 (DomainError
     otherwise, before any W is evaluated); a segment that misses its
     tolerance raises the rule's QuadratureError, naming that segment.
@@ -419,9 +431,11 @@ def mellin_whittaker(
 
     # y = sqrt(x) runs over the same [0, 1] as x on the head
     (head,) = _gauss_kronrod_rows(
-        lambda y: 2 * y * integrand(y * y), 0.0, 1.0, 1e-12, 1e-11, "Mellin integral"
+        lambda y: 2 * y * integrand(y * y), (0.0, 1.0), 1e-12, 1e-11, "Mellin integral"
     )
-    (tail,) = _gauss_kronrod_rows(integrand, 1.0, 120.0, 1e-12, 1e-11, "Mellin integral")
+    (tail,) = _gauss_kronrod_rows(
+        integrand, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 120.0), 1e-12, 1e-11, "Mellin integral"
+    )
     numeric = head.value + tail.value
     closed = (
         gamma_fn(sigma + mu + 0.5)
@@ -520,7 +534,9 @@ def _lambda_integral(sc: ArchScenario, us: np.ndarray) -> np.ndarray:
     e^(-2 pi lam sqrt(D) u) dlam/lam, cut at lam_max, for each u in ``us``
     as one row of the Gauss-Kronrod rule over x = lam / lam_max in [0, 1],
     to 1e-9 relative.  Its rows share each W call: W is taken at
-    reach * x, which does not depend on u.
+    reach * x, which does not depend on u.  The rule starts from the
+    graded mesh 0, 1/8, 1/4, 1/2, 1 (qagp's breakpoints): each integrand
+    rises from 0 and peaks well below x = 1, where it has decayed.
 
     A row that misses its tolerance raises the rule's QuadratureError,
     whose witness names that row's ``u``.
@@ -540,7 +556,8 @@ def _lambda_integral(sc: ArchScenario, us: np.ndarray) -> np.ndarray:
         return np.exp((power - 1) * np.log(lam) - scale[:, None] * lam) * w_vals
 
     quads = _gauss_kronrod_rows(
-        integrand, 0.0, 1.0, 0.0, 1e-9, "lambda-integral in x = lam / lam_max", u=us
+        integrand, (0.0, 0.125, 0.25, 0.5, 1.0), 0.0, 1e-9,
+        "lambda-integral in x = lam / lam_max", u=us,
     )
     return lam_max * np.array([quad.value for quad in quads])
 
@@ -574,7 +591,7 @@ def z_inf_quadrature(sc: ArchScenario) -> complex:
         u = 1.0 / t
         return np.exp(u_power * np.log(u)) * _lambda_integral(sc, u) / (t * t)
 
-    (quad,) = _gauss_kronrod_rows(integrand, 0.0, 1.0, 1e-13, 1e-9, "u-integral in t = 1/u")
+    (quad,) = _gauss_kronrod_rows(integrand, (0.0, 1.0), 1e-13, 1e-9, "u-integral in t = 1/u")
     front = (
         sc.a_plus
         * math.pi

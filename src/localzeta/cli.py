@@ -55,6 +55,10 @@ EXIT_BROKEN_PIPE = 141
 # The largest series truncation order verify-local accepts.
 MAX_ORDER = 1000
 
+# The most scenarios per battery verify-local accepts: it keeps every record
+# (about 0.47 KB each, nine per trial) until it prints.
+MAX_TRIALS = 10_000
+
 _SYMBOLS_BY_NAME = {name: sym for sym, name in batteries.SYMBOL_NAMES.items()}
 
 _RATIONAL_RE = re.compile(r"\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?\Z")
@@ -70,15 +74,17 @@ class RunConfig:
     """Validated invocation parameters for :func:`run`.
 
     ``seed`` keys the SplitMix64 scenario streams, ``trials`` sizes the
-    randomized batteries, ``order`` is the series truncation order for the
-    local identity check, at least 8 and at most ``MAX_ORDER`` = 1000 (a
-    check's cost grows faster than the square of the order, so a huge order
-    would run for hours or exhaust memory), and ``tolerance``, a positive
-    finite number, bounds the quadrature-vs-closed comparison of the
-    archimedean battery (the fixed-precision identities keep their own
-    pinned tolerances).  ``p`` selects the residue characteristic for the
-    coset audit and ``p_max`` truncates the Euler product of the ``global``
-    command.
+    randomized batteries, at least 1 and for verify-local at most
+    ``MAX_TRIALS`` = 10000 (verify-local holds its records, nine per trial,
+    until it prints them, so 10000 trials hold about 42 MB), ``order`` is
+    the series truncation order for the local identity check, at least 8
+    and at most ``MAX_ORDER`` = 1000 (a check's cost grows faster than the
+    square of the order, so a huge order would run for hours or exhaust
+    memory), and ``tolerance``, a positive finite number, bounds the
+    quadrature-vs-closed comparison of the archimedean battery (the
+    fixed-precision identities keep their own pinned tolerances).  ``p``
+    selects the residue characteristic for the coset audit and ``p_max``
+    truncates the Euler product of the ``global`` command.
     """
 
     command: str
@@ -100,6 +106,8 @@ class RunConfig:
             raise InputError("seed must fit in an unsigned 64-bit integer")
         if self.trials < 1:
             raise InputError(f"trials must be at least 1, got {self.trials}")
+        if self.command == "verify-local" and self.trials > MAX_TRIALS:
+            raise InputError(f"--trials must be at most {MAX_TRIALS}, got {self.trials}")
         if self.command == "verify-local" and self.order < 8:
             raise InputError(
                 "verify-local needs order >= 8 to see past the degree of the "

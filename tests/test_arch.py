@@ -327,17 +327,17 @@ class TestGaussKronrod:
         monkeypatch.setattr(arch, "_LIMIT", 1)
         if k <= 19:
             assert err[0] <= 1e-14
-            (q,) = arch._gauss_kronrod_rows(f, 0.0, 1.0, 1e-14, 0.0, "monomial")
+            (q,) = arch._gauss_kronrod_rows(f, (0.0, 1.0), 1e-14, 0.0, "monomial")
             assert (q.intervals, q.evaluations) == (1, 21)
             assert q.value == kronrod[0]
         else:
             assert err[0] > 1e-13
             with pytest.raises(QuadratureError) as info:
-                arch._gauss_kronrod_rows(f, 0.0, 1.0, 1e-14, 0.0, "monomial")
+                arch._gauss_kronrod_rows(f, (0.0, 1.0), 1e-14, 0.0, "monomial")
             assert (info.value.intervals, info.value.abserr) == (1, err[0])
 
     def test_bisects_to_tolerance(self):
-        (q,) = arch._gauss_kronrod_rows(np.sqrt, 0.0, 1.0, 1e-12, 1e-11, "sqrt")
+        (q,) = arch._gauss_kronrod_rows(np.sqrt, (0.0, 1.0), 1e-12, 1e-11, "sqrt")
         assert q.intervals > 1
         assert q.evaluations == 21 * (2 * q.intervals - 1)
         assert abs(q.value - 2 / 3) <= q.abserr <= q.tolerance
@@ -345,7 +345,7 @@ class TestGaussKronrod:
     def test_interval_cap_reports_non_convergence(self, monkeypatch):
         monkeypatch.setattr(arch, "_LIMIT", 5)
         with pytest.raises(QuadratureError, match="^sqrt did not converge: segment = ") as info:
-            arch._gauss_kronrod_rows(np.sqrt, 0.0, 1.0, 1e-15, 0.0, "sqrt")
+            arch._gauss_kronrod_rows(np.sqrt, (0.0, 1.0), 1e-15, 0.0, "sqrt")
         err = info.value
         assert (err.segment, err.intervals, err.tolerance) == ((0.0, 1.0), 5, 1e-15)
         assert err.abserr > err.tolerance
@@ -359,7 +359,7 @@ class TestGaussKronrod:
         # parts, but its modulus is past the float range
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(QuadratureError) as info:
-                arch._gauss_kronrod_rows(lambda x: np.full(x.shape, height), 0.0, 10.0, 0.0, 1e-9, "flat")
+                arch._gauss_kronrod_rows(lambda x: np.full(x.shape, height), (0.0, 10.0), 0.0, 1e-9, "flat")
         assert info.value.intervals == 1 and math.isnan(info.value.tolerance)
 
     def test_proportional_rows_split_as_one(self):
@@ -367,19 +367,19 @@ class TestGaussKronrod:
             return np.sqrt(x) * np.cos(3 * x)
 
         both = arch._gauss_kronrod_rows(
-            lambda x: np.stack([g(x), 3.7 * g(x)]), 0.0, 1.0, 0.0, 1e-11, "both"
+            lambda x: np.stack([g(x), 3.7 * g(x)]), (0.0, 1.0), 0.0, 1e-11, "both"
         )
         for row, f in zip(both, (g, lambda x: 3.7 * g(x))):
-            (alone,) = arch._gauss_kronrod_rows(f, 0.0, 1.0, 0.0, 1e-11, "alone")
+            (alone,) = arch._gauss_kronrod_rows(f, (0.0, 1.0), 0.0, 1e-11, "alone")
             assert alone.intervals > 1
             assert (row.intervals, row.evaluations) == (alone.intervals, alone.evaluations)
             # equal to rounding: the products behind them differ in shape
             assert abs(row.value - alone.value) <= 1e-15 * abs(alone.value)
 
     def test_rows_share_the_intervals_of_the_hardest(self):
-        (alone,) = arch._gauss_kronrod_rows(np.sqrt, 0.0, 1.0, 1e-12, 1e-11, "alone")
+        (alone,) = arch._gauss_kronrod_rows(np.sqrt, (0.0, 1.0), 1e-12, 1e-11, "alone")
         square, root = arch._gauss_kronrod_rows(
-            lambda x: np.stack([x * x, np.sqrt(x)]), 0.0, 1.0, 1e-12, 1e-11, "both"
+            lambda x: np.stack([x * x, np.sqrt(x)]), (0.0, 1.0), 1e-12, 1e-11, "both"
         )
         assert root.intervals == square.intervals >= alone.intervals > 1
         assert abs(root.value - 2 / 3) <= root.abserr
@@ -396,7 +396,7 @@ class TestGaussKronrod:
                 return np.stack([np.sqrt(x), 1e6 * (1 - x) ** 0.75])[[first, 1 - first]]
 
             with pytest.raises(QuadratureError) as info:
-                arch._gauss_kronrod_rows(f, 0.0, 1.0, 0.0, 1e-15, "rows", row=[first, 1 - first])
+                arch._gauss_kronrod_rows(f, (0.0, 1.0), 0.0, 1e-15, "rows", row=[first, 1 - first])
             _, err = arch._g10k21(f, np.array([0.0, 0.25, 0.5]), np.array([0.25, 0.5, 1.0]))
             assert info.value.row == first and info.value.intervals == 3
             # |Kronrod - Gauss| of the second row cancels to about 3e-5 of its
@@ -409,11 +409,50 @@ class TestGaussKronrod:
             with pytest.raises(QuadratureError) as info:
                 arch._gauss_kronrod_rows(
                     lambda x: np.stack([np.sqrt(x), np.full(x.shape, 1e308)]),
-                    0.0, 10.0, 0.0, 1e-15, "rows", row=[0, 1],
+                    (0.0, 10.0), 0.0, 1e-15, "rows", row=[0, 1],
                 )
         err = info.value
         assert (err.row, err.intervals) == (1.0, 1) and math.isnan(err.tolerance)
         assert list(err.witness) == ["row", "segment", "intervals", "abserr", "tolerance"]
+
+    @pytest.mark.parametrize(
+        "points", [(0.0, 1.0), (0.0, 0.25, 0.5, 1.0), (0.0, 0.125, 0.25, 0.5, 1.0)], ids=len
+    )
+    def test_first_round_evaluates_every_interval_of_the_mesh(self, points):
+        # k intervals, each later split adding one: 21 * (k + 2 * (intervals - k))
+        k = len(points) - 1
+        (q,) = arch._gauss_kronrod_rows(np.sqrt, points, 1e-12, 1e-11, "sqrt")
+        assert q.intervals > k
+        assert q.evaluations == 21 * (2 * q.intervals - k)
+        assert abs(q.value - 2 / 3) <= q.abserr <= q.tolerance
+
+    def test_witness_segment_spans_the_mesh(self, monkeypatch):
+        monkeypatch.setattr(arch, "_LIMIT", 5)
+        with pytest.raises(QuadratureError) as info:
+            arch._gauss_kronrod_rows(
+                lambda x: np.sqrt(np.abs(x - 1.5)), (1.0, 1.5, 2.0, 3.0), 1e-15, 0.0, "kink"
+            )
+        err = info.value
+        assert (err.segment, err.intervals) == ((1.0, 3.0), 5)
+        assert err.abserr > err.tolerance
+
+    @pytest.mark.parametrize("k", [0, 7, 19])
+    def test_mesh_that_meets_its_tolerance_takes_one_pass(self, k, monkeypatch):
+        calls = []
+        rule = arch._g10k21
+
+        def counted(f, lo, hi):
+            calls.append(lo.size)
+            return rule(f, lo, hi)
+
+        monkeypatch.setattr(arch, "_g10k21", counted)
+        monkeypatch.setattr(arch, "_LIMIT", 4)  # a split would be past the cap
+        (q,) = arch._gauss_kronrod_rows(
+            lambda x: x**k, (0.0, 0.25, 0.5, 0.75, 1.0), 1e-14, 0.0, "monomial"
+        )
+        assert calls == [4]
+        assert (q.intervals, q.evaluations) == (4, 84)
+        assert abs(q.value - 1 / (k + 1)) <= 1e-14
 
 
 class TestArchScenario:
@@ -643,7 +682,7 @@ def _lambda_integral_alone(sc, u):
         w_vals = _whittaker_w_array(sc.l / 2, sc.ir / 2, reach * x)
         return np.exp((power - 1) * np.log(lam) - scale * lam) * w_vals
 
-    (quad,) = arch._gauss_kronrod_rows(integrand, 0.0, 1.0, 0.0, 1e-9, "lambda-integral")
+    (quad,) = arch._gauss_kronrod_rows(integrand, (0.0, 1.0), 0.0, 1e-9, "lambda-integral")
     return lam_max * quad.value
 
 
@@ -730,6 +769,38 @@ def test_each_route_stops_at_the_cap(monkeypatch, stand_in, run, route, where, s
     assert list(witness) == where + ["segment", "intervals", "abserr", "tolerance"]
     assert (witness["segment"], witness["intervals"]) == (segment, 6)
     assert witness["abserr"] > witness["tolerance"]
+
+
+class TestRefinementRounds:
+    """The graded first meshes of the Mellin tail and the lambda-integral
+    spare the rounds that bisecting from one interval would spend: the
+    G10K21 passes over the verify-arch battery's integrals, counted."""
+
+    @staticmethod
+    def passes(monkeypatch):
+        calls = []
+        rule = arch._g10k21
+
+        def counted(f, lo, hi):
+            calls.append(lo.size)
+            return rule(f, lo, hi)
+
+        monkeypatch.setattr(arch, "_g10k21", counted)
+        return calls
+
+    def test_mellin_battery(self, monkeypatch):
+        # 163 passes; 315 with the tail started from the one interval [1, 120]
+        calls = self.passes(monkeypatch)
+        for kappa, mu, sigma in batteries.MELLIN_POINTS:
+            mellin_whittaker(kappa, mu, sigma)
+        assert len(calls) <= 170
+
+    def test_grid_quadratures(self, monkeypatch):
+        # 28 passes; 70 with each lambda-integral started from [0, 1]
+        calls = self.passes(monkeypatch)
+        for _, sc in batteries.arch_grid():
+            z_inf_quadrature(sc)
+        assert len(calls) <= 32
 
 
 class TestWhittakerRoute:

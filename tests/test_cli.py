@@ -192,7 +192,8 @@ class Row:
 
 CONTRACT = [
     # verify-local: the criterion-1 stream, the kilobit coefficients of
-    # order 80 (three scenarios per (q, class) cell), and the order cap
+    # order 80 (three scenarios per (q, class) cell), and the order and
+    # trials caps
     Row("criterion-1", "verify-local --seed 20260816 --trials 100 --order 25 --format machine",
         passes={"": 900}),
     Row("order-80", "verify-local --trials 3 --order 80 --format machine", passes={"": 27}),
@@ -205,13 +206,15 @@ CONTRACT = [
     Row("local-input", "verify-local --format machine", passes={"": 2}, doc=TWO_SCENARIO_DOC),
     Row("order-cap", "verify-local --trials 1 --order 100000000000", code=2,
         stderr=r"^error: --order must be at most 1000, got 100000000000$"),
+    Row("trials-cap", "verify-local --trials 10001", code=2,
+        stderr=r"^error: --trials must be at most 10000, got 10001$"),
     # lfactor: the default factor, printed whole, and the two-scenario input
     Row("lfactor", "lfactor --format machine", passes={"": 1}, unloaded=("numpy", "scipy"),
         sha256="7042b9721f231bb077cac5ba644f1dcd9b98cd780a260d53b7ffab4369dfaaef"),
     Row("lfactor-input", "lfactor --format machine", passes={"": 2}, doc=TWO_SCENARIO_DOC),
     # verify-arch: the default battery, the benchmark's input, and a
     # tolerance that every comparison would meet
-    Row("verify-arch", "verify-arch --format machine", seconds=30,
+    Row("verify-arch", "verify-arch --format machine", seconds=10,
         passes={"": 56, "arch/zinf/": 13, "arch/mellin/": 31, "arch/reduction/": 12},
         sha256="f553f5be60cc30d3e1637a55750dff74bf44f2c50f29291c906c80bdb4c7af24"),
     Row("arch-quad", "verify-arch --input perfbench/inputs/arch.json --format machine"),
