@@ -55,8 +55,7 @@ EXIT_BROKEN_PIPE = 141
 # The largest series truncation order verify-local accepts.
 MAX_ORDER = 1000
 
-# The most scenarios per battery verify-local accepts: it keeps every record
-# (about 0.47 KB each, nine per trial) until it prints.
+# The most scenarios per battery verify-local accepts.
 MAX_TRIALS = 10_000
 
 _SYMBOLS_BY_NAME = {name: sym for sym, name in batteries.SYMBOL_NAMES.items()}
@@ -75,16 +74,17 @@ class RunConfig:
 
     ``seed`` keys the SplitMix64 scenario streams, ``trials`` sizes the
     randomized batteries, at least 1 and for verify-local at most
-    ``MAX_TRIALS`` = 10000 (verify-local holds its records, nine per trial,
-    until it prints them, so 10000 trials hold about 42 MB), ``order`` is
-    the series truncation order for the local identity check, at least 8
-    and at most ``MAX_ORDER`` = 1000 (a check's cost grows faster than the
-    square of the order, so a huge order would run for hours or exhaust
-    memory), and ``tolerance``, a positive finite number, bounds the
-    quadrature-vs-closed comparison of the archimedean battery (the
-    fixed-precision identities keep their own pinned tolerances).  ``p``
-    selects the residue characteristic for the coset audit and ``p_max``
-    truncates the Euler product of the ``global`` command.
+    ``MAX_TRIALS`` = 10000 (verify-local holds its records, nine per trial
+    at about 0.47 KB each, until it prints them, so 10000 trials hold
+    about 42 MB), ``order`` is the series truncation order for the local
+    identity check, at least 8 and at most ``MAX_ORDER`` = 1000 (a check's
+    cost grows faster than the square of the order, so a huge order would
+    run for hours or exhaust memory), and ``tolerance``, a positive finite
+    number, bounds the quadrature-vs-closed comparison of the archimedean
+    battery (the fixed-precision identities keep their own pinned
+    tolerances).  ``p`` selects the residue characteristic for the coset
+    audit and ``p_max`` truncates the Euler product of the ``global``
+    command.
     """
 
     command: str
