@@ -415,9 +415,7 @@ class TestGaussKronrod:
         assert (err.row, err.intervals) == (1.0, 1) and math.isnan(err.tolerance)
         assert list(err.witness) == ["row", "segment", "intervals", "abserr", "tolerance"]
 
-    @pytest.mark.parametrize(
-        "points", [(0.0, 1.0), (0.0, 0.25, 0.5, 1.0), (0.0, 0.125, 0.25, 0.5, 1.0)], ids=len
-    )
+    @pytest.mark.parametrize("points", [(0.0, 0.25, 0.5, 1.0), (0.0, 0.125, 0.25, 0.5, 1.0)], ids=len)
     def test_first_round_evaluates_every_interval_of_the_mesh(self, points):
         # k intervals, each later split adding one: 21 * (k + 2 * (intervals - k))
         k = len(points) - 1
@@ -438,14 +436,7 @@ class TestGaussKronrod:
 
     @pytest.mark.parametrize("k", [0, 7, 19])
     def test_mesh_that_meets_its_tolerance_takes_one_pass(self, k, monkeypatch):
-        calls = []
-        rule = arch._g10k21
-
-        def counted(f, lo, hi):
-            calls.append(lo.size)
-            return rule(f, lo, hi)
-
-        monkeypatch.setattr(arch, "_g10k21", counted)
+        calls = _counted_passes(monkeypatch)
         monkeypatch.setattr(arch, "_LIMIT", 4)  # a split would be past the cap
         (q,) = arch._gauss_kronrod_rows(
             lambda x: x**k, (0.0, 0.25, 0.5, 0.75, 1.0), 1e-14, 0.0, "monomial"
@@ -640,6 +631,19 @@ def _counted_routes(record, measure):
     return route
 
 
+def _counted_passes(monkeypatch):
+    """The intervals of each G10K21 pass from here on, one entry a pass."""
+    calls = []
+    rule = arch._g10k21
+
+    def counted(f, lo, hi):
+        calls.append(lo.size)
+        return rule(f, lo, hi)
+
+    monkeypatch.setattr(arch, "_g10k21", counted)
+    return calls
+
+
 def _noise_w(kappa, mu):
     """Stand-in for a W route whose values alternate in sign from node to
     node."""
@@ -776,28 +780,16 @@ class TestRefinementRounds:
     spare the rounds that bisecting from one interval would spend: the
     G10K21 passes over the verify-arch battery's integrals, counted."""
 
-    @staticmethod
-    def passes(monkeypatch):
-        calls = []
-        rule = arch._g10k21
-
-        def counted(f, lo, hi):
-            calls.append(lo.size)
-            return rule(f, lo, hi)
-
-        monkeypatch.setattr(arch, "_g10k21", counted)
-        return calls
-
     def test_mellin_battery(self, monkeypatch):
         # 163 passes; 315 with the tail started from the one interval [1, 120]
-        calls = self.passes(monkeypatch)
+        calls = _counted_passes(monkeypatch)
         for kappa, mu, sigma in batteries.MELLIN_POINTS:
             mellin_whittaker(kappa, mu, sigma)
         assert len(calls) <= 170
 
     def test_grid_quadratures(self, monkeypatch):
         # 28 passes; 70 with each lambda-integral started from [0, 1]
-        calls = self.passes(monkeypatch)
+        calls = _counted_passes(monkeypatch)
         for _, sc in batteries.arch_grid():
             z_inf_quadrature(sc)
         assert len(calls) <= 32
