@@ -9,9 +9,9 @@ s0 = l/6 - 1/2 (where 6 s0 + 1 = l - 2); and the consistency identity
 checks the closed form at s0 against that same front.
 
 The s-free part of every local factor is built once per input, on first
-use, into GlobalInput.euler_table: float64 planes with a column per prime
-and 13 rows of denominators, and the count of leading columns that are
-2, 3, 5, ... (EulerTable).  A report takes t = p^(-3s) from Python's own
+use, into GlobalInput.euler_table: float64 planes with a column for each
+of 2, 3, 5, ... and 13 rows of denominators, ending at the first prime the
+input cannot evaluate (EulerTable).  A report takes t = p^(-3s) from Python's own
 complex pow and evaluates every local factor at once (one quotient over
 the 13 rows, then paired folds) with CPython's formulas for a complex
 product and quotient (_c_prod, _c_quot); _product multiplies the factors
@@ -28,7 +28,7 @@ that meeting point prime by prime.
 
 from __future__ import annotations
 
-import contextlib
+import bisect
 import functools
 import itertools
 import math
@@ -36,7 +36,7 @@ import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -235,27 +235,12 @@ def _one_minus(qr, qi):
     return 1.0 - qr, 0.0 - qi
 
 
-def _leading_primes(columns: Tuple[int, ...]) -> int:
-    """How many of the ascending columns, none a multiple of a smaller one,
-    are 2, 3, 5, ... in turn: the run ends at the first prime between two."""
-    if columns[:1] != (2,):
-        return 0
-    wheel, root = 1, 1  # columns[1:root] multiplied: the run's odd primes up to sqrt(m)
-    for run in range(1, len(columns)):
-        for m in range(columns[run - 1] + 1 | 1, columns[run], 2):
-            while columns[root] ** 2 <= m:
-                wheel *= columns[root]
-                root += 1
-            if math.gcd(m, wheel) == 1:  # m is prime
-                return run
-    return len(columns)
-
-
 @dataclass(frozen=True, eq=False)
 class EulerTable:
     """The s-free part of every local factor, as float64 planes.
 
-    A column per prime, in ascending order, and 13 rows: the eight divisors
+    A column for each of the primes 2, 3, 5, ... below end, the first
+    prime the input cannot evaluate, and 13 rows: the eight divisors
     d of the degree-8 inverse factor's 1 - t/d, the (at most four)
     denominators of the auxiliary 1 - k t/den or 1 - k t^2/den, and p of
     1 - t^2/p, padded and masked where a prime has fewer.  Each is stored
@@ -267,9 +252,10 @@ class EulerTable:
     is left to Python's pow, whose bits and errors numpy's need not match.
     """
 
-    primes: Tuple[int, ...]
+    primes: Tuple[int, ...]  # 2, 3, 5, ..., every prime below end
+    end: int
+    end_error: Exception  # what a report reaching end raises: missing data, or the row's error
     bases: Tuple[complex, ...]  # complex(p), the base of t = p^(-3s)
-    leading_primes: int  # primes[:leading_primes] are 2, 3, 5, ... (_leading_primes)
     quotient: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts, (13, n)
     padded: np.ndarray  # (12, n): rows 0-11, where the prime has no such slot
     first_padded: Tuple[int, ...]  # per row 0-11, its first padded column, or n
@@ -278,9 +264,9 @@ class EulerTable:
     squared: np.ndarray  # (n,): the auxiliary factors are 1 - k t^2/den
 
     @classmethod
-    def from_rows(cls, primes, rows) -> "EulerTable":
+    def from_rows(cls, primes, rows, end, end_error) -> "EulerTable":
         """The table over these primes from their FactorRows, in the same
-        ascending order."""
+        ascending order, ending at end with end_error."""
         n = len(rows)
 
         def planes(entries, width):
@@ -298,8 +284,9 @@ class EulerTable:
         with np.errstate(all="ignore"):
             return cls(
                 primes=tuple(primes),
+                end=end,
+                end_error=end_error,
                 bases=tuple(row[0] for row in rows),
-                leading_primes=_leading_primes(tuple(primes)),
                 quotient=_quotient_parts(dens.real, dens.imag),
                 padded=padded,
                 first_padded=tuple(int(row.argmax()) if row.any() else n for row in padded),
@@ -341,8 +328,9 @@ class GlobalInput:
     """Everything the global formulas consume.
 
     Class-group data (the values Lambda(t_j) and the coefficients
-    a(S_j, Phi)) are inputs, not derived.  The per-prime tables must
-    agree on coverage prime by prime: satake_table holds the three
+    a(S_j, Phi)) are inputs, not derived.  The per-prime tables are keyed
+    by prime, and a report stops at the first prime that they do not all
+    key (see euler_table): satake_table holds the three
     unramified parameters (u0, u1, u2) of the degree-4 component,
     gl2_table holds the degree-2 component (a Satake pair off the level,
     a twist value +-1 at a level prime), and local_table holds the
@@ -433,31 +421,30 @@ class GlobalInput:
                 )
 
     @functools.cached_property
-    def euler_table(self) -> Tuple[EulerTable, Dict[int, ArithmeticError]]:
-        """The s-free part of the local factor at each prime covered by all
-        three tables (see EulerTable), and the primes whose row could not
-        be built, with the ArithmeticError a report reaching them raises.
-
-        A covered key divisible by a smaller prime of the table is left
-        out: no report reads it, and without it the primes of a report
-        that the table covers are the table's first columns."""
+    def euler_table(self) -> EulerTable:
+        """The s-free part of the local factor at 2, 3, 5, ... (see
+        EulerTable) up to its end, the first prime that the three tables do
+        not all key or whose row raises ArithmeticError.  Every prime below
+        a candidate m is a column, so m is prime when it is prime to the
+        product of the columns up to sqrt(m)."""
         primes, rows = [], []
-        faults: Dict[int, ArithmeticError] = {}
-        covered = (int(p) for p in self.local_table if p in self.satake_table and p in self.gl2_table)
-        for p in sorted(covered):
-            if p < 2 or any(p % q == 0 for q in itertools.takewhile(lambda q: q * q <= p, primes)):
+        wheel, root = 1, 0  # the product of primes[:root], the columns up to sqrt(m)
+        for m in itertools.count(2):
+            while root < len(primes) and primes[root] ** 2 <= m:
+                wheel, root = wheel * primes[root], root + 1
+            if math.gcd(m, wheel) > 1:
                 continue
+            if not (m in self.local_table and m in self.satake_table and m in self.gl2_table):
+                end_error = ValueError(f"missing local data for p = {m}")
+                break
             try:
-                row = _factor_row(
-                    p, self.local_table[p], self.gl2_table[p], self.gamma(p), self.omega_pi(p),
-                    p in self.level_primes,
-                )
+                rows.append(_factor_row(m, self.local_table[m], self.gl2_table[m], self.gamma(m),
+                                        self.omega_pi(m), m in self.level_primes))
             except ArithmeticError as exc:  # values at the edge of the float range
-                faults[p] = exc
-                continue
-            primes.append(p)
-            rows.append(row)
-        return EulerTable.from_rows(primes, rows), faults
+                end_error = exc
+                break
+            primes.append(m)
+        return EulerTable.from_rows(primes, rows, m, end_error)
 
     @property
     def at_holomorphic_point(self) -> bool:
@@ -531,48 +518,31 @@ def kappa_N(gi: GlobalInput, s):
     return value
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _primes_through(p_max: int) -> Tuple[int, ...]:
-    """primes_up_to(p_max) as a tuple, sieved once per p_max."""
-    return tuple(primes_up_to(p_max))
-
-
-def _truncation_primes(gi: GlobalInput, p_max: int) -> Tuple[int, ...]:
-    """The primes up to p_max, which must reach every level prime, and
-    none past 2K + 2, with K the largest prime of the Euler table: by
-    Bertrand's postulate the table lacks a prime in (K, 2K + 2], and a
-    report stops at the first prime it lacks."""
-    level = gi.level_primes
-    if level and p_max < max(level):
-        raise ValueError(f"p_max = {p_max} omits the level prime {max(level)}")
-    covered = gi.euler_table[0].primes  # ascending
-    return _primes_through(min(p_max, 2 * covered[-1] + 2 if covered else 2))
-
-
-def _euler_planes(gi: GlobalInput, s: complex, primes: Tuple[int, ...]):
-    """(rankin, factor) over the given primes 2, 3, 5, ..., ascending: the
-    degree-8 inverse factor and the local factor at t = p^(-3s) as real and
-    imaginary planes, from EulerTable.evaluate's 13-row pass over the
-    table's leading_primes columns, up to the first prime the table lacks.
+def _euler_planes(gi: GlobalInput, s: complex, p_max: int):
+    """(primes, rankin, factor) over the primes up to p_max, which must
+    reach every level prime (ValueError): the degree-8 inverse factor and
+    the local factor at t = p^(-3s) as real and imaginary planes, from
+    EulerTable.evaluate's 13-row pass over the table's columns up to p_max.
 
     Each t is Python's own complex pow, so it keeps libm's bits.  The
     first failing prime in ascending order raises, with what a per-prime
-    evaluation raises there, checked in its order: a missing prime
-    (ValueError) or one whose row could not be built, then the pow
-    (OverflowError or ZeroDivisionError), then a zero divisor
-    (ZeroDivisionError), then a pole of the degree-8 factor, where its
-    inverse is exactly 0 (ValueError).
+    evaluation raises there, checked in its order: the pow (OverflowError
+    or ZeroDivisionError), then a zero divisor (ZeroDivisionError), then a
+    pole of the degree-8 factor, where its inverse is exactly 0
+    (ValueError); past them all, the table's end_error when p_max reaches
+    its end.
     """
-    table, faults = gi.euler_table
-    covered = min(len(primes), table.leading_primes)
+    if gi.level_primes and p_max < gi.level_primes[-1]:  # level_primes ascend
+        raise ValueError(f"p_max = {p_max} omits the level prime {gi.level_primes[-1]}")
+    table = gi.euler_table
+    covered = bisect.bisect_right(table.primes, p_max)
     exponent = -3 * s
+    ts, failure = [], None
     try:
-        ts, failure = [base ** exponent for base in table.bases[:covered]], None
-    except ArithmeticError as exc:
-        ts, failure = [], exc
-        with contextlib.suppress(ArithmeticError):  # t up to the first failing pow
-            for base in table.bases[:covered]:
-                ts.append(base ** exponent)
+        for base in table.bases[:covered]:
+            ts.append(base ** exponent)
+    except ArithmeticError as exc:  # t up to the first failing pow
+        failure = exc
     t = np.array(ts, dtype=complex)
     with np.errstate(all="ignore"):
         rankin, factor = table.evaluate(t.real, t.imag)
@@ -583,16 +553,13 @@ def _euler_planes(gi: GlobalInput, s: complex, primes: Tuple[int, ...]):
         if zero[i]:
             ts[i] / 0j  # raises CPython's ZeroDivisionError, as t / d does there
         raise ValueError(
-            f"s is a pole of the degree-8 local factor at p = {primes[i]}: its inverse is 0"
+            f"s is a pole of the degree-8 local factor at p = {table.primes[i]}: its inverse is 0"
         )
     if failure is not None:
         raise failure
-    if covered < len(primes):
-        fault = faults.get(primes[covered])
-        if fault is None:
-            raise ValueError(f"missing local data for p = {primes[covered]}")
-        raise type(fault)(*fault.args)
-    return rankin, factor
+    if p_max >= table.end:
+        raise type(table.end_error)(*table.end_error.args)
+    return table.primes[:covered], rankin, factor
 
 
 def _product(factors) -> complex:
@@ -646,8 +613,8 @@ def global_z_report(gi: GlobalInput, s, p_max: int) -> GlobalZReport:
     of absolute convergence, alpha = 3 Re(s) + 1/2 > 1, that is
     Re(s) > 1/6 (also warned, TruncationWarning).
     """
-    primes = _truncation_primes(gi, p_max)
     s_c = complex(s)
+    primes, _, factor = _euler_planes(gi, s_c, p_max)
     alpha = 3 * s_c.real + 0.5
     in_region = alpha > 1
     if not in_region:
@@ -656,7 +623,7 @@ def global_z_report(gi: GlobalInput, s, p_max: int) -> GlobalZReport:
             TruncationWarning,
             stacklevel=2,
         )
-    product = _product(_euler_planes(gi, s_c, primes)[1])
+    product = _product(factor)
     k_inf = kappa_infinity(gi, s_c)
     k_level = complex(kappa_N(gi, s_c))
     return GlobalZReport(
@@ -736,7 +703,7 @@ def special_value_ratio(gi: GlobalInput, p_max: int) -> complex:
     if not gi.at_holomorphic_point:
         raise ValueError("the special value lives at the point ir = l - 1")
     s0 = gi.l / 6 - 0.5
-    rankin, _ = _euler_planes(gi, complex(s0), _truncation_primes(gi, p_max))
+    _, rankin, _ = _euler_planes(gi, complex(s0), p_max)
     with np.errstate(all="ignore"):
         lvalue = _product(_c_quot(1.0, 0.0, *_quotient_parts(*rankin)))
     return lvalue / (

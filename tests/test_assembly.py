@@ -749,9 +749,9 @@ class TestEulerTable:
 
     def test_the_table_covers_every_prime(self):
         gi = seeded_unitary_gi(5000)
-        rows, faults = gi.euler_table
+        rows = gi.euler_table
         assert len(primes_up_to(5000)) == 669
-        assert list(rows.primes) == primes_up_to(5000) and faults == {}
+        assert list(rows.primes) == primes_up_to(5000) and rows.end == 5003
         assert gi.level_primes == (2, 3, 5)
         assert [gi.local_table[p].symbol for p in gi.level_primes] == [-1, 0, 1]
 
@@ -813,7 +813,7 @@ class TestEulerTable:
         local[7] = PrimeQuadData(0, 1.0, -1.0)
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
         assert assembly._factor_row(7, local[7], gl2[7], gi.gamma(7), gi.omega_pi(7), False)[1][2] == 0
-        assert 7 in gi.euler_table[0].primes
+        assert 7 in gi.euler_table.primes
         assert global_z_report(gi, 1.0, 5).euler_product == reference_euler_product(gi, 1.0, 5)
         if missing is not None:
             del local[missing]
@@ -831,14 +831,14 @@ class TestEulerTable:
             table[25], table[1] = table[23], table[23]
         del local[5]  # a composite key past a missing prime stays harmless
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
-        table, faults = gi.euler_table
-        assert table.primes == (2, 3, 7, 11, 13, 17, 19, 23, 25, 29) and faults == {}
+        table = gi.euler_table
+        assert table.primes == (2, 3) and table.end == 5
         assert global_z_report(gi, 0.7, 3).euler_product == reference_euler_product(gi, 0.7, 3)
         with pytest.raises(ValueError, match="missing local data for p = 5"):
             global_z_report(gi, 0.7, 30)
         local[5] = PrimeQuadData(-1, 1.0)
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
-        assert 25 not in gi.euler_table[0].primes
+        assert list(gi.euler_table.primes) == primes_up_to(29)
         assert global_z_report(gi, 0.7, 30).euler_product == reference_euler_product(gi, 0.7, 30)
 
 
@@ -899,8 +899,8 @@ class TestEulerTable:
         satake[19] = (1e-200, 1e-200, 1e-200)  # omega_pi underflows to 0
         local[19] = PrimeQuadData(-1, 1e-12)
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local)
-        rows, faults = gi.euler_table
-        assert 19 in faults and 19 not in rows.primes
+        rows = gi.euler_table
+        assert rows.end == 19 and isinstance(rows.end_error, ZeroDivisionError)
         assert global_z_report(gi, 1.0, 17).euler_product == reference_euler_product(gi, 1.0, 17)
         with pytest.raises(ZeroDivisionError) as want:
             reference_euler_product(gi, 1.0, 19)
@@ -912,19 +912,18 @@ class TestEulerTable:
         sweep_outcomes(gi, SplitMix64(4200 + gi.l))
 
     def test_seeded_sweep_past_a_missing_prime_is_bit_identical(self):
-        # 2003^2 is a column, past the missing prime 2003; 61 * 67 is no column
+        # the table ends at the missing prime 2003, whatever is keyed past it
         satake, gl2, local = synthetic_tables(5000)
         for table in (satake, gl2, local):
             table[2003**2], table[61 * 67] = table[1999], table[1999]
         del local[2003]
         gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local, petersson_phi=1.25, petersson_psi=0.5)
-        assert gi.euler_table[0].primes[-2:] == (4999, 2003**2)
+        assert gi.euler_table.primes[-1] == 1999 and gi.euler_table.end == 2003
         kinds = sweep_outcomes(gi, SplitMix64(4203))
         assert kinds == {bytes, type}  # some reports stop at 2003, some end before it
 
     def test_the_table_is_built_once_per_input(self, monkeypatch):
         gi = make_synthetic_gi(60, petersson_phi=1.0, petersson_psi=1.0)
-        assembly._primes_through.cache_clear()
         calls = []
 
         def counted(name, fn):
@@ -940,16 +939,14 @@ class TestEulerTable:
         global_z_report(gi, 0.7, 41)
         # the first report builds the table: one gamma and one omega_pi per prime
         primes = primes_up_to(60)
-        assert sorted(calls) == sorted(
-            [("gamma", p) for p in primes] + [("omega_pi", p) for p in primes] + [("sieve", 41)]
-        )
+        assert sorted(calls) == sorted([("gamma", p) for p in primes] + [("omega_pi", p) for p in primes])
         del calls[:]
         for s in (0.7, 1.0, 0.8 + 0.2j):
             for p_max in (41, 59, 41):
                 global_z_report(gi, s, p_max)
                 special_value_ratio(gi, p_max)
-        # later reports do no per-prime set-up, and sieve once per new p_max
-        assert calls == [("sieve", 59)]
+        # later reports do no per-prime set-up, and no report sieves
+        assert calls == []
 
 
 # Parts at the edges of the float range: signed zeros, the smallest
@@ -1036,6 +1033,12 @@ class TestTheorem3Consistency:
 
     def test_low_weight_boundary(self):
         assert theorem3_consistency(make_gi(l=4, l1=4, r=-3j))
+
+    def test_vanishing_class_sum_agrees_exactly(self):
+        # a(Lambda) = 0 makes both constants 0: no relative error to size
+        gi = make_gi(fourier_classvals=(0,))
+        with pytest.warns(DegenerateInputWarning):
+            assert assembly.theorem3_rel_error(gi) == 0.0
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,19 @@ def committed_global_doc(**overrides):
     return doc
 
 
+def edited_global_doc(edit):
+    """The committed global input after ``edit`` changes its global_input object in place."""
+    doc = committed_global_doc()
+    edit(doc["global_input"])
+    return doc
+
+
+def key_far_prime(gi):
+    # the largest prime below 2^53, keyed in all three tables like 3
+    for table in ("satake_table", "gl2_table", "local_table"):
+        gi[table]["9007199254740881"] = gi[table]["3"]
+
+
 def run_capture(config):
     buf = io.StringIO()
     code = run(config, buf)
@@ -247,6 +260,28 @@ CONTRACT = [
     Row("global-complex", "global --pmax 13 --format machine", passes={"": 1},
         doc=committed_global_doc(s=[0.9, 0.3]),
         sha256="10b6647ad91e38594a41b2bfdb05841bf366a90dfe925dd79d42975086d96bf7"),
+    # a key far past the first missing prime 17 leaves a large --pmax as
+    # cheap as a small one
+    Row("global-far-key", "global --pmax 100000000", code=2, seconds=2,
+        stderr=r"^error: missing local data for p = 17$", doc=edited_global_doc(key_far_prime)),
+    # input errors that end in exit 2 before any check runs
+    Row("pmax-0", "global --input perfbench/inputs/global.json --pmax 0", code=2,
+        stderr=r"^error: pmax must be at least 1, got 0$"),
+    Row("no-global-input", "global", code=2, doc={"input": {}},
+        stderr=r"^error: .*: missing required top-level key 'global_input'$"),
+    Row("top-level-array", "global", code=2, doc=[committed_global_doc()],
+        stderr=r"^error: .*: the top-level JSON value must be an object$"),
+    Row("satake-pair", "global", code=2,
+        doc=edited_global_doc(lambda gi: gi["satake_table"].update({"3": [1, 1]})),
+        stderr=r"^error: global_input\.satake_table\.3: expected \[u0, u1, u2\]$"),
+    Row("no-class-values", "global", code=2, doc=committed_global_doc(lambda_classvals=[]),
+        stderr=r"^error: global_input\.lambda_classvals: expected a non-empty array$"),
+    Row("scenario-without-q", "lfactor", code=2,
+        doc={"local_scenarios": [{k: v for k, v in TWO_SCENARIO_DOC["local_scenarios"][0].items() if k != "q"}]},
+        stderr=r"^error: local_scenarios\[0\]: missing required key 'q'$"),
+    Row("lambda-not-object", "lfactor", code=2,
+        doc={"local_scenarios": [{**TWO_SCENARIO_DOC["local_scenarios"][0], "lambda": 5}]},
+        stderr=r"^error: local_scenarios\[0\]\.lambda: expected an object, got int$"),
 ]
 
 

@@ -634,6 +634,11 @@ class TestMatrixIdentities:
         with pytest.raises(ValueError):
             verify_matrix_identity("iii")
 
+    def test_unknown_identity_has_no_sides(self):
+        draws = cosets.draw_residues(SplitMix64(7), "ii", 3)
+        with pytest.raises(ValueError, match="unknown identity 'bogus'"):
+            identity_sides("bogus", draws)
+
     def test_broken_torus_fails_every_identity(self, monkeypatch):
         ediag_ok = cosets.ediag
 
