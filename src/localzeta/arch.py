@@ -217,11 +217,6 @@ def _whittaker_w_route(kappa: complex, mu: complex):
     return w
 
 
-def _whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray) -> np.ndarray:
-    """W_{kappa,mu} on an array of positive x: its route, called once."""
-    return _whittaker_w_route(kappa, mu)(xs)
-
-
 def whittaker_w(wq: WhittakerQuery) -> complex:
     """Classical W_{kappa,mu}(x) inside the supported argument window."""
     lo, hi = WHITTAKER_X_RANGE
@@ -229,7 +224,7 @@ def whittaker_w(wq: WhittakerQuery) -> complex:
         raise DomainError(
             f"x = {wq.x:g} outside the supported window [{lo:g}, {hi:g}]"
         )
-    return complex(_whittaker_w_array(wq.kappa, wq.mu, np.array([wq.x]))[0])
+    return complex(_whittaker_w_route(wq.kappa, wq.mu)(np.array([wq.x]))[0])
 
 
 # ---------------------------------------------------------------------------

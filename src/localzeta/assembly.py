@@ -10,15 +10,16 @@ checks the closed form at s0 against that same front.
 
 The s-free part of every local factor is built once per input, on first
 use, into GlobalInput.euler_table: float64 planes with a column for each
-of 2, 3, 5, ... and 13 rows of denominators, ending at the first prime the
-input cannot evaluate (EulerTable).  A report takes t = p^(-3s) from Python's own
-complex pow and evaluates every local factor at once (one quotient over
-the 13 rows, then paired folds) with CPython's formulas for a complex
-product and quotient (_c_prod, _c_quot); _product multiplies the factors
-prime by prime.  Each float64 operation is one that the per-prime
-evaluation in Python complex arithmetic performs, on the same operands,
-and IEEE 754 rounds it the same in numpy as in C, so the planes change no
-bit of a report.
+of 2, 3, 5, ... and 13 rows of denominators, each prime's slots padded
+in front with exact identities, ending at the first prime the input
+cannot evaluate (EulerTable).  A report takes t = p^(-3s) from Python's
+own complex pow and evaluates every local factor at once (one quotient
+over the 13 rows, then paired folds) with CPython's formulas for a
+complex product and quotient (_c_prod, _c_quot); _product multiplies the
+factors prime by prime.  Each float64 operation is one that the
+per-prime evaluation in Python complex arithmetic performs, on the same
+operands, and IEEE 754 rounds it the same in numpy as in C, so the
+planes change no bit of a report.
 
 Character data is complex-valued here (unitary class characters), while
 the formal local modules work over exact rationals; the two layers meet
@@ -243,8 +244,11 @@ class EulerTable:
     prime the input cannot evaluate, and 13 rows: the eight divisors
     d of the degree-8 inverse factor's 1 - t/d, the (at most four)
     denominators of the auxiliary 1 - k t/den or 1 - k t^2/den, and p of
-    1 - t^2/p, padded and masked where a prime has fewer.  Each is stored
-    as the s-free half of CPython's complex quotient (_quotient_parts), so
+    1 - t^2/p.  Fewer slots are padded in front with d = inf, or k = 0 over
+    den = 1: exactly 1 + 0j at finite t, so a fold reaches the first real
+    slot at complex(1), as the per-prime one starts (padding behind would
+    not be exact: (inf + 0j)(1 + 0j) has a NaN part).  Each is stored as
+    the s-free half of CPython's complex quotient (_quotient_parts), so
     evaluating the table at t is the per-prime evaluation's own float64
     operations: Python complex arithmetic rounds each part of a product or
     a quotient exactly as _c_prod and _c_quot do, and numpy's +, -, * and
@@ -257,8 +261,6 @@ class EulerTable:
     end_error: Exception  # what a report reaching end raises: missing data, or the row's error
     bases: Tuple[complex, ...]  # complex(p), the base of t = p^(-3s)
     quotient: Tuple[np.ndarray, np.ndarray, np.ndarray]  # _quotient_parts, (13, n)
-    padded: np.ndarray  # (12, n): rows 0-11, where the prime has no such slot
-    first_padded: Tuple[int, ...]  # per row 0-11, its first padded column, or n
     zero_divisor: np.ndarray  # (n,): some divisor is 0, so t/d raises
     prefix: Tuple[np.ndarray, np.ndarray]  # real and imaginary parts, (4, n)
     squared: np.ndarray  # (n,): the auxiliary factors are 1 - k t^2/den
@@ -267,20 +269,17 @@ class EulerTable:
     def from_rows(cls, primes, rows, end, end_error) -> "EulerTable":
         """The table over these primes from their FactorRows, in the same
         ascending order, ending at end with end_error."""
-        n = len(rows)
 
-        def planes(entries, width):
-            """Each row's entries as a (width, n) complex array, padded with 1."""
-            padded = [tuple(e) + (1,) * (width - len(e)) for e in entries]
-            return np.array(padded, dtype=complex).reshape(n, width).T
+        def planes(entries, width, pad):
+            """Each row's entries as a (width, n) complex array, padded in front with pad."""
+            padded = [(pad,) * (width - len(e)) + tuple(e) for e in entries]
+            return np.array(padded, dtype=complex).reshape(len(entries), width).T
 
-        divisors = planes([row[1] for row in rows], 8)
+        divisors = planes([row[1] for row in rows], 8, math.inf)
         pairs = [row[2] + row[3] for row in rows]
-        prefixes = planes([[k for k, _ in pair] for pair in pairs], 4)
-        dens = planes([[den for _, den in pair] for pair in pairs], 4)
+        prefixes = planes([[k for k, _ in pair] for pair in pairs], 4, 0)
+        dens = planes([[den for _, den in pair] for pair in pairs], 4, 1)
         dens = np.concatenate([divisors, dens, [[row[0] for row in rows]]])
-        padded = np.arange(12)[:, None] >= [len(row[1]) for row in rows]
-        padded[8:] = np.arange(4)[:, None] >= [len(pair) for pair in pairs]
         with np.errstate(all="ignore"):
             return cls(
                 primes=tuple(primes),
@@ -288,18 +287,16 @@ class EulerTable:
                 end_error=end_error,
                 bases=tuple(row[0] for row in rows),
                 quotient=_quotient_parts(dens.real, dens.imag),
-                padded=padded,
-                first_padded=tuple(int(row.argmax()) if row.any() else n for row in padded),
-                zero_divisor=((divisors == 0) & ~padded[:8]).any(axis=0),
+                zero_divisor=(divisors == 0).any(axis=0),
                 prefix=(np.ascontiguousarray(prefixes.real), np.ascontiguousarray(prefixes.imag)),
                 squared=np.array([not row[2] for row in rows], dtype=bool),
             )
 
     def evaluate(self, tr, ti):
         """(rankin, factor) at t over the first len(tr) columns: the degree-8
-        inverse factor prod_d (1 - t/d) and the local factor (1 - t^2/p) aux
+        inverse factor prod_d (1 - t/d) and the local factor aux (1 - t^2/p)
         / rankin, each product of slots a left fold from complex(1).  Steps
-        0-3 fold rows j and j + 8 into rankin and aux as one (2, k) product."""
+        0-4 fold rows j and j + 8 into rankin and aux as one (2, k) product."""
         k = len(tr)
         kr, ki = _c_prod(self.prefix[0][:, :k], self.prefix[1][:, :k], tr, ti)
         ktr, kti = _c_prod(kr, ki, tr, ti)  # (k t) t, as k * t * t associates
@@ -311,16 +308,11 @@ class EulerTable:
         fr, fi = _one_minus(*_c_quot(nr, ni, *(part[:, :k] for part in self.quotient)))
         acc = np.ones((2, k)), np.zeros((2, k))  # rankin and aux
         for j in range(8):
-            if j == 4:  # aux has folded its four slots
+            if j == 5:  # aux (1 - t^2/p) is folded, bit for bit the per-prime (1 - t^2/p) aux
                 aux, acc = (acc[0][1], acc[1][1]), (acc[0][:1], acc[1][:1])
-            rows = slice(j, 12, 8)  # rows j and j + 8 through j = 3, then row j
-            pr, pi = _c_prod(*acc, fr[rows], fi[rows])
-            if min(self.first_padded[rows]) < k:  # keep acc where the slot is padding
-                np.copyto(pr, acc[0], where=self.padded[rows, :k])
-                np.copyto(pi, acc[1], where=self.padded[rows, :k])
-            acc = pr, pi
+            acc = _c_prod(*acc, fr[j:13:8], fi[j:13:8])  # rows j and j + 8 to j = 4, then row j
         rankin = acc[0][0], acc[1][0]
-        return rankin, _c_quot(*_c_prod(fr[12], fi[12], *aux), *_quotient_parts(*rankin))
+        return rankin, _c_quot(*aux, *_quotient_parts(*rankin))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from localzeta.arch import (
     z_inf_closed,
     z_inf_quadrature,
     _reciprocal_gamma,
-    _whittaker_w_array,
+    _whittaker_w_route,
 )
 
 
@@ -120,7 +120,7 @@ class TestWhittakerW:
         ],
     )
     def test_against_independent_oracle(self, kappa, mu, x):
-        got = complex(_whittaker_w_array(kappa, mu, np.array([x]))[0])
+        got = complex(_whittaker_w_route(kappa, mu)(np.array([x]))[0])
         ref = complex(mpmath.whitw(kappa, mu, x))
         assert abs(got - ref) <= 1e-10 * abs(ref)
 
@@ -134,7 +134,7 @@ class TestWhittakerW:
         cases += [(171, 1e-3), (171, 2e-3)]
         for n, x in cases:
             k = kappa - 171 + n
-            got = complex(_whittaker_w_array(k, mu, np.array([x]))[0])
+            got = complex(_whittaker_w_route(k, mu)(np.array([x]))[0])
             try:
                 ref = complex(mpmath.whitw(k, mu, x))
             except ValueError:  # whitw does not converge, as at a zero of W
@@ -146,10 +146,10 @@ class TestWhittakerW:
         # the walk up stops once no value can come back: W is inf or nan
         # where it is past the float range, and 0 where e^(-x/2) is
         with np.errstate(all="ignore"):
-            got = _whittaker_w_array(kappa, mu, np.array([0.5, 30.0, 1e6]))
+            got = _whittaker_w_route(kappa, mu)(np.array([0.5, 30.0, 1e6]))
         assert not np.isfinite(got[:2]).any()
         assert got[2] == 0
-        assert (_whittaker_w_array(kappa, mu, np.array([1e6, 2e6])) == 0).all()
+        assert (_whittaker_w_route(kappa, mu)(np.array([1e6, 2e6])) == 0).all()
 
     def test_monotone_decay(self):
         for kappa, mu in [(0.0, 1.0), (-1.0, 0.5), (2.0, 3.0)]:
@@ -664,7 +664,7 @@ def _fresh_lambda_integral(sc, u):
         half = 0.5 * (edges[1:] - edges[:-1])
         lam = (mid[:, None] + half[:, None] * nodes0[None, :]).ravel()
         weights = (half[:, None] * weights0[None, :]).ravel()
-        w_vals = _whittaker_w_array(sc.l / 2, sc.ir / 2, 2 * scale * lam)
+        w_vals = _whittaker_w_route(sc.l / 2, sc.ir / 2)(2 * scale * lam)
         total = complex(
             np.dot(weights, np.exp((power - 1) * np.log(lam) - scale * lam) * w_vals)
         )
@@ -683,7 +683,7 @@ def _lambda_integral_alone(sc, u):
 
     def integrand(x):
         lam = lam_max * x
-        w_vals = _whittaker_w_array(sc.l / 2, sc.ir / 2, reach * x)
+        w_vals = _whittaker_w_route(sc.l / 2, sc.ir / 2)(reach * x)
         return np.exp((power - 1) * np.log(lam) - scale * lam) * w_vals
 
     (quad,) = arch._gauss_kronrod_rows(integrand, (0.0, 1.0), 0.0, 1e-9, "lambda-integral")
@@ -856,7 +856,7 @@ class TestWhittakerRoute:
     def test_route_called_again_equals_a_fresh_evaluation(self, kappa, mu):
         w = arch._whittaker_w_route(kappa, mu)
         for xs in self.NODES + self.NODES[::-1]:
-            assert np.array_equal(w(xs), _whittaker_w_array(kappa, mu, xs)), xs.min()
+            assert np.array_equal(w(xs), _whittaker_w_route(kappa, mu)(xs)), xs.min()
 
 
 class TestC1Coefficient:

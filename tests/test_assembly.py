@@ -908,6 +908,23 @@ class TestEulerTable:
             global_z_report(gi, 1.0, 19)
         assert str(got.value) == str(want.value)
 
+    def test_an_overflowing_level_prime_is_bit_identical(self):
+        # Satake values 1e-40 at the inert level prime 2 put its four divisors
+        # near 1e-120 ... 1e-40, so at t = 2^(-9/2) its inverse factor
+        # overflows to an infinite part; 3 and 5 are unitary.  The padding
+        # slots of p = 2 must leave that part as it is.
+        satake, gl2, local = synthetic_tables(5)
+        satake[2] = (1e-40, 1e-40, 1e-40)
+        local[2] = PrimeQuadData(-1, 1e-40 * 1e-40 * 1e-40 * 1e-40)
+        gi = make_gi(satake_table=satake, gl2_table=gl2, local_table=local,
+                     petersson_phi=1.25, petersson_psi=0.5)
+        got, want = special_value_ratio(gi, 5), reference_special_value_ratio(gi, 5)
+        assert struct.pack("<dd", got.real, got.imag) == struct.pack("<dd", want.real, want.imag)
+        assert repr(got) == "0j"
+        got, want = global_z_report(gi, 1.5, 5).euler_product, reference_euler_product(gi, 1.5, 5)
+        assert struct.pack("<dd", got.real, got.imag) == struct.pack("<dd", want.real, want.imag)
+        assert repr(got) == "(-0+0j)"
+
     def test_seeded_sweep_is_bit_identical(self, gi):
         sweep_outcomes(gi, SplitMix64(4200 + gi.l))
 
@@ -976,6 +993,32 @@ def test_complex_formulas_match_cpython_to_the_bit():
             continue  # CPython raises ZeroDivisionError, which the table records
         want = x / y
         assert _same_float(quot[0][i], want.real) and _same_float(quot[1][i], want.imag), (x, y)
+
+
+def test_padding_slots_are_exact_identities_in_front_only():
+    # EulerTable pads a prime's slots in front with d = inf and with k = 0
+    # over den = 1.  At every finite t each slot is exactly 1 + 0j, and so
+    # is 1 + 0j times 1 + 0j, so a fold reaches the first real slot at
+    # complex(1).  Behind the real slots an identity would not be exact.
+    finite = [x for x in _EDGE_PARTS if math.isfinite(x)]
+    t = np.array([complex(re, im) for re in finite for im in finite])
+    tr, ti = t.real, t.imag
+    ones, zeros = np.ones_like(tr), np.zeros_like(tr)
+    with np.errstate(all="ignore"):
+        kr, ki = assembly._c_prod(zeros, zeros, tr, ti)
+        slots = {
+            "d = inf": (tr, ti, assembly._quotient_parts(np.full_like(tr, math.inf), zeros)),
+            "k t / 1": (kr, ki, assembly._quotient_parts(ones, zeros)),
+            "k t^2 / 1": (*assembly._c_prod(kr, ki, tr, ti), assembly._quotient_parts(ones, zeros)),
+        }
+        for name, (nr, ni, parts) in slots.items():
+            fr, fi = assembly._one_minus(*assembly._c_quot(nr, ni, *parts))
+            for i, z in enumerate(t.tolist()):
+                assert _same_float(fr[i], 1.0) and _same_float(fi[i], 0.0), (name, z)
+    assert all(_same_float(x, y) for x, y in zip(assembly._c_prod(1.0, 0.0, 1.0, 0.0), (1.0, 0.0)))
+    behind = assembly._c_prod(math.inf, 0.0, 1.0, 0.0)
+    assert behind[0] == math.inf and math.isnan(behind[1])
+    assert math.isnan((complex(math.inf, 0.0) * complex(1.0, 0.0)).imag)  # CPython agrees
 
 
 class TestTheorem3Constant:

@@ -67,6 +67,14 @@ def key_far_prime(gi):
         gi[table]["9007199254740881"] = gi[table]["3"]
 
 
+def overflow_level_prime(gi):
+    # Satake values 1e-40 at the inert level prime 2, so its inverse
+    # factor overflows at s = 3/2, with both Petersson norms
+    gi["satake_table"]["2"] = [1e-40, 1e-40, 1e-40]
+    gi["local_table"]["2"]["lambda"]["piF"] = 1e-160
+    gi.update(petersson_phi=1.25, petersson_psi=0.5)
+
+
 def run_capture(config):
     buf = io.StringIO()
     code = run(config, buf)
@@ -260,6 +268,11 @@ CONTRACT = [
     Row("global-complex", "global --pmax 13 --format machine", passes={"": 1},
         doc=committed_global_doc(s=[0.9, 0.3]),
         sha256="10b6647ad91e38594a41b2bfdb05841bf366a90dfe925dd79d42975086d96bf7"),
+    # a level prime whose inverse factor overflows: the report and the
+    # special value read 0, not NaN
+    Row("overflowing-level-prime", "global --pmax 13 --format machine", passes={"": 2},
+        doc=edited_global_doc(overflow_level_prime),
+        sha256="8661602e783a4f33f455265b5b73956e902fc8baa6054dac97f725633e7a0859"),
     # a key far past the first missing prime 17 leaves a large --pmax as
     # cheap as a small one
     Row("global-far-key", "global --pmax 100000000", code=2, seconds=2,
